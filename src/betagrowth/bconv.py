@@ -1,6 +1,11 @@
 """Finite-level discretization of the Bernoulli convolution mu_{beta,m}.
 
-Two complementary mechanisms:
+A level-n digit word contributes the sum sum_{k<=n} eps_k beta^-k.  Both
+mechanisms below run the lattice DP of `expansions.Lattice` on these sums
+scaled by beta^n: a state is an integer vector c standing for
+(sum_i c_i beta^i) / lead^n, with lead the leading coefficient of the
+minimal polynomial; degree-one bases use the plain integer c.  Each state
+carries the exact number of words that reach it.
 
   * level_atoms enumerates the full level-n distribution (distinct digit
     sums with exact word counts) -- cheap for Pisot bases, capped otherwise;
@@ -23,14 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapExceededError, HypothesisError, InvalidInputError
-from .expansions import (
-    ScaledSumOps,
-    _coerce_point,
-    _scaled_sum_levels,
-    kappa,
-    prefix_count_series,
-)
+from .errors import HypothesisError, InvalidInputError
+from .expansions import Lattice, _coerce_point, kappa, prefix_count_series
 from .numberfield import BetaSystem, FieldElement
 
 DEFAULT_ATOM_CAP = 4_000_000
@@ -45,7 +44,7 @@ DEFAULT_MARGIN = 10
 class MeasureAtoms:
     """Level-n distribution of sum_{k<=n} eps_k beta^-k under uniform digits.
 
-    Stored as scaled integer keys (value * beta^n) with exact word counts;
+    Stored as level-n lattice keys (value * beta^n) with exact word counts;
     weights are counts / m^n.
     """
 
@@ -54,7 +53,7 @@ class MeasureAtoms:
     counts: dict
 
     def __post_init__(self):
-        self._ops = ScaledSumOps(self.sys)
+        self._lattice = Lattice(self.sys)
         self._sorted_cache = None
 
     @property
@@ -66,13 +65,14 @@ class MeasureAtoms:
 
     def _sorted(self):
         if self._sorted_cache is None:
-            to_float = self._ops.float_fn()
-            items = sorted(self.counts.items(), key=lambda kv: to_float(kv[0]))
-            scale = float(self.sys.rho) ** self.level
-            values = np.array([to_float(k) for k, _ in items]) * scale
-            cnts = np.array([float(c) for _, c in items])
+            keys = list(self.counts)
+            vals = np.array(self._lattice.float_values(keys, self.level))
+            order = np.argsort(vals, kind="stable")
+            keys = [keys[i] for i in order]
+            values = vals[order] * float(self.sys.rho) ** self.level
+            cnts = np.array([float(self.counts[k]) for k in keys])
             weights = cnts / float(self.sys.m) ** self.level
-            self._sorted_cache = (items, values, weights)
+            self._sorted_cache = (keys, values, weights)
         return self._sorted_cache
 
     def values_float(self) -> np.ndarray:
@@ -83,38 +83,27 @@ class MeasureAtoms:
 
     def items_exact(self):
         """(value FieldElement, weight Fraction) in increasing value order."""
-        items, _v, _w = self._sorted()
+        keys, _v, _w = self._sorted()
         rho_n = self.sys.rho ** self.level
         denom = self.sys.m ** self.level
-        for key, cnt in items:
-            yield self._ops.to_element(key) * rho_n, Fraction(cnt, denom)
+        for key in keys:
+            yield self._lattice.value(key, self.level) * rho_n, Fraction(self.counts[key], denom)
 
     def refine(self) -> "MeasureAtoms":
         """Push every atom through one more uniform digit and merge."""
-        ops = self._ops
-        new: dict = {}
-        for key, cnt in self.counts.items():
-            base = ops.mul_beta(key)
-            for eps in range(self.sys.m):
-                k2 = ops.add_eps(base, eps)
-                if k2 in new:
-                    new[k2] += cnt
-                else:
-                    new[k2] = cnt
-        return MeasureAtoms(self.sys, self.level + 1, new)
+        return MeasureAtoms(self.sys, self.level + 1,
+                            self._lattice.step(self.counts, self.level))
 
 
 def level_atoms(sys: BetaSystem, n: int, cap: int = DEFAULT_ATOM_CAP) -> MeasureAtoms:
     """Exact level-n atoms of mu, merged by value."""
     if n < 0:
         raise InvalidInputError("level must be nonnegative")
-    ops = ScaledSumOps(sys)
-    if n == 0:
-        return MeasureAtoms(sys, 0, {ops.zero: 1})
-    last = None
-    for level in _scaled_sum_levels(sys, n, cap, with_counts=True):
-        last = level
-    return MeasureAtoms(sys, n, last)
+    lattice = Lattice(sys)
+    counts = {lattice.zero: 1}
+    for counts in lattice.levels(n, cap):
+        pass
+    return MeasureAtoms(sys, n, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -134,81 +123,28 @@ def interval_mass(sys: BetaSystem, level: int, lo, hi,
     hi = sys.element(hi)
     if (hi - lo).sign() < 0:
         return Fraction(0)
-    ops = ScaledSumOps(sys)
     m = sys.m
-    # tail_k = (m-1) * sum_{j=k+1..level} beta^-j, precomputed scaled by beta^k:
-    # scaled_tail_k = (m-1) * (beta^-1 + ... + beta^-(level-k)) * ... in field
-    # prune keeps t with  t <= hi*beta^k  and  t >= lo*beta^k - scaled_tail_k
-    beta = sys.beta
-    rho = sys.rho
-    geom = [sys.field.zero]  # geom[j] = (m-1)*(rho + ... + rho^j)
-    acc = sys.field.zero
-    p = sys.field.one
+    # after k digits a scaled sum t can still land in [lo, hi] iff
+    # lo*beta^k - tails[level-k] <= t <= hi*beta^k, where
+    # tails[j] = (m-1)*(rho + ... + rho^j) is the most the last j digits add
+    tails = [sys.field.zero]
+    power = sys.field.one
     for _ in range(level):
-        p = p * rho
-        acc = acc + p
-        geom.append(acc * (m - 1))
-    states = {ops.zero: 1}
-    hi_k = hi
-    lo_k = lo
-    field = sys.field
-    scale = 1
-    q_den = sys.beta.coeffs[0].denominator if ops.kind == "rational" else 1
-    for k in range(1, level + 1):
-        hi_k = hi_k * beta
-        lo_k = lo_k * beta
-        scale *= q_den
-        slack = geom[level - k]
-        lo_bound = lo_k - slack
-        if ops.kind == "rational":
-            # keys are (num, q^k); the window becomes a plain integer range
-            hi_frac = hi_k.coeffs[0] * scale
-            lo_frac = lo_bound.coeffs[0] * scale
-            hi_int = hi_frac.numerator // hi_frac.denominator  # floor
-            lo_int = -((-lo_frac.numerator) // lo_frac.denominator)  # ceil
-
-            def admissible(key):
-                return lo_int <= key[0] <= hi_int
-
-        elif ops.kind == "monic":
-            # clear the bound denominators once; candidates get one integer
-            # coefficient-vector sign test per side
-            denom = 1
-            for c in list(hi_k.coeffs) + list(lo_bound.coeffs):
-                denom = denom * c.denominator // math.gcd(denom, c.denominator)
-            hi_int_vec = tuple(int(c * denom) for c in hi_k.coeffs)
-            lo_int_vec = tuple(int(c * denom) for c in lo_bound.coeffs)
-
-            def admissible(key):
-                if field.sign_int_coeffs(
-                    tuple(denom * t - h for t, h in zip(key, hi_int_vec))
-                ) > 0:
-                    return False
-                return field.sign_int_coeffs(
-                    tuple(denom * t - l for t, l in zip(key, lo_int_vec))
-                ) >= 0
-
-        else:
-            def admissible(key):
-                t = ops.to_element(key)
-                return (hi_k - t).sign() >= 0 and (t - lo_bound).sign() >= 0
-
-        new: dict = {}
-        for key, cnt in states.items():
-            base = ops.mul_beta(key)
-            for eps in range(m):
-                k2 = ops.add_eps(base, eps)
-                if k2 in new:
-                    new[k2] += cnt
-                elif admissible(k2):
-                    new[k2] = cnt
-        if len(new) > cap:
-            raise CapExceededError(f"windowed DP exceeds {cap} states")
-        states = new
+        power = power * sys.rho
+        tails.append(tails[-1] + power * (m - 1))
+    if hi.sign() < 0 or (lo - tails[level]).sign() > 0:
+        return Fraction(0)  # the empty word's sum 0 is outside the level-0 window
+    lattice = Lattice(sys)
+    states = {lattice.zero: 1}
+    lo_k, hi_k = lo, hi
+    for k in range(level):
+        lo_k = lo_k * sys.beta
+        hi_k = hi_k * sys.beta
+        states = lattice.step(states, k, lo_k - tails[level - k - 1], hi_k)
+        lattice.check_cap(states, cap, k + 1)
         if not states:
             return Fraction(0)
-    total = sum(states.values())
-    return Fraction(total, m ** level)
+    return Fraction(sum(states.values()), m ** level)
 
 
 def tail_diameter(sys: BetaSystem, level: int) -> FieldElement:

@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -249,6 +250,8 @@ def cmd_gamma(args) -> int:
     elif args.method == "series":
         if not args.beta.startswith("multinacci:") and args.beta != "golden":
             raise InvalidInputError("series route applies to multinacci bases")
+        if args.m != 2:
+            raise InvalidInputError("series route requires m = 2")
         n = 2 if args.beta == "golden" else int(args.beta.split(":")[1])
         est = lyapunov.gamma_multinacci_series(
             n, k_exact=args.k_exact, mc_budget=args.mc_budget, seed=args.seed
@@ -500,6 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tau", help="L^q spectrum estimates")
     _add_common(p)
     p.add_argument("--q-list", default="-1,0,0.5,1,2,3")
+    # argparse takes "-1,0,1,2" for an option name unless it reads as a number
+    p._negative_number_matcher = re.compile(r"^-\.?\d[\d.,-]*$")
     p.add_argument("--levels", default="10..16")
     p.add_argument("--margin", type=int, default=8)
     p.set_defaults(fn=cmd_tau)

@@ -1,11 +1,12 @@
 """Counting and enumerating beta-expansion prefixes.
 
-The central object is the level-synchronous DP on remainders
-r -> beta*r - eps, kept iff the result stays inside [0, (m-1)/(beta-1)].
-States with equal value are merged with summed multiplicities, which keeps
+The central object is a level-synchronous DP over digit sums: `Lattice`
+steps every state t -> beta*t + eps, merges states of equal value with
+summed multiplicities and keeps those in a window.  For N_n(x) the window
+is the remainder test 0 <= beta^k x - t <= (m-1)/(beta-1).  Merging keeps
 the reachable state set small: constant-size for Pisot bases (Garsia
-separation) and window-bounded for rational ones.  All membership decisions
-are exact sign tests; no floats.
+separation) and window-bounded for rational ones.  Membership decisions
+use a float screen with a proven error bound and an exact fallback.
 """
 
 from __future__ import annotations
@@ -24,7 +25,127 @@ GOLDEN_COEFFS = (-1, -1, 1)
 
 
 # ---------------------------------------------------------------------------
-# remainder DP
+# the lattice DP kernel
+# ---------------------------------------------------------------------------
+
+class Lattice:
+    """Digit sums scaled by beta^k, as integer vectors: the one DP state format.
+
+    After k digits the scaled sum t = sum_{j<=k} eps_j beta^(k-j) is stored
+    as the integer vector c with t = (sum_i c_i beta^i) / lead^k, where lead
+    is the leading coefficient of the minimal polynomial (1 when it is
+    monic, q for beta = p/q).  Since 1, beta, ..., beta^(d-1) is a basis of
+    Q(beta), equal values at one level have equal vectors, so merging
+    states is a dict lookup.  Degree-one keys are plain ints, higher
+    degrees int tuples.
+    """
+
+    def __init__(self, sys: BetaSystem):
+        self.sys = sys
+        coeffs = sys.minpoly.coeffs
+        self.lead = coeffs[-1]
+        self._row = tuple(-c for c in coeffs[:-1])  # lead*beta^d = sum row_i beta^i
+        self.degree = len(self._row)
+        if self.degree == 1:
+            self.zero = 0
+            self._step = self._step_int
+        else:
+            self.zero = (0,) * self.degree
+            self._step = self._step_vec
+
+    def step(self, states: dict, k: int, lo: FieldElement | None = None,
+             hi: FieldElement | None = None) -> dict:
+        """Level-k states -> level-(k+1) states under t -> beta*t + eps.
+
+        Counts of merged states add up.  With a window (lo and hi given
+        together, as level-(k+1) values) only states in [lo, hi] are kept.
+        """
+        return self._step(states, k, lo, hi)
+
+    def _step_int(self, states, k, lo, hi):
+        p = self._row[0]
+        scale = self.lead ** (k + 1)
+        digits = range(self.sys.m)
+        lo_int, hi_int = -math.inf, math.inf
+        if hi is not None:
+            lo_int = math.ceil(lo.coeffs[0] * scale)
+            hi_int = math.floor(hi.coeffs[0] * scale)
+        new: dict = {}
+        for c, cnt in states.items():
+            key = p * c
+            for _ in digits:
+                if key > hi_int:
+                    break  # larger digits only increase the key
+                if key >= lo_int:
+                    if key in new:
+                        new[key] += cnt
+                    else:
+                        new[key] = cnt
+                key += scale
+        return new
+
+    def _step_vec(self, states, k, lo, hi):
+        lead, row0, row_rest = self.lead, self._row[0], self._row[1:]
+        scale = lead ** (k + 1)
+        digits = range(self.sys.m)
+        window = hi is not None
+        if window:
+            # clear the bound denominators once; a new key then costs one
+            # integer coefficient-vector sign test per side
+            sign = self.sys.field.sign_int_coeffs
+            bounds = [c * scale for c in lo.coeffs + hi.coeffs]
+            den = math.lcm(*(b.denominator for b in bounds))
+            ints = [b.numerator * (den // b.denominator) for b in bounds]
+            lo_vec, hi_vec = ints[:self.degree], ints[self.degree:]
+        new: dict = {}
+        for c, cnt in states.items():
+            top = c[-1]
+            head = top * row0
+            rest = tuple(lead * a + top * r for a, r in zip(c, row_rest))
+            for _ in digits:
+                key = (head,) + rest
+                if key in new:
+                    new[key] += cnt
+                elif not window:
+                    new[key] = cnt
+                else:
+                    if sign(tuple(den * a - b for a, b in zip(key, hi_vec))) > 0:
+                        break  # larger digits only increase the value
+                    if sign(tuple(den * a - b for a, b in zip(key, lo_vec))) >= 0:
+                        new[key] = cnt
+                head += scale
+        return new
+
+    def levels(self, n: int, cap: int):
+        """Yield the unwindowed states of levels 1..n, starting from the empty word."""
+        states = {self.zero: 1}
+        for k in range(n):
+            states = self.step(states, k)
+            self.check_cap(states, cap, k + 1)
+            yield states
+
+    @staticmethod
+    def check_cap(states: dict, cap: int, k: int) -> None:
+        if len(states) > cap:
+            raise CapExceededError(f"{len(states)} DP states at level {k} exceed the cap {cap}")
+
+    def value(self, key, k: int) -> FieldElement:
+        """The exact value of a level-k key."""
+        den = self.lead ** k
+        coeffs = (key,) if self.degree == 1 else key
+        return self.sys.field.from_coeffs([Fraction(c, den) for c in coeffs])
+
+    def float_values(self, keys, k: int) -> list[float]:
+        """Float values of level-k keys, for presorting and estimates only."""
+        den = self.lead ** k
+        if self.degree == 1:
+            return [c / den for c in keys]
+        powers = self.sys.field.beta_float_powers()
+        return [sum(float(c) * p for c, p in zip(key, powers)) / den for key in keys]
+
+
+# ---------------------------------------------------------------------------
+# prefix counts
 # ---------------------------------------------------------------------------
 
 def _coerce_point(x, sys: BetaSystem) -> FieldElement:
@@ -34,80 +155,25 @@ def _coerce_point(x, sys: BetaSystem) -> FieldElement:
     return x
 
 
-def _rational_params(sys: BetaSystem) -> tuple[int, int]:
-    """(p, q) with beta = p/q for a degree-one system."""
-    b = sys.beta.coeffs[0]
-    return b.numerator, b.denominator
-
-
-def _prefix_count_series_rational(x: FieldElement, n_max: int, sys: BetaSystem) -> list[int]:
-    """Counts N_0..N_{n_max} for degree-one beta via pure integer DP.
-
-    The level-k remainder is N / (q^k * b) with N an integer, where x = a/b.
-    Admissibility 0 <= r <= (m-1)q/(p-q) becomes integer inequalities.
-    """
-    p, q = _rational_params(sys)
-    xv = x.coeffs[0]
-    a, b = xv.numerator, xv.denominator
-    m = sys.m
-    counts = [1]
-    states: dict[int, int] = {a: 1}
-    scale = b  # denominator q^k * b at the current level
-    for _ in range(n_max):
-        scale *= q
-        # right-end test: N*(p-q) <= (m-1)*q*scale
-        limit = (m - 1) * q * scale
-        pq = p - q
-        new: dict[int, int] = {}
-        for state, cnt in states.items():
-            base = p * state
-            for eps in range(m):
-                cand = base - eps * scale
-                if cand < 0:
-                    break  # larger eps only decreases cand
-                if cand * pq <= limit:
-                    if cand in new:
-                        new[cand] += cnt
-                    else:
-                        new[cand] = cnt
-        states = new
-        counts.append(sum(states.values()))
-    return counts
-
-
-def _prefix_count_series_field(x: FieldElement, n_max: int, sys: BetaSystem) -> list[int]:
-    fld = sys.field
-    right = sys.right_end
-    m = sys.m
-    counts = [1]
-    states: dict[FieldElement, int] = {x: 1}
-    for _ in range(n_max):
-        new: dict[FieldElement, int] = {}
-        for r, cnt in states.items():
-            shifted = r * sys.beta
-            for eps in range(m):
-                cand = shifted - eps if eps else shifted
-                s = cand.sign()
-                if s < 0:
-                    break  # digits are tried in increasing order
-                if (right - cand).sign() >= 0:
-                    if cand in new:
-                        new[cand] += cnt
-                    else:
-                        new[cand] = cnt
-        states = new
-        counts.append(sum(states.values()))
-    return counts
-
-
 def prefix_count_series(x, n_max: int, sys: BetaSystem) -> list[int]:
-    """[N_0(x), N_1(x), ..., N_{n_max}(x)], all exact."""
+    """[N_0(x), N_1(x), ..., N_{n_max}(x)], all exact.
+
+    After k digits with scaled sum t the remainder is beta^k x - t, so the
+    admissibility test 0 <= remainder <= (m-1)/(beta-1) is the lattice
+    window [beta^k x - (m-1)/(beta-1), beta^k x].
+    """
     if n_max < 0:
         raise InvalidInputError("n must be nonnegative")
     x = _coerce_point(x, sys)
-    if sys.degree == 1:
-        return _prefix_count_series_rational(x, n_max, sys)
-    return _prefix_count_series_field(x, n_max, sys)
+    lattice = Lattice(sys)
+    states = {lattice.zero: 1}
+    counts = [1]
+    hi = x
+    for k in range(n_max):
+        hi = hi * sys.beta
+        states = lattice.step(states, k, hi - sys.right_end, hi)
+        counts.append(sum(states.values()))
+    return counts
 
 
 def count_prefixes(x, n: int, sys: BetaSystem) -> int:
@@ -330,129 +396,13 @@ def simulate_expansion(x, n: int, sys: BetaSystem, coin_bits: Iterable[int]) -> 
 # distinct power sums (Garsia diagnostics)
 # ---------------------------------------------------------------------------
 
-class ScaledSumOps:
-    """Key arithmetic for sums scaled by beta^level.
-
-    For a monic integer minimal polynomial the scaled sums have integer
-    coordinates and keys are plain int tuples, which keeps hashing cheap;
-    a degree-one base uses (numerator, denominator-scale) integer pairs;
-    anything else falls back to Fraction coefficient tuples.
-    """
-
-    def __init__(self, sys: BetaSystem):
-        self.sys = sys
-        fld = sys.field
-        d = fld.degree
-        if sys.minpoly.monic and d >= 2:
-            row = tuple(int(-c) for c in sys.minpoly.coeffs[:-1])
-
-            def mul_beta(t: tuple[int, ...]) -> tuple[int, ...]:
-                top = t[-1]
-                out = (0,) + t[:-1]
-                if top:
-                    out = tuple(o + top * r for o, r in zip(out, row))
-                return out
-
-            def add_eps(t, eps):
-                if not eps:
-                    return t
-                return (t[0] + eps,) + t[1:]
-
-            self.zero = (0,) * d
-            self.kind = "monic"
-        elif d == 1:
-            p, q = _rational_params(sys)
-
-            def mul_beta(t):  # t is (numerator, power-of-q scale)
-                return (t[0] * p, t[1] * q)
-
-            def add_eps(t, eps):
-                if not eps:
-                    return t
-                return (t[0] + eps * t[1], t[1])
-
-            self.zero = (0, 1)
-            self.kind = "rational"
-        else:
-            def mul_beta(t):
-                return fld._mul(t, sys.beta.coeffs)
-
-            def add_eps(t, eps):
-                if not eps:
-                    return t
-                return (t[0] + eps,) + t[1:]
-
-            self.zero = fld.zero.coeffs
-            self.kind = "generic"
-        self.mul_beta = mul_beta
-        self.add_eps = add_eps
-
-    def to_element(self, key) -> FieldElement:
-        """The scaled sum as a field element (still scaled by beta^level)."""
-        if self.kind == "rational":
-            return self.sys.field.rational(Fraction(key[0], key[1]))
-        return self.sys.field.from_coeffs([Fraction(c) for c in key])
-
-    def to_fraction(self, key) -> Fraction:
-        if self.kind != "rational":
-            raise InvalidInputError("exact fraction view only for degree-one bases")
-        return Fraction(key[0], key[1])
-
-    def float_fn(self):
-        """A fast float evaluator for keys (safe: scaled gaps stay order 1)."""
-        if self.kind == "rational":
-            return lambda key: key[0] / key[1]
-        powers = self.sys.field.beta_float_powers()
-        return lambda key: sum(float(c) * p for c, p in zip(key, powers))
-
-
-def _scaled_sum_levels(sys: BetaSystem, n: int, cap: int,
-                       with_counts: bool):
-    """Iterate levels of t -> beta*t + eps, t scaled by beta^level.
-
-    Yields the state dict (key -> word count) or set for each level 1..n.
-    """
-    m = sys.m
-    ops = ScaledSumOps(sys)
-    mul_beta, add_eps, zero = ops.mul_beta, ops.add_eps, ops.zero
-    if with_counts:
-        states: dict = {zero: 1}
-        for _ in range(n):
-            new: dict = {}
-            for t, cnt in states.items():
-                base = mul_beta(t)
-                for eps in range(m):
-                    key = add_eps(base, eps)
-                    if key in new:
-                        new[key] += cnt
-                    else:
-                        new[key] = cnt
-            if len(new) > cap:
-                raise CapExceededError(f"distinct-sum state count exceeds {cap}")
-            states = new
-            yield states
-    else:
-        states_set: set = {zero}
-        for _ in range(n):
-            new_set = set()
-            for t in states_set:
-                base = mul_beta(t)
-                for eps in range(m):
-                    new_set.add(add_eps(base, eps))
-            if len(new_set) > cap:
-                raise CapExceededError(f"distinct-sum state count exceeds {cap}")
-            states_set = new_set
-            yield states_set
-
-
 def distinct_sums_count(n: int, sys: BetaSystem, cap: int = DEFAULT_SUM_CAP) -> int:
     """Number of distinct values of sum_{j<=n} eps_j beta^-j, exact."""
     if n < 1:
         raise InvalidInputError("n must be >= 1")
-    last = None
-    for level in _scaled_sum_levels(sys, n, cap, with_counts=False):
-        last = level
-    return len(last)
+    for states in Lattice(sys).levels(n, cap):
+        pass
+    return len(states)
 
 
 @dataclass(frozen=True)
@@ -475,13 +425,13 @@ def garsia_report(sys: BetaSystem, n_max: int, cap: int = DEFAULT_SUM_CAP) -> li
 
     rows = []
     beta_f = float(sys.beta)
-    ops = ScaledSumOps(sys)
+    lattice = Lattice(sys)
 
-    def summarize(n: int, keys, vals: "np.ndarray") -> GarsiaRow:
+    def summarize(n: int, key_at, size: int, vals: "np.ndarray") -> GarsiaRow:
         order = np.argsort(vals, kind="stable")
         gaps = np.diff(vals[order])
         if not gaps.size:
-            return GarsiaRow(n, len(keys), len(keys) / beta_f ** n, math.inf)
+            return GarsiaRow(n, size, size / beta_f ** n, math.inf)
         gmin = float(gaps.min())
         # exact minimum among the float-preselected candidates; ties are
         # plentiful (gap values live in a discrete set), so a handful of
@@ -491,17 +441,14 @@ def garsia_report(sys: BetaSystem, n_max: int, cap: int = DEFAULT_SUM_CAP) -> li
         cands = [i for i in cands if gaps[i] <= gmin * 1.5 + 1e-12]
         best = None
         for i in cands:
-            a, b = keys[order[i]], keys[order[i + 1]]
-            diff = ops.to_element(tuple(int(v) for v in b)) - ops.to_element(
-                tuple(int(v) for v in a)
-            )
+            diff = lattice.value(key_at(order[i + 1]), n) - lattice.value(key_at(order[i]), n)
             if diff.sign() <= 0:
                 raise InvalidInputError("float presorting failed; duplicate sums?")
             if best is None or (diff - best).sign() < 0:
                 best = diff
-        return GarsiaRow(n, len(keys), len(keys) / beta_f ** n, float(best))
+        return GarsiaRow(n, size, size / beta_f ** n, float(best))
 
-    if ops.kind == "monic":
+    if sys.minpoly.monic and sys.degree >= 2:
         # vectorized set DP: rows of int64 coordinates, deduped per level
         d = sys.field.degree
         red = np.array([int(-c) for c in sys.minpoly.coeffs[:-1]], dtype=np.int64)
@@ -521,20 +468,14 @@ def garsia_report(sys: BetaSystem, n_max: int, cap: int = DEFAULT_SUM_CAP) -> li
                 raise CapExceededError(f"distinct-sum state count exceeds {cap}")
             if np.abs(arr).max() > 2 ** 55:
                 raise CapExceededError("coordinates exceed the safe integer range")
-            rows.append(summarize(n, arr, arr @ powers))
+            rows.append(summarize(n, lambda i: tuple(int(v) for v in arr[i]), len(arr),
+                                  arr @ powers))
         return rows
 
-    for n, level in enumerate(_scaled_sum_levels(sys, n_max, cap, with_counts=False), start=1):
+    for n, level in enumerate(lattice.levels(n_max, cap), start=1):
         keys = list(level)
-        if ops.kind == "rational":
-            vals = np.array([k[0] for k in keys], dtype=float)
-            vals /= float(keys[0][1])
-            keys = [(k[0], k[1]) for k in keys]
-        else:
-            karr = np.array([[float(c) for c in k] for k in keys])
-            powers = np.array(sys.field.beta_float_powers()[: karr.shape[1]])
-            vals = karr @ powers
-        rows.append(summarize(n, keys, vals))
+        vals = np.array(lattice.float_values(keys, n))
+        rows.append(summarize(n, keys.__getitem__, len(keys), vals))
     return rows
 
 

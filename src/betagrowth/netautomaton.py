@@ -16,11 +16,10 @@ of the interval, which equals the prefix count of the rescaled point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product as iter_product
 from typing import Sequence
 
 from .errors import CapExceededError, InvalidInputError, InvariantError
+from .expansions import Lattice
 from .numberfield import BetaSystem, FieldElement
 
 DEFAULT_STATE_CAP = 10_000
@@ -59,25 +58,6 @@ def _digit_starts(sys: BetaSystem) -> list[FieldElement]:
     return [step * (a - 1) for a in range(1, sys.m + 1)]
 
 
-def _start_value_counts(sys: BetaSystem, n: int) -> dict[FieldElement, int]:
-    """Map S_J(0) -> number of words J of length n realizing it."""
-    starts = _digit_starts(sys)
-    values: dict[FieldElement, int] = {sys.field.zero: 1}
-    scale = sys.field.one
-    for _ in range(n):
-        new: dict[FieldElement, int] = {}
-        for v, cnt in values.items():
-            for s in starts:
-                key = v + scale * s
-                if key in new:
-                    new[key] += cnt
-                else:
-                    new[key] = cnt
-        values = new
-        scale = scale * sys.rho
-    return values
-
-
 def net_intervals(sys: BetaSystem, n: int, level_cap: int = DIRECT_LEVEL_CAP) -> list[NetInterval]:
     """The ordered list of level-n net intervals with covering offsets."""
     if n < 0:
@@ -86,7 +66,14 @@ def net_intervals(sys: BetaSystem, n: int, level_cap: int = DIRECT_LEVEL_CAP) ->
         raise CapExceededError(f"net interval level {n} exceeds cap {level_cap}")
     if n == 0:
         return [NetInterval(0, sys.field.zero, sys.field.one, (sys.field.zero,))]
-    values = _start_value_counts(sys, n)
+    # S_J(0) = sum_j rho^(j-1) S_{eps_j}(0) = (1-rho)/(m-1) * rho^(n-1) * t_n,
+    # with t_n the scaled digit sum of J
+    lattice = Lattice(sys)
+    states = {lattice.zero: 1}
+    for k in range(n):
+        states = lattice.step(states, k)
+    unit = (sys.field.one - sys.rho) / (sys.m - 1) * sys.rho ** (n - 1)
+    values = {unit * lattice.value(key, n): cnt for key, cnt in states.items()}
     rho_n = sys.rho ** n
     beta_n = sys.beta ** n
     points = set(values)
@@ -106,26 +93,6 @@ def net_intervals(sys: BetaSystem, n: int, level_cap: int = DIRECT_LEVEL_CAP) ->
             raise InvariantError("net interval with empty covering list")
         out.append(NetInterval(n, a, b, tuple(offsets)))
     return out
-
-
-def multiplicity_direct(sys: BetaSystem, interval: NetInterval) -> int:
-    """Brute-force covering count over all m^n words; oracle for the matrices."""
-    n = interval.level
-    if n > DIRECT_LEVEL_CAP:
-        raise CapExceededError(f"direct enumeration capped at level {DIRECT_LEVEL_CAP}")
-    starts = _digit_starts(sys)
-    rho = sys.rho
-    rho_n = rho ** n
-    count = 0
-    for word in iter_product(range(sys.m), repeat=n):
-        v = sys.field.zero
-        scale = sys.field.one
-        for a in word:
-            v = v + scale * starts[a]
-            scale = scale * rho
-        if (interval.a - v).sign() >= 0 and (v + rho_n - interval.b).sign() >= 0:
-            count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------

@@ -615,16 +615,20 @@ class NumberField:
         """Exact sign of sum(c_k beta^k) for integer coefficients.
 
         A float evaluation with a conservative error bound screens the easy
-        cases; only near-boundary values fall back to interval bisection.
+        cases; near-boundary values, and coefficients beyond float range,
+        fall back to interval bisection.
         """
         if all(c == 0 for c in coeffs):
             return 0
         powers = self.beta_float_powers()
         val = 0.0
         mag = 0.0
-        for c, p in zip(coeffs, powers):
-            val += c * p
-            mag += abs(c) * p
+        try:
+            for c, p in zip(coeffs, powers):
+                val += c * p
+                mag += abs(c) * p
+        except OverflowError:
+            return self.sign_of(tuple(Fraction(c) for c in coeffs))
         guard = mag * (self.degree + 4) * 4e-16
         if val > guard:
             return 1

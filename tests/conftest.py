@@ -114,3 +114,20 @@ def brute_value_count(target, length: int, sys: BetaSystem) -> int:
         if (s - target).is_zero():
             count += 1
     return count
+
+
+def multiplicity_direct(sys: BetaSystem, interval) -> int:
+    """#{words J of length n whose cylinder [S_J(0), S_J(0) + rho^n] covers
+    the net interval}, by enumerating all m^n words."""
+    n = interval.level
+    step = (sys.field.one - sys.rho) / (sys.m - 1)
+    starts = [step * eps for eps in range(sys.m)]  # S_eps(0)
+    pows = _rho_powers(sys, n)
+    count = 0
+    for word in product(range(sys.m), repeat=n):
+        v = sys.field.zero
+        for j, eps in enumerate(word):
+            v = v + pows[j] * starts[eps]
+        if (interval.a - v).sign() >= 0 and (v + pows[n] - interval.b).sign() >= 0:
+            count += 1
+    return count

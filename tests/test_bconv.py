@@ -88,6 +88,14 @@ def test_interval_mass_against_atoms(golden, b15):
         assert interval_mass(sys_, 8, lo, hi) == direct
 
 
+def test_interval_mass_huge_denominator(golden):
+    # a bound with a 400-digit denominator overflows the float sign screen
+    lo = Fraction(1, 10 ** 400)
+    direct = sum(w for v, w in level_atoms(golden, 5).items_exact()
+                 if (v - lo).sign() >= 0 and (1 - v).sign() >= 0)
+    assert interval_mass(golden, 5, lo, 1) == direct
+
+
 def test_interval_mass_lebesgue(binary):
     # binary base: mass of [a, b] is (b - a) up to the level resolution
     got = interval_mass(binary, 12, Fraction(1, 3), Fraction(2, 3))

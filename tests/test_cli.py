@@ -1,8 +1,12 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from betagrowth.cli import main
+from betagrowth.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -47,6 +51,11 @@ def test_exit_code_bad_input(capsys):
                               "--x", "1", "--n", "2")
     assert code == 2
     assert "error:" in err
+    # the multinacci series is the m = 2 gamma; it must not be paired with another m
+    code, out, err = run_cli(capsys, "gamma", "--beta", "multinacci:3", "--m", "3",
+                             "--method", "series")
+    assert code == 2
+    assert out == ""
 
 
 def test_exit_code_cap(capsys):
@@ -161,3 +170,11 @@ def test_selftest(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_readme_command_lines_parse():
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```")[1]
+    lines = [ln for ln in block.splitlines() if ln.startswith("betagrowth ")]
+    assert len(lines) >= 10
+    for line in lines:
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])

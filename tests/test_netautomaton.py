@@ -10,11 +10,11 @@ from betagrowth.netautomaton import (
     coding_of_point,
     count_via_matrices,
     essential_class,
-    multiplicity_direct,
     net_intervals,
     products_positive,
 )
 from betagrowth.numberfield import parse_beta
+from conftest import multiplicity_direct
 
 
 @pytest.fixture(scope="module")

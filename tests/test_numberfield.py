@@ -72,6 +72,14 @@ def test_sign_basics(golden):
     assert (1 - golden.beta).sign() < 0
 
 
+def test_sign_int_coeffs_beyond_float_range(golden):
+    # float(10**400) overflows, so the screen must hand over to exact bisection
+    big = 10 ** 400
+    assert golden.field.sign_int_coeffs((big, -1)) == 1
+    assert golden.field.sign_int_coeffs((-big, big)) == 1       # big * (beta - 1)
+    assert golden.field.sign_int_coeffs((big, -big)) == -1      # big * (1 - beta)
+
+
 def test_sign_never_uses_floats_for_zero(golden):
     # an element with all-zero coefficients short-circuits
     z = golden.field.from_coeffs([0, 0])
