@@ -12,11 +12,12 @@ use a float screen with a proven error bound and an exact fallback.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import CapExceededError, HypothesisError, InvalidInputError
+from .errors import CapExceededError, HypothesisError, InvalidInputError, InvariantError
 from .numberfield import BetaSystem, FieldElement
 
 DEFAULT_NODE_CAP = 500_000
@@ -68,8 +69,8 @@ class Lattice:
         digits = range(self.sys.m)
         lo_int, hi_int = -math.inf, math.inf
         if hi is not None:
-            lo_int = math.ceil(lo.coeffs[0] * scale)
-            hi_int = math.floor(hi.coeffs[0] * scale)
+            lo_int = -(-lo.num[0] * scale // lo.den)
+            hi_int = hi.num[0] * scale // hi.den
         new: dict = {}
         for c, cnt in states.items():
             key = p * c
@@ -90,13 +91,11 @@ class Lattice:
         digits = range(self.sys.m)
         window = hi is not None
         if window:
-            # clear the bound denominators once; a new key then costs one
-            # integer coefficient-vector sign test per side
+            # key / scale <= hi.num / hi.den iff hi.den * key - scale * hi.num <= 0:
+            # one integer coefficient-vector sign test per side
             sign = self.sys.field.sign_int_coeffs
-            bounds = [c * scale for c in lo.coeffs + hi.coeffs]
-            den = math.lcm(*(b.denominator for b in bounds))
-            ints = [b.numerator * (den // b.denominator) for b in bounds]
-            lo_vec, hi_vec = ints[:self.degree], ints[self.degree:]
+            lo_den, lo_vec = lo.den, [scale * b for b in lo.num]
+            hi_den, hi_vec = hi.den, [scale * b for b in hi.num]
         new: dict = {}
         for c, cnt in states.items():
             top = c[-1]
@@ -109,9 +108,9 @@ class Lattice:
                 elif not window:
                     new[key] = cnt
                 else:
-                    if sign(tuple(den * a - b for a, b in zip(key, hi_vec))) > 0:
+                    if sign(tuple(hi_den * a - b for a, b in zip(key, hi_vec))) > 0:
                         break  # larger digits only increase the value
-                    if sign(tuple(den * a - b for a, b in zip(key, lo_vec))) >= 0:
+                    if sign(tuple(lo_den * a - b for a, b in zip(key, lo_vec))) >= 0:
                         new[key] = cnt
                 head += scale
         return new
@@ -131,9 +130,7 @@ class Lattice:
 
     def value(self, key, k: int) -> FieldElement:
         """The exact value of a level-k key."""
-        den = self.lead ** k
-        coeffs = (key,) if self.degree == 1 else key
-        return self.sys.field.from_coeffs([Fraction(c, den) for c in coeffs])
+        return FieldElement(self.sys.field, (key,) if self.degree == 1 else key, self.lead ** k)
 
     def float_values(self, keys, k: int) -> list[float]:
         """Float values of level-k keys, for presorting and estimates only."""
@@ -234,7 +231,10 @@ def branch_tree(x, depth: int, sys: BetaSystem, node_cap: int = DEFAULT_NODE_CAP
                     nxt.append((child, cand))
                     total += 1
                     if total > node_cap:
-                        raise CapExceededError(f"branch tree exceeds {node_cap} nodes")
+                        raise CapExceededError(
+                            f"{total} branch-tree nodes at depth {child.depth} "
+                            f"exceed the cap {node_cap}"
+                        )
         frontier = nxt
     return BranchTree(root, depth, total)
 
@@ -418,64 +418,43 @@ def garsia_report(sys: BetaSystem, n_max: int, cap: int = DEFAULT_SUM_CAP) -> li
 
     The reported gap is beta^n * (smallest difference between distinct
     level-n sums); Garsia separation predicts a positive lower bound for
-    Pisot beta.  The minimum is certified by exact comparisons among the
-    candidates preselected with floats.
+    Pisot beta.  The minimum is certified: the sums are presorted by float
+    value, and every gap whose float value lies within the proven float
+    error bound (`NumberField.float_error`) of the smallest one is compared
+    exactly, so no gap left out can be smaller and a misordered presort is
+    detected.
     """
     import numpy as np
 
     rows = []
     beta_f = float(sys.beta)
     lattice = Lattice(sys)
-
-    def summarize(n: int, key_at, size: int, vals: "np.ndarray") -> GarsiaRow:
+    field = sys.field
+    powers = np.array(field.beta_float_powers())
+    for n, level in enumerate(lattice.levels(n_max, cap), start=1):
+        size = len(level)
+        if size < 2:
+            rows.append(GarsiaRow(n, size, size / beta_f ** n, math.inf))
+            continue
+        vecs = [(c,) for c in level] if lattice.degree == 1 else list(level)
+        coords = np.array(vecs, dtype=float)
+        den = lattice.lead ** n
+        vals = coords @ powers / float(den)
         order = np.argsort(vals, kind="stable")
         gaps = np.diff(vals[order])
-        if not gaps.size:
-            return GarsiaRow(n, size, size / beta_f ** n, math.inf)
-        gmin = float(gaps.min())
-        # exact minimum among the float-preselected candidates; ties are
-        # plentiful (gap values live in a discrete set), so a handful of
-        # representatives suffices: float error here is ~1e-9, far below
-        # the observed gap scale
-        cands = np.argsort(gaps, kind="stable")[:16]
-        cands = [i for i in cands if gaps[i] <= gmin * 1.5 + 1e-12]
-        best = None
-        for i in cands:
-            diff = lattice.value(key_at(order[i + 1]), n) - lattice.value(key_at(order[i]), n)
-            if diff.sign() <= 0:
-                raise InvalidInputError("float presorting failed; duplicate sums?")
-            if best is None or (diff - best).sign() < 0:
-                best = diff
-        return GarsiaRow(n, size, size / beta_f ** n, float(best))
-
-    if sys.minpoly.monic and sys.degree >= 2:
-        # vectorized set DP: rows of int64 coordinates, deduped per level
-        d = sys.field.degree
-        red = np.array([int(-c) for c in sys.minpoly.coeffs[:-1]], dtype=np.int64)
-        powers = np.array(sys.field.beta_float_powers(), dtype=float)
-        arr = np.zeros((1, d), dtype=np.int64)
-        for n in range(1, n_max + 1):
-            top = arr[:, -1:]
-            shifted = np.concatenate([np.zeros_like(top), arr[:, :-1]], axis=1)
-            shifted += top * red
-            branches = [shifted]
-            for eps in range(1, sys.m):
-                b = shifted.copy()
-                b[:, 0] += eps
-                branches.append(b)
-            arr = np.unique(np.concatenate(branches, axis=0), axis=0)
-            if len(arr) > cap:
-                raise CapExceededError(f"distinct-sum state count exceeds {cap}")
-            if np.abs(arr).max() > 2 ** 55:
-                raise CapExceededError("coordinates exceed the safe integer range")
-            rows.append(summarize(n, lambda i: tuple(int(v) for v in arr[i]), len(arr),
-                                  arr @ powers))
-        return rows
-
-    for n, level in enumerate(lattice.levels(n_max, cap), start=1):
-        keys = list(level)
-        vals = np.array(lattice.float_values(keys, n))
-        rows.append(summarize(n, keys.__getitem__, len(keys), vals))
+        # every true gap lies within slack of its float value: float_error is
+        # over three times the evaluation error, which leaves room for the
+        # rounding of the subtraction
+        errs = field.float_error(np.abs(coords) @ powers / float(den))[order]
+        slack = errs[1:] + errs[:-1]
+        cands = np.flatnonzero(gaps - slack <= (gaps + slack).min())
+        # tied gaps share one difference vector, so each is decided once
+        diffs = {tuple(map(operator.sub, vecs[hi], vecs[lo]))
+                 for lo, hi in zip(order[cands], order[cands + 1])}
+        if any(field.sign_int_coeffs(d) <= 0 for d in diffs):
+            raise InvariantError(f"float presort put a larger level-{n} sum first")
+        best = min(FieldElement(field, d, den) for d in diffs)
+        rows.append(GarsiaRow(n, size, size / beta_f ** n, float(best)))
     return rows
 
 

@@ -287,7 +287,7 @@ def gamma_integer_case(sys: BetaSystem) -> GammaEstimate:
     """Closed form gamma = log(m/beta) for integer beta dividing m."""
     if not sys.is_integer_base():
         raise HypothesisError("integer-case gamma requires an integer base")
-    b = int(sys.beta.coeffs[0])
+    b = sys.beta.num[0]
     if sys.m % b != 0:
         raise HypothesisError(f"beta={b} does not divide m={sys.m}")
     return GammaEstimate(

@@ -108,6 +108,7 @@ class CharacteristicState:
     rank: int
 
     def key(self):
+        """Sort key of the canonical state order: Fraction coefficient tuples."""
         return (
             self.length.coeffs,
             tuple(o.coeffs for o in self.offsets),
@@ -195,10 +196,10 @@ def _children_of(sys: BetaSystem, length: FieldElement,
         if not covers:
             raise InvariantError("child interval with no covering cylinder")
         distinct = sorted({off for _ci, off in covers})
-        index = {off.coeffs: w for w, off in enumerate(distinct)}
+        index = {off: w for w, off in enumerate(distinct)}
         rows = [[0] * len(distinct) for _ in range(len(offsets))]
         for ci, off in covers:
-            rows[ci][index[off.coeffs]] += 1
+            rows[ci][index[off]] += 1
         T = tuple(tuple(r) for r in rows)
         out.append((u_lo, u_hi, (u_hi - u_lo) * beta, tuple(distinct), T))
     return out
@@ -211,7 +212,7 @@ def build_automaton(sys: BetaSystem, state_cap: int = DEFAULT_STATE_CAP) -> Auto
     passes state_cap (expected for non-Pisot algebraic bases).
     """
     root = CharacteristicState(sys.field.one, (sys.field.zero,), 1)
-    index: dict = {root.key(): 0}
+    index: dict = {root: 0}
     states = [root]
     raw_children: list = [None]
     geometry_cache: dict = {}
@@ -219,7 +220,7 @@ def build_automaton(sys: BetaSystem, state_cap: int = DEFAULT_STATE_CAP) -> Auto
     while queue:
         i = queue.pop(0)
         st = states[i]
-        geo_key = (st.length.coeffs, tuple(o.coeffs for o in st.offsets))
+        geo_key = (st.length, st.offsets)
         if geo_key in geometry_cache:
             rows = geometry_cache[geo_key]
         else:
@@ -228,22 +229,21 @@ def build_automaton(sys: BetaSystem, state_cap: int = DEFAULT_STATE_CAP) -> Auto
         kid_entries = []
         seen_cv: dict = {}
         for u_lo, u_hi, c_len, c_offsets, T in rows:
-            cv_key = (c_len.coeffs, tuple(o.coeffs for o in c_offsets))
+            cv_key = (c_len, c_offsets)
             rank = seen_cv.get(cv_key, 0) + 1
             seen_cv[cv_key] = rank
             child = CharacteristicState(c_len, c_offsets, rank)
-            ck = child.key()
-            if ck not in index:
+            if child not in index:
                 if len(states) >= state_cap:
                     raise CapExceededError(
                         f"automaton exceeds {state_cap} states; "
                         "likely a non-Pisot base or a cap set too small"
                     )
-                index[ck] = len(states)
+                index[child] = len(states)
                 states.append(child)
                 raw_children.append(None)
-                queue.append(index[ck])
-            kid_entries.append((index[ck], u_lo, u_hi, T))
+                queue.append(index[child])
+            kid_entries.append((index[child], u_lo, u_hi, T))
         raw_children[i] = kid_entries
 
     # canonical re-indexing: initial state first, the rest sorted by

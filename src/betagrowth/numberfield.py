@@ -1,10 +1,14 @@
 """Exact arithmetic in Q(beta) for a designated real root beta > 1.
 
-Elements are coefficient vectors modulo the minimal polynomial, so equality
-and the zero test are exact coefficient checks.  Sign queries refine an
-isolating interval of the root by bisection with rational endpoints; no
-floating point enters any decision.  Pisot status is certified numerically
-with a residual bound and a fixed decision margin.
+An element is an integer coefficient vector over one positive denominator,
+(sum_i num_i beta^i) / den with i below the degree of the minimal
+polynomial, kept in lowest terms; equality, hashing and the zero test are
+exact integer checks.  Every sign query goes through `sign_int_coeffs`: a
+float evaluation screens it under a proven error bound, and values too
+close to zero for the screen are settled exactly by `sign_of`, which
+refines an isolating interval of the root by bisection with rational
+endpoints.  Pisot status is certified numerically with a residual bound
+and a fixed decision margin.
 """
 
 from __future__ import annotations
@@ -262,13 +266,31 @@ class MinimalPolynomial:
 
 
 class FieldElement:
-    """Element of Q(beta), canonical representative of degree < deg(minpoly)."""
+    """Element (sum_i num_i beta^i) / den of Q(beta), i < deg(minpoly).
 
-    __slots__ = ("field", "coeffs")
+    The integer vector num and the denominator den are kept in canonical
+    form: den > 0 and gcd(num_0, ..., num_{d-1}, den) = 1.  Since 1, beta,
+    ..., beta^(d-1) is a basis, equal values have equal (num, den), so
+    equality and hashing are tuple operations.
+    """
 
-    def __init__(self, field: "NumberField", coeffs: tuple[Fraction, ...]):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: "NumberField", num: tuple[int, ...], den: int = 1):
+        g = math.gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = tuple(c // g for c in num)
+            den //= g
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients num_i / den as Fractions (output and ordering keys)."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -285,7 +307,11 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        if self.den == o.den:
+            return FieldElement(self.field, tuple(a + b for a, b in zip(self.num, o.num)), self.den)
+        sd, od = self.den, o.den
+        return FieldElement(self.field, tuple(a * od + b * sd for a, b in zip(self.num, o.num)),
+                            sd * od)
 
     __radd__ = __add__
 
@@ -293,7 +319,11 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        if self.den == o.den:
+            return FieldElement(self.field, tuple(a - b for a, b in zip(self.num, o.num)), self.den)
+        sd, od = self.den, o.den
+        return FieldElement(self.field, tuple(a * od - b * sd for a, b in zip(self.num, o.num)),
+                            sd * od)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -302,15 +332,17 @@ class FieldElement:
         return o - self
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coeffs))
+        return FieldElement(self.field, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return FieldElement(self.field, tuple(a * other for a in self.coeffs))
+            return FieldElement(self.field, tuple(a * other.numerator for a in self.num),
+                                self.den * other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, self.field._mul(self.coeffs, o.coeffs))
+        num, scale = self.field._mul(self.num, o.num)
+        return FieldElement(self.field, num, self.den * o.den * scale)
 
     __rmul__ = __mul__
 
@@ -318,7 +350,8 @@ class FieldElement:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
-            return FieldElement(self.field, tuple(a / other for a in self.coeffs))
+            return FieldElement(self.field, tuple(a * other.denominator for a in self.num),
+                                self.den * other.numerator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -343,31 +376,36 @@ class FieldElement:
         return result
 
     def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field._inverse(self.coeffs))
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero")
+        return self.field.from_coeffs(self.field._inverse(self.num)) * self.den
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def sign(self) -> int:
-        """-1, 0 or +1 at the designated real embedding; exact."""
-        if self.is_zero():
-            return 0
-        return self.field.sign_of(self.coeffs)
+        """-1, 0 or +1 at the designated real embedding; exact (den > 0)."""
+        return self.field.sign_int_coeffs(self.num)
 
     def __eq__(self, other):
-        o = self._coerce(other) if not isinstance(other, FieldElement) else other
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
+        if isinstance(other, FieldElement):
+            if other.field is not self.field:
+                return False
+            o = other
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+        return self.num == o.num and self.den == o.den
 
     def __ne__(self, other):
         eq = self.__eq__(other)
         return NotImplemented if eq is NotImplemented else not eq
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __lt__(self, other):
         return (self - self._coerce(other)).sign() < 0
@@ -385,9 +423,9 @@ class FieldElement:
 
     def as_fraction(self) -> Fraction:
         """Exact value when the element is rational; error otherwise."""
-        if any(c != 0 for c in self.coeffs[1:]):
+        if any(self.num[1:]):
             raise InvalidInputError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __float__(self) -> float:
         beta = self.field.beta_float_powers()
@@ -409,24 +447,20 @@ class NumberField:
         self.minpoly = minpoly
         self.degree = minpoly.degree
         self._fr_coeffs = [Fraction(c) for c in minpoly.coeffs]
+        self._lead = minpoly.coeffs[-1]
+        self._row = tuple(-c for c in minpoly.coeffs[:-1])  # lead*beta^d = sum row_i beta^i
         self._lock = threading.Lock()
         self._lo, self._hi = bracket
         self._sign_lo = self._eval_sign(self._lo)
-        self._reduction = self._build_reduction()
         self._float_powers: tuple[float, ...] | None = None
-        self.zero = FieldElement(self, tuple([Fraction(0)] * self.degree))
-        one = [Fraction(0)] * self.degree
-        one[0] = Fraction(1)
-        self.one = FieldElement(self, tuple(one))
+        zeros = (0,) * self.degree
+        self.zero = FieldElement(self, zeros)
+        self.one = FieldElement(self, (1,) + zeros[1:])
         if self.degree >= 2:
-            gen = [Fraction(0)] * self.degree
-            gen[1] = Fraction(1)
-            self.beta = FieldElement(self, tuple(gen))
+            self.beta = FieldElement(self, (0, 1) + zeros[2:])
         else:
             # degree one: the generator is the rational root itself
-            self.beta = FieldElement(
-                self, (Fraction(-minpoly.coeffs[0], minpoly.coeffs[1]),)
-            )
+            self.beta = FieldElement(self, self._row, self._lead)
 
     # -- construction helpers ------------------------------------------------
 
@@ -434,26 +468,8 @@ class NumberField:
         v = _poly_eval(self._fr_coeffs, x)
         return 0 if v == 0 else (1 if v > 0 else -1)
 
-    def _build_reduction(self) -> list[tuple[Fraction, ...]]:
-        """Rows for x^(d+k), k = 0..d-2, reduced mod the minimal polynomial."""
-        d = self.degree
-        lead = self._fr_coeffs[-1]
-        rows: list[tuple[Fraction, ...]] = []
-        base = [-c / lead for c in self._fr_coeffs[:-1]]  # x^d
-        rows.append(tuple(base))
-        cur = list(base)
-        for _ in range(d - 2):
-            shifted = [Fraction(0)] + cur[:-1]
-            top = cur[-1]
-            nxt = [shifted[i] + top * base[i] for i in range(d)]
-            rows.append(tuple(nxt))
-            cur = nxt
-        return rows
-
     def rational(self, r: Rational) -> FieldElement:
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[0] = Fraction(r)
-        return FieldElement(self, tuple(coeffs))
+        return FieldElement(self, (r.numerator,) + (0,) * (self.degree - 1), r.denominator)
 
     def element(self, value) -> FieldElement:
         if isinstance(value, FieldElement):
@@ -472,93 +488,58 @@ class NumberField:
         if len(coeffs) > self.degree:
             raise InvalidInputError("coefficient vector longer than field degree")
         vec = [Fraction(c) for c in coeffs] + [Fraction(0)] * (self.degree - len(coeffs))
-        return FieldElement(self, tuple(vec))
+        den = math.lcm(*(c.denominator for c in vec))
+        return FieldElement(self, tuple(c.numerator * (den // c.denominator) for c in vec), den)
 
     # -- multiplication / inversion ------------------------------------------
 
-    def _mul(self, a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    def _mul(self, a: Sequence[int], b: Sequence[int]) -> tuple[tuple[int, ...], int]:
+        """(c, s) with a * b = c / s, for integer coefficient vectors a, b."""
         d = self.degree
-        if d == 1:
-            return (a[0] * b[0],)
-        prod = [Fraction(0)] * (2 * d - 1)
+        prod = [0] * (2 * d - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        out = prod[:d]
-        for k in range(d, 2 * d - 1):
+                    prod[i + j] += ai * bj
+        lead = self._lead
+        scale = 1
+        for k in range(2 * d - 2, d - 1, -1):
             c = prod[k]
             if c:
-                row = self._reduction[k - d]
-                for i in range(d):
-                    out[i] += c * row[i]
-        return tuple(out)
+                # c beta^k = c beta^(k-d) (sum row_i beta^i) / lead
+                if lead != 1:
+                    for i in range(k):
+                        prod[i] *= lead
+                    scale *= lead
+                for i, r in enumerate(self._row):
+                    prod[k - d + i] += c * r
+        return tuple(prod[:d]), scale
 
-    def _inverse(self, a: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        if all(c == 0 for c in a):
-            raise ZeroDivisionError("inverse of zero")
-        if self.degree == 1:
-            return (1 / a[0],)
-        # extended Euclid in Q[x]: find u with u*a == 1 mod minpoly
-        r0, r1 = self._fr_coeffs[:], list(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
+    def _inverse(self, a: Sequence[int]) -> list[Fraction]:
+        """Coefficients of 1/a for a nonzero integer vector a.
 
-        def trim(p):
-            while p and p[-1] == 0:
-                p.pop()
-            return p
-
-        r0, r1 = trim(r0), trim(r1)
-        while len(r1) > 1:
-            q, rem = self._divmod(r0, r1)
-            r0, r1 = r1, trim(rem)
-            s_new = self._poly_sub(s0, self._poly_mul(q, s1))
-            s0, s1 = s1, trim(s_new) or [Fraction(0)]
-            if not r1:
-                raise InvariantError("minimal polynomial not coprime with element")
-        const = r1[0]
-        inv = [c / const for c in s1]
-        inv = inv[: self.degree] + [Fraction(0)] * max(0, self.degree - len(inv))
-        # reduce degree just in case
-        if len(inv) > self.degree:
-            raise InvariantError("inverse reduction failed")
-        return tuple(inv)
-
-    @staticmethod
-    def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return out
-
-    @staticmethod
-    def _poly_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-        n = max(len(a), len(b))
-        a = list(a) + [Fraction(0)] * (n - len(a))
-        b = list(b) + [Fraction(0)] * (n - len(b))
-        return [x - y for x, y in zip(a, b)]
-
-    @staticmethod
-    def _divmod(num: Sequence[Fraction], den: Sequence[Fraction]):
-        num = list(num)
-        q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-        dd = len(den) - 1
-        lead = den[-1]
-        while len(num) - 1 >= dd and any(num):
-            while num and num[-1] == 0:
-                num.pop()
-            if len(num) - 1 < dd:
-                break
-            c = num[-1] / lead
-            shift = len(num) - 1 - dd
-            q[shift] = c
-            for i, dc in enumerate(den):
-                num[shift + i] -= c * dc
-            num.pop()
-        return q, num
+        Column j of the linear system is a*beta^j; Gauss-Jordan elimination
+        over Q solves for the coordinates u of sum_j u_j a beta^j = 1.
+        """
+        d = self.degree
+        rows = [[Fraction(0)] * d + [Fraction(int(i == 0))] for i in range(d)]
+        col, scale = tuple(a), 1
+        for j in range(d):
+            for i in range(d):
+                rows[i][j] = Fraction(col[i], scale)
+            if j + 1 < d:
+                col, s = self._mul(col, self.beta.num)
+                scale *= s
+        for j in range(d):
+            p = next(i for i in range(j, d) if rows[i][j])
+            rows[j], rows[p] = rows[p], rows[j]
+            pivot = [v / rows[j][j] for v in rows[j]]
+            rows[j] = pivot
+            for i in range(d):
+                if i != j and rows[i][j]:
+                    f = rows[i][j]
+                    rows[i] = [v - f * w for v, w in zip(rows[i], pivot)]
+        return [r[d] for r in rows]
 
     # -- sign determination ----------------------------------------------------
 
@@ -583,8 +564,8 @@ class NumberField:
                 self._refine_once_locked()
             return self._lo, self._hi
 
-    def sign_of(self, coeffs: Sequence[Fraction]) -> int:
-        """Sign of a *nonzero* canonical coefficient vector, exact."""
+    def sign_of(self, coeffs: Sequence[int]) -> int:
+        """Sign of sum(c_k beta^k) for a *nonzero* integer vector, by bisection."""
         while True:
             with self._lock:
                 lo, hi = self._lo, self._hi
@@ -611,14 +592,19 @@ class NumberField:
             self._float_powers = powers
         return powers
 
+    def float_error(self, mag):
+        """Proven bound on the float error of sum(c_k beta^k), evaluated with
+        `beta_float_powers` and one final rounding, given mag = sum(|c_k| beta^k)."""
+        return mag * (self.degree + 4) * 4e-16
+
     def sign_int_coeffs(self, coeffs: Sequence[int]) -> int:
         """Exact sign of sum(c_k beta^k) for integer coefficients.
 
-        A float evaluation with a conservative error bound screens the easy
-        cases; near-boundary values, and coefficients beyond float range,
-        fall back to interval bisection.
+        A float evaluation with a proven error bound (`float_error`) screens
+        the easy cases; near-zero values, and coefficients beyond float
+        range, fall back to interval bisection (`sign_of`).
         """
-        if all(c == 0 for c in coeffs):
+        if not any(coeffs):
             return 0
         powers = self.beta_float_powers()
         val = 0.0
@@ -628,13 +614,14 @@ class NumberField:
                 val += c * p
                 mag += abs(c) * p
         except OverflowError:
-            return self.sign_of(tuple(Fraction(c) for c in coeffs))
-        guard = mag * (self.degree + 4) * 4e-16
-        if val > guard:
-            return 1
-        if val < -guard:
-            return -1
-        return self.sign_of(tuple(Fraction(c) for c in coeffs))
+            pass
+        else:
+            guard = self.float_error(mag)
+            if val > guard:
+                return 1
+            if val < -guard:
+                return -1
+        return self.sign_of(coeffs)
 
     def beta_fraction(self, width: Fraction = Fraction(1, 10 ** 30)) -> Fraction:
         lo, hi = self.refine_to(width)
@@ -642,11 +629,11 @@ class NumberField:
 
 
 def _interval_horner(
-    coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction
+    coeffs: Sequence[int], lo: Fraction, hi: Fraction
 ) -> tuple[Fraction, Fraction]:
     """Enclosure of sum(c_k * t^k) over t in [lo, hi]."""
     alo = ahi = Fraction(0)
-    for c in reversed(list(coeffs)):
+    for c in reversed(coeffs):
         p1, p2, p3, p4 = alo * lo, alo * hi, ahi * lo, ahi * hi
         alo = min(p1, p2, p3, p4) + c
         ahi = max(p1, p2, p3, p4) + c
@@ -785,7 +772,7 @@ class BetaSystem:
         return t
 
     def is_integer_base(self) -> bool:
-        return self.degree == 1 and self.beta.coeffs[0].denominator == 1
+        return self.degree == 1 and self.beta.den == 1
 
     def in_interval(self, x: FieldElement) -> bool:
         """x in I_beta = [0, (m-1)/(beta-1)], endpoint inclusive."""

@@ -88,8 +88,8 @@ def brute_prefix_count(x, n: int, sys: BetaSystem) -> int:
     return count
 
 
-def brute_distinct_sums(n: int, sys: BetaSystem) -> int:
-    """#distinct values of sum_{j<=n} eps_j beta^-j by full enumeration."""
+def brute_distinct_sum_values(n: int, sys: BetaSystem) -> set:
+    """The distinct values of sum_{j<=n} eps_j beta^-j, by full enumeration."""
     pows = _rho_powers(sys, n)
     seen = set()
     for word in product(range(sys.m), repeat=n):
@@ -98,7 +98,12 @@ def brute_distinct_sums(n: int, sys: BetaSystem) -> int:
             if eps:
                 s = s + eps * pows[j]
         seen.add(s)
-    return len(seen)
+    return seen
+
+
+def brute_distinct_sums(n: int, sys: BetaSystem) -> int:
+    """#distinct values of sum_{j<=n} eps_j beta^-j by full enumeration."""
+    return len(brute_distinct_sum_values(n, sys))
 
 
 def brute_value_count(target, length: int, sys: BetaSystem) -> int:

@@ -21,7 +21,12 @@ from betagrowth.expansions import (
 )
 from betagrowth.numberfield import parse_beta
 
-from conftest import brute_distinct_sums, brute_prefix_count, brute_value_count
+from conftest import (
+    brute_distinct_sum_values,
+    brute_distinct_sums,
+    brute_prefix_count,
+    brute_value_count,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +101,7 @@ def test_tree_matches_dp(b15):
 
 
 def test_tree_node_cap(b13):
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError, match=r"^101 branch-tree nodes at depth 8 exceed the cap 100$"):
         branch_tree(1, 22, b13, node_cap=100)
 
 
@@ -233,6 +238,16 @@ def test_garsia_report_golden(golden):
     # normalized minimum gap is exactly 1/beta at every level here
     for r in rows[2:]:
         assert abs(r.min_gap_scaled - 1 / float(golden.beta)) < 1e-12
+
+
+@pytest.mark.parametrize("spec", ["golden", "1.4", "13/10"])
+def test_garsia_min_gap_is_exact_minimum(spec):
+    sys_ = parse_beta(spec, 2)
+    for r in garsia_report(sys_, 10):
+        sums = sorted(brute_distinct_sum_values(r.n, sys_))
+        assert len(sums) == r.count
+        exact = min(b - a for a, b in zip(sums, sums[1:])) * sys_.beta ** r.n
+        assert r.min_gap_scaled == float(exact)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betagrowth.errors import InvalidInputError, UndecidableError
 from betagrowth.numberfield import (
+    FieldElement,
     MinimalPolynomial,
     is_pisot,
     multinacci,
@@ -183,3 +186,101 @@ def test_degree10_irreducibility_certificate():
     sys_ = multinacci(10)
     assert sys_.minpoly.degree == 10
     assert sys_.pisot
+
+
+def test_equality_across_fields_is_false():
+    # golden = 1.618..., the root of x^2 - 2x - 1 is 2.414...; both are (0, 1) / 1
+    a = parse_beta("golden", 2).beta
+    b = parse_beta("poly:-1,-2,1", 3).beta
+    assert a.num == b.num and a.den == b.den
+    assert a != b and not (a == b)
+    assert len({a, b}) == 2  # equal hashes may collide; equality must not
+    with pytest.raises(InvalidInputError):
+        a < b
+
+
+# ---------------------------------------------------------------------------
+# property tests of the integer-vector format
+# ---------------------------------------------------------------------------
+
+PROPERTY_SPECS = ("golden", "multinacci:3", "1.5", "poly:-3,0,2")
+
+
+@pytest.fixture(scope="module")
+def fields():
+    return {spec: parse_beta(spec, 3).field for spec in PROPERTY_SPECS}
+
+
+fractions_ = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+
+
+def _element(field, data):
+    return field.from_coeffs(data.draw(st.lists(fractions_, min_size=field.degree,
+                                                max_size=field.degree)))
+
+
+def _is_canonical(e) -> bool:
+    return e.den > 0 and math.gcd(e.den, *e.num) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from(PROPERTY_SPECS), data=st.data())
+def test_ring_laws(fields, spec, data):
+    field = fields[spec]
+    a, b, c = (_element(field, data) for _ in range(3))
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + field.zero == a and a * field.one == a and (a - a).is_zero()
+    assert -(-a) == a and a - b == -(b - a)
+    for e in (a + b, a - b, a * b, -a):
+        assert _is_canonical(e)
+    # the reduction is the designated root's: products agree with floats
+    assert math.isclose(float(a * b), float(a) * float(b), rel_tol=1e-9, abs_tol=1e-9)
+    if not a.is_zero():
+        inv = a.inverse()
+        assert _is_canonical(inv)
+        assert a * inv == field.one
+        assert b / a * a == b
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from(PROPERTY_SPECS), data=st.data(), k=st.integers(-50, 50))
+def test_canonical_form(fields, spec, data, k):
+    field = fields[spec]
+    a, b = _element(field, data), _element(field, data)
+    assert _is_canonical(a)
+    again = (a + b) - b
+    assert (again.num, again.den, hash(again)) == (a.num, a.den, hash(a))
+    if k:
+        scaled = FieldElement(field, tuple(k * c for c in a.num), k * a.den)
+        assert (scaled.num, scaled.den, hash(scaled)) == (a.num, a.den, hash(a))
+        assert scaled == a
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from(PROPERTY_SPECS), data=st.data())
+def test_sign_matches_exact_bisection(fields, spec, data):
+    field = fields[spec]
+    a = _element(field, data)
+    expected = 0 if a.is_zero() else field.sign_of(a.num)
+    assert a.sign() == expected
+    assert (-a).sign() == -expected
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_sign_near_zero_falls_back_to_bisection(golden, monkeypatch, n):
+    # F_{n+1} - F_n beta = (-1/beta)^n: tiny against its coefficients
+    fib = [0, 1]
+    while len(fib) < n + 2:
+        fib.append(fib[-1] + fib[-2])
+    field = golden.field
+    e = field.from_coeffs([fib[n + 1], -fib[n]])
+    exact = []
+    sign_of = field.sign_of
+    monkeypatch.setattr(field, "sign_of", lambda coeffs: exact.append(coeffs) or sign_of(coeffs))
+    assert e.sign() == (-1) ** n == sign_of(e.num)
+    # the screen's bound is 24e-16 * (F_{n+1} + F_n beta) ~ 2e-15 * beta^(n+1);
+    # |value| = beta^-n falls below it from n = 35 on
+    assert exact == ([e.num] if n >= 35 else [])
