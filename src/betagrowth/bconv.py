@@ -29,7 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import HypothesisError, InvalidInputError
-from .expansions import Lattice, _coerce_point, kappa, prefix_count_series
+from .expansions import (Lattice, _coerce_point, _count_meets_bound, kappa,
+                         prefix_count_series)
 from .numberfield import BetaSystem, FieldElement
 
 DEFAULT_ATOM_CAP = 4_000_000
@@ -338,8 +339,7 @@ def upper_dim_bound_check(sys: BetaSystem, x, n_max: int,
     rows = []
     for n in range(1, n_max + 1):
         count = counts[n]
-        num = kap.numerator * n - kap.denominator
-        count_ok = count >= 1 if num <= 0 else count ** kap.denominator >= 2 ** num
+        count_ok = _count_meets_bound(count, kap, n)
         r = sys.right_end * sys.rho ** n  # (m-1)/(beta-1) * beta^-n, m=2
         lower, _upper = ball_mass_bracket(sys, x, r, n + margin, cap=cap)
         sandwich_ok = lower >= Fraction(count, 2 ** n)

@@ -35,6 +35,10 @@ PAPER_TABLE1_D = {
 
 OUT_DIR_ENV = "BETAGROWTH_OUT_DIR"
 
+# gamma options by flag: the one route that reads each, and its parameter there
+GAMMA_ROUTE_OPTIONS = {"--paths": ("mc", "path_len"), "--chains": ("mc", "n_chains"),
+                       "--k-exact": ("series", "k_exact"), "--mc-budget": ("series", "mc_budget")}
+
 
 def _resolve_out(path: str | None) -> str | None:
     """Relative output paths land in $BETAGROWTH_OUT_DIR when it is set."""
@@ -245,6 +249,14 @@ def cmd_automaton(args) -> int:
 
 def cmd_gamma(args) -> int:
     sys_ = _system(args)
+    # unset options take the library defaults; one that only another route
+    # reads is rejected rather than ignored
+    options = {}
+    for flag, (route, param) in GAMMA_ROUTE_OPTIONS.items():
+        if getattr(args, param) is not None:
+            if route != args.method:
+                raise InvalidInputError(f"{flag} applies only to --method {route}")
+            options[param] = getattr(args, param)
     if args.method == "integer":
         est = lyapunov.gamma_integer_case(sys_)
     elif args.method == "series":
@@ -253,16 +265,11 @@ def cmd_gamma(args) -> int:
         if args.m != 2:
             raise InvalidInputError("series route requires m = 2")
         n = 2 if args.beta == "golden" else int(args.beta.split(":")[1])
-        est = lyapunov.gamma_multinacci_series(
-            n, k_exact=args.k_exact, mc_budget=args.mc_budget, seed=args.seed
-        )
+        est = lyapunov.gamma_multinacci_series(n, seed=args.seed, **options)
     else:
         auto = netautomaton.build_automaton(sys_)
         chain = lyapunov.parry_chain(auto)
-        est = lyapunov.estimate_gamma_mc(
-            chain, auto, path_len=args.paths, n_chains=args.chains,
-            seed=args.seed, workers=args.workers,
-        )
+        est = lyapunov.estimate_gamma_mc(chain, auto, seed=args.seed, **options)
     dim = lyapunov.dimension(est, sys_)
     row = {
         "method": est.method,
@@ -476,12 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gamma", help="growth exponent gamma")
     _add_common(p)
     p.add_argument("--method", choices=("mc", "series", "integer"), required=True)
-    p.add_argument("--paths", type=int, default=100_000)
-    p.add_argument("--chains", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k-exact", type=int, default=20)
-    p.add_argument("--mc-budget", type=int, default=20_000)
-    p.add_argument("--workers", type=int, default=1)
+    for flag, (route, param) in GAMMA_ROUTE_OPTIONS.items():
+        p.add_argument(flag, dest=param, type=int, help=f"--method {route} only")
     p.set_defaults(fn=cmd_gamma)
 
     p = sub.add_parser("table1", help="multinacci gamma/D table as CSV")

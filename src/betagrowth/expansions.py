@@ -147,7 +147,7 @@ class Lattice:
 
 def _coerce_point(x, sys: BetaSystem) -> FieldElement:
     x = sys.element(x)
-    if x.sign() < 0 or (sys.right_end - x).sign() < 0:
+    if not sys.in_interval(x):
         raise InvalidInputError("x lies outside I_beta")
     return x
 

@@ -3,7 +3,8 @@
 Routes:
   * Kingman Monte-Carlo: sample the Parry chain on the essential class of
     the coding automaton and average the log-norm growth of the running
-    row-vector product through the transition matrices.
+    row-vector product through the transition matrices.  All chains walk
+    in lockstep, one numpy step at a time, in a single process.
   * Multinacci series: the closed-form series for gamma_n over products of
     the two unimodular digit matrices, enumerated exactly up to a cutoff
     with an analytic geometric tail bound (and a Monte-Carlo middle segment
@@ -14,7 +15,6 @@ Routes:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,6 +27,9 @@ from .numberfield import BetaSystem, FieldElement, multinacci
 RENORM_EVERY = 32
 POWER_ITER_TOL = 1e-14
 POWER_ITER_MAX = 200_000
+# each chain draws its uniforms in blocks of this many steps: the same stream
+# as one long draw, with memory bounded by the block instead of the path
+DRAW_BLOCK = 128 * RENORM_EVERY
 # accumulated float rounding along a renormalized product; the reported MC
 # standard error is never below this, so degenerate chains (integer bases,
 # where every path gives the same value) still carry an honest error bar
@@ -107,75 +110,67 @@ class GammaEstimate:
         return self.stderr / math.log(2)
 
 
-def _chain_run(args) -> float:
-    """One Monte-Carlo chain; returns the per-step log-norm average."""
-    cum_rows, start_cdf, mats, path_len, seed = args
-    rng = np.random.default_rng(seed)
-    u = rng.random(path_len + 1)
-    state = int(np.searchsorted(start_cdf, u[0], side="right"))
-    vec = [1.0] * mats[state][0]  # v-dimension of the start state
-    # growth is measured relative to the initial all-ones vector, which
-    # removes the O(1/n) boundary bias (and makes integer bases exact)
-    logscale = -math.log(sum(vec))
-    row = cum_rows[state]
-    for step in range(path_len):
-        k = int(np.searchsorted(row, u[step + 1], side="right"))
-        nxt, _vdim, T = mats[state][1][k]
-        cols = len(T[0])
-        vec = [sum(vec[a] * T[a][w] for a in range(len(vec))) for w in range(cols)]
-        state = nxt
-        row = cum_rows[state]
-        if (step + 1) % RENORM_EVERY == 0:
-            s = sum(vec)
-            logscale += math.log(s)
-            vec = [x / s for x in vec]
-    logscale += math.log(sum(vec))
-    return logscale / path_len
-
-
-def _chain_tables(chain: ParryChain, auto: Automaton):
-    """Per-state sampling tables: cumulative rows and successor matrices."""
-    omega = chain.states
-    local = {s: k for k, s in enumerate(omega)}
-    cum_rows = []
-    mats = []
-    for k, i in enumerate(omega):
-        # each child state appears on exactly one edge (ranks separate twins)
-        entries = [(local[j], auto.v(j), T) for j, _lo, _hi, T in auto.children[i]]
-        probs = [chain.matrix[k, child] for child, _v, _T in entries]
-        cdf = np.cumsum(probs)
-        cdf[-1] = 1.0
-        cum_rows.append(cdf)
-        mats.append((auto.v(i), entries))
-    return cum_rows, mats
-
-
 def estimate_gamma_mc(chain: ParryChain, auto: Automaton, path_len: int = 100_000,
-                      n_chains: int = 32, seed: int = 0,
-                      workers: int = 1) -> GammaEstimate:
+                      n_chains: int = 32, seed: int = 0) -> GammaEstimate:
     """Kingman Monte-Carlo estimate of gamma over the Parry chain.
 
-    Per chain: sample a stationary path, push a row vector through the
-    transition matrices with periodic renormalization, and average the
-    accumulated log growth per step (relative to the starting vector).
-    Chains are fully deterministic given the master seed: chain c uses the
-    generator seeded with (seed, c), so results do not depend on worker
-    scheduling.
+    Each chain samples a stationary path, pushes a row vector through the
+    transition matrices with renormalization every RENORM_EVERY steps, and
+    averages the accumulated log growth per step (relative to the starting
+    vector).  All chains advance together: one step picks every chain's
+    edge, multiplies every vector by its padded matrix and moves every
+    state.  Chain c draws its uniforms from the generator seeded with
+    (seed, c), so the result is fully determined by the master seed.
     """
     if path_len < 1_000:
         raise InvalidInputError("path_len must be at least 1000")
     if n_chains < 2:
         raise InvalidInputError("need at least 2 chains for a standard error")
-    cum_rows, mats = _chain_tables(chain, auto)
+    # edge e out of local state s is numbered s * width + e; cdf[s, e] is the
+    # cumulative Parry probability of edges 0..e, padded with 2 so a padded
+    # slot is never chosen; nxt and mats hold each edge's target and its
+    # matrix, zero-padded to dim x dim for dim the largest multiplicity
+    omega = chain.states
+    local = {s: k for k, s in enumerate(omega)}
+    width = max(len(auto.children[i]) for i in omega)
+    dim = max(auto.v(i) for i in omega)
+    cdf = np.full((len(omega), width), 2.0)
+    nxt = np.zeros(len(omega) * width, dtype=np.intp)
+    mats = np.zeros((len(omega) * width, dim, dim))
+    for s, i in enumerate(omega):
+        # each child state appears on exactly one edge (ranks separate twins)
+        for e, (j, _lo, _hi, T) in enumerate(auto.children[i], s * width):
+            nxt[e] = local[j]
+            mats[e, :len(T), :len(T[0])] = T
+        targets = nxt[s * width:s * width + len(auto.children[i])]
+        cdf[s, :len(targets)] = np.cumsum(chain.matrix[s, targets])
+        cdf[s, len(targets) - 1] = 1.0
+    rngs = [np.random.default_rng((seed, c)) for c in range(n_chains)]
     start_cdf = np.cumsum(chain.stationary)
     start_cdf[-1] = 1.0
-    jobs = [(cum_rows, start_cdf, mats, path_len, (seed, c)) for c in range(n_chains)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(_chain_run, jobs))
-    else:
-        values = [_chain_run(j) for j in jobs]
-    arr = np.array(values)
+    state = np.searchsorted(start_cdf, [rng.random() for rng in rngs], side="right")
+    vdim = np.array([auto.v(i) for i in omega])[state]
+    vec = (np.arange(dim) < vdim[:, None]).astype(float)
+    # growth is measured relative to the initial all-ones vector, which
+    # removes the O(1/n) boundary bias (and makes integer bases exact);
+    # logs are taken with math.log and row sums column by column, as a
+    # per-chain loop over Python lists takes them, so each chain's value
+    # matches that loop bit for bit
+    logscale = np.array([-math.log(v) for v in vdim])
+    for start in range(0, path_len, DRAW_BLOCK):
+        u = np.stack([rng.random(min(DRAW_BLOCK, path_len - start)) for rng in rngs], axis=1)
+        for step, ut in enumerate(u[:, :, None], start + 1):
+            # the first edge whose cumulative probability exceeds u, as
+            # searchsorted(side="right") finds it
+            edge = (cdf[state] > ut).argmax(axis=1) + width * state
+            vec = np.einsum("cv,cvw->cw", vec, mats[edge])
+            state = nxt[edge]
+            if step % RENORM_EVERY == 0:
+                total = sum(vec.T)
+                logscale += [math.log(t) for t in total]
+                vec /= total[:, None]
+    logscale += [math.log(t) for t in sum(vec.T)]
+    arr = logscale / path_len
     mean = float(arr.mean())
     stderr = max(float(arr.std(ddof=1) / math.sqrt(n_chains)), MC_STDERR_FLOOR)
     return GammaEstimate(

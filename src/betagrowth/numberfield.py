@@ -261,9 +261,6 @@ class MinimalPolynomial:
         _check_irreducible(coeffs)
         return MinimalPolynomial(tuple(coeffs))
 
-    def eval_at(self, x: Fraction) -> Fraction:
-        return _poly_eval([Fraction(c) for c in self.coeffs], x)
-
 
 class FieldElement:
     """Element (sum_i num_i beta^i) / den of Q(beta), i < deg(minpoly).
@@ -440,7 +437,7 @@ class NumberField:
 
     The isolating interval is refined lazily by bisection; refinement is the
     only mutable state and sits behind a lock, so constructed elements are
-    safe to share across workers.
+    safe to share across threads.
     """
 
     def __init__(self, minpoly: MinimalPolynomial, bracket: tuple[Fraction, Fraction]):

@@ -3,14 +3,19 @@
 The oracles here deliberately avoid the library's DP/matrix machinery:
 prefix counts come from enumerating all m^n words against the defining
 remainder inequality, and covering counts from enumerating all composed
-map images.  Tests freeze values computed by these oracles.
+map images.  Tests freeze values computed by these oracles.  The
+Monte-Carlo reference walks one Parry chain at a time with plain Python
+lists, against which the lockstep numpy walk is compared exactly.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
+from betagrowth.lyapunov import RENORM_EVERY
 from betagrowth.numberfield import BetaSystem, parse_beta
 
 # (criterion, ok, detail) tuples filled in by test_acceptance.py
@@ -136,3 +141,41 @@ def multiplicity_direct(sys: BetaSystem, interval) -> int:
         if (interval.a - v).sign() >= 0 and (v + pows[n] - interval.b).sign() >= 0:
             count += 1
     return count
+
+
+def mc_chain_values(chain, auto, path_len: int, n_chains: int, seed: int) -> list[float]:
+    """Per-chain log-growth averages of `lyapunov.estimate_gamma_mc`, one
+    chain at a time by a per-step loop over Python lists.
+
+    Chain c draws path_len + 1 uniforms from default_rng((seed, c)): the
+    first picks the start state from the stationary vector, each further one
+    an edge by its row of cumulative Parry probabilities.
+    """
+    omega = chain.states
+    local = {s: k for k, s in enumerate(omega)}
+    cum_rows, edges = [], []
+    for k, i in enumerate(omega):
+        out = [(local[j], T) for j, _lo, _hi, T in auto.children[i]]
+        cdf = np.cumsum([chain.matrix[k, child] for child, _T in out])
+        cdf[-1] = 1.0
+        cum_rows.append(cdf)
+        edges.append(out)
+    start_cdf = np.cumsum(chain.stationary)
+    start_cdf[-1] = 1.0
+    values = []
+    for c in range(n_chains):
+        u = np.random.default_rng((seed, c)).random(path_len + 1)
+        state = int(np.searchsorted(start_cdf, u[0], side="right"))
+        vec = [1.0] * auto.v(omega[state])
+        logscale = -math.log(sum(vec))
+        for step in range(path_len):
+            k = int(np.searchsorted(cum_rows[state], u[step + 1], side="right"))
+            state, T = edges[state][k]
+            vec = [sum(vec[a] * T[a][w] for a in range(len(vec))) for w in range(len(T[0]))]
+            if (step + 1) % RENORM_EVERY == 0:
+                s = sum(vec)
+                logscale += math.log(s)
+                vec = [x / s for x in vec]
+        logscale += math.log(sum(vec))
+        values.append(logscale / path_len)
+    return values

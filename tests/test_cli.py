@@ -56,6 +56,19 @@ def test_exit_code_bad_input(capsys):
                              "--method", "series")
     assert code == 2
     assert out == ""
+    # an option the chosen gamma route does not read is rejected, not ignored
+    for argv in (
+        ("--beta", "int:2", "--m", "4", "--method", "integer", "--paths", "5", "--k-exact", "3"),
+        ("--beta", "multinacci:3", "--method", "series", "--paths", "5000", "--chains", "3"),
+        ("--beta", "multinacci:3", "--method", "mc", "--mc-budget", "100"),
+    ):
+        code, out, err = run_cli(capsys, "gamma", *argv)
+        assert (code, out) == (2, "")
+        assert "applies only to --method" in err
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["gamma", "--beta", "golden", "--method", "mc",
+                                   "--workers", "2"])
+    assert exc.value.code == 2
 
 
 def test_exit_code_cap(capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from betagrowth.errors import HypothesisError, InvalidInputError
 from betagrowth.lyapunov import (
+    MC_STDERR_FLOOR,
     GammaEstimate,
     _inner_log_sums,
     dimension,
@@ -15,6 +16,7 @@ from betagrowth.lyapunov import (
 )
 from betagrowth.netautomaton import build_automaton
 from betagrowth.numberfield import parse_beta
+from conftest import mc_chain_values
 
 PAPER_GAMMA_OVER_LOG2 = {
     3: 0.102500, 4: 0.041560, 5: 0.018426, 6: 0.008590, 7: 0.004123,
@@ -89,6 +91,20 @@ def test_mc_integer_case_log2(base2m4):
     assert abs(est.value - closed.value) <= 3 * est.stderr
 
 
+@pytest.mark.parametrize("spec, m, path_len, n_chains", [
+    ("multinacci:3", 2, 5003, 4),  # crosses a draw block, ends mid-renormalization
+    ("golden", 3, 3000, 4),        # matrices padded to V = 8
+    ("int:2", 4, 3000, 4),
+])
+def test_mc_matches_per_chain_reference(spec, m, path_len, n_chains):
+    auto = build_automaton(parse_beta(spec, m))
+    chain = parry_chain(auto)
+    values = np.array(mc_chain_values(chain, auto, path_len, n_chains, seed=7))
+    est = estimate_gamma_mc(chain, auto, path_len=path_len, n_chains=n_chains, seed=7)
+    assert est.value == float(values.mean())
+    assert est.stderr == max(float(values.std(ddof=1) / math.sqrt(n_chains)), MC_STDERR_FLOOR)
+
+
 def test_mc_seed_determinism(tri_chain):
     auto, chain = tri_chain
     a = estimate_gamma_mc(chain, auto, path_len=5000, n_chains=4, seed=99)
@@ -138,6 +154,31 @@ def test_subadditivity_along_path(tri_chain):
 
     for cut in (10, 20, 30):
         assert norm(path) <= norm(path[: cut + 1]) * norm(path[cut:])
+
+
+def _parry_log_norm_mean(auto, chain, k: int) -> float:
+    """a_k = E log||T_1...T_k|| over the Parry paths of length k from the
+    stationary start, by exact enumeration; ||.|| is the max row sum."""
+    local = {s: i for i, s in enumerate(chain.states)}
+    paths = [(chain.stationary[local[s]], s, np.eye(auto.v(s), dtype=np.int64))
+             for s in chain.states]
+    for _ in range(k):
+        paths = [(p * chain.matrix[local[i], local[j]], j, M @ np.array(T, dtype=np.int64))
+                 for p, i, M in paths for j, _lo, _hi, T in auto.children[i]]
+    return sum(p * math.log(M.sum(axis=1).max()) for p, _j, M in paths)
+
+
+@pytest.mark.parametrize("spec, n", [("golden", 2), ("multinacci:3", 3)])
+def test_gamma_below_subadditive_bound(spec, n):
+    """a_k is subadditive under the stationary measure, so by Fekete's
+    lemma gamma = inf a_k/k <= a_12/12 <= a_6/6."""
+    auto = build_automaton(parse_beta(spec, 2))
+    chain = parry_chain(auto)
+    bound = _parry_log_norm_mean(auto, chain, 12) / 12
+    assert bound <= _parry_log_norm_mean(auto, chain, 6) / 6
+    assert gamma_multinacci_series(n).value <= bound
+    mc = estimate_gamma_mc(chain, auto, path_len=30000, n_chains=12, seed=4)
+    assert mc.value - 3 * mc.stderr <= bound
 
 
 # ---------------------------------------------------------------------------
