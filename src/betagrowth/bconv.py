@@ -10,13 +10,9 @@ carries the exact number of words that reach it.
   * level_atoms enumerates the full level-n distribution (distinct digit
     sums with exact word counts) -- cheap for Pisot bases, capped otherwise;
     it backs the L^q moment estimator.
-  * interval_mass counts, by a windowed DP with exact pruning, the level-L
-    words whose sum lands in a given interval; ball masses at any depth
-    come from it without enumerating the whole measure.
-
-Ball masses are certified two-sided: mu differs from its level-L
-truncation by at most the tail diameter (m-1)/(beta-1)*beta^-L, so
-shrinking/growing the radius by that amount brackets the true mass.
+  * interval_mass and ball_mass_brackets keep only the states in the
+    prefix window of `Lattice.windowed`, so certified two-sided ball-mass
+    brackets at any depth come without enumerating the whole measure.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ import numpy as np
 from .errors import HypothesisError, InvalidInputError
 from .expansions import (Lattice, _coerce_point, _count_meets_bound, kappa,
                          prefix_count_series)
-from .numberfield import BetaSystem, FieldElement
+from .numberfield import BetaSystem
 
 DEFAULT_ATOM_CAP = 4_000_000
 DEFAULT_MARGIN = 10
@@ -111,57 +107,62 @@ def level_atoms(sys: BetaSystem, n: int, cap: int = DEFAULT_ATOM_CAP) -> Measure
 # windowed interval mass
 # ---------------------------------------------------------------------------
 
-def interval_mass(sys: BetaSystem, level: int, lo, hi,
-                  cap: int = DEFAULT_ATOM_CAP) -> Fraction:
+def interval_mass(sys: BetaSystem, level: int, lo, hi) -> Fraction:
     """mu_level([lo, hi]) exactly: the fraction of length-level digit words
     whose value lies in the closed interval.
 
-    States whose reachable completions cannot intersect [lo, hi] are pruned
-    each level, so the live state count is proportional to the window width
-    at the current scale, not to the full atom count.
+    With R = (m-1)/(beta-1), these are the words whose prefixes pass the
+    prefix window of [lo + R beta^-level, hi], so the live state count is
+    proportional to the window width at the current scale.
     """
-    lo = sys.element(lo)
+    if level < 0:
+        raise InvalidInputError("level must be nonnegative")
+    a = sys.element(lo) + sys.right_end * sys.rho ** level
     hi = sys.element(hi)
-    if (hi - lo).sign() < 0:
-        return Fraction(0)
-    m = sys.m
-    # after k digits a scaled sum t can still land in [lo, hi] iff
-    # lo*beta^k - tails[level-k] <= t <= hi*beta^k, where
-    # tails[j] = (m-1)*(rho + ... + rho^j) is the most the last j digits add
-    tails = [sys.field.zero]
-    power = sys.field.one
-    for _ in range(level):
-        power = power * sys.rho
-        tails.append(tails[-1] + power * (m - 1))
-    if hi.sign() < 0 or (lo - tails[level]).sign() > 0:
+    if hi.sign() < 0 or (a - sys.right_end).sign() > 0:
         return Fraction(0)  # the empty word's sum 0 is outside the level-0 window
     lattice = Lattice(sys)
     states = {lattice.zero: 1}
-    lo_k, hi_k = lo, hi
-    for k in range(level):
-        lo_k = lo_k * sys.beta
-        hi_k = hi_k * sys.beta
-        states = lattice.step(states, k, lo_k - tails[level - k - 1], hi_k)
-        lattice.check_cap(states, cap, k + 1)
-        if not states:
-            return Fraction(0)
-    return Fraction(sum(states.values()), m ** level)
+    for k, states in enumerate(lattice.windowed(states, 0, level, a, hi), start=1):
+        lattice.check_cap(states, DEFAULT_ATOM_CAP, k)
+    return Fraction(sum(states.values()), sys.m ** level)
 
 
-def tail_diameter(sys: BetaSystem, level: int) -> FieldElement:
-    """(m-1)/(beta-1) * beta^-level: how far mu can move past level `level`."""
-    return sys.right_end * sys.rho ** level
+def ball_mass_brackets(sys: BetaSystem, x, levels: Sequence[int],
+                       margin: int) -> dict[int, tuple[Fraction, Fraction]]:
+    """{n: certified (lower, upper) for mu([x - r_n, x + r_n])} for n in
+    `levels`, r_n = R beta^-n, R = (m-1)/(beta-1), from words of length
+    L = n + margin, in one sweep.
 
-
-def ball_mass_bracket(sys: BetaSystem, x, r, level: int,
-                      cap: int = DEFAULT_ATOM_CAP) -> tuple[Fraction, Fraction]:
-    """Certified (lower, upper) for mu([x-r, x+r]) from level-`level` words."""
-    x = sys.element(x)
-    r = sys.element(r)
-    tail = tail_diameter(sys, level)
-    lower = interval_mass(sys, level, x - r, x + r - tail, cap=cap)
-    upper = interval_mass(sys, level, x - r - tail, x + r, cap=cap)
-    return lower, upper
+    A length-L word of value v codes the points of [v, v + R beta^-L], so
+    mu_L([x - r_n, x + r_n - R beta^-L]) <= mu(ball) <= mu_L([x - r_n -
+    R beta^-L, x + r_n]).  The sweep keeps the prefix window of the ball of
+    the smallest unfinished n, which contains those of all larger n (why no
+    word is lost: DECISIONS.md).  At level L its states give the upper
+    count; one more step from level L - 1, windowed as `interval_mass`
+    windows the lower interval, gives the lower count.
+    """
+    levels = sorted(set(levels))
+    if min(levels, default=0) < 0 or margin < 0:
+        raise InvalidInputError("levels and margin must be nonnegative")
+    x = _coerce_point(x, sys)
+    lattice = Lattice(sys)
+    states, k = {lattice.zero: 1}, 0
+    brackets = {}
+    for n in levels:
+        r = sys.right_end * sys.rho ** n
+        for nxt in lattice.windowed(states, k, n + margin, x - r, x + r):
+            prev, states, k = states, nxt, k + 1
+            lattice.check_cap(states, DEFAULT_ATOM_CAP, k)
+        upper = sum(states.values())
+        if k == 0:
+            lower = upper  # the empty word: its sum 0 lies in [x - R, x]
+        else:
+            tail = sys.right_end * sys.rho ** k
+            shrunk = lattice.windowed(prev, k - 1, k, x - r + tail, x + r - tail)
+            lower = sum(next(shrunk).values())
+        brackets[n] = (Fraction(lower, sys.m ** k), Fraction(upper, sys.m ** k))
+    return brackets
 
 
 # ---------------------------------------------------------------------------
@@ -203,25 +204,22 @@ def _deepest_half(levels: Sequence[int]) -> list[int]:
 
 
 def local_dim_estimate(x, sys: BetaSystem, levels: Sequence[int],
-                       margin: int = DEFAULT_MARGIN,
-                       cap: int = DEFAULT_ATOM_CAP) -> LocalDimEstimate:
+                       margin: int = DEFAULT_MARGIN) -> LocalDimEstimate:
     """Slope of log mu(ball) against log radius along r_n = (m-1)/(beta-1)*beta^-n.
 
-    Ball masses are bracketed from level n+margin words; the regression uses
-    the deepest half of the requested levels (small n is transient).
+    Ball masses are bracketed from level n+margin words in one sweep
+    (`ball_mass_brackets`); the regression uses the deepest half of the
+    requested levels (small n is transient).
     """
     if len(set(levels)) < 3:
         raise InvalidInputError("need at least 3 levels for a slope")
-    x = _coerce_point(x, sys)
     rows = []
-    for n in sorted(set(levels)):
-        r = sys.right_end * sys.rho ** n
-        lower, upper = ball_mass_bracket(sys, x, r, n + margin, cap=cap)
+    for n, (lower, upper) in ball_mass_brackets(sys, x, levels, margin).items():
         if lower == 0:
             raise InvalidInputError(
                 f"zero lower mass bracket at level {n}; increase margin"
             )
-        rows.append(LocalDimRow(n, float(r), lower, upper))
+        rows.append(LocalDimRow(n, float(sys.right_end * sys.rho ** n), lower, upper))
     used = set(_deepest_half([row.n for row in rows]))
     xs, ys, widths = [], [], []
     for row in rows:
@@ -249,7 +247,6 @@ class TauEstimate:
 
 def lq_spectrum_estimate(q: float, sys: BetaSystem, levels: Sequence[int],
                          margin: int = 8,
-                         cap: int = DEFAULT_ATOM_CAP,
                          atoms: MeasureAtoms | None = None) -> TauEstimate:
     """Box-moment estimate of tau(q) on the grids of width 2*beta^-n.
 
@@ -263,7 +260,7 @@ def lq_spectrum_estimate(q: float, sys: BetaSystem, levels: Sequence[int],
         raise InvalidInputError("need at least 3 levels")
     levels = sorted(set(levels))
     if atoms is None:
-        atoms = level_atoms(sys, max(levels) + margin, cap=cap)
+        atoms = level_atoms(sys, max(levels) + margin)
     values = atoms.values_float()
     weights = atoms.weights_float()
     beta_f = float(sys.beta)
@@ -284,12 +281,11 @@ def lq_spectrum_estimate(q: float, sys: BetaSystem, levels: Sequence[int],
 
 
 def lq_spectrum_table(q_list: Sequence[float], sys: BetaSystem,
-                      levels: Sequence[int], margin: int = 8,
-                      cap: int = DEFAULT_ATOM_CAP) -> list[TauEstimate]:
+                      levels: Sequence[int], margin: int = 8) -> list[TauEstimate]:
     """tau-hat for several q sharing one atom construction."""
-    atoms = level_atoms(sys, max(levels) + margin, cap=cap)
+    atoms = level_atoms(sys, max(levels) + margin)
     return [
-        lq_spectrum_estimate(q, sys, levels, margin=margin, cap=cap, atoms=atoms)
+        lq_spectrum_estimate(q, sys, levels, margin=margin, atoms=atoms)
         for q in q_list
     ]
 
@@ -321,27 +317,27 @@ class UpperBoundReport:
 
 
 def upper_dim_bound_check(sys: BetaSystem, x, n_max: int,
-                          margin: int = 5,
-                          cap: int = DEFAULT_ATOM_CAP) -> UpperBoundReport:
+                          margin: int = 5) -> UpperBoundReport:
     """Finite-level form of the upper local-dimension bound for beta below
     the golden ratio with m = 2.
 
     Checks, for each n <= n_max, the chain  mu(ball(x, beta^-n/(beta-1)))
     >= 2^-n * N_n(x) >= (1/2) * 2^((kappa-1) n): the first inequality via
-    the certified lower mass bracket, the second exactly.
+    the certified lower mass bracket of `ball_mass_brackets`, the second
+    exactly.
     """
     if sys.m != 2:
         raise HypothesisError("upper bound check requires m = 2")
     kap = kappa(sys)  # raises HypothesisError for beta >= golden
     x = _coerce_point(x, sys)
     counts = prefix_count_series(x, n_max, sys)
+    brackets = ball_mass_brackets(sys, x, range(1, n_max + 1), margin)
     log_beta = math.log(float(sys.beta))
     rows = []
     for n in range(1, n_max + 1):
         count = counts[n]
         count_ok = _count_meets_bound(count, kap, n)
-        r = sys.right_end * sys.rho ** n  # (m-1)/(beta-1) * beta^-n, m=2
-        lower, _upper = ball_mass_bracket(sys, x, r, n + margin, cap=cap)
+        lower, _upper = brackets[n]
         sandwich_ok = lower >= Fraction(count, 2 ** n)
         slope = (n * math.log(2) - math.log(count)) / (n * log_beta)
         rows.append(UpperBoundRow(n, count, count_ok, lower, sandwich_ok, slope))

@@ -58,18 +58,23 @@ def elem_json(e: FieldElement) -> dict:
     return {"coeffs": [frac_str(c) for c in e.coeffs], "approx": float(e)}
 
 
-def _parse_x(text: str) -> Fraction:
+def _parse(option: str, text: str, convert):
+    """convert(text), reporting malformed text as bad input."""
     try:
-        return Fraction(text)
+        return convert(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidInputError(f"cannot parse x={text!r} as an exact rational") from exc
+        raise InvalidInputError(f"cannot parse {option} {text!r}") from exc
 
 
-def _parse_levels(text: str) -> list[int]:
-    if ".." in text:
-        a, b = text.split("..", 1)
-        return list(range(int(a), int(b) + 1))
-    return [int(p) for p in text.split(",")]
+def _int_range(text: str) -> range:
+    """'a..b', both ends included."""
+    lo, hi = text.split("..")
+    return range(int(lo), int(hi) + 1)
+
+
+def _levels(text: str):
+    """'a..b' or 'a,b,...'."""
+    return _int_range(text) if ".." in text else [int(p) for p in text.split(",")]
 
 
 def _emit(args, payload_rows: list[dict], columns: list[str], config: dict) -> None:
@@ -115,7 +120,7 @@ def _config(args, **extra) -> dict:
 
 def cmd_count(args) -> int:
     sys_ = _system(args)
-    x = _parse_x(args.x)
+    x = _parse("--x", args.x, Fraction)
     value = expansions.count_prefixes(x, args.n, sys_)
     _emit(args, [{"n": args.n, "x": frac_str(x), "count": str(value)}],
           ["n", "x", "count"], _config(args, n=args.n, x=str(args.x)))
@@ -124,7 +129,7 @@ def cmd_count(args) -> int:
 
 def cmd_tree(args) -> int:
     sys_ = _system(args)
-    x = _parse_x(args.x)
+    x = _parse("--x", args.x, Fraction)
     tree = expansions.branch_tree(x, args.depth, sys_, node_cap=args.node_cap)
     counts = tree.level_counts()
     rows = [{"depth": d, "nodes": str(c)} for d, c in enumerate(counts)]
@@ -143,7 +148,7 @@ def cmd_kappa(args) -> int:
 
 def cmd_bound(args) -> int:
     sys_ = _system(args)
-    x = _parse_x(args.x)
+    x = _parse("--x", args.x, Fraction)
     report = expansions.verify_growth_bound(sys_, x, args.n_max)
     rows = [
         {"n": r.n, "count": str(r.count), "bound": repr(r.bound), "ok": r.ok}
@@ -174,7 +179,7 @@ def cmd_sums(args) -> int:
 
 def cmd_sparse(args) -> int:
     sys_ = _system(args)
-    m_seq = tuple(int(p) for p in args.m_seq.split(","))
+    m_seq = tuple(_parse("--m-seq", args.m_seq, lambda t: [int(p) for p in t.split(",")]))
     rows = expansions.sparse_profile(m_seq, sys_)
     out = [
         {
@@ -194,7 +199,9 @@ def cmd_sparse(args) -> int:
 
 def cmd_simulate(args) -> int:
     sys_ = _system(args)
-    x = _parse_x(args.x)
+    x = _parse("--x", args.x, Fraction)
+    if args.n < 0:
+        raise InvalidInputError("--n must be nonnegative")
     rng = np.random.default_rng(args.seed)
     bits = rng.integers(0, 2, size=4 * args.n)
     digits = expansions.simulate_expansion(x, args.n, sys_, iter(int(b) for b in bits))
@@ -288,11 +295,11 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    lo, hi = (int(p) for p in args.n_range.split(".."))
-    if not 2 <= lo <= hi <= 10:
+    n_values = _parse("--n-range", args.n_range, _int_range)
+    if not n_values or n_values[0] < 2 or n_values[-1] > 10:
         raise InvalidInputError("n range must lie within 2..10")
     rows = []
-    for n in range(lo, hi + 1):
+    for n in n_values:
         est = lyapunov.gamma_multinacci_series(
             n, k_exact=args.k_exact, mc_budget=args.mc_budget, seed=args.seed
         )
@@ -327,8 +334,8 @@ def cmd_table1(args) -> int:
 
 def cmd_dims(args) -> int:
     sys_ = _system(args)
-    x = _parse_x(args.x)
-    levels = _parse_levels(args.levels)
+    x = _parse("--x", args.x, Fraction)
+    levels = _parse("--levels", args.levels, _levels)
     est = bconv.local_dim_estimate(x, sys_, levels, margin=args.margin)
     rows = [
         {
@@ -347,8 +354,8 @@ def cmd_dims(args) -> int:
 
 def cmd_tau(args) -> int:
     sys_ = _system(args)
-    q_list = [float(p) for p in args.q_list.split(",")]
-    levels = _parse_levels(args.levels)
+    q_list = _parse("--q-list", args.q_list, lambda t: [float(p) for p in t.split(",")])
+    levels = _parse("--levels", args.levels, _levels)
     rows = bconv.lq_spectrum_table(q_list, sys_, levels, margin=args.margin)
     out = [
         {"q": repr(r.q), "tau_hat": repr(r.tau), "residual": repr(r.residual)}

@@ -2,11 +2,13 @@
 
 The central object is a level-synchronous DP over digit sums: `Lattice`
 steps every state t -> beta*t + eps, merges states of equal value with
-summed multiplicities and keeps those in a window.  For N_n(x) the window
-is the remainder test 0 <= beta^k x - t <= (m-1)/(beta-1).  Merging keeps
-the reachable state set small: constant-size for Pisot bases (Garsia
-separation) and window-bounded for rational ones.  Membership decisions
-use a float screen with a proven error bound and an exact fallback.
+summed multiplicities and keeps those in one prefix window.  With
+R = (m-1)/(beta-1), a scaled sum t after k digits is a prefix of an
+expansion of a point of [a, b] exactly when beta^k a - R <= t <= beta^k b;
+N_n(x) is the window of [x, x].  Merging keeps the reachable state set
+small: constant-size for Pisot bases (Garsia separation) and
+window-bounded for rational ones.  Membership decisions use a float
+screen with a proven error bound and an exact fallback.
 """
 
 from __future__ import annotations
@@ -54,14 +56,27 @@ class Lattice:
             self.zero = (0,) * self.degree
             self._step = self._step_vec
 
-    def step(self, states: dict, k: int, lo: FieldElement | None = None,
-             hi: FieldElement | None = None) -> dict:
+    def step(self, states: dict, k: int) -> dict:
         """Level-k states -> level-(k+1) states under t -> beta*t + eps.
 
-        Counts of merged states add up.  With a window (lo and hi given
-        together, as level-(k+1) values) only states in [lo, hi] are kept.
+        Counts of merged states add up.
         """
-        return self._step(states, k, lo, hi)
+        return self._step(states, k, None, None)
+
+    def windowed(self, states: dict, k: int, n: int, a: FieldElement, b: FieldElement):
+        """Step level-k states up to level n, yielding each level's states.
+
+        Only prefixes of expansions of points in [a, b] are kept: the digits
+        after a prefix add a tail in [0, R], R = (m-1)/(beta-1), so the
+        prefix window at level j is beta^j a - R <= t <= beta^j b.
+        """
+        beta = self.sys.beta
+        lo, hi = a * beta ** k, b * beta ** k
+        for j in range(k, n):
+            lo = lo * beta
+            hi = lo if b is a else hi * beta
+            states = self._step(states, j, lo - self.sys.right_end, hi)
+            yield states
 
     def _step_int(self, states, k, lo, hi):
         p = self._row[0]
@@ -155,20 +170,16 @@ def _coerce_point(x, sys: BetaSystem) -> FieldElement:
 def prefix_count_series(x, n_max: int, sys: BetaSystem) -> list[int]:
     """[N_0(x), N_1(x), ..., N_{n_max}(x)], all exact.
 
-    After k digits with scaled sum t the remainder is beta^k x - t, so the
-    admissibility test 0 <= remainder <= (m-1)/(beta-1) is the lattice
-    window [beta^k x - (m-1)/(beta-1), beta^k x].
+    N_k(x) counts the prefixes that pass the prefix window of the point
+    interval [x, x]: after k digits with scaled sum t the remainder
+    beta^k x - t must lie in [0, (m-1)/(beta-1)].
     """
     if n_max < 0:
         raise InvalidInputError("n must be nonnegative")
     x = _coerce_point(x, sys)
     lattice = Lattice(sys)
-    states = {lattice.zero: 1}
     counts = [1]
-    hi = x
-    for k in range(n_max):
-        hi = hi * sys.beta
-        states = lattice.step(states, k, hi - sys.right_end, hi)
+    for states in lattice.windowed({lattice.zero: 1}, 0, n_max, x, x):
         counts.append(sum(states.values()))
     return counts
 
@@ -211,6 +222,8 @@ class BranchTree:
 
 def branch_tree(x, depth: int, sys: BetaSystem, node_cap: int = DEFAULT_NODE_CAP) -> BranchTree:
     """The tree of admissible digit choices down to the given depth."""
+    if depth < 0:
+        raise InvalidInputError("depth must be nonnegative")
     x = _coerce_point(x, sys)
     right = sys.right_end
     m = sys.m
@@ -363,12 +376,10 @@ def switch_geometry(sys: BetaSystem) -> SwitchGeometry:
     return SwitchGeometry(sys, fb, tuple(intervals))
 
 
-def step_k_beta(omega_head: int, x, sys: BetaSystem,
-                geometry: SwitchGeometry | None = None) -> tuple[bool, int, FieldElement]:
+def step_k_beta(omega_head: int, x, sys: BetaSystem) -> tuple[bool, int, FieldElement]:
     """One step of K_beta: (coin consumed?, emitted digit, beta*x - digit)."""
-    geom = geometry if geometry is not None else switch_geometry(sys)
     x = _coerce_point(x, sys)
-    kind, k = geom.classify(x)
+    kind, k = switch_geometry(sys).classify(x)
     if kind == "equal":
         return False, k, x * sys.beta - k
     digit = k if omega_head else k - 1
@@ -473,41 +484,19 @@ def count_X_m(m_param: int, sys: BetaSystem) -> int:
     A block of the sparse construction contributes the words of length
     2*m_param whose value sum_{j} eps_j beta^-j equals 1/beta exactly; there
     are m_param of them (the chain 10^(2m-1), 0110^(2m-3), 01011 0^..., ...).
-    Counted by exhaustive enumeration.
+    Every prefix of such a word passes the prefix window of the point rho,
+    and its level-2m scaled sum is beta^(2m-1), so the count is the weight
+    of that one state in the lattice DP of x = rho.
     """
     _require_golden(sys)
     if m_param < 1:
         raise InvalidInputError("m_param must be >= 1")
-    if m_param > 12:
-        raise CapExceededError("enumeration cap: m_param <= 12")
     length = 2 * m_param
-    target = sys.rho
-    count = 0
-    # depth-first enumeration with exact pruning against the attainable tail
-    rho_pows = [sys.rho ** j for j in range(length + 1)]
-    # max attainable tail after position j: sum_{i=j+1}^{length} rho^i
-    tails = [None] * (length + 1)
-    acc = sys.field.zero
-    for j in range(length, 0, -1):
-        acc = acc + rho_pows[j]
-        tails[j - 1] = acc
-    tails[length] = sys.field.zero
-
-    def rec(j: int, partial: FieldElement) -> int:
-        if j == length:
-            return 1 if (partial - target).is_zero() else 0
-        total = 0
-        for eps in (0, 1):
-            nxt = partial + rho_pows[j + 1] if eps else partial
-            diff = target - nxt
-            if diff.sign() < 0:
-                continue
-            if (diff - tails[j + 1]).sign() > 0:
-                continue
-            total += rec(j + 1, nxt)
-        return total
-
-    return rec(0, sys.field.zero)
+    lattice = Lattice(sys)
+    for states in lattice.windowed({lattice.zero: 1}, 0, length, sys.rho, sys.rho):
+        pass
+    # golden is monic, so a key is the integer vector of its value
+    return states.get((sys.beta ** (length - 1)).num, 0)
 
 
 @dataclass(frozen=True)

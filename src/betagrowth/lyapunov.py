@@ -34,6 +34,8 @@ DRAW_BLOCK = 128 * RENORM_EVERY
 # standard error is never below this, so degenerate chains (integer bases,
 # where every path gives the same value) still carry an honest error bar
 MC_STDERR_FLOOR = 1e-12
+# last k of the Monte-Carlo middle segment of the n = 2 multinacci series
+SERIES_K_TAIL = 64
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +238,12 @@ def _tail_bound(x: float, k_from: int) -> float:
 
 
 def gamma_multinacci_series(n: int, k_exact: int = 20, mc_budget: int = 20_000,
-                            seed: int = 0, k_tail: int = 64) -> GammaEstimate:
+                            seed: int = 0) -> GammaEstimate:
     """gamma_n from the series over products of the two digit matrices.
 
     Exact enumeration covers k <= k_exact.  For n = 2 the geometric ratio
     2/beta^2 is close enough to 1 that a Monte-Carlo middle segment
-    k_exact < k <= k_tail is added, with its standard error reported; for
+    k_exact < k <= SERIES_K_TAIL is added, with its standard error reported; for
     n >= 3 the analytic tail bound beyond k_exact is already negligible.
     """
     if not 2 <= n <= 10:
@@ -256,10 +258,10 @@ def gamma_multinacci_series(n: int, k_exact: int = 20, mc_budget: int = 20_000,
     series = sum(inner[k] / bn ** k for k in range(k_exact + 1))
     stderr_series = 0.0
     if n == 2:
-        mid, mid_err = _mc_middle(n, bn, k_exact + 1, k_tail, mc_budget, seed)
+        mid, mid_err = _mc_middle(n, bn, k_exact + 1, SERIES_K_TAIL, mc_budget, seed)
         series += mid
         stderr_series = mid_err
-        trunc = _tail_bound(x, k_tail + 1)
+        trunc = _tail_bound(x, SERIES_K_TAIL + 1)
     else:
         trunc = _tail_bound(x, k_exact + 1)
     prefactor = (1.0 / bn) * (1.0 - 2.0 / bn) ** 2 / (2.0 - (n + 1) / bn)

@@ -58,12 +58,12 @@ def _digit_starts(sys: BetaSystem) -> list[FieldElement]:
     return [step * (a - 1) for a in range(1, sys.m + 1)]
 
 
-def net_intervals(sys: BetaSystem, n: int, level_cap: int = DIRECT_LEVEL_CAP) -> list[NetInterval]:
+def net_intervals(sys: BetaSystem, n: int) -> list[NetInterval]:
     """The ordered list of level-n net intervals with covering offsets."""
     if n < 0:
         raise InvalidInputError("level must be nonnegative")
-    if n > level_cap:
-        raise CapExceededError(f"net interval level {n} exceeds cap {level_cap}")
+    if n > DIRECT_LEVEL_CAP:
+        raise CapExceededError(f"net interval level {n} exceeds cap {DIRECT_LEVEL_CAP}")
     if n == 0:
         return [NetInterval(0, sys.field.zero, sys.field.one, (sys.field.zero,))]
     # S_J(0) = sum_j rho^(j-1) S_{eps_j}(0) = (1-rho)/(m-1) * rho^(n-1) * t_n,

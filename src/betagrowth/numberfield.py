@@ -27,6 +27,8 @@ MAX_DEGREE = 10
 
 # Primes tried for the mod-p irreducibility certificate.
 _CERT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+# Coefficient bound of the small-factor search run when no prime certifies.
+SMALL_FACTOR_BOUND = 20
 
 Rational = Union[int, Fraction]
 
@@ -187,14 +189,15 @@ def _irreducible_mod_p(coeffs: Sequence[int], p: int) -> bool:
     return True
 
 
-def _small_factor_witness(coeffs: Sequence[int], bound: int = 20) -> bool:
-    """Search for a small monic integer factor of degree 2..3; True if found."""
+def _small_factor_witness(coeffs: Sequence[int]) -> bool:
+    """Search for a monic integer factor of degree 2..3 with coefficients
+    bounded by SMALL_FACTOR_BOUND; True if found."""
     d = len(coeffs) - 1
     fr = [Fraction(c) for c in coeffs]
     for k in (2, 3):
         if k > d // 2:
             break
-        rng = range(-bound, bound + 1)
+        rng = range(-SMALL_FACTOR_BOUND, SMALL_FACTOR_BOUND + 1)
         for c0 in rng:
             for c1 in rng:
                 if k == 2:
@@ -831,19 +834,21 @@ def parse_beta(spec: str, m: int) -> BetaSystem:
     spec = spec.strip()
     if spec == "golden":
         return _system_from_minpoly(spec, multinacci_polynomial(2), m)
-    if spec.startswith("multinacci:"):
-        n = int(spec.split(":", 1)[1])
-        mp = multinacci_polynomial(n)
-        return _system_from_minpoly(spec, mp, m)
-    if spec.startswith("int:"):
-        k = int(spec.split(":", 1)[1])
-        if k < 2:
+    kind, _, body = spec.partition(":")
+    if kind in ("multinacci", "int", "poly"):
+        try:
+            ints = [int(p) for p in body.split(",")]
+        except ValueError as exc:
+            raise InvalidInputError(f"cannot parse beta spec {spec!r}") from exc
+        if kind == "poly":
+            return _system_from_minpoly(spec, MinimalPolynomial.from_coeffs(ints), m)
+        if len(ints) != 1:
+            raise InvalidInputError(f"cannot parse beta spec {spec!r}")
+        if kind == "multinacci":
+            return _system_from_minpoly(spec, multinacci_polynomial(ints[0]), m)
+        if ints[0] < 2:
             raise InvalidInputError("integer base must be at least 2")
-        return _system_from_minpoly(spec, MinimalPolynomial.from_coeffs([-k, 1]), m)
-    if spec.startswith("poly:"):
-        parts = spec.split(":", 1)[1].split(",")
-        coeffs = [int(p) for p in parts]
-        return _system_from_minpoly(spec, MinimalPolynomial.from_coeffs(coeffs), m)
+        return _system_from_minpoly(spec, MinimalPolynomial.from_coeffs([-ints[0], 1]), m)
     try:
         value = Fraction(spec)
     except (ValueError, ZeroDivisionError) as exc:

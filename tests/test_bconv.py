@@ -4,14 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from betagrowth import bconv
 from betagrowth.bconv import (
-    ball_mass_bracket,
+    ball_mass_brackets,
     interval_mass,
     level_atoms,
     local_dim_estimate,
     lq_spectrum_estimate,
     lq_spectrum_table,
-    tail_diameter,
     upper_dim_bound_check,
 )
 from betagrowth.errors import CapExceededError, HypothesisError, InvalidInputError
@@ -103,15 +103,50 @@ def test_interval_mass_lebesgue(binary):
 
 
 def test_ball_bracket_orders(golden):
-    x = golden.element(Fraction(2, 5))
-    r = golden.right_end * golden.rho ** 8
-    lo, hi = ball_mass_bracket(golden, x, r, 18)
+    lo, hi = ball_mass_brackets(golden, Fraction(2, 5), [8], 10)[8]
     assert 0 < lo <= hi <= 1
 
 
-def test_tail_diameter(golden):
-    assert tail_diameter(golden, 0) == golden.right_end
-    assert tail_diameter(golden, 3) == golden.right_end * golden.rho ** 3
+@pytest.mark.parametrize("spec,m,x_text,margin", [
+    ("golden", 2, "2/5", 0),
+    ("golden", 2, "0", 6),
+    ("golden", 3, "1/3", 4),
+    ("multinacci:3", 2, "3/4", 5),
+    ("1.5", 2, "2", 3),
+    ("int:2", 2, "1", 0),
+    ("int:2", 2, "1/3", 2),
+    ("poly:-3,0,2", 2, "1/2", 4),
+])
+def test_ball_mass_brackets_match_interval_mass(spec, m, x_text, margin):
+    # the one-sweep brackets equal mu_L of the ball shrunk on the right and
+    # grown on the left by the tail R beta^-L, L = n + margin, exactly
+    sys_ = parse_beta(spec, m)
+    x = sys_.element(Fraction(x_text))
+    levels = (0, 1, 2, 5, 9)
+    got = ball_mass_brackets(sys_, x, levels[::-1], margin)
+    assert list(got) == list(levels)
+    for n in levels:
+        r = sys_.right_end * sys_.rho ** n
+        tail = sys_.right_end * sys_.rho ** (n + margin)
+        assert got[n] == (interval_mass(sys_, n + margin, x - r, x + r - tail),
+                          interval_mass(sys_, n + margin, x - r - tail, x + r))
+
+
+def test_windowed_counts_check_atom_cap(b13, monkeypatch):
+    monkeypatch.setattr(bconv, "DEFAULT_ATOM_CAP", 40)
+    with pytest.raises(CapExceededError):
+        ball_mass_brackets(b13, Fraction(1, 2), range(10, 14), 12)
+    with pytest.raises(CapExceededError):
+        interval_mass(b13, 24, 0, b13.right_end)
+
+
+def test_negative_levels_rejected(golden):
+    with pytest.raises(InvalidInputError):
+        ball_mass_brackets(golden, Fraction(2, 5), [-1, 3], 4)
+    with pytest.raises(InvalidInputError):
+        ball_mass_brackets(golden, Fraction(2, 5), [3], -1)
+    with pytest.raises(InvalidInputError):
+        interval_mass(golden, -1, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +161,9 @@ def test_tail_diameter(golden):
 def test_moment_sandwich(spec, m, x_text, n_max):
     sys_ = parse_beta(spec, m)
     x = sys_.element(Fraction(x_text))
+    brackets = ball_mass_brackets(sys_, x, range(1, n_max + 1), 10)
     for n in range(1, n_max + 1):
-        r = sys_.right_end * sys_.rho ** n
-        lower, _upper = ball_mass_bracket(sys_, x, r, n + 10)
+        lower, _upper = brackets[n]
         count = count_prefixes(x, n, sys_)
         assert lower >= Fraction(count, sys_.m ** n)
 

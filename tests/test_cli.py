@@ -69,6 +69,28 @@ def test_exit_code_bad_input(capsys):
         build_parser().parse_args(["gamma", "--beta", "golden", "--method", "mc",
                                    "--workers", "2"])
     assert exc.value.code == 2
+    capsys.readouterr()
+    # malformed text and negative sizes are bad input, not a traceback
+    golden = ("--beta", "golden", "--x", "2/5")
+    for argv in (
+        ("dims", *golden, "--levels", "5,6,x"),
+        ("dims", *golden, "--levels", "1..2..3"),
+        ("tau", "--beta", "golden", "--levels", "5,6,x"),
+        ("sparse", "--beta", "golden", "--m-seq", "1,x"),
+        ("tau", "--beta", "golden", "--q-list", "1,a"),
+        ("table1", "--n-range", "3"),
+        ("count", "--beta", "poly:1,x", "--x", "1", "--n", "2"),
+        ("count", "--beta", "multinacci:x", "--x", "1", "--n", "2"),
+        ("count", "--beta", "int:x", "--x", "1", "--n", "2"),
+        ("count", "--beta", "golden", "--x", "1/0", "--n", "2"),
+        ("tree", "--beta", "1.5", "--x", "1", "--depth", "-2"),
+        ("simulate", *golden, "--n", "-3"),
+        ("dims", *golden, "--levels=-20..-15"),
+        ("dims", *golden, "--margin=-3"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:"), argv
 
 
 def test_exit_code_cap(capsys):
@@ -185,9 +207,12 @@ def test_selftest(capsys):
     assert "FAIL" not in out
 
 
-def test_readme_command_lines_parse():
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("BETAGROWTH_OUT_DIR", str(tmp_path))
     block = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```")[1]
     lines = [ln for ln in block.splitlines() if ln.startswith("betagrowth ")]
     assert len(lines) >= 10
     for line in lines:
-        build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        assert main(shlex.split(line, comments=True)[1:]) == 0, line
+    capsys.readouterr()
+    assert (tmp_path / "golden.dot").exists() and (tmp_path / "table1.csv").exists()

@@ -265,8 +265,9 @@ def test_count_X_m_matches_brute_force(golden):
 def test_count_X_m_guards(golden, b15):
     with pytest.raises(InvalidInputError):
         count_X_m(2, b15)
-    with pytest.raises(CapExceededError):
-        count_X_m(13, golden)
+    # no enumeration cap: long blocks are one lattice DP of x = rho
+    assert count_X_m(13, golden) == 13
+    assert count_X_m(20, golden) == 20
 
 
 def test_sparse_profile_checkpoints(golden):
