@@ -6,7 +6,6 @@ from .errors import (
     HypothesisError,
     InvalidInputError,
     InvariantError,
-    UndecidableError,
 )
 from .numberfield import (
     BetaSystem,
@@ -28,7 +27,6 @@ __all__ = [
     "InvariantError",
     "MinimalPolynomial",
     "NumberField",
-    "UndecidableError",
     "is_pisot",
     "multinacci",
     "parse_beta",

@@ -128,6 +128,16 @@ def interval_mass(sys: BetaSystem, level: int, lo, hi) -> Fraction:
     return Fraction(sum(states.values()), sys.m ** level)
 
 
+def _sorted_levels(levels: Sequence[int], margin: int, min_count: int = 0) -> list[int]:
+    """The distinct levels in increasing order, checked before any DP runs."""
+    levels = sorted(set(levels))
+    if min(levels, default=0) < 0 or margin < 0:
+        raise InvalidInputError("levels and margin must be nonnegative")
+    if len(levels) < min_count:
+        raise InvalidInputError(f"need at least {min_count} levels")
+    return levels
+
+
 def ball_mass_brackets(sys: BetaSystem, x, levels: Sequence[int],
                        margin: int) -> dict[int, tuple[Fraction, Fraction]]:
     """{n: certified (lower, upper) for mu([x - r_n, x + r_n])} for n in
@@ -142,9 +152,7 @@ def ball_mass_brackets(sys: BetaSystem, x, levels: Sequence[int],
     count; one more step from level L - 1, windowed as `interval_mass`
     windows the lower interval, gives the lower count.
     """
-    levels = sorted(set(levels))
-    if min(levels, default=0) < 0 or margin < 0:
-        raise InvalidInputError("levels and margin must be nonnegative")
+    levels = _sorted_levels(levels, margin)
     x = _coerce_point(x, sys)
     lattice = Lattice(sys)
     states, k = {lattice.zero: 1}, 0
@@ -256,9 +264,7 @@ def lq_spectrum_estimate(q: float, sys: BetaSystem, levels: Sequence[int],
     """
     if not -2 <= q <= 4:
         raise InvalidInputError("q must lie in [-2, 4]")
-    if len(set(levels)) < 3:
-        raise InvalidInputError("need at least 3 levels")
-    levels = sorted(set(levels))
+    levels = _sorted_levels(levels, margin, min_count=3)
     if atoms is None:
         atoms = level_atoms(sys, max(levels) + margin)
     values = atoms.values_float()
@@ -283,6 +289,7 @@ def lq_spectrum_estimate(q: float, sys: BetaSystem, levels: Sequence[int],
 def lq_spectrum_table(q_list: Sequence[float], sys: BetaSystem,
                       levels: Sequence[int], margin: int = 8) -> list[TauEstimate]:
     """tau-hat for several q sharing one atom construction."""
+    _sorted_levels(levels, margin, min_count=3)
     atoms = level_atoms(sys, max(levels) + margin)
     return [
         lq_spectrum_estimate(q, sys, levels, margin=margin, atoms=atoms)

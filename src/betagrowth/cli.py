@@ -130,8 +130,7 @@ def cmd_count(args) -> int:
 def cmd_tree(args) -> int:
     sys_ = _system(args)
     x = _parse("--x", args.x, Fraction)
-    tree = expansions.branch_tree(x, args.depth, sys_, node_cap=args.node_cap)
-    counts = tree.level_counts()
+    counts = expansions.tree_level_counts(x, args.depth, sys_, node_cap=args.node_cap)
     rows = [{"depth": d, "nodes": str(c)} for d, c in enumerate(counts)]
     _emit(args, rows, ["depth", "nodes"],
           _config(args, x=str(args.x), depth=args.depth, node_cap=args.node_cap))
@@ -376,8 +375,6 @@ def _selftest_checks():
     yield "golden minimal polynomial kills beta", (golden.beta ** 2 - golden.beta - 1).is_zero()
     yield "N_2(1) = 3 for golden", expansions.count_prefixes(1, 2, golden) == 3
     yield "N_5(0) = 1", expansions.count_prefixes(0, 5, golden) == 1
-    tree = expansions.branch_tree(1, 4, golden)
-    yield "tree level counts match DP", tree.level_counts() == expansions.prefix_count_series(1, 4, golden)
     b15 = parse_beta("1.5", 2)
     yield "kappa(1.5) = 1/8", expansions.kappa(b15) == Fraction(1, 8)
     yield "kappa(1.4) = 1/6", expansions.kappa(parse_beta("1.4", 2)) == Fraction(1, 6)

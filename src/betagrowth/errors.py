@@ -34,7 +34,3 @@ class InvariantError(BetaGrowthError):
     """An internal invariant failed; indicates a construction bug."""
 
     exit_code = 5
-
-
-class UndecidableError(InvalidInputError):
-    """A numeric certificate came back too close to its decision margin."""

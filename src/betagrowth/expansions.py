@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -193,63 +193,28 @@ def count_prefixes(x, n: int, sys: BetaSystem) -> int:
 # branching tree
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BranchNode:
-    digit: int | None
-    depth: int
-    children: list["BranchNode"] = field(default_factory=list)
+def tree_level_counts(x, depth: int, sys: BetaSystem,
+                      node_cap: int = DEFAULT_NODE_CAP) -> list[int]:
+    """Nodes per depth 0..depth of the tree of admissible digit choices.
 
-
-@dataclass
-class BranchTree:
-    root: BranchNode
-    depth: int
-    node_count: int
-
-    def level_counts(self) -> list[int]:
-        """Number of nodes at each depth 0..depth."""
-        counts = [0] * (self.depth + 1)
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            counts[node.depth] += 1
-            stack.extend(node.children)
-        return counts
-
-    def leaf_count(self) -> int:
-        return self.level_counts()[self.depth]
-
-
-def branch_tree(x, depth: int, sys: BetaSystem, node_cap: int = DEFAULT_NODE_CAP) -> BranchTree:
-    """The tree of admissible digit choices down to the given depth."""
+    The nodes at depth k are the length-k prefixes, so the counts are
+    N_0(x), ..., N_depth(x).  The levels are stepped one at a time and the
+    first depth whose cumulative node count exceeds node_cap raises
+    CapExceededError; the root alone is never held against the cap.
+    """
     if depth < 0:
         raise InvalidInputError("depth must be nonnegative")
     x = _coerce_point(x, sys)
-    right = sys.right_end
-    m = sys.m
-    root = BranchNode(None, 0)
-    total = 1
-    frontier: list[tuple[BranchNode, FieldElement]] = [(root, x)]
-    for _ in range(depth):
-        nxt: list[tuple[BranchNode, FieldElement]] = []
-        for node, r in frontier:
-            shifted = r * sys.beta
-            for eps in range(m):
-                cand = shifted - eps if eps else shifted
-                if cand.sign() < 0:
-                    break
-                if (right - cand).sign() >= 0:
-                    child = BranchNode(eps, node.depth + 1)
-                    node.children.append(child)
-                    nxt.append((child, cand))
-                    total += 1
-                    if total > node_cap:
-                        raise CapExceededError(
-                            f"{total} branch-tree nodes at depth {child.depth} "
-                            f"exceed the cap {node_cap}"
-                        )
-        frontier = nxt
-    return BranchTree(root, depth, total)
+    lattice = Lattice(sys)
+    counts = [1]
+    for states in lattice.windowed({lattice.zero: 1}, 0, depth, x, x):
+        counts.append(sum(states.values()))
+        if sum(counts) > node_cap:
+            raise CapExceededError(
+                f"{max(node_cap, 1) + 1} branch-tree nodes at depth {len(counts) - 1} "
+                f"exceed the cap {node_cap}"
+            )
+    return counts
 
 
 # ---------------------------------------------------------------------------

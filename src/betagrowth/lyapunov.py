@@ -248,6 +248,8 @@ def gamma_multinacci_series(n: int, k_exact: int = 20, mc_budget: int = 20_000,
     """
     if not 2 <= n <= 10:
         raise InvalidInputError("series formula implemented for 2 <= n <= 10")
+    if k_exact < 0 or mc_budget < 2:
+        raise InvalidInputError("k_exact must be >= 0 and mc_budget >= 2")
     sys = multinacci(n)
     beta = float(sys.field.beta_fraction(Fraction(1, 10 ** 40)))
     bn = beta ** n

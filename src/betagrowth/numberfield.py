@@ -7,8 +7,8 @@ exact integer checks.  Every sign query goes through `sign_int_coeffs`: a
 float evaluation screens it under a proven error bound, and values too
 close to zero for the screen are settled exactly by `sign_of`, which
 refines an isolating interval of the root by bisection with rational
-endpoints.  Pisot status is certified numerically with a residual bound
-and a fixed decision margin.
+endpoints.  Pisot status is decided exactly: a Routh-Hurwitz count on a
+Sturm remainder chain gives the number of roots outside the unit circle.
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-import mpmath
-
-from .errors import InvalidInputError, InvariantError, UndecidableError
+from .errors import InvalidInputError, InvariantError
 
 MAX_DEGREE = 10
 
@@ -36,6 +34,13 @@ Rational = Union[int, Fraction]
 # ---------------------------------------------------------------------------
 # dense polynomial helpers (coefficient lists, constant term first)
 # ---------------------------------------------------------------------------
+
+def _trim(p: list) -> list:
+    """Drop trailing zero coefficients in place."""
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
 
 def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
     acc = Fraction(0)
@@ -53,8 +58,7 @@ def _poly_rem(num: Sequence[Fraction], den: Sequence[Fraction]) -> list[Fraction
     dd = len(den) - 1
     lead = den[-1]
     while len(num) - 1 >= dd and any(num):
-        while num and num[-1] == 0:
-            num.pop()
+        _trim(num)
         if len(num) - 1 < dd:
             break
         q = num[-1] / lead
@@ -62,13 +66,18 @@ def _poly_rem(num: Sequence[Fraction], den: Sequence[Fraction]) -> list[Fraction
         for i, c in enumerate(den):
             num[shift + i] -= q * c
         num.pop()
-    while num and num[-1] == 0:
-        num.pop()
-    return num
+    return _trim(num)
 
 
-def _sturm_sequence(coeffs: Sequence[Fraction]) -> list[list[Fraction]]:
-    seq = [list(coeffs), _poly_derivative(coeffs)]
+def _sturm_sequence(coeffs: Sequence[Fraction],
+                    second: Sequence[Fraction] | None = None) -> list[list[Fraction]]:
+    """Remainder chain f, g, -rem(f, g), ...; g defaults to f'.
+
+    Its sign variations satisfy V(a) - V(b) = Cauchy index of g/f over
+    (a, b); for g = f' that is the number of distinct real roots of f.
+    The last entry is gcd(f, g) up to a constant.
+    """
+    seq = [list(coeffs), _poly_derivative(coeffs) if second is None else list(second)]
     while seq[-1]:
         rem = _poly_rem(seq[-2], seq[-1])
         if not rem:
@@ -80,6 +89,13 @@ def _sturm_sequence(coeffs: Sequence[Fraction]) -> list[list[Fraction]]:
 def _sign_variations(values: Iterable[Fraction]) -> int:
     signs = [1 if v > 0 else -1 for v in values if v != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _index_over_reals(sturm: Sequence[Sequence[Fraction]]) -> int:
+    """V(-inf) - V(+inf) of a chain, read off leading coefficients and degrees."""
+    at_plus = [p[-1] for p in sturm]
+    at_minus = [c if len(p) % 2 else -c for p, c in zip(sturm, at_plus)]
+    return _sign_variations(at_minus) - _sign_variations(at_plus)
 
 
 def _roots_in_interval(sturm: Sequence[Sequence[Fraction]], a: Fraction, b: Fraction) -> int:
@@ -110,12 +126,6 @@ def _has_rational_root(coeffs: Sequence[int]) -> bool:
     return False
 
 
-def _gf_trim(p: list[int]) -> list[int]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
 def _gf_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
     prod = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
@@ -130,23 +140,23 @@ def _gf_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
             prod[k] = 0
             for i in range(d):
                 prod[k - d + i] = (prod[k - d + i] - c * f[i]) % p
-    return _gf_trim(prod[:d])
+    return _trim(prod[:d])
 
 
 def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _gf_trim(list(a)), _gf_trim(list(b))
+    a, b = _trim(list(a)), _trim(list(b))
     while b:
         inv = pow(b[-1], p - 2, p)
         r = [c % p for c in a]
         while len(r) >= len(b):
-            r = _gf_trim(r)
+            r = _trim(r)
             if len(r) < len(b):
                 break
             q = (r[-1] * inv) % p
             shift = len(r) - len(b)
             for i, c in enumerate(b):
                 r[shift + i] = (r[shift + i] - q * c) % p
-            r = _gf_trim(r)
+            r = _trim(r)
         a, b = b, r
     return a
 
@@ -167,7 +177,7 @@ def _gf_sub(a: list[int], b: list[int], p: int) -> list[int]:
     n = max(len(a), len(b))
     a = a + [0] * (n - len(a))
     b = b + [0] * (n - len(b))
-    return _gf_trim([(x - y) % p for x, y in zip(a, b)])
+    return _trim([(x - y) % p for x, y in zip(a, b)])
 
 
 def _irreducible_mod_p(coeffs: Sequence[int], p: int) -> bool:
@@ -175,7 +185,7 @@ def _irreducible_mod_p(coeffs: Sequence[int], p: int) -> bool:
     d = len(coeffs) - 1
     lead_inv = pow(coeffs[-1] % p, p - 2, p)
     f = [(c * lead_inv) % p for c in coeffs]
-    if len(_gf_trim(list(f))) - 1 != d:
+    if len(_trim(list(f))) - 1 != d:
         return False
     x = [0, 1]
     if _gf_sub(_gf_pow_x(p ** d, f, p), x, p):
@@ -680,29 +690,32 @@ def _isolate_largest_root_above_one(minpoly: MinimalPolynomial) -> tuple[Fractio
 
 
 # ---------------------------------------------------------------------------
-# Pisot certification
+# Pisot decision
 # ---------------------------------------------------------------------------
 
-_PISOT_MARGIN = 1e-9
-_RESIDUAL_CAP = 1e-12
+def _roots_outside_unit_circle(coeffs: Sequence[int]) -> int | None:
+    """Number of roots with |z| > 1 of an integer polynomial of degree
+    d >= 2 with p(-1) != 0, or None when a root lies on the unit circle.
 
-
-def _certified_conjugates(minpoly: MinimalPolynomial) -> list[tuple[float, float]]:
-    """(modulus, residual error bound) for every root, at 128-bit precision."""
-    out = []
-    with mpmath.workprec(192):
-        poly = [mpmath.mpf(c) for c in reversed(minpoly.coeffs)]
-        roots = mpmath.polyroots(poly, maxsteps=200, extraprec=128)
-        deriv = [c * (len(poly) - 1 - i) for i, c in enumerate(poly[:-1])]
-        d = minpoly.degree
-        for z in roots:
-            fz = mpmath.polyval(poly, z)
-            fpz = mpmath.polyval(deriv, z)
-            if fpz == 0:
-                raise UndecidableError("repeated root encountered in certification")
-            err = d * abs(fz) / abs(fpz)
-            out.append((float(abs(z)), float(err)))
-    return out
+    z = (1 + w)/(1 - w) maps |z| > 1 onto Re w > 0, and p onto q(w) =
+    sum_k p_k (1 + w)^k (1 - w)^(d - k), of degree d since p(-1) != 0.
+    With q(iy) = A(y) + i B(y), roots of q on the imaginary axis are the
+    real roots of gcd(A, B), and otherwise (Routh-Hurwitz, Gantmacher ch.
+    XV) q has (d - I)/2 roots in Re w > 0, I the Cauchy index over the
+    reals of A/B for odd d and of -B/A for even d.
+    """
+    d = len(coeffs) - 1
+    q = [sum(pk * math.comb(k, i) * math.comb(d - k, j - i) * (-1) ** (j - i)
+             for k, pk in enumerate(coeffs) for i in range(min(k, j) + 1))
+         for j in range(d + 1)]
+    # i^j = 1, i, -1, -i: the real and imaginary parts of q(iy)
+    a = _trim([Fraction((1, 0, -1, 0)[j % 4] * c) for j, c in enumerate(q)])
+    b = _trim([Fraction((0, 1, 0, -1)[j % 4] * c) for j, c in enumerate(q)])
+    chain = _sturm_sequence(b, a) if d % 2 else _sturm_sequence(a, [-c for c in b])
+    gcd = chain[-1]
+    if len(gcd) > 1 and _index_over_reals(_sturm_sequence(gcd)) > 0:
+        return None
+    return (d - _index_over_reals(chain)) // 2
 
 
 def _pisot_flag(minpoly: MinimalPolynomial, bracket: tuple[Fraction, Fraction]) -> bool:
@@ -710,28 +723,13 @@ def _pisot_flag(minpoly: MinimalPolynomial, bracket: tuple[Fraction, Fraction]) 
         return False
     if bracket[0] == bracket[1]:  # degree one, integer root k >= 2
         return bracket[0] > 1
-    lo, hi = bracket
-    mid = float((lo + hi) / 2)
-    conjs = _certified_conjugates(minpoly)
-    # drop the certified root closest in modulus to the designated one
-    idx = min(range(len(conjs)), key=lambda i: abs(conjs[i][0] - abs(mid)))
-    rest = [c for i, c in enumerate(conjs) if i != idx]
-    for modulus, err in rest:
-        if err > _RESIDUAL_CAP:
-            raise UndecidableError("root certification residual too large")
-        if modulus + err < 1 - _PISOT_MARGIN:
-            continue
-        if modulus - err > 1 + _PISOT_MARGIN:
-            return False
-        raise UndecidableError(
-            f"conjugate modulus {modulus} within {_PISOT_MARGIN} of 1; undecidable"
-        )
-    return True
+    # beta > 1 is one root outside the disc; Pisot means it is the only one
+    return _roots_outside_unit_circle(minpoly.coeffs) == 1
 
 
 def is_pisot(minpoly: MinimalPolynomial) -> bool:
-    """True iff the largest real root exceeds 1 and all conjugates are inside
-    the unit circle (certified numerically)."""
+    """True iff the largest real root exceeds 1 and all conjugates lie
+    strictly inside the unit circle; decided exactly in rational arithmetic."""
     try:
         bracket = _isolate_largest_root_above_one(minpoly)
     except InvalidInputError:

@@ -147,6 +147,14 @@ def test_negative_levels_rejected(golden):
         ball_mass_brackets(golden, Fraction(2, 5), [3], -1)
     with pytest.raises(InvalidInputError):
         interval_mass(golden, -1, 0, 1)
+    # the moment estimators check levels and margin before building atoms
+    negative = "^levels and margin must be nonnegative$"
+    with pytest.raises(InvalidInputError, match=negative):
+        lq_spectrum_table([1.0], golden, [-3, -2, -1, 0], margin=-8)
+    with pytest.raises(InvalidInputError, match=negative):
+        lq_spectrum_estimate(1.0, golden, [-3, -2, -1, 0])
+    with pytest.raises(InvalidInputError, match=negative):
+        lq_spectrum_estimate(1.0, golden, [1, 2, 3], margin=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from betagrowth.cli import build_parser, main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -87,6 +91,11 @@ def test_exit_code_bad_input(capsys):
         ("simulate", *golden, "--n", "-3"),
         ("dims", *golden, "--levels=-20..-15"),
         ("dims", *golden, "--margin=-3"),
+        ("tau", "--beta", "golden", "--levels=-3..0"),
+        ("table1", "--n-range", "3..3", "--k-exact", "-1"),
+        ("table1", "--n-range", "2..2", "--mc-budget", "1"),
+        ("gamma", "--beta", "multinacci:3", "--method", "series", "--k-exact", "-1"),
+        ("gamma", "--beta", "golden", "--method", "series", "--mc-budget", "1"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
@@ -205,6 +214,22 @@ def test_selftest(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_runs_without_mpmath():
+    # mpmath is a test-only dependency: the package and its selftest must not need it
+    script = (
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from betagrowth.cli import main\n"
+        "from betagrowth.numberfield import parse_beta\n"
+        "assert main(['selftest']) == 0\n"
+        "assert parse_beta('multinacci:5', 2).pisot\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
 
 
 def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):

@@ -6,7 +6,6 @@ import pytest
 
 from betagrowth.errors import CapExceededError, HypothesisError, InvalidInputError
 from betagrowth.expansions import (
-    branch_tree,
     count_X_m,
     count_prefixes,
     distinct_sums_count,
@@ -17,6 +16,7 @@ from betagrowth.expansions import (
     sparse_profile,
     step_k_beta,
     switch_geometry,
+    tree_level_counts,
     verify_growth_bound,
 )
 from betagrowth.numberfield import parse_beta
@@ -82,27 +82,26 @@ def test_count_monotone_and_symmetric(golden, b15):
 # ---------------------------------------------------------------------------
 
 def test_tree_zero_is_a_path(golden):
-    tree = branch_tree(0, 4, golden)
-    assert tree.level_counts() == [1, 1, 1, 1, 1]
-    node = tree.root
-    while node.children:
-        assert len(node.children) == 1
-        node = node.children[0]
-        assert node.digit == 0
+    assert tree_level_counts(0, 4, golden) == [1, 1, 1, 1, 1]
 
 
 def test_tree_golden_one(golden):
-    assert branch_tree(1, 2, golden).leaf_count() == 3
+    assert tree_level_counts(1, 2, golden)[-1] == 3
 
 
 def test_tree_matches_dp(b15):
-    tree = branch_tree(1, 10, b15)
-    assert tree.level_counts() == prefix_count_series(1, 10, b15)
+    counts = tree_level_counts(1, 10, b15)
+    assert counts == [brute_prefix_count(1, n, b15) for n in range(11)]
 
 
-def test_tree_node_cap(b13):
+def test_tree_node_cap(b13, golden):
     with pytest.raises(CapExceededError, match=r"^101 branch-tree nodes at depth 8 exceed the cap 100$"):
-        branch_tree(1, 22, b13, node_cap=100)
+        tree_level_counts(1, 22, b13, node_cap=100)
+    # depths 0..7 hold at most 100 nodes; the root alone is never over the cap
+    assert sum(tree_level_counts(1, 7, b13, node_cap=100)) <= 100
+    assert tree_level_counts(1, 0, golden, node_cap=0) == [1]
+    with pytest.raises(CapExceededError, match=r"^2 branch-tree nodes at depth 1 exceed the cap 0$"):
+        tree_level_counts(1, 3, golden, node_cap=0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,16 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from betagrowth.errors import InvalidInputError, UndecidableError
+from betagrowth.errors import InvalidInputError
 from betagrowth.numberfield import (
     FieldElement,
     MinimalPolynomial,
+    _roots_outside_unit_circle,
     is_pisot,
     multinacci,
     parse_beta,
@@ -117,17 +119,59 @@ def test_field_division(golden):
         golden.field.one / golden.field.zero
 
 
+PISOT_POLYS = {
+    "golden": [-1, -1, 1],
+    "plastic": [-1, -1, 0, 1],
+    "x^3 - x^2 - 1": [-1, 0, -1, 1],
+    "phi^2, reciprocal": [1, -3, 1],
+    **{f"multinacci:{n}": [-1] * n + [1] for n in range(2, 11)},
+}
+
+NOT_PISOT_POLYS = {
+    "sqrt(3)": [-3, 0, 1],
+    "1.5": [-3, 2],
+    "Salem quartic": [1, -1, -1, -1, 1],
+}
+
+# Lehmer's polynomial, z^10 + z^9 - z^7 - z^6 - z^5 - z^4 - z^3 + z + 1: a
+# Salem number with eight conjugates on the unit circle.  It is irreducible,
+# but no prime of the trial certificate shows it, so it is built directly.
+LEHMER = MinimalPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
+
+
 def test_is_pisot():
-    assert is_pisot(MinimalPolynomial.from_coeffs([-1, -1, 1]))
-    assert not is_pisot(MinimalPolynomial.from_coeffs([-3, 0, 1]))  # sqrt(3)
-    assert is_pisot(MinimalPolynomial.from_coeffs([-1, -1, -1, 1]))
+    for name, coeffs in PISOT_POLYS.items():
+        assert is_pisot(MinimalPolynomial.from_coeffs(coeffs)), name
+    for name, coeffs in NOT_PISOT_POLYS.items():
+        assert is_pisot(MinimalPolynomial.from_coeffs(coeffs)) is False, name
 
 
 def test_pisot_salem_undecidable():
-    # reciprocal quartic with conjugates on the unit circle
+    # Salem numbers have conjugates on the unit circle: decided, not Pisot
     p = MinimalPolynomial.from_coeffs([1, -1, -1, -1, 1])
-    with pytest.raises(UndecidableError):
-        is_pisot(p)
+    assert not is_pisot(p)
+    assert _roots_outside_unit_circle(p.coeffs) is None
+    assert is_pisot(LEHMER) is False
+    assert _roots_outside_unit_circle(LEHMER.coeffs) is None
+
+
+@st.composite
+def _integer_polys(draw):
+    d = draw(st.integers(2, 10))
+    const = draw(st.one_of(st.sampled_from([1, -1]), st.integers(-9, 9)))
+    middle = draw(st.lists(st.integers(-9, 9), min_size=d - 1, max_size=d - 1))
+    lead = draw(st.sampled_from([1, 1, 1, -1, 2, 3, -5]))
+    return [const, *middle, lead]
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=_integer_polys())
+def test_outside_root_count_matches_numpy(coeffs):
+    # the count needs p(-1) != 0; roots near the circle are beyond float moduli
+    assume(sum(c if k % 2 == 0 else -c for k, c in enumerate(coeffs)) != 0)
+    moduli = np.abs(np.roots(coeffs[::-1]))
+    assume(not np.any(np.abs(moduli - 1) < 1e-6))
+    assert _roots_outside_unit_circle(coeffs) == int((moduli > 1).sum())
 
 
 def test_decimal_literal_not_pisot():
