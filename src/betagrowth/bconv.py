@@ -2,10 +2,10 @@
 
 A level-n digit word contributes the sum sum_{k<=n} eps_k beta^-k.  Both
 mechanisms below run the lattice DP of `expansions.Lattice` on these sums
-scaled by beta^n: a state is an integer vector c standing for
-(sum_i c_i beta^i) / lead^n, with lead the leading coefficient of the
-minimal polynomial; degree-one bases use the plain integer c.  Each state
-carries the exact number of words that reach it.
+scaled by beta^n: a state is a row c of an integer key matrix, standing
+for (sum_i c_i beta^i) / lead^n with lead the leading coefficient of the
+minimal polynomial, and a count vector holds the exact number of words
+that reach each state.
 
   * level_atoms enumerates the full level-n distribution (distinct digit
     sums with exact word counts) -- cheap for Pisot bases, capped otherwise;
@@ -37,7 +37,7 @@ DEFAULT_MARGIN = 10
 # atoms
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class MeasureAtoms:
     """Level-n distribution of sum_{k<=n} eps_k beta^-k under uniform digits.
 
@@ -47,7 +47,8 @@ class MeasureAtoms:
 
     sys: BetaSystem
     level: int
-    counts: dict
+    keys: np.ndarray
+    counts: np.ndarray
 
     def __post_init__(self):
         self._lattice = Lattice(self.sys)
@@ -58,18 +59,15 @@ class MeasureAtoms:
         return len(self.counts)
 
     def total_weight(self) -> Fraction:
-        return Fraction(sum(self.counts.values()), self.sys.m ** self.level)
+        return Fraction(int(self.counts.sum()), self.sys.m ** self.level)
 
     def _sorted(self):
         if self._sorted_cache is None:
-            keys = list(self.counts)
-            vals = np.array(self._lattice.float_values(keys, self.level))
+            vals = self.sys.field.float_rows(self.keys)[0] / float(self._lattice.lead ** self.level)
             order = np.argsort(vals, kind="stable")
-            keys = [keys[i] for i in order]
             values = vals[order] * float(self.sys.rho) ** self.level
-            cnts = np.array([float(self.counts[k]) for k in keys])
-            weights = cnts / float(self.sys.m) ** self.level
-            self._sorted_cache = (keys, values, weights)
+            weights = self.counts[order].astype(float) / float(self.sys.m) ** self.level
+            self._sorted_cache = (order, values, weights)
         return self._sorted_cache
 
     def values_float(self) -> np.ndarray:
@@ -80,16 +78,16 @@ class MeasureAtoms:
 
     def items_exact(self):
         """(value FieldElement, weight Fraction) in increasing value order."""
-        keys, _v, _w = self._sorted()
+        order = self._sorted()[0]
         rho_n = self.sys.rho ** self.level
         denom = self.sys.m ** self.level
-        for key in keys:
-            yield self._lattice.value(key, self.level) * rho_n, Fraction(self.counts[key], denom)
+        for key, count in zip(self.keys[order].tolist(), self.counts[order].tolist()):
+            yield self._lattice.value(key, self.level) * rho_n, Fraction(count, denom)
 
     def refine(self) -> "MeasureAtoms":
         """Push every atom through one more uniform digit and merge."""
         return MeasureAtoms(self.sys, self.level + 1,
-                            self._lattice.step(self.counts, self.level))
+                            *self._lattice.step((self.keys, self.counts), self.level))
 
 
 def level_atoms(sys: BetaSystem, n: int, cap: int = DEFAULT_ATOM_CAP) -> MeasureAtoms:
@@ -97,10 +95,10 @@ def level_atoms(sys: BetaSystem, n: int, cap: int = DEFAULT_ATOM_CAP) -> Measure
     if n < 0:
         raise InvalidInputError("level must be nonnegative")
     lattice = Lattice(sys)
-    counts = {lattice.zero: 1}
-    for counts in lattice.levels(n, cap):
+    level = lattice.start
+    for level in lattice.levels(n, cap):
         pass
-    return MeasureAtoms(sys, n, counts)
+    return MeasureAtoms(sys, n, *level)
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +120,10 @@ def interval_mass(sys: BetaSystem, level: int, lo, hi) -> Fraction:
     if hi.sign() < 0 or (a - sys.right_end).sign() > 0:
         return Fraction(0)  # the empty word's sum 0 is outside the level-0 window
     lattice = Lattice(sys)
-    states = {lattice.zero: 1}
+    states = lattice.start
     for k, states in enumerate(lattice.windowed(states, 0, level, a, hi), start=1):
         lattice.check_cap(states, DEFAULT_ATOM_CAP, k)
-    return Fraction(sum(states.values()), sys.m ** level)
+    return Fraction(int(states[1].sum()), sys.m ** level)
 
 
 def _sorted_levels(levels: Sequence[int], margin: int, min_count: int = 0) -> list[int]:
@@ -155,20 +153,20 @@ def ball_mass_brackets(sys: BetaSystem, x, levels: Sequence[int],
     levels = _sorted_levels(levels, margin)
     x = _coerce_point(x, sys)
     lattice = Lattice(sys)
-    states, k = {lattice.zero: 1}, 0
+    states, k = lattice.start, 0
     brackets = {}
     for n in levels:
         r = sys.right_end * sys.rho ** n
         for nxt in lattice.windowed(states, k, n + margin, x - r, x + r):
             prev, states, k = states, nxt, k + 1
             lattice.check_cap(states, DEFAULT_ATOM_CAP, k)
-        upper = sum(states.values())
+        upper = int(states[1].sum())
         if k == 0:
             lower = upper  # the empty word: its sum 0 lies in [x - R, x]
         else:
             tail = sys.right_end * sys.rho ** k
             shrunk = lattice.windowed(prev, k - 1, k, x - r + tail, x + r - tail)
-            lower = sum(next(shrunk).values())
+            lower = int(next(shrunk)[1].sum())
         brackets[n] = (Fraction(lower, sys.m ** k), Fraction(upper, sys.m ** k))
     return brackets
 

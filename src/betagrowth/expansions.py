@@ -1,14 +1,14 @@
 """Counting and enumerating beta-expansion prefixes.
 
 The central object is a level-synchronous DP over digit sums: `Lattice`
-steps every state t -> beta*t + eps, merges states of equal value with
-summed multiplicities and keeps those in one prefix window.  With
+steps a whole level of states t -> beta*t + eps in numpy, merges states of
+equal value with summed multiplicities and keeps those in one window.  With
 R = (m-1)/(beta-1), a scaled sum t after k digits is a prefix of an
 expansion of a point of [a, b] exactly when beta^k a - R <= t <= beta^k b;
 N_n(x) is the window of [x, x].  Merging keeps the reachable state set
 small: constant-size for Pisot bases (Garsia separation) and
-window-bounded for rational ones.  Membership decisions use a float
-screen with a proven error bound and an exact fallback.
+window-bounded for rational ones.  Membership uses the vector float screen
+`NumberField.sign_rows`, with a proven error bound and an exact fallback.
 """
 
 from __future__ import annotations
@@ -19,17 +19,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import CapExceededError, HypothesisError, InvalidInputError, InvariantError
 from .numberfield import BetaSystem, FieldElement
 
 DEFAULT_NODE_CAP = 500_000
 DEFAULT_SUM_CAP = 5_000_000
 GOLDEN_COEFFS = (-1, -1, 1)
+INT64_MAX = 2 ** 63 - 1
 
 
 # ---------------------------------------------------------------------------
 # the lattice DP kernel
 # ---------------------------------------------------------------------------
+
+Level = tuple[np.ndarray, np.ndarray]  # (keys, counts): distinct key rows, word counts
+
 
 class Lattice:
     """Digit sums scaled by beta^k, as integer vectors: the one DP state format.
@@ -38,122 +44,105 @@ class Lattice:
     as the integer vector c with t = (sum_i c_i beta^i) / lead^k, where lead
     is the leading coefficient of the minimal polynomial (1 when it is
     monic, q for beta = p/q).  Since 1, beta, ..., beta^(d-1) is a basis of
-    Q(beta), equal values at one level have equal vectors, so merging
-    states is a dict lookup.  Degree-one keys are plain ints, higher
-    degrees int tuples.
+    Q(beta), equal values at one level have equal vectors.  A `Level`
+    holds each vector once, as a row of one key matrix, with a count
+    vector.  Both are int64 while an a-priori bound taken before each step
+    shows that the step cannot overflow, and Python ints (dtype object)
+    from then on; keys leave the kernel as Python ints.
     """
 
     def __init__(self, sys: BetaSystem):
         self.sys = sys
         coeffs = sys.minpoly.coeffs
         self.lead = coeffs[-1]
-        self._row = tuple(-c for c in coeffs[:-1])  # lead*beta^d = sum row_i beta^i
-        self.degree = len(self._row)
-        if self.degree == 1:
-            self.zero = 0
-            self._step = self._step_int
-        else:
-            self.zero = (0,) * self.degree
-            self._step = self._step_vec
+        row = [-c for c in coeffs[:-1]]  # lead*beta^d = sum row_i beta^i
+        self.degree = d = len(row)
+        # c @ matrix is the key of lead * beta * (value of c)
+        self._matrix = np.vstack([self.lead * np.eye(d - 1, d, 1, dtype=np.int64), row])
+        self._growth = self.lead + max(map(abs, row))
+        self.start = (np.zeros((1, d), dtype=np.int64), np.ones(1, dtype=np.int64))
 
-    def step(self, states: dict, k: int) -> dict:
-        """Level-k states -> level-(k+1) states under t -> beta*t + eps.
-
-        Counts of merged states add up.
-        """
-        return self._step(states, k, None, None)
-
-    def windowed(self, states: dict, k: int, n: int, a: FieldElement, b: FieldElement):
+    def windowed(self, level: Level, k: int, n: int, a: FieldElement, b: FieldElement):
         """Step level-k states up to level n, yielding each level's states.
 
         Only prefixes of expansions of points in [a, b] are kept: the digits
         after a prefix add a tail in [0, R], R = (m-1)/(beta-1), so the
         prefix window at level j is beta^j a - R <= t <= beta^j b.
         """
-        beta = self.sys.beta
-        lo, hi = a * beta ** k, b * beta ** k
+        # the window at level j, times lead^j as the keys are
+        grow = self.sys.beta * self.lead
+        lo, hi = a * grow ** k, b * grow ** k
+        tail = self.sys.right_end * self.lead ** k
         for j in range(k, n):
-            lo = lo * beta
-            hi = lo if b is a else hi * beta
-            states = self._step(states, j, lo - self.sys.right_end, hi)
-            yield states
+            lo, tail = lo * grow, tail * self.lead
+            hi = lo if b is a else hi * grow
+            level = self.step(level, j, (lo - tail, hi))
+            yield level
 
-    def _step_int(self, states, k, lo, hi):
-        p = self._row[0]
-        scale = self.lead ** (k + 1)
-        digits = range(self.sys.m)
-        lo_int, hi_int = -math.inf, math.inf
-        if hi is not None:
-            lo_int = -(-lo.num[0] * scale // lo.den)
-            hi_int = hi.num[0] * scale // hi.den
-        new: dict = {}
-        for c, cnt in states.items():
-            key = p * c
-            for _ in digits:
-                if key > hi_int:
-                    break  # larger digits only increase the key
-                if key >= lo_int:
-                    if key in new:
-                        new[key] += cnt
-                    else:
-                        new[key] = cnt
-                key += scale
-        return new
+    def step(self, level: Level, k: int, window=None) -> Level:
+        """Level-k states -> level-(k+1) states under t -> beta*t + eps.
 
-    def _step_vec(self, states, k, lo, hi):
-        lead, row0, row_rest = self.lead, self._row[0], self._row[1:]
-        scale = lead ** (k + 1)
-        digits = range(self.sys.m)
-        window = hi is not None
-        if window:
-            # key / scale <= hi.num / hi.den iff hi.den * key - scale * hi.num <= 0:
-            # one integer coefficient-vector sign test per side
-            sign = self.sys.field.sign_int_coeffs
-            lo_den, lo_vec = lo.den, [scale * b for b in lo.num]
-            hi_den, hi_vec = hi.den, [scale * b for b in hi.num]
-        new: dict = {}
-        for c, cnt in states.items():
-            top = c[-1]
-            head = top * row0
-            rest = tuple(lead * a + top * r for a, r in zip(c, row_rest))
-            for _ in digits:
-                key = (head,) + rest
-                if key in new:
-                    new[key] += cnt
-                elif not window:
-                    new[key] = cnt
-                else:
-                    if sign(tuple(hi_den * a - b for a, b in zip(key, hi_vec))) > 0:
-                        break  # larger digits only increase the value
-                    if sign(tuple(lo_den * a - b for a, b in zip(key, lo_vec))) >= 0:
-                        new[key] = cnt
-                head += scale
-        return new
+        Counts of merged states add up.  A window (lo, hi) of field elements
+        keeps the states whose keys' values sum_i c_i beta^i lie in it.
+        """
+        keys, counts = level
+        m, scale = self.sys.m, self.lead ** (k + 1)
+        # a new entry is a sum of at most two products plus a digit term, so
+        # |entry| <= max|key| * (lead + max|row|) + (m-1) * lead^(k+1); no
+        # count exceeds the m^(k+1) words of length k+1
+        if keys.dtype != object:
+            big = int(np.abs(keys).max(initial=0))
+            if big * self._growth + (m - 1) * scale > INT64_MAX:
+                keys = keys.astype(object)
+        if counts.dtype != object and m ** (k + 1) > INT64_MAX:
+            counts = counts.astype(object)
+        # the rows of digit 0, then those of digit 1, ...
+        digits = np.zeros((m, 1, self.degree), dtype=keys.dtype)
+        digits[:, 0, 0] = [e * scale for e in range(m)]
+        keys = (keys @ self._matrix.astype(keys.dtype) + digits).reshape(-1, self.degree)
+        counts = np.concatenate((counts,) * m)
+        if window is not None:
+            lo_sign, hi_sign = self.sys.field.sign_rows(keys, *window)
+            inside = ((lo_sign >= 0) & (hi_sign <= 0)).nonzero()[0]
+            keys, counts = keys[inside], counts[inside]
+        if len(counts) <= 1:
+            return keys, counts
+        # merge equal rows: sort on the rows read in the mixed radix of the
+        # column spans, which is injective; offsets from the column minima
+        # make it fit int64 when the product of the spans does
+        low, high = keys.min(axis=0), keys.max(axis=0)
+        spans = [hi_i - lo_i + 1 for lo_i, hi_i in zip(low.tolist(), high.tolist())]
+        fits = math.prod(spans) - 1 <= INT64_MAX
+        offsets = (keys - low).astype(np.int64) if fits else keys.astype(object, copy=False)
+        packed = offsets[:, 0]
+        for i in range(1, self.degree):
+            packed = packed + offsets[:, i] * math.prod(spans[:i])
+        order = np.argsort(packed, kind="stable")
+        packed = packed[order]
+        new = np.empty(len(packed), dtype=bool)
+        new[0] = True
+        np.not_equal(packed[1:], packed[:-1], out=new[1:])
+        starts = new.nonzero()[0]
+        return keys[order[starts]], np.add.reduceat(counts[order], starts)
 
     def levels(self, n: int, cap: int):
         """Yield the unwindowed states of levels 1..n, starting from the empty word."""
-        states = {self.zero: 1}
+        if cap < 0:
+            raise InvalidInputError("cap must be nonnegative")
+        level = self.start
         for k in range(n):
-            states = self.step(states, k)
-            self.check_cap(states, cap, k + 1)
-            yield states
+            level = self.step(level, k)
+            self.check_cap(level, cap, k + 1)
+            yield level
 
     @staticmethod
-    def check_cap(states: dict, cap: int, k: int) -> None:
-        if len(states) > cap:
-            raise CapExceededError(f"{len(states)} DP states at level {k} exceed the cap {cap}")
+    def check_cap(level: Level, cap: int, k: int) -> None:
+        if len(level[1]) > cap:
+            raise CapExceededError(f"{len(level[1])} DP states at level {k} exceed the cap {cap}")
 
-    def value(self, key, k: int) -> FieldElement:
-        """The exact value of a level-k key."""
-        return FieldElement(self.sys.field, (key,) if self.degree == 1 else key, self.lead ** k)
-
-    def float_values(self, keys, k: int) -> list[float]:
-        """Float values of level-k keys, for presorting and estimates only."""
-        den = self.lead ** k
-        if self.degree == 1:
-            return [c / den for c in keys]
-        powers = self.sys.field.beta_float_powers()
-        return [sum(float(c) * p for c, p in zip(key, powers)) / den for key in keys]
+    def value(self, key: Sequence[int], k: int) -> FieldElement:
+        """The exact value of a level-k key, a sequence of Python ints."""
+        return FieldElement(self.sys.field, tuple(key), self.lead ** k)
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +167,7 @@ def prefix_count_series(x, n_max: int, sys: BetaSystem) -> list[int]:
         raise InvalidInputError("n must be nonnegative")
     x = _coerce_point(x, sys)
     lattice = Lattice(sys)
-    counts = [1]
-    for states in lattice.windowed({lattice.zero: 1}, 0, n_max, x, x):
-        counts.append(sum(states.values()))
-    return counts
+    return [1] + [int(c.sum()) for _keys, c in lattice.windowed(lattice.start, 0, n_max, x, x)]
 
 
 def count_prefixes(x, n: int, sys: BetaSystem) -> int:
@@ -202,13 +188,13 @@ def tree_level_counts(x, depth: int, sys: BetaSystem,
     first depth whose cumulative node count exceeds node_cap raises
     CapExceededError; the root alone is never held against the cap.
     """
-    if depth < 0:
-        raise InvalidInputError("depth must be nonnegative")
+    if depth < 0 or node_cap < 0:
+        raise InvalidInputError("depth and node cap must be nonnegative")
     x = _coerce_point(x, sys)
     lattice = Lattice(sys)
     counts = [1]
-    for states in lattice.windowed({lattice.zero: 1}, 0, depth, x, x):
-        counts.append(sum(states.values()))
+    for _keys, level_counts in lattice.windowed(lattice.start, 0, depth, x, x):
+        counts.append(int(level_counts.sum()))
         if sum(counts) > node_cap:
             raise CapExceededError(
                 f"{max(node_cap, 1) + 1} branch-tree nodes at depth {len(counts) - 1} "
@@ -376,9 +362,9 @@ def distinct_sums_count(n: int, sys: BetaSystem, cap: int = DEFAULT_SUM_CAP) -> 
     """Number of distinct values of sum_{j<=n} eps_j beta^-j, exact."""
     if n < 1:
         raise InvalidInputError("n must be >= 1")
-    for states in Lattice(sys).levels(n, cap):
+    for keys, _counts in Lattice(sys).levels(n, cap):
         pass
-    return len(states)
+    return len(keys)
 
 
 @dataclass(frozen=True)
@@ -394,42 +380,37 @@ def garsia_report(sys: BetaSystem, n_max: int, cap: int = DEFAULT_SUM_CAP) -> li
 
     The reported gap is beta^n * (smallest difference between distinct
     level-n sums); Garsia separation predicts a positive lower bound for
-    Pisot beta.  The minimum is certified: the sums are presorted by float
-    value, and every gap whose float value lies within the proven float
-    error bound (`NumberField.float_error`) of the smallest one is compared
+    Pisot beta.  The minimum is certified: the sums are presorted by their
+    float values (`NumberField.float_rows`), and every gap whose float value
+    lies within the proven error bounds of the smallest one is compared
     exactly, so no gap left out can be smaller and a misordered presort is
     detected.
     """
-    import numpy as np
-
     rows = []
     beta_f = float(sys.beta)
     lattice = Lattice(sys)
     field = sys.field
-    powers = np.array(field.beta_float_powers())
-    for n, level in enumerate(lattice.levels(n_max, cap), start=1):
-        size = len(level)
+    for n, (keys, _counts) in enumerate(lattice.levels(n_max, cap), start=1):
+        size = len(keys)
         if size < 2:
             rows.append(GarsiaRow(n, size, size / beta_f ** n, math.inf))
             continue
-        vecs = [(c,) for c in level] if lattice.degree == 1 else list(level)
-        coords = np.array(vecs, dtype=float)
-        den = lattice.lead ** n
-        vals = coords @ powers / float(den)
+        # gaps of the keys: the sums scaled by lead^n beta^n
+        vals, errs = field.float_rows(keys)
         order = np.argsort(vals, kind="stable")
         gaps = np.diff(vals[order])
         # every true gap lies within slack of its float value: float_error is
         # over three times the evaluation error, which leaves room for the
         # rounding of the subtraction
-        errs = field.float_error(np.abs(coords) @ powers / float(den))[order]
+        errs = errs[order]
         slack = errs[1:] + errs[:-1]
         cands = np.flatnonzero(gaps - slack <= (gaps + slack).min())
         # tied gaps share one difference vector, so each is decided once
-        diffs = {tuple(map(operator.sub, vecs[hi], vecs[lo]))
-                 for lo, hi in zip(order[cands], order[cands + 1])}
-        if any(field.sign_int_coeffs(d) <= 0 for d in diffs):
+        lows, highs = keys[order[cands]].tolist(), keys[order[cands + 1]].tolist()
+        diffs = list({tuple(map(operator.sub, hi, lo)) for lo, hi in zip(lows, highs)})
+        if (field.sign_rows(np.array(diffs, dtype=object), field.zero) <= 0).any():
             raise InvariantError(f"float presort put a larger level-{n} sum first")
-        best = min(FieldElement(field, d, den) for d in diffs)
+        best = min(FieldElement(field, d, lattice.lead ** n) for d in diffs)
         rows.append(GarsiaRow(n, size, size / beta_f ** n, float(best)))
     return rows
 
@@ -458,10 +439,10 @@ def count_X_m(m_param: int, sys: BetaSystem) -> int:
         raise InvalidInputError("m_param must be >= 1")
     length = 2 * m_param
     lattice = Lattice(sys)
-    for states in lattice.windowed({lattice.zero: 1}, 0, length, sys.rho, sys.rho):
+    for keys, counts in lattice.windowed(lattice.start, 0, length, sys.rho, sys.rho):
         pass
     # golden is monic, so a key is the integer vector of its value
-    return states.get((sys.beta ** (length - 1)).num, 0)
+    return int(counts[(keys == (sys.beta ** (length - 1)).num).all(axis=1)].sum())
 
 
 @dataclass(frozen=True)

@@ -251,7 +251,7 @@ def gamma_multinacci_series(n: int, k_exact: int = 20, mc_budget: int = 20_000,
     if k_exact < 0 or mc_budget < 2:
         raise InvalidInputError("k_exact must be >= 0 and mc_budget >= 2")
     sys = multinacci(n)
-    beta = float(sys.field.beta_fraction(Fraction(1, 10 ** 40)))
+    beta = float(sum(sys.field.refine_to(Fraction(1, 10 ** 40))) / 2)
     bn = beta ** n
     x = 2.0 / bn
     if x >= 1:

@@ -69,11 +69,11 @@ def net_intervals(sys: BetaSystem, n: int) -> list[NetInterval]:
     # S_J(0) = sum_j rho^(j-1) S_{eps_j}(0) = (1-rho)/(m-1) * rho^(n-1) * t_n,
     # with t_n the scaled digit sum of J
     lattice = Lattice(sys)
-    states = {lattice.zero: 1}
+    keys, counts = lattice.start
     for k in range(n):
-        states = lattice.step(states, k)
+        keys, counts = lattice.step((keys, counts), k)
     unit = (sys.field.one - sys.rho) / (sys.m - 1) * sys.rho ** (n - 1)
-    values = {unit * lattice.value(key, n): cnt for key, cnt in states.items()}
+    values = {unit * lattice.value(key, n): c for key, c in zip(keys.tolist(), counts.tolist())}
     rho_n = sys.rho ** n
     beta_n = sys.beta ** n
     points = set(values)
@@ -211,6 +211,8 @@ def build_automaton(sys: BetaSystem, state_cap: int = DEFAULT_STATE_CAP) -> Auto
     Terminates for Pisot beta; raises CapExceededError when the state count
     passes state_cap (expected for non-Pisot algebraic bases).
     """
+    if state_cap < 0:
+        raise InvalidInputError("state cap must be nonnegative")
     root = CharacteristicState(sys.field.one, (sys.field.zero,), 1)
     index: dict = {root: 0}
     states = [root]

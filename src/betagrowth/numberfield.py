@@ -3,21 +3,22 @@
 An element is an integer coefficient vector over one positive denominator,
 (sum_i num_i beta^i) / den with i below the degree of the minimal
 polynomial, kept in lowest terms; equality, hashing and the zero test are
-exact integer checks.  Every sign query goes through `sign_int_coeffs`: a
-float evaluation screens it under a proven error bound, and values too
-close to zero for the screen are settled exactly by `sign_of`, which
-refines an isolating interval of the root by bisection with rational
-endpoints.  Pisot status is decided exactly: a Routh-Hurwitz count on a
-Sturm remainder chain gives the number of roots outside the unit circle.
+exact integer checks.  Every sign query goes through `sign_int_coeffs`, or
+`sign_rows` for the rows of an integer matrix: a float evaluation screens
+it under a proven error bound, and values too close to zero for the
+screen are settled exactly by `sign_of`, which refines an isolating
+interval of the root by bisection in integers.  Pisot status is decided
+exactly by a Routh-Hurwitz count on a Sturm remainder chain.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 from .errors import InvalidInputError, InvariantError
 
@@ -42,8 +43,8 @@ def _trim(p: list) -> list:
     return p
 
 
-def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _poly_eval(coeffs: Sequence[Rational], x: Rational) -> Rational:
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
@@ -410,10 +411,6 @@ class FieldElement:
                 return NotImplemented
         return self.num == o.num and self.den == o.den
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __hash__(self):
         return hash((self.num, self.den))
 
@@ -449,19 +446,15 @@ class NumberField:
     """Q[x]/(p) together with an isolating interval for the designated root.
 
     The isolating interval is refined lazily by bisection; refinement is the
-    only mutable state and sits behind a lock, so constructed elements are
-    safe to share across threads.
+    only mutable state.
     """
 
     def __init__(self, minpoly: MinimalPolynomial, bracket: tuple[Fraction, Fraction]):
         self.minpoly = minpoly
         self.degree = minpoly.degree
-        self._fr_coeffs = [Fraction(c) for c in minpoly.coeffs]
         self._lead = minpoly.coeffs[-1]
         self._row = tuple(-c for c in minpoly.coeffs[:-1])  # lead*beta^d = sum row_i beta^i
-        self._lock = threading.Lock()
         self._lo, self._hi = bracket
-        self._sign_lo = self._eval_sign(self._lo)
         self._float_powers: tuple[float, ...] | None = None
         zeros = (0,) * self.degree
         self.zero = FieldElement(self, zeros)
@@ -473,10 +466,6 @@ class NumberField:
             self.beta = FieldElement(self, self._row, self._lead)
 
     # -- construction helpers ------------------------------------------------
-
-    def _eval_sign(self, x: Fraction) -> int:
-        v = _poly_eval(self._fr_coeffs, x)
-        return 0 if v == 0 else (1 if v > 0 else -1)
 
     def rational(self, r: Rational) -> FieldElement:
         return FieldElement(self, (r.numerator,) + (0,) * (self.degree - 1), r.denominator)
@@ -554,58 +543,70 @@ class NumberField:
     # -- sign determination ----------------------------------------------------
 
     def bracket(self) -> tuple[Fraction, Fraction]:
-        with self._lock:
-            return self._lo, self._hi
+        return self._lo, self._hi
 
-    def _refine_once_locked(self) -> None:
-        mid = (self._lo + self._hi) / 2
-        s = self._eval_sign(mid)
-        if s == 0:
-            raise InvariantError("bisection midpoint is a root; polynomial not irreducible?")
-        if s == self._sign_lo:
-            self._lo = mid
-        else:
-            self._hi = mid
+    def _bisect(self, steps: int) -> None:
+        """Halve the isolating interval `steps` times, in integers: over one
+        denominator q with a factor 2^steps every midpoint n is an integer,
+        and q^d p(n/q) = sum_i c_i n^i q^(d-i) has the sign of p(n/q)."""
+        q = math.lcm(self._lo.denominator, self._hi.denominator) << steps
+        lo, hi = int(self._lo * q), int(self._hi * q)
+        scaled = [c * q ** (self.degree - i) for i, c in enumerate(self.minpoly.coeffs)]
+        rising = _poly_eval(scaled, lo) < 0
+        for _ in range(steps):
+            mid = (lo + hi) >> 1
+            v = _poly_eval(scaled, mid)
+            if v == 0:
+                raise InvariantError("bisection midpoint is a root; polynomial not irreducible?")
+            lo, hi = (mid, hi) if (v < 0) == rising else (lo, mid)
+        self._lo, self._hi = Fraction(lo, q), Fraction(hi, q)
         self._float_powers = None
 
     def refine_to(self, width: Fraction) -> tuple[Fraction, Fraction]:
-        with self._lock:
-            while self._hi - self._lo > width:
-                self._refine_once_locked()
-            return self._lo, self._hi
+        # the fewest halvings t with (hi - lo) / 2^t <= width
+        gap = self._hi - self._lo
+        ratio = -(-gap.numerator * width.denominator // (width.numerator * gap.denominator))
+        if ratio > 1:
+            self._bisect((ratio - 1).bit_length())
+        return self._lo, self._hi
 
     def sign_of(self, coeffs: Sequence[int]) -> int:
         """Sign of sum(c_k beta^k) for a *nonzero* integer vector, by bisection."""
         while True:
-            with self._lock:
-                lo, hi = self._lo, self._hi
-            vlo, vhi = _interval_horner(coeffs, lo, hi)
+            vlo, vhi = _interval_horner(coeffs, self._lo, self._hi)
             if vlo > 0:
                 return 1
             if vhi < 0:
                 return -1
-            if lo == hi:
+            if self._lo == self._hi:
                 # degree-one field: evaluation was exact, value must be zero
                 raise InvariantError("sign query on zero element slipped through")
-            with self._lock:
-                self._refine_once_locked()
+            self._bisect(1)
 
     def beta_float_powers(self) -> tuple[float, ...]:
-        with self._lock:
-            cached = self._float_powers
-        if cached is not None:
-            return cached
-        lo, hi = self.refine_to(Fraction(1, 10 ** 30))
-        mid = (lo + hi) / 2
-        powers = tuple(float(mid ** k) for k in range(self.degree))
-        with self._lock:
-            self._float_powers = powers
-        return powers
+        if self._float_powers is None:
+            mid = sum(self.refine_to(Fraction(1, 10 ** 30))) / 2
+            self._float_powers = tuple(float(mid ** k) for k in range(self.degree))
+        return self._float_powers
 
     def float_error(self, mag):
         """Proven bound on the float error of sum(c_k beta^k), evaluated with
         `beta_float_powers` and one final rounding, given mag = sum(|c_k| beta^k)."""
-        return mag * (self.degree + 4) * 4e-16
+        return mag * ((self.degree + 4) * 4e-16)
+
+    def _float_value(self, num: Sequence[int], den: int = 1) -> tuple[float, float]:
+        """Float value of (sum_k num_k beta^k) / den, the terms added left to
+        right, and its error bound; (nan, inf) beyond float range."""
+        val = mag = 0.0
+        try:
+            for c, p in zip(num, self.beta_float_powers()):
+                term = c * p
+                val += term
+                mag += abs(term)
+            den = float(den)
+        except OverflowError:
+            return math.nan, math.inf
+        return val / den, self.float_error(mag) / den
 
     def sign_int_coeffs(self, coeffs: Sequence[int]) -> int:
         """Exact sign of sum(c_k beta^k) for integer coefficients.
@@ -616,26 +617,44 @@ class NumberField:
         """
         if not any(coeffs):
             return 0
-        powers = self.beta_float_powers()
-        val = 0.0
-        mag = 0.0
-        try:
-            for c, p in zip(coeffs, powers):
-                val += c * p
-                mag += abs(c) * p
-        except OverflowError:
-            pass
-        else:
-            guard = self.float_error(mag)
-            if val > guard:
-                return 1
-            if val < -guard:
-                return -1
+        val, err = self._float_value(coeffs)
+        if val > err:
+            return 1
+        if val < -err:
+            return -1
         return self.sign_of(coeffs)
 
-    def beta_fraction(self, width: Fraction = Fraction(1, 10 ** 30)) -> Fraction:
-        lo, hi = self.refine_to(width)
-        return (lo + hi) / 2
+    def float_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Float values of sum_i rows[r, i] beta^i over the rows of an integer
+        matrix, terms added left to right as in `_float_value`, and their
+        error bounds (`float_error`); nan and inf beyond float range."""
+        try:
+            terms = rows.astype(float)
+        except OverflowError:
+            return np.full(len(rows), math.nan), np.full(len(rows), math.inf)
+        terms *= self.beta_float_powers()
+        mags = np.abs(terms)
+        val, mag = terms[:, 0], mags[:, 0]
+        for i in range(1, self.degree):
+            val = val + terms[:, i]
+            mag = mag + mags[:, i]
+        return val, self.float_error(mag)
+
+    def sign_rows(self, rows: np.ndarray, *shifts: FieldElement) -> np.ndarray:
+        """Exact signs of sum_i rows[r, i] beta^i - shift, int8 of shape
+        (shifts, rows), for each shift given: a row farther from the shift
+        than both float error bounds together is settled (proof:
+        DECISIONS.md), the rest go to `sign_int_coeffs`."""
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan stay unsettled
+            val, err = self.float_rows(rows)
+            bounds = np.array([self._float_value(s.num, s.den) for s in shifts])
+            diff = val - bounds[:, :1]
+            signs = (diff > 0).view(np.int8) - (diff < 0)
+            unsettled = ~(np.subtract(np.abs(diff, out=diff), bounds[:, 1:], out=diff) > err)
+        for j, r in zip(*np.nonzero(unsettled)):
+            s, row = shifts[j], rows[r].tolist()  # Python ints: den * c must not wrap
+            signs[j, r] = self.sign_int_coeffs([s.den * c - b for c, b in zip(row, s.num)])
+        return signs
 
 
 def _interval_horner(

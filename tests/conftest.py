@@ -5,7 +5,9 @@ prefix counts come from enumerating all m^n words against the defining
 remainder inequality, and covering counts from enumerating all composed
 map images.  Tests freeze values computed by these oracles.  The
 Monte-Carlo reference walks one Parry chain at a time with plain Python
-lists, against which the lockstep numpy walk is compared exactly.
+lists, against which the lockstep numpy walk is compared exactly; the
+lattice reference steps the prefix-sum DP one state at a time on a dict,
+against which the array kernel is compared state for state.
 """
 
 import math
@@ -141,6 +143,59 @@ def multiplicity_direct(sys: BetaSystem, interval) -> int:
         if (interval.a - v).sign() >= 0 and (v + pows[n] - interval.b).sign() >= 0:
             count += 1
     return count
+
+
+def dict_lattice_step(sys: BetaSystem, states: dict, k: int, lo=None, hi=None) -> dict:
+    """Level-k states -> level-(k+1) states of `expansions.Lattice`, one state
+    and one digit at a time on a dict {key tuple: word count}.
+
+    A key c stands for (sum_i c_i beta^i) / lead^k.  With a window, a key is
+    kept when lo <= its value <= hi, each side decided by one scalar
+    `sign_int_coeffs` call; larger digits are skipped once a key passes hi.
+    """
+    coeffs = sys.minpoly.coeffs
+    lead, row = coeffs[-1], tuple(-c for c in coeffs[:-1])  # lead*beta^d = sum row_i beta^i
+    scale = lead ** (k + 1)
+    if hi is not None:
+        sign = sys.field.sign_int_coeffs
+        lo_vec = [scale * b for b in lo.num]
+        hi_vec = [scale * b for b in hi.num]
+    new: dict = {}
+    for c, cnt in states.items():
+        top = c[-1]
+        head = top * row[0]
+        rest = tuple(lead * a + top * r for a, r in zip(c, row[1:]))
+        for _ in range(sys.m):
+            key = (head,) + rest
+            if key in new:
+                new[key] += cnt
+            elif hi is None:
+                new[key] = cnt
+            else:
+                if sign(tuple(hi.den * a - b for a, b in zip(key, hi_vec))) > 0:
+                    break
+                if sign(tuple(lo.den * a - b for a, b in zip(key, lo_vec))) >= 0:
+                    new[key] = cnt
+            head += scale
+    return new
+
+
+def dict_lattice_levels(sys: BetaSystem, n: int, a=None, b=None) -> list[dict]:
+    """Levels 1..n of `dict_lattice_step` from the empty word; when [a, b] is
+    given, windowed to the prefixes of expansions of its points."""
+    states = {(0,) * sys.degree: 1}
+    levels = []
+    lo = hi = None
+    if a is not None:
+        lo, hi = sys.element(a), sys.element(b)
+    for k in range(n):
+        if a is None:
+            states = dict_lattice_step(sys, states, k)
+        else:
+            lo, hi = lo * sys.beta, hi * sys.beta
+            states = dict_lattice_step(sys, states, k, lo - sys.right_end, hi)
+        levels.append(states)
+    return levels
 
 
 def mc_chain_values(chain, auto, path_len: int, n_chains: int, seed: int) -> list[float]:

@@ -96,6 +96,9 @@ def test_exit_code_bad_input(capsys):
         ("table1", "--n-range", "2..2", "--mc-budget", "1"),
         ("gamma", "--beta", "multinacci:3", "--method", "series", "--k-exact", "-1"),
         ("gamma", "--beta", "golden", "--method", "series", "--mc-budget", "1"),
+        ("tree", "--beta", "golden", "--x", "1", "--depth", "3", "--node-cap", "-1"),
+        ("sums", "--beta", "golden", "--n-max", "4", "--cap", "-1"),
+        ("automaton", "--beta", "golden", "--state-cap", "-1"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv

@@ -1,30 +1,34 @@
-"""Property tests for the lattice DP kernel against the brute-force oracles.
+"""Property tests for the lattice DP kernel against the brute-force oracles
+and against the dict form of its step (`conftest.dict_lattice_step`).
 
-The bases cover both key formats of `expansions.Lattice`: plain int keys
-(1.5) and int-tuple keys, monic (golden, tribonacci) and non-monic
-(poly:-3,0,2, whose root sqrt(3/2) has a leading coefficient of 2).
+The bases cover degree one (1.5 and 13/10) and higher degrees, monic
+(golden, tribonacci) and non-monic (poly:-3,0,2, whose root sqrt(3/2) has
+a leading coefficient of 2).  13/10 and golden with m = 3 run far enough
+that the kernel switches from int64 to Python-int arrays mid-sweep.
 """
 
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from betagrowth.bconv import interval_mass, level_atoms
-from betagrowth.expansions import distinct_sums_count, prefix_count_series
+from betagrowth.expansions import Lattice, distinct_sums_count, prefix_count_series
 from betagrowth.numberfield import parse_beta
 
-from conftest import brute_distinct_sums, brute_prefix_count
+from conftest import brute_distinct_sums, brute_prefix_count, dict_lattice_levels
 
 SPECS = ("golden", "multinacci:3", "1.5", "poly:-3,0,2")
+KERNEL_SPECS = SPECS + ("13/10",)
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
 
 @pytest.fixture(scope="module")
 def systems():
-    return {spec: parse_beta(spec, 2) for spec in SPECS}
+    return {spec: parse_beta(spec, 2) for spec in KERNEL_SPECS}
 
 
 def _fraction_of_interval(sys_, num: int, den: int) -> Fraction:
@@ -62,3 +66,54 @@ def test_interval_mass_matches_atoms(systems, spec, a, b, n):
         Fraction(0),
     )
     assert interval_mass(sys_, n, lo, hi) == direct
+
+
+def _as_dict(level) -> dict:
+    keys, counts = level
+    return dict(zip(map(tuple, keys.tolist()), counts.tolist()))
+
+
+def _assert_levels_match(kernel_levels, dict_levels) -> list:
+    """Compare level by level; return the (key, count) dtypes the kernel used."""
+    dtypes = []
+    for level, expected in zip(kernel_levels, dict_levels, strict=True):
+        assert sorted(_as_dict(level).items()) == sorted(expected.items())
+        keys, counts = level
+        assert len(counts) == len(expected)  # each key once
+        dtypes.append((keys.dtype, counts.dtype))
+    return dtypes
+
+
+@PROPERTY_SETTINGS
+@given(spec=st.sampled_from(KERNEL_SPECS), a=points, b=points, n=st.integers(1, 12))
+@example(spec="golden", a=(2, 10), b=(2, 10), n=5)  # level 5 merges two rows
+def test_kernel_matches_dict_step(systems, spec, a, b, n):
+    sys_ = systems[spec]
+    lo, hi = sorted((_fraction_of_interval(sys_, *a), _fraction_of_interval(sys_, *b)))
+    lattice = Lattice(sys_)
+    _assert_levels_match(lattice.levels(n, 10 ** 6), dict_lattice_levels(sys_, n))
+    windowed = lattice.windowed(lattice.start, 0, n, sys_.element(lo), sys_.element(hi))
+    _assert_levels_match(windowed, dict_lattice_levels(sys_, n, lo, hi))
+
+
+def test_kernel_switches_counts_to_python_ints():
+    # 3^40 > 2^63, so the counts of golden with m = 3 leave int64 at level 40
+    sys_ = parse_beta("golden", 3)
+    x = Fraction(1, 2)
+    lattice = Lattice(sys_)
+    dtypes = _assert_levels_match(
+        lattice.windowed(lattice.start, 0, 42, sys_.element(x), sys_.element(x)),
+        dict_lattice_levels(sys_, 42, x, x),
+    )
+    assert [c for _k, c in dtypes] == [np.int64] * 39 + [object] * 3
+
+
+def test_kernel_switches_keys_to_python_ints():
+    # keys of 13/10 grow like 13^k and pass 2^63 at level 17; the bound taken
+    # before each step moves them to Python ints in the middle of the sweep
+    sys_ = parse_beta("13/10", 2)
+    dtypes = _assert_levels_match(Lattice(sys_).levels(18, 10 ** 6),
+                                  dict_lattice_levels(sys_, 18))
+    key_dtypes = [k for k, _c in dtypes]
+    assert key_dtypes[0] == np.int64 and key_dtypes[-1] == object
+    assert key_dtypes == sorted(key_dtypes, key=lambda t: t == object)

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -12,6 +13,7 @@ from betagrowth.errors import InvalidInputError
 from betagrowth.numberfield import (
     FieldElement,
     MinimalPolynomial,
+    NumberField,
     _roots_outside_unit_circle,
     is_pisot,
     multinacci,
@@ -328,3 +330,90 @@ def test_sign_near_zero_falls_back_to_bisection(golden, monkeypatch, n):
     # the screen's bound is 24e-16 * (F_{n+1} + F_n beta) ~ 2e-15 * beta^(n+1);
     # |value| = beta^-n falls below it from n = 35 on
     assert exact == ([e.num] if n >= 35 else [])
+
+
+def _row_sign(field, row, shift) -> int:
+    return field.sign_int_coeffs([shift.den * c - b for c, b in zip(row, shift.num)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(PROPERTY_SPECS), data=st.data(),
+       bound=st.sampled_from((50, 2 ** 62, 10 ** 30)), n_random=st.integers(0, 2))
+def test_sign_rows_match_sign_int_coeffs(fields, spec, data, bound, n_random):
+    field = fields[spec]
+    rows = data.draw(st.lists(st.lists(st.integers(-bound, bound), min_size=field.degree,
+                                       max_size=field.degree), min_size=1, max_size=6))
+    # zero, the value of the first row and that value plus 1/7 (which the
+    # screen cannot settle; the exact test of int64 rows against the second
+    # needs 7 * row beyond int64), random shifts
+    shifts = [field.zero, FieldElement(field, tuple(rows[0])),
+              FieldElement(field, tuple(7 * c + (i == 0) for i, c in enumerate(rows[0])), 7)]
+    shifts += [_element(field, data) for _ in range(n_random)]
+    matrix = np.array(rows, dtype=object if bound > 2 ** 63 else np.int64)
+    signs = field.sign_rows(matrix, *shifts)
+    assert signs.tolist() == [[_row_sign(field, row, s) for row in rows] for s in shifts]
+    assert (signs[1, 0], signs[2, 0]) == (0, -1)
+
+
+def test_sign_rows_near_zero_rows_fall_back(golden, monkeypatch):
+    # F_{n+1} - F_n beta = (-1/beta)^n: the rows of test_sign_near_zero_falls_back_to_bisection
+    fib = [0, 1]
+    while len(fib) < 42:
+        fib.append(fib[-1] + fib[-2])
+    field = golden.field
+    rows = np.array([[fib[n + 1], -fib[n]] for n in range(1, 41)], dtype=np.int64)
+    exact = []
+    scalar = field.sign_int_coeffs
+    monkeypatch.setattr(field, "sign_int_coeffs",
+                        lambda coeffs: exact.append(list(coeffs)) or scalar(coeffs))
+    signs = field.sign_rows(rows, field.zero)
+    assert signs.tolist() == [[(-1) ** n for n in range(1, 41)]]
+    assert signs.tolist() == [[scalar(row) for row in rows.tolist()]]
+    # only the rows the float screen cannot settle, n >= 35, go to the exact path
+    assert exact == rows[34:].tolist()
+    # as shifts, out to n = 80: against a zero row, exact in floats, the
+    # shifts' own error bounds must hold back the screen
+    while len(fib) < 82:
+        fib.append(fib[-1] + fib[-2])
+    shifts = [FieldElement(field, (fib[n + 1], -fib[n])) for n in range(1, 81)]
+    zero_row = np.zeros((1, 2), dtype=np.int64)
+    assert field.sign_rows(zero_row, *shifts).tolist() == [[-(-1) ** n] for n in range(1, 81)]
+
+
+def test_sign_rows_exact_path_does_not_wrap(golden):
+    # row - shift = -1/7 with 7 * row beyond int64: the exact test must not
+    # multiply the int64 entries in numpy
+    field = golden.field
+    rows = np.array([[2 ** 62, 3], [-(2 ** 62), 5]], dtype=np.int64)
+    shifts = [FieldElement(field, (7 * a + 1, 7 * b), 7) for a, b in rows.tolist()]
+    assert field.sign_rows(rows, *shifts).tolist() == [[-1, -1], [1, -1]]
+
+
+@pytest.mark.parametrize("spec", ["golden", "multinacci:3", "poly:-3,0,2", "poly:-1,-1,0,1"])
+def test_refine_to_matches_rational_bisection(spec):
+    # the integer bisection reaches the brackets of bisection in Fractions
+    sys_ = parse_beta(spec, 2)
+    field = NumberField(sys_.minpoly, sys_.root_interval)
+    coeffs = field.minpoly.coeffs
+    lo, hi = field.bracket()
+    for width in (Fraction(1, 10 ** 5), Fraction(1, 10 ** 30), Fraction(3, 10 ** 47)):
+        while hi - lo > width:
+            mid = (lo + hi) / 2
+            value = sum(c * mid ** i for i, c in enumerate(coeffs))
+            lo_value = sum(c * lo ** i for i, c in enumerate(coeffs))
+            lo, hi = (mid, hi) if (value > 0) == (lo_value > 0) else (lo, mid)
+        assert field.refine_to(width) == (lo, hi)
+        assert field.bracket() == (lo, hi)
+
+
+def test_sign_rows_beyond_float_range(golden):
+    # terms past 1e308 overflow to inf, and rows past float range cannot be
+    # converted at all: both are left to the exact path, without warnings
+    field = golden.field
+    big = 17 * 10 ** 307  # a float, but not once multiplied by beta
+    shifts = [field.zero, FieldElement(field, (0, big)), FieldElement(field, (1, 10 ** 400), 7)]
+    for rows in ([[1, big], [big, -big], [3, 5]], [[-1, 10 ** 400], [3, 5]]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            signs = field.sign_rows(np.array(rows, dtype=object), *shifts)
+        assert signs.tolist() == [[_row_sign(field, r, s) for r in rows] for s in shifts]
