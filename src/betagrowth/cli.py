@@ -297,11 +297,11 @@ def cmd_table1(args) -> int:
     n_values = _parse("--n-range", args.n_range, _int_range)
     if not n_values or n_values[0] < 2 or n_values[-1] > 10:
         raise InvalidInputError("n range must lie within 2..10")
+    estimates = lyapunov.gamma_multinacci_table(
+        n_values, k_exact=args.k_exact, mc_budget=args.mc_budget, seed=args.seed
+    )
     rows = []
-    for n in n_values:
-        est = lyapunov.gamma_multinacci_series(
-            n, k_exact=args.k_exact, mc_budget=args.mc_budget, seed=args.seed
-        )
+    for n, est in zip(n_values, estimates):
         sys_n = parse_beta(f"multinacci:{n}", 2)
         dim = lyapunov.dimension(est, sys_n)
         rows.append(

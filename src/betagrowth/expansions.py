@@ -14,7 +14,6 @@ window-bounded for rational ones.  Membership uses the vector float screen
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -59,7 +58,8 @@ class Lattice:
         self.degree = d = len(row)
         # c @ matrix is the key of lead * beta * (value of c)
         self._matrix = np.vstack([self.lead * np.eye(d - 1, d, 1, dtype=np.int64), row])
-        self._growth = self.lead + max(map(abs, row))
+        # no entry of times_beta(rows) exceeds growth * max|rows| in size
+        self.growth = self.lead + max(map(abs, row))
         self.start = (np.zeros((1, d), dtype=np.int64), np.ones(1, dtype=np.int64))
 
     def windowed(self, level: Level, k: int, n: int, a: FieldElement, b: FieldElement):
@@ -92,14 +92,14 @@ class Lattice:
         # count exceeds the m^(k+1) words of length k+1
         if keys.dtype != object:
             big = int(np.abs(keys).max(initial=0))
-            if big * self._growth + (m - 1) * scale > INT64_MAX:
+            if big * self.growth + (m - 1) * scale > INT64_MAX:
                 keys = keys.astype(object)
         if counts.dtype != object and m ** (k + 1) > INT64_MAX:
             counts = counts.astype(object)
         # the rows of digit 0, then those of digit 1, ...
         digits = np.zeros((m, 1, self.degree), dtype=keys.dtype)
         digits[:, 0, 0] = [e * scale for e in range(m)]
-        keys = (keys @ self._matrix.astype(keys.dtype) + digits).reshape(-1, self.degree)
+        keys = (self.times_beta(keys) + digits).reshape(-1, self.degree)
         counts = np.concatenate((counts,) * m)
         if window is not None:
             lo_sign, hi_sign = self.sys.field.sign_rows(keys, *window)
@@ -124,6 +124,11 @@ class Lattice:
         np.not_equal(packed[1:], packed[:-1], out=new[1:])
         starts = new.nonzero()[0]
         return keys[order[starts]], np.add.reduceat(counts[order], starts)
+
+    def times_beta(self, rows: np.ndarray) -> np.ndarray:
+        """Integer rows of lead * beta times the value of each row, in the
+        rows' dtype: a sum of at most two products per entry."""
+        return rows @ self._matrix.astype(rows.dtype)
 
     def levels(self, n: int, cap: int):
         """Yield the unwindowed states of levels 1..n, starting from the empty word."""
@@ -405,12 +410,21 @@ def garsia_report(sys: BetaSystem, n_max: int, cap: int = DEFAULT_SUM_CAP) -> li
         errs = errs[order]
         slack = errs[1:] + errs[:-1]
         cands = np.flatnonzero(gaps - slack <= (gaps + slack).min())
-        # tied gaps share one difference vector, so each is decided once
-        lows, highs = keys[order[cands]].tolist(), keys[order[cands + 1]].tolist()
-        diffs = list({tuple(map(operator.sub, hi, lo)) for lo, hi in zip(lows, highs)})
-        if (field.sign_rows(np.array(diffs, dtype=object), field.zero) <= 0).any():
+        # tied gaps share one difference row, so each is decided once; the
+        # step's bound covers the keys, and their differences fit int64 only
+        # when twice the largest candidate key does
+        lows, highs = keys[order[cands]], keys[order[cands + 1]]
+        if keys.dtype != object and 2 * max(int(np.abs(lows).max()),
+                                            int(np.abs(highs).max())) > INT64_MAX:
+            lows, highs = lows.astype(object), highs.astype(object)
+        diffs = highs - lows
+        if diffs.dtype == object:
+            diffs = np.array(list(set(map(tuple, diffs.tolist()))), dtype=object)
+        else:
+            diffs = np.unique(diffs, axis=0)
+        if (field.sign_rows(diffs, field.zero) <= 0).any():
             raise InvariantError(f"float presort put a larger level-{n} sum first")
-        best = min(FieldElement(field, d, lattice.lead ** n) for d in diffs)
+        best = min(FieldElement(field, tuple(d), lattice.lead ** n) for d in diffs.tolist())
         rows.append(GarsiaRow(n, size, size / beta_f ** n, float(best)))
     return rows
 

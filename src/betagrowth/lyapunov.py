@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -246,17 +247,29 @@ def gamma_multinacci_series(n: int, k_exact: int = 20, mc_budget: int = 20_000,
     k_exact < k <= SERIES_K_TAIL is added, with its standard error reported; for
     n >= 3 the analytic tail bound beyond k_exact is already negligible.
     """
-    if not 2 <= n <= 10:
+    return gamma_multinacci_table([n], k_exact, mc_budget, seed)[0]
+
+
+def gamma_multinacci_table(n_values: Sequence[int], k_exact: int = 20,
+                           mc_budget: int = 20_000, seed: int = 0) -> list[GammaEstimate]:
+    """`gamma_multinacci_series` for every n in n_values; the exact inner
+    sums depend on k_exact alone and are enumerated once."""
+    if not all(2 <= n <= 10 for n in n_values):
         raise InvalidInputError("series formula implemented for 2 <= n <= 10")
     if k_exact < 0 or mc_budget < 2:
         raise InvalidInputError("k_exact must be >= 0 and mc_budget >= 2")
+    inner = _inner_log_sums(k_exact)
+    return [_series_estimate(n, inner, mc_budget, seed) for n in n_values]
+
+
+def _series_estimate(n: int, inner: list[float], mc_budget: int, seed: int) -> GammaEstimate:
+    k_exact = len(inner) - 1
     sys = multinacci(n)
     beta = float(sum(sys.field.refine_to(Fraction(1, 10 ** 40))) / 2)
     bn = beta ** n
     x = 2.0 / bn
     if x >= 1:
         raise InvariantError("2*beta^-n >= 1 cannot happen for n >= 2")
-    inner = _inner_log_sums(k_exact)
     series = sum(inner[k] / bn ** k for k in range(k_exact + 1))
     stderr_series = 0.0
     if n == 2:

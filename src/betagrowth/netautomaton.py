@@ -8,6 +8,12 @@ integer bases already need it).  For Pisot beta the closure of the initial
 state [0,1] under the child construction is finite; a configurable cap
 catches everything else.
 
+The closure runs on integer rows: a state's length and offsets are
+coefficient rows over one denominator, and one vector pass per state sorts
+all its cylinder endpoints exactly (`NumberField.rank_rows`) and reads the
+covers off their ranks.  Field elements are built once, for the final
+states and edges, which keep the numbering of `CharacteristicState.key()`.
+
 Transition matrices count digit extensions between covering slots; the
 row-vector product along a coding word recovers the covering multiplicity
 of the interval, which equals the prefix count of the rescaled point.
@@ -15,11 +21,14 @@ of the interval, which equals the prefix count of the rescaled point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import CapExceededError, InvalidInputError, InvariantError
-from .expansions import Lattice
+from .expansions import INT64_MAX, Lattice
 from .numberfield import BetaSystem, FieldElement
 
 DEFAULT_STATE_CAP = 10_000
@@ -164,77 +173,124 @@ class Automaton:
         return True
 
 
-def _children_of(sys: BetaSystem, length: FieldElement,
-                 offsets: tuple[FieldElement, ...]):
-    """Sub-intervals of a normalized state at the next level.
+class _Cylinders:
+    """The child construction on integer rows, one vector pass per state.
 
-    Returns a list of (u_lo, u_hi, child_length, child_offsets, T) in
-    left-to-right order; T maps parent covering slots to child slots.
+    A state's geometry is (den, flat): its normalized length and its sorted
+    offsets as the integer rows flat[:d], flat[d:2d], ... of the values
+    (sum_i row_i beta^i) / den, divided by gcd(den, every entry).  Equal
+    geometries have equal keys (DECISIONS.md), so the closure's dicts need
+    no field elements.
     """
-    starts = _digit_starts(sys)
-    beta = sys.beta
-    rho = sys.rho
-    zero = sys.field.zero
-    # child cylinder start positions, one per (covering slot, digit)
-    cyl = [
-        (ci, a, -c + starts[a])
-        for ci, c in enumerate(offsets)
-        for a in range(sys.m)
-    ]
-    breakpoints = {zero, length}
-    for _ci, _a, s in cyl:
-        for point in (s, s + rho):
-            if point.sign() > 0 and (length - point).sign() > 0:
-                breakpoints.add(point)
-    ordered = sorted(breakpoints)
-    out = []
-    for u_lo, u_hi in zip(ordered, ordered[1:]):
-        covers = []
-        for ci, a, s in cyl:
-            if (u_lo - s).sign() >= 0 and (s + rho - u_hi).sign() >= 0:
-                covers.append((ci, (u_lo - s) * beta))
-        if not covers:
+
+    def __init__(self, sys: BetaSystem):
+        self.field = sys.field
+        self.m = sys.m
+        self.lattice = Lattice(sys)
+        self.d = self.lattice.degree
+        # the digit starts S_a(0) and rho, as integer rows over one denominator
+        fixed = _digit_starts(sys) + [sys.rho]
+        self.den = math.lcm(*(e.den for e in fixed))
+        self.fixed = [[c * (self.den // e.den) for c in e.num] for e in fixed]
+        self.fixed_big = (max(abs(c) for row in self.fixed[:-1] for c in row)
+                          + max(map(abs, self.fixed[-1])))
+
+    def children(self, den: int, flat: tuple[int, ...]):
+        """Sub-intervals of a state at the next level, left to right, as
+        (u_lo row, u_hi row, their denominator, child geometry, T); T maps
+        the parent's covering slots to the child's."""
+        d, m = self.d, self.m
+        den_w = math.lcm(den, self.den)
+        scale, fixed_scale = den_w // den, den_w // self.den
+        # over den_w no endpoint entry exceeds X = max|offset or length| +
+        # max|start| + max|rho|, no difference of two exceeds 2X, and
+        # times_beta multiplies that by at most growth
+        big = max(map(abs, flat)) * scale + self.fixed_big * fixed_scale
+        dtype = np.int64 if 2 * big * self.lattice.growth <= INT64_MAX else object
+        rows = np.array(flat, dtype=dtype).reshape(-1, d) * scale
+        fixed = np.array(self.fixed, dtype=dtype) * fixed_scale
+        v = len(rows) - 1
+        # cylinder (slot ci, digit a) is row ci * m + a: S_a(0) - offset_ci
+        starts = (fixed[None, :-1] - rows[1:, None]).reshape(-1, d)
+        points = np.concatenate((np.zeros((1, d), dtype=dtype), rows[:1],
+                                 starts, starts + fixed[-1]))
+        rank = self.field.rank_rows(points)
+        distinct = np.empty((int(rank.max()) + 1, d), dtype=dtype)
+        distinct[rank] = points
+        # the breakpoints are the distinct points in [0, length]; child k is
+        # [b_k, b_{k+1}], and as every cylinder has length rho, cylinder c
+        # covers it exactly when start_c <= b_k and end_c >= b_{k+1}
+        lo, hi = int(rank[0]), int(rank[1])
+        start_rank, end_rank = rank[2:2 + v * m], rank[2 + v * m:]
+        n_kids = hi - lo
+        levels = np.arange(lo, hi)[:, None]
+        covers = (start_rank <= levels) & (end_rank > levels)
+        # descending starts give ascending child offsets (b_k - start) * beta
+        by_start = np.argsort(-start_rank, kind="stable")
+        kid, pos = np.nonzero(covers[:, by_start])
+        cyl = by_start[pos]
+        new_kid = np.ones(len(kid), dtype=bool)
+        new_kid[1:] = kid[1:] != kid[:-1]
+        if np.count_nonzero(new_kid) < n_kids:
             raise InvariantError("child interval with no covering cylinder")
-        distinct = sorted({off for _ci, off in covers})
-        index = {off: w for w, off in enumerate(distinct)}
-        rows = [[0] * len(distinct) for _ in range(len(offsets))]
-        for ci, off in covers:
-            rows[ci][index[off]] += 1
-        T = tuple(tuple(r) for r in rows)
-        out.append((u_lo, u_hi, (u_hi - u_lo) * beta, tuple(distinct), T))
-    return out
+        # a child's covers with one start share a column of T, numbered from
+        # 0 in each child
+        new_col = new_kid.copy()
+        new_col[1:] |= start_rank[cyl[1:]] != start_rank[cyl[:-1]]
+        col = np.cumsum(new_col) - 1
+        col -= col[new_kid][kid]
+        width = int(col.max()) + 1
+        T = np.bincount((kid * v + cyl // m) * width + col, minlength=n_kids * v * width)
+        T = T.reshape(n_kids, v, width).tolist()
+        bounds = distinct[lo:hi + 1]
+        offsets = self.lattice.times_beta(bounds[kid[new_col]] - starts[cyl[new_col]])
+        offsets = offsets.reshape(-1).tolist()
+        lengths = self.lattice.times_beta(bounds[1:] - bounds[:-1]).tolist()
+        ends = (np.cumsum(np.bincount(kid[new_col], minlength=n_kids)) * d).tolist()
+        bounds = bounds.tolist()
+        den_child = den_w * self.lattice.lead
+        out = []
+        begin = 0
+        for k, end in enumerate(ends):
+            child = lengths[k] + offsets[begin:end]
+            begin = end
+            cols = len(child) // d - 1
+            g = math.gcd(den_child, *child)
+            geometry = (den_child // g, tuple(c // g for c in child))
+            T_k = tuple(tuple(row[:cols]) for row in T[k])
+            out.append((bounds[k], bounds[k + 1], den_w, geometry, T_k))
+        return out
 
 
 def build_automaton(sys: BetaSystem, state_cap: int = DEFAULT_STATE_CAP) -> Automaton:
     """Breadth-first closure of the characteristic-state construction.
 
     Terminates for Pisot beta; raises CapExceededError when the state count
-    passes state_cap (expected for non-Pisot algebraic bases).
+    passes state_cap (expected for non-Pisot algebraic bases).  During the
+    closure a state is a (geometry, rank) pair of integer rows
+    (`_Cylinders`); field elements are built once, for the final states and
+    for the edges.
     """
     if state_cap < 0:
         raise InvalidInputError("state cap must be nonnegative")
-    root = CharacteristicState(sys.field.one, (sys.field.zero,), 1)
+    cylinders = _Cylinders(sys)
+    d = cylinders.d
+    root = ((1, (1,) + (0,) * (2 * d - 1)), 1)
     index: dict = {root: 0}
     states = [root]
-    raw_children: list = [None]
+    raw_children: list = []
     geometry_cache: dict = {}
-    queue = [0]
-    while queue:
-        i = queue.pop(0)
-        st = states[i]
-        geo_key = (st.length, st.offsets)
-        if geo_key in geometry_cache:
-            rows = geometry_cache[geo_key]
-        else:
-            rows = _children_of(sys, st.length, st.offsets)
-            geometry_cache[geo_key] = rows
+    while len(raw_children) < len(states):
+        geometry, _rank = states[len(raw_children)]
+        pieces = geometry_cache.get(geometry)
+        if pieces is None:
+            pieces = geometry_cache[geometry] = cylinders.children(*geometry)
         kid_entries = []
         seen_cv: dict = {}
-        for u_lo, u_hi, c_len, c_offsets, T in rows:
-            cv_key = (c_len, c_offsets)
-            rank = seen_cv.get(cv_key, 0) + 1
-            seen_cv[cv_key] = rank
-            child = CharacteristicState(c_len, c_offsets, rank)
+        for u_lo, u_hi, den, c_geometry, T in pieces:
+            rank = seen_cv.get(c_geometry, 0) + 1
+            seen_cv[c_geometry] = rank
+            child = (c_geometry, rank)
             if child not in index:
                 if len(states) >= state_cap:
                     raise CapExceededError(
@@ -243,20 +299,33 @@ def build_automaton(sys: BetaSystem, state_cap: int = DEFAULT_STATE_CAP) -> Auto
                     )
                 index[child] = len(states)
                 states.append(child)
-                raw_children.append(None)
-                queue.append(index[child])
-            kid_entries.append((index[child], u_lo, u_hi, T))
-        raw_children[i] = kid_entries
+            kid_entries.append((index[child], u_lo, u_hi, den, T))
+        raw_children.append(kid_entries)
 
     # canonical re-indexing: initial state first, the rest sorted by
-    # (length, offsets, rank) on coefficient vectors
-    order = [0] + sorted(range(1, len(states)), key=lambda i: states[i].key())
+    # (length, offsets, rank) with every row over one common denominator,
+    # which is the order of CharacteristicState.key()
+    common = math.lcm(*(den for (den, _flat), _rank in states))
+
+    def key(i):
+        (den, flat), rank = states[i]
+        row = [c * (common // den) for c in flat]
+        return tuple(row[:d]), tuple(tuple(row[j:j + d]) for j in range(d, len(row), d)), rank
+
+    order = [0] + sorted(range(1, len(states)), key=key)
     relabel = {old: new for new, old in enumerate(order)}
-    new_states = [states[old] for old in order]
+    field = sys.field
+    new_states = []
+    for old in order:
+        (den, flat), rank = states[old]
+        elems = [FieldElement(field, flat[j:j + d], den) for j in range(0, len(flat), d)]
+        new_states.append(CharacteristicState(elems[0], tuple(elems[1:]), rank))
     new_children: list = [None] * len(states)
     for old, kids in enumerate(raw_children):
         new_children[relabel[old]] = [
-            (relabel[j], u_lo, u_hi, T) for j, u_lo, u_hi, T in kids
+            (relabel[j], FieldElement(field, tuple(u_lo), den),
+             FieldElement(field, tuple(u_hi), den), T)
+            for j, u_lo, u_hi, den, T in kids
         ]
     auto = Automaton(sys, new_states, new_children, frozenset())
     _verify_length_identity(auto)

@@ -13,6 +13,7 @@ exactly by a Routh-Hurwitz count on a Sturm remainder chain.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -655,6 +656,28 @@ class NumberField:
             s, row = shifts[j], rows[r].tolist()  # Python ints: den * c must not wrap
             signs[j, r] = self.sign_int_coeffs([s.den * c - b for c, b in zip(row, s.num)])
         return signs
+
+    def rank_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Dense ranks of the values sum_i rows[r, i] beta^i of an integer
+        matrix: equal values share a rank and rank order is value order,
+        exactly.  The rows are presorted by float value and the presort is
+        proven by the signs of adjacent differences (`sign_rows`), or, if one
+        is negative, replaced by an exact comparison sort.  The differences
+        must fit the rows' dtype."""
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan sort anywhere
+            order = np.argsort(self.float_rows(rows)[0], kind="stable")
+        ordered = rows[order]
+        steps = ordered[1:] - ordered[:-1]
+        new = (steps != 0).any(axis=1)  # equal rows are equal values
+        if (self.sign_rows(steps[new], self.zero) < 0).any():
+            def compare(i, j):
+                return self.sign_int_coeffs([a - b for a, b in zip(rows[i].tolist(), rows[j].tolist())])
+            order = np.array(sorted(range(len(rows)), key=functools.cmp_to_key(compare)), dtype=np.intp)
+            ordered = rows[order]
+            new = (ordered[1:] != ordered[:-1]).any(axis=1)
+        rank = np.empty(len(rows), dtype=np.intp)
+        rank[order] = np.concatenate(([0], np.cumsum(new)))
+        return rank
 
 
 def _interval_horner(

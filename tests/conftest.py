@@ -7,7 +7,10 @@ map images.  Tests freeze values computed by these oracles.  The
 Monte-Carlo reference walks one Parry chain at a time with plain Python
 lists, against which the lockstep numpy walk is compared exactly; the
 lattice reference steps the prefix-sum DP one state at a time on a dict,
-against which the array kernel is compared state for state.
+against which the array kernel is compared state for state; the automaton
+reference builds the coding automaton in field elements, one cylinder and
+one breakpoint at a time, against which the integer-row closure is
+compared state for state.
 """
 
 import math
@@ -17,7 +20,9 @@ from itertools import product
 import numpy as np
 import pytest
 
+from betagrowth.errors import InvariantError
 from betagrowth.lyapunov import RENORM_EVERY
+from betagrowth.netautomaton import Automaton, CharacteristicState, essential_class
 from betagrowth.numberfield import BetaSystem, parse_beta
 
 # (criterion, ok, detail) tuples filled in by test_acceptance.py
@@ -196,6 +201,69 @@ def dict_lattice_levels(sys: BetaSystem, n: int, a=None, b=None) -> list[dict]:
             states = dict_lattice_step(sys, states, k, lo - sys.right_end, hi)
         levels.append(states)
     return levels
+
+
+def field_children(sys: BetaSystem, length, offsets):
+    """Sub-intervals of a normalized state at the next level, in field
+    elements: (u_lo, u_hi, child_length, child_offsets, T) left to right.
+
+    Every (covering slot, digit) cylinder is tested against every
+    breakpoint interval; T maps parent covering slots to child slots.
+    """
+    step = (sys.field.one - sys.rho) / (sys.m - 1)
+    starts = [step * a for a in range(sys.m)]  # S_a(0)
+    beta, rho, zero = sys.beta, sys.rho, sys.field.zero
+    # child cylinder start positions, one per (covering slot, digit)
+    cyl = [(ci, -c + starts[a]) for ci, c in enumerate(offsets) for a in range(sys.m)]
+    breakpoints = {zero, length}
+    for _ci, s in cyl:
+        for point in (s, s + rho):
+            if point.sign() > 0 and (length - point).sign() > 0:
+                breakpoints.add(point)
+    ordered = sorted(breakpoints)
+    out = []
+    for u_lo, u_hi in zip(ordered, ordered[1:]):
+        covers = [(ci, (u_lo - s) * beta) for ci, s in cyl
+                  if (u_lo - s).sign() >= 0 and (s + rho - u_hi).sign() >= 0]
+        if not covers:
+            raise InvariantError("child interval with no covering cylinder")
+        distinct = sorted({off for _ci, off in covers})
+        index = {off: w for w, off in enumerate(distinct)}
+        rows = [[0] * len(distinct) for _ in range(len(offsets))]
+        for ci, off in covers:
+            rows[ci][index[off]] += 1
+        T = tuple(tuple(r) for r in rows)
+        out.append((u_lo, u_hi, (u_hi - u_lo) * beta, tuple(distinct), T))
+    return out
+
+
+def field_automaton(sys: BetaSystem) -> Automaton:
+    """The coding automaton by a breadth-first closure of `field_children`
+    over field-element states, numbered like `build_automaton`: the root
+    first, the rest in `CharacteristicState.key()` order."""
+    root = CharacteristicState(sys.field.one, (sys.field.zero,), 1)
+    index = {root: 0}
+    states = [root]
+    raw_children = []
+    while len(raw_children) < len(states):
+        st = states[len(raw_children)]
+        kids, seen = [], {}
+        for u_lo, u_hi, c_len, c_offsets, T in field_children(sys, st.length, st.offsets):
+            seen[c_len, c_offsets] = rank = seen.get((c_len, c_offsets), 0) + 1
+            child = CharacteristicState(c_len, c_offsets, rank)
+            if child not in index:
+                index[child] = len(states)
+                states.append(child)
+            kids.append((index[child], u_lo, u_hi, T))
+        raw_children.append(kids)
+    order = [0] + sorted(range(1, len(states)), key=lambda i: states[i].key())
+    relabel = {old: new for new, old in enumerate(order)}
+    children = [None] * len(states)
+    for old, kids in enumerate(raw_children):
+        children[relabel[old]] = [(relabel[j], lo, hi, T) for j, lo, hi, T in kids]
+    auto = Automaton(sys, [states[old] for old in order], children, frozenset())
+    auto.essential = essential_class(auto)
+    return auto
 
 
 def mc_chain_values(chain, auto, path_len: int, n_chains: int, seed: int) -> list[float]:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from betagrowth import expansions
 from betagrowth.errors import CapExceededError, HypothesisError, InvalidInputError
 from betagrowth.expansions import (
     count_X_m,
@@ -247,6 +248,17 @@ def test_garsia_min_gap_is_exact_minimum(spec):
         assert len(sums) == r.count
         exact = min(b - a for a, b in zip(sums, sums[1:])) * sys_.beta ** r.n
         assert r.min_gap_scaled == float(exact)
+
+
+@pytest.mark.parametrize("spec", ["golden", "13/10"])
+def test_garsia_report_python_int_rows(spec, monkeypatch):
+    # with less room in int64, keys or only their differences become Python
+    # ints at some level; the deduplicated gaps and the report must not move
+    sys_ = parse_beta(spec, 2)
+    want = garsia_report(sys_, 14)
+    for room in (2 ** 4, 0):
+        monkeypatch.setattr(expansions, "INT64_MAX", room)
+        assert garsia_report(sys_, 14) == want
 
 
 # ---------------------------------------------------------------------------

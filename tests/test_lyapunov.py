@@ -12,6 +12,7 @@ from betagrowth.lyapunov import (
     estimate_gamma_mc,
     gamma_integer_case,
     gamma_multinacci_series,
+    gamma_multinacci_table,
     parry_chain,
 )
 from betagrowth.netautomaton import build_automaton
@@ -274,3 +275,12 @@ def test_theorem_dichotomy(tri_chain):
     mc = estimate_gamma_mc(chain, auto, path_len=30000, n_chains=12, seed=4)
     upper = math.log(2 / float(auto.sys.beta))
     assert mc.value + 3 * mc.stderr < upper
+
+
+def test_table_matches_series_per_n():
+    # one enumeration of the inner sums serves every row of the table
+    ns = [2, 3, 5]
+    table = gamma_multinacci_table(ns, k_exact=12, mc_budget=500, seed=4)
+    assert table == [gamma_multinacci_series(n, 12, 500, 4) for n in ns]
+    with pytest.raises(InvalidInputError):
+        gamma_multinacci_table([3, 11])

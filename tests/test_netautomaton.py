@@ -1,7 +1,9 @@
+import warnings
 from fractions import Fraction
 
 import pytest
 
+from betagrowth import netautomaton
 from betagrowth.errors import CapExceededError, InvalidInputError
 from betagrowth.expansions import count_prefixes
 from betagrowth.netautomaton import (
@@ -14,7 +16,7 @@ from betagrowth.netautomaton import (
     products_positive,
 )
 from betagrowth.numberfield import parse_beta
-from conftest import multiplicity_direct
+from conftest import field_automaton, multiplicity_direct
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +167,37 @@ def test_determinism(golden):
         kids1 = [(j, T) for j, _lo, _hi, T in a1.children[i]]
         kids2 = [(j, T) for j, _lo, _hi, T in a2.children[i]]
         assert kids1 == kids2
+
+
+def _assert_same_automaton(auto, ref):
+    assert auto.size == ref.size
+    for st, want in zip(auto.states, ref.states):
+        assert (st.length, st.offsets, st.rank) == (want.length, want.offsets, want.rank)
+    assert auto.children == ref.children  # (j, u_lo, u_hi, T), left to right
+    assert auto.essential == ref.essential
+
+
+ORACLE_BASES = [("golden", 2), ("golden", 3), ("golden", 4), ("multinacci:3", 2),
+                ("multinacci:4", 2), ("multinacci:5", 2), ("poly:-1,0,-1,1", 2),
+                ("int:2", 2), ("int:2", 4), ("int:3", 3)]
+
+
+@pytest.mark.parametrize("spec,m", ORACLE_BASES)
+def test_automaton_matches_field_element_closure(spec, m):
+    sys_ = parse_beta(spec, m)
+    _assert_same_automaton(build_automaton(sys_), field_automaton(sys_))
+
+
+@pytest.mark.parametrize("spec,m", [("golden", 3), ("poly:-1,0,-1,1", 2), ("int:2", 4)])
+def test_automaton_object_rows(spec, m, monkeypatch):
+    # with no room in int64 every state takes the Python-int rows, which
+    # must build the same automaton, without a numpy warning
+    sys_ = parse_beta(spec, m)
+    want = build_automaton(sys_)
+    monkeypatch.setattr(netautomaton, "INT64_MAX", 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_same_automaton(build_automaton(sys_), want)
 
 
 def test_non_pisot_hits_cap():

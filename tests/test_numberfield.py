@@ -417,3 +417,76 @@ def test_sign_rows_beyond_float_range(golden):
             warnings.simplefilter("error")
             signs = field.sign_rows(np.array(rows, dtype=object), *shifts)
         assert signs.tolist() == [[_row_sign(field, r, s) for r in rows] for s in shifts]
+
+
+# ---------------------------------------------------------------------------
+# exact ranks of integer rows
+# ---------------------------------------------------------------------------
+
+def _exact_ranks(field, rows) -> list[int]:
+    values = [FieldElement(field, tuple(row)) for row in rows]
+    distinct = sorted(set(values))  # FieldElement order: exact signs
+    return [distinct.index(v) for v in values]
+
+
+def _near_tie_rows(n_values) -> list[list[int]]:
+    # F_{n+1} - F_n beta = (-1/beta)^n, tiny against the coefficients
+    fib = [0, 1]
+    while len(fib) < max(n_values) + 2:
+        fib.append(fib[-1] + fib[-2])
+    return [[fib[n + 1], -fib[n]] for n in n_values]
+
+
+def test_rank_rows_near_ties_in_exact_order(golden):
+    field = golden.field
+    rows = _near_tie_rows(range(1, 41))
+    rows = rows[::3] + rows[1::3] + rows[2::3] + [[0, 0], [1, 0], [-1, 0]]
+    ranks = field.rank_rows(np.array(rows, dtype=np.int64))
+    assert ranks.tolist() == _exact_ranks(field, rows)
+    assert sorted(ranks.tolist()) == list(range(len(rows)))
+
+
+def test_rank_rows_equal_rows_share_a_rank(golden):
+    # repeats of near-tie rows, interleaved with rows of the same float value
+    field = golden.field
+    rows = _near_tie_rows(range(30, 41))
+    rows = rows + rows[::-1] + rows[::2]
+    ranks = field.rank_rows(np.array(rows, dtype=np.int64)).tolist()
+    assert ranks == _exact_ranks(field, rows)
+    assert sorted(set(ranks)) == list(range(11))
+    assert ranks[:11] == ranks[11:22][::-1]
+
+
+def test_rank_rows_misordered_presort_falls_back(golden):
+    # from n = 50 on, the float values of these rows are rounding noise
+    field = golden.field
+    rows = np.array(_near_tie_rows(range(50, 62)), dtype=np.int64)
+    presort = np.argsort(field.float_rows(rows)[0], kind="stable")
+    exact = _exact_ranks(field, rows.tolist())
+    assert [exact[i] for i in presort] != sorted(exact)  # the presort misorders
+    assert field.rank_rows(rows).tolist() == exact
+
+
+def test_rank_rows_beyond_int64_and_float_range(golden):
+    # Python-int rows: past int64, past float range once multiplied by beta,
+    # and past float range altogether; no numpy warning on the way
+    field = golden.field
+    big = 17 * 10 ** 307
+    rows = [[2 ** 70, 1], [big, -big], [1, big], [-1, 10 ** 400], [2 ** 70, 1], [3, -5],
+            [0, 10 ** 400]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ranks = field.rank_rows(np.array(rows, dtype=object))
+    assert ranks.tolist() == _exact_ranks(field, rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from(PROPERTY_SPECS), data=st.data(),
+       bound=st.sampled_from((3, 50, 2 ** 61, 10 ** 30)))
+def test_rank_rows_match_exact_order(fields, spec, data, bound):
+    # bound 3 draws many equal rows; int64 differences of rows within 2^61 fit
+    field = fields[spec]
+    rows = data.draw(st.lists(st.lists(st.integers(-bound, bound), min_size=field.degree,
+                                       max_size=field.degree), min_size=1, max_size=12))
+    matrix = np.array(rows, dtype=object if bound > 2 ** 61 else np.int64)
+    assert field.rank_rows(matrix).tolist() == _exact_ranks(field, rows)
