@@ -476,6 +476,8 @@ def sparse_profile(m_seq: Sequence[int], sys: BetaSystem) -> list[SparseCheckpoi
     count of the truncated point; the ratio log(count)/n should decay.
     """
     _require_golden(sys)
+    if not m_seq or min(m_seq) < 1:
+        raise InvalidInputError("m_seq must be a nonempty list of block sizes >= 1")
     if any(b <= a for a, b in zip(m_seq, m_seq[1:])):
         raise InvalidInputError("m_seq must be strictly increasing")
     if len(m_seq) > 8:

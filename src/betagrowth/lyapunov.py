@@ -61,22 +61,20 @@ def parry_chain(auto: Automaton) -> ParryChain:
     exact_rows: list[list[tuple[int, FieldElement]]] = []
     P = np.zeros((n, n))
     for k, i in enumerate(omega):
+        # each child state sits on one edge of i (ranks separate twins)
         row = []
         total = sys.field.zero
+        scale = sys.rho / auto.ell(i)
         for j, _lo, _hi, _T in auto.children[i]:
             if j not in local:
                 raise InvariantError("essential class not forward closed")
-            pij = sys.rho * auto.ell(j) / auto.ell(i)
+            pij = auto.ell(j) * scale
             row.append((local[j], pij))
             total = total + pij
+            P[k, local[j]] = float(pij)
         if not (total - sys.field.one).is_zero():
             raise InvariantError("Parry row does not sum to 1 exactly")
-        merged: dict[int, FieldElement] = {}
-        for lj, pij in row:
-            merged[lj] = merged[lj] + pij if lj in merged else pij
-        exact_rows.append(sorted(merged.items()))
-        for lj, pij in merged.items():
-            P[k, lj] = float(pij)
+        exact_rows.append(sorted(row, key=lambda entry: entry[0]))
     # stationary vector by power iteration
     p = np.full(n, 1.0 / n)
     for _ in range(POWER_ITER_MAX):

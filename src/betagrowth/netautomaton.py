@@ -68,40 +68,56 @@ def _digit_starts(sys: BetaSystem) -> list[FieldElement]:
 
 
 def net_intervals(sys: BetaSystem, n: int) -> list[NetInterval]:
-    """The ordered list of level-n net intervals with covering offsets."""
+    """The ordered list of level-n net intervals with covering offsets.
+
+    S_J(0) = sum_j rho^(j-1) S_{eps_j}(0) = u t_J in the unit u =
+    (1-rho)/(m-1) * rho^(n-1), with t_J the level-n scaled digit sum of J.
+    In that unit J's cylinder is [t_J, t_J + R], R = (m-1)/(beta-1), and
+    [0, 1] is [0, beta^n R]: the net intervals lie between consecutive
+    distinct ends of the cylinders, which one exact rank sort orders.
+    """
     if n < 0:
         raise InvalidInputError("level must be nonnegative")
     if n > DIRECT_LEVEL_CAP:
         raise CapExceededError(f"net interval level {n} exceeds cap {DIRECT_LEVEL_CAP}")
-    if n == 0:
-        return [NetInterval(0, sys.field.zero, sys.field.one, (sys.field.zero,))]
-    # S_J(0) = sum_j rho^(j-1) S_{eps_j}(0) = (1-rho)/(m-1) * rho^(n-1) * t_n,
-    # with t_n the scaled digit sum of J
     lattice = Lattice(sys)
-    keys, counts = lattice.start
+    level = lattice.start
     for k in range(n):
-        keys, counts = lattice.step((keys, counts), k)
+        level = lattice.step(level, k)
+    keys, counts = level
+    # cylinder starts and ends as Python-int rows over one denominator
+    right = sys.right_end
+    den = math.lcm(lattice.lead ** n, right.den)
+    starts = keys.astype(object) * (den // lattice.lead ** n)
+    ends = starts + np.array(right.num, dtype=object) * (den // right.den)
+    rank = sys.field.rank_rows(np.concatenate((starts, ends)))
+    start_rank, end_rank = rank[:len(starts)], rank[len(starts):]
+    points = np.empty((int(rank.max()) + 1, lattice.degree), dtype=object)
+    points[start_rank], points[end_rank] = starts, ends
+    # cylinder c covers [p_k, p_k+1] when start_c <= p_k and end_c >= p_k+1;
+    # all cylinders have length R, so ends ascend with starts and the covers
+    # are one run of the starts in ascending order
+    order = np.argsort(start_rank, kind="stable")
+    kids = np.arange(len(points) - 1)
+    first = np.searchsorted(end_rank[order], kids + 1)
+    stop = np.searchsorted(start_rank[order], kids, side="right")
+    if (stop <= first).any():
+        raise InvariantError("net interval with empty covering list")
+    # the j-th cover of child k is order[first[k] + j]
+    runs = stop - first
+    kid = np.repeat(kids, runs)
+    cyl = order[np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs - first, runs)]
+    # offset (p_k - t_c) / R = (p_k - t_c)(beta - 1)/(m - 1), whose rows
+    # over lead * den * (m - 1) are times_beta(diff) - lead * diff
+    diff = points[kid] - starts[cyl]
+    rows = (lattice.times_beta(diff) - lattice.lead * diff).tolist()
+    off_den = lattice.lead * den * (sys.m - 1)
+    covers = [[] for _ in kids]
+    for k, c, row in zip(kid.tolist(), cyl.tolist(), rows):
+        covers[k].extend([FieldElement(sys.field, tuple(row), off_den)] * int(counts[c]))
     unit = (sys.field.one - sys.rho) / (sys.m - 1) * sys.rho ** (n - 1)
-    values = {unit * lattice.value(key, n): c for key, c in zip(keys.tolist(), counts.tolist())}
-    rho_n = sys.rho ** n
-    beta_n = sys.beta ** n
-    points = set(values)
-    points.update(v + rho_n for v in values)
-    ordered = sorted(points)
-    starts_sorted = sorted(values.items(), key=lambda kv: kv[0])
-    out = []
-    for a, b in zip(ordered, ordered[1:]):
-        offsets = []
-        for v, cnt in starts_sorted:
-            if (a - v).sign() >= 0 and (v + rho_n - b).sign() >= 0:
-                off = (a - v) * beta_n
-                offsets.extend([off] * cnt)
-            elif (v - a).sign() > 0:
-                break
-        if not offsets:
-            raise InvariantError("net interval with empty covering list")
-        out.append(NetInterval(n, a, b, tuple(offsets)))
-    return out
+    bounds = [FieldElement(sys.field, tuple(p), den) * unit for p in points.tolist()]
+    return [NetInterval(n, bounds[k], bounds[k + 1], tuple(covers[k])) for k in kids.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,8 @@ from .errors import InvalidInputError, InvariantError
 
 MAX_DEGREE = 10
 
-# Primes tried for the mod-p irreducibility certificate.
+# Primes of the factor-degree irreducibility certificate.
 _CERT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
-# Coefficient bound of the small-factor search run when no prime certifies.
-SMALL_FACTOR_BOUND = 20
 
 Rational = Union[int, Fraction]
 
@@ -108,7 +106,7 @@ def _roots_in_interval(sturm: Sequence[Sequence[Fraction]], a: Fraction, b: Frac
 
 
 # ---------------------------------------------------------------------------
-# irreducibility: rational roots, mod-p certificate, small-factor witness
+# irreducibility: rational roots, factor degrees mod p
 # ---------------------------------------------------------------------------
 
 def _divisors(n: int) -> list[int]:
@@ -163,10 +161,9 @@ def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def _gf_pow_x(e: int, f: list[int], p: int) -> list[int]:
-    """x**e modulo (f, p) by square and multiply."""
+def _gf_pow(base: list[int], e: int, f: list[int], p: int) -> list[int]:
+    """base**e modulo (f, p) by square and multiply; base reduced mod f."""
     result = [1]
-    base = [0, 1] if len(f) > 2 else _gf_mulmod([0, 1], [1], f, p)
     while e:
         if e & 1:
             result = _gf_mulmod(result, base, f, p)
@@ -182,49 +179,45 @@ def _gf_sub(a: list[int], b: list[int], p: int) -> list[int]:
     return _trim([(x - y) % p for x, y in zip(a, b)])
 
 
-def _irreducible_mod_p(coeffs: Sequence[int], p: int) -> bool:
-    """Rabin's test for irreducibility of coeffs over GF(p)."""
+def _factor_degrees_mod_p(coeffs: Sequence[int], p: int) -> list[int] | None:
+    """Degrees of the irreducible factors of coeffs over GF(p), ascending;
+    None when p divides the leading coefficient or the reduction is not
+    squarefree.
+
+    For squarefree f, gcd(f, x^(p^k) - x) is the product of the factors of
+    degree dividing k, so its degree D_k, less the degrees already found at
+    the proper divisors of k, is k times the number of factors of degree k.
+    At most one factor is longer than d/2: it takes the degree left over.
+    """
     d = len(coeffs) - 1
-    lead_inv = pow(coeffs[-1] % p, p - 2, p)
+    if coeffs[-1] % p == 0:
+        return None
+    lead_inv = pow(coeffs[-1], p - 2, p)
     f = [(c * lead_inv) % p for c in coeffs]
-    if len(_trim(list(f))) - 1 != d:
-        return False
+    derivative = _trim([(k * c) % p for k, c in enumerate(f)][1:])
+    if len(_gf_gcd(f, derivative, p)) != 1:
+        return None
     x = [0, 1]
-    if _gf_sub(_gf_pow_x(p ** d, f, p), x, p):
-        return False
-    prime_divs = {q for q in range(2, d + 1) if d % q == 0 and all(q % r for r in range(2, q))}
-    for q in prime_divs:
-        diff = _gf_sub(_gf_pow_x(p ** (d // q), f, p), x, p)
-        g = _gf_gcd(f, diff, p)
-        if len(g) != 1:
-            return False
-    return True
-
-
-def _small_factor_witness(coeffs: Sequence[int]) -> bool:
-    """Search for a monic integer factor of degree 2..3 with coefficients
-    bounded by SMALL_FACTOR_BOUND; True if found."""
-    d = len(coeffs) - 1
-    fr = [Fraction(c) for c in coeffs]
-    for k in (2, 3):
-        if k > d // 2:
-            break
-        rng = range(-SMALL_FACTOR_BOUND, SMALL_FACTOR_BOUND + 1)
-        for c0 in rng:
-            for c1 in rng:
-                if k == 2:
-                    if not _poly_rem(fr, [Fraction(c0), Fraction(c1), Fraction(1)]):
-                        return True
-                else:
-                    for c2 in rng:
-                        if not _poly_rem(
-                            fr, [Fraction(c0), Fraction(c1), Fraction(c2), Fraction(1)]
-                        ):
-                            return True
-    return False
+    power = x  # x^(p^k) mod (f, p)
+    counts = [0] * (d // 2 + 1)  # counts[k]: factors of degree k
+    for k in range(1, d // 2 + 1):
+        power = _gf_pow(power, p, f, p)
+        found = len(_gf_gcd(f, _gf_sub(power, x, p), p)) - 1
+        counts[k] = (found - sum(j * counts[j] for j in range(1, k) if k % j == 0)) // k
+    degrees = [k for k in range(1, d // 2 + 1) for _ in range(counts[k])]
+    rest = d - sum(degrees)
+    return degrees + [rest] if rest else degrees
 
 
 def _check_irreducible(coeffs: Sequence[int]) -> None:
+    """Reject coeffs unless it is certified irreducible over Q.
+
+    Degree <= 3 is reducible exactly when it has a rational root.  Above
+    that, a factor over Z of degree k reduces, mod a prime p that does not
+    divide the leading coefficient, to a factor of degree k, so k is a sum
+    of some of the factor degrees mod p; f is irreducible once no k in
+    2..d-2 is such a sum for every certificate prime (DECISIONS.md).
+    """
     d = len(coeffs) - 1
     if d == 1:
         return
@@ -232,15 +225,23 @@ def _check_irreducible(coeffs: Sequence[int]) -> None:
         raise InvalidInputError(f"polynomial {list(coeffs)} is reducible (rational root)")
     if d <= 3:
         return
+    # bit k of survivors: a factor of degree k is not ruled out yet; with
+    # no rational root, degrees 1 and d - 1 already are
+    survivors = (1 << (d - 1)) - 4
     for p in _CERT_PRIMES:
-        if coeffs[-1] % p == 0:
+        degrees = _factor_degrees_mod_p(coeffs, p)
+        if degrees is None:
             continue
-        if _irreducible_mod_p(coeffs, p):
+        sums = 1
+        for k in degrees:
+            sums |= sums << k
+        survivors &= sums
+        if not survivors:
             return
-    if _small_factor_witness(coeffs):
-        raise InvalidInputError(f"polynomial {list(coeffs)} is reducible (small factor)")
+    k = (survivors & -survivors).bit_length() - 1
     raise InvalidInputError(
-        f"cannot verify irreducibility of {list(coeffs)} by trial methods"
+        f"cannot certify irreducibility of {list(coeffs)}: no prime up to "
+        f"{_CERT_PRIMES[-1]} rules out a factor of degree {k}"
     )
 
 
@@ -719,15 +720,8 @@ def _isolate_largest_root_above_one(minpoly: MinimalPolynomial) -> tuple[Fractio
             lo, count = mid, right
         else:
             hi, count = mid, count - right
-    # ensure a sign change bracket for bisection refinement
-    while _poly_eval(coeffs, lo) == 0 or (
-        (_poly_eval(coeffs, lo) > 0) == (_poly_eval(coeffs, hi) > 0)
-    ):
-        mid = (lo + hi) / 2
-        if _roots_in_interval(sturm, mid, hi) >= 1:
-            lo = mid
-        else:
-            hi = mid
+    # f has no rational root, so (lo, hi] holds one simple root and f
+    # changes sign across it, as bisection needs
     return lo, hi
 
 

@@ -10,7 +10,9 @@ lattice reference steps the prefix-sum DP one state at a time on a dict,
 against which the array kernel is compared state for state; the automaton
 reference builds the coding automaton in field elements, one cylinder and
 one breakpoint at a time, against which the integer-row closure is
-compared state for state.
+compared state for state; the net-interval reference sorts every word's
+cylinder in field elements, against which the rank-sorted rows are
+compared interval for interval.
 """
 
 import math
@@ -22,7 +24,7 @@ import pytest
 
 from betagrowth.errors import InvariantError
 from betagrowth.lyapunov import RENORM_EVERY
-from betagrowth.netautomaton import Automaton, CharacteristicState, essential_class
+from betagrowth.netautomaton import Automaton, CharacteristicState, NetInterval, essential_class
 from betagrowth.numberfield import BetaSystem, parse_beta
 
 # (criterion, ok, detail) tuples filled in by test_acceptance.py
@@ -148,6 +150,28 @@ def multiplicity_direct(sys: BetaSystem, interval) -> int:
         if (interval.a - v).sign() >= 0 and (v + pows[n] - interval.b).sign() >= 0:
             count += 1
     return count
+
+
+def field_net_intervals(sys: BetaSystem, n: int) -> list[NetInterval]:
+    """The level-n net intervals in field elements: every word's start S_J(0)
+    by enumeration, the breakpoints by a comparison sort, and the covers of
+    each interval by a scan of the starts, ascending."""
+    step = (sys.field.one - sys.rho) / (sys.m - 1)
+    pows = _rho_powers(sys, n)
+    starts = {}
+    for word in product(range(sys.m), repeat=n):
+        v = sys.field.zero
+        for j, eps in enumerate(word):
+            v = v + pows[j] * step * eps
+        starts[v] = starts.get(v, 0) + 1
+    ordered = sorted(set(starts) | {v + pows[n] for v in starts})
+    by_start = sorted(starts)
+    out = []
+    for a, b in zip(ordered, ordered[1:]):
+        offsets = [(a - v) * sys.beta ** n for v in by_start
+                   if v <= a and b <= v + pows[n] for _ in range(starts[v])]
+        out.append(NetInterval(n, a, b, tuple(offsets)))
+    return out
 
 
 def dict_lattice_step(sys: BetaSystem, states: dict, k: int, lo=None, hi=None) -> dict:

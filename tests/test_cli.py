@@ -84,6 +84,7 @@ def test_exit_code_bad_input(capsys):
         ("tau", "--beta", "golden", "--q-list", "1,a"),
         ("table1", "--n-range", "3"),
         ("count", "--beta", "poly:1,x", "--x", "1", "--n", "2"),
+        ("count", "--beta", "poly:1,0,0,0,1", "--x", "1", "--n", "2"),  # x^4 + 1
         ("count", "--beta", "multinacci:x", "--x", "1", "--n", "2"),
         ("count", "--beta", "int:x", "--x", "1", "--n", "2"),
         ("count", "--beta", "golden", "--x", "1/0", "--n", "2"),

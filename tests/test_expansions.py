@@ -298,3 +298,12 @@ def test_sparse_profile_small(golden):
 def test_sparse_profile_rejects_nonincreasing(golden):
     with pytest.raises(InvalidInputError):
         sparse_profile((2, 2), golden)
+
+
+def test_sparse_profile_checks_m_seq_before_the_dp(golden, monkeypatch):
+    def no_dp(*args):
+        raise AssertionError("the prefix-count DP ran")
+    monkeypatch.setattr(expansions, "prefix_count_series", no_dp)
+    for m_seq in ((), (0, 1), (-3, 2)):
+        with pytest.raises(InvalidInputError, match="nonempty"):
+            sparse_profile(m_seq, golden)

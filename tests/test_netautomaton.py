@@ -16,7 +16,7 @@ from betagrowth.netautomaton import (
     products_positive,
 )
 from betagrowth.numberfield import parse_beta
-from conftest import field_automaton, multiplicity_direct
+from conftest import field_automaton, field_net_intervals, multiplicity_direct
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +96,15 @@ def test_net_structure(spec):
             for off in iv.offsets:
                 assert off.sign() >= 0
                 assert (1 - ell - off).sign() >= 0
+
+
+@pytest.mark.parametrize("spec,m", [("golden", 2), ("golden", 3), ("multinacci:3", 2),
+                                    ("int:2", 2), ("int:2", 4), ("poly:-1,0,-1,1", 2),
+                                    ("1.5", 2), ("poly:-3,0,2", 3)])
+def test_net_intervals_match_field_reference(spec, m):
+    sys_ = parse_beta(spec, m)
+    for n in range(0, 8 if m == 2 else 5):
+        assert net_intervals(sys_, n) == field_net_intervals(sys_, n), n
 
 
 def test_net_level_cap(golden):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from betagrowth.errors import InvalidInputError
@@ -14,7 +14,9 @@ from betagrowth.numberfield import (
     FieldElement,
     MinimalPolynomial,
     NumberField,
+    _factor_degrees_mod_p,
     _roots_outside_unit_circle,
+    _sturm_sequence,
     is_pisot,
     multinacci,
     parse_beta,
@@ -136,9 +138,8 @@ NOT_PISOT_POLYS = {
 }
 
 # Lehmer's polynomial, z^10 + z^9 - z^7 - z^6 - z^5 - z^4 - z^3 + z + 1: a
-# Salem number with eight conjugates on the unit circle.  It is irreducible,
-# but no prime of the trial certificate shows it, so it is built directly.
-LEHMER = MinimalPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
+# Salem number with eight conjugates on the unit circle.
+LEHMER = MinimalPolynomial.from_coeffs([1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1])
 
 
 def test_is_pisot():
@@ -166,14 +167,43 @@ def _integer_polys(draw):
     return [const, *middle, lead]
 
 
+def _exact_quotient(num, den):
+    """num / den for polynomials over Q (constant term first) that divide exactly."""
+    num = [Fraction(c) for c in num]
+    quot = [Fraction(0)] * (len(num) - len(den) + 1)
+    for k in reversed(range(len(quot))):
+        quot[k] = num[k + len(den) - 1] / den[-1]
+        for i, c in enumerate(den):
+            num[k + i] -= quot[k] * c
+    assert not any(num)
+    return quot
+
+
+def _squarefree_parts(coeffs):
+    """s_1, s_2, ...: s_j has the distinct roots of multiplicity >= j, each once."""
+    p = [Fraction(c) for c in coeffs]
+    while len(p) > 1:
+        g = _sturm_sequence(p)[-1]  # gcd(p, p') up to a constant
+        yield _exact_quotient(p, g)
+        p = g
+
+
+@example(coeffs=[-1, 3, -3, 1])  # (z - 1)^3: numpy's triple root sits 6.6e-6 off the circle
 @settings(max_examples=300, deadline=None)
 @given(coeffs=_integer_polys())
 def test_outside_root_count_matches_numpy(coeffs):
-    # the count needs p(-1) != 0; roots near the circle are beyond float moduli
+    # the count needs p(-1) != 0; a root at 1 is on the circle
     assume(sum(c if k % 2 == 0 else -c for k, c in enumerate(coeffs)) != 0)
-    moduli = np.abs(np.roots(coeffs[::-1]))
-    assume(not np.any(np.abs(moduli - 1) < 1e-6))
-    assert _roots_outside_unit_circle(coeffs) == int((moduli > 1).sum())
+    if sum(coeffs) == 0:
+        assert _roots_outside_unit_circle(coeffs) is None
+        return
+    # numpy moves a root of multiplicity j by about the j-th root of the
+    # float precision, a simple root by about the precision: it gets the
+    # squarefree parts, whose outside counts add up to the count with
+    # multiplicity, and roots near the circle are beyond their float moduli
+    moduli = [np.abs(np.roots([float(c) for c in s[::-1]])) for s in _squarefree_parts(coeffs)]
+    assume(not np.any(np.abs(moduli[0] - 1) < 1e-6))
+    assert _roots_outside_unit_circle(coeffs) == sum(int((m > 1).sum()) for m in moduli)
 
 
 def test_decimal_literal_not_pisot():
@@ -232,6 +262,55 @@ def test_degree10_irreducibility_certificate():
     sys_ = multinacci(10)
     assert sys_.minpoly.degree == 10
     assert sys_.pisot
+
+
+def test_lehmer_polynomial_parses():
+    # irreducible mod no prime, but its factor degrees mod 2 and mod 3
+    # leave no degree a factor over Z could have
+    sys_ = parse_beta("poly:" + ",".join(map(str, LEHMER.coeffs)), 2)
+    assert sys_.minpoly == LEHMER
+    assert not sys_.pisot
+    assert 1.17628 < float(sys_.beta) < 1.17629
+
+
+def test_factor_degrees_mod_p():
+    assert _factor_degrees_mod_p(LEHMER.coeffs, 2) == [5, 5]
+    assert _factor_degrees_mod_p(LEHMER.coeffs, 3) == [2, 8]
+    assert _factor_degrees_mod_p([-1, -1, 0, 0, 1], 2) == [4]  # irreducible mod 2
+    assert _factor_degrees_mod_p([1, 0, 2, 0, 1], 3) is None  # (x^2 + 1)^2 mod 3
+    assert _factor_degrees_mod_p([1, 0, 0, 0, 3], 3) is None  # p divides the lead
+
+
+def test_no_rational_root_rules_out_degree_one():
+    # 3x^8 + 5x^7 + 3x^6 + 6x^5 + x^4 + 6x^3 - 4x^2 + 2x + 6 is irreducible and
+    # has a linear factor mod every usable prime, which the rational-root test
+    # rules out over Z; then p = 11, degrees [1, 7], leaves no degree 2..6
+    coeffs = [6, 2, -4, 6, 1, 6, 3, 5, 3]
+    assert _factor_degrees_mod_p(coeffs, 11) == [1, 7]
+    assert MinimalPolynomial.from_coeffs(coeffs).coeffs == tuple(coeffs)
+
+
+def test_reducible_without_rational_root_rejected():
+    # (x^2 + 1)(x^2 - x - 1), and x^4 + 1, which is irreducible but reducible
+    # mod every prime, so no certificate can show it
+    for coeffs in ([-1, -1, 0, -1, 1], [1, 0, 0, 0, 1]):
+        with pytest.raises(InvalidInputError, match="cannot certify .* factor of degree 2"):
+            MinimalPolynomial.from_coeffs(coeffs)
+
+
+@st.composite
+def _factor_pairs(draw):
+    dg = draw(st.integers(2, 8))
+    dh = draw(st.integers(2, 10 - dg))
+    return [draw(st.lists(st.integers(-9, 9), min_size=k, max_size=k)) + [draw(st.integers(1, 5))]
+            for k in (dg, dh)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=_factor_pairs())
+def test_products_are_rejected(pair):
+    with pytest.raises(InvalidInputError, match="reducible|cannot certify"):
+        MinimalPolynomial.from_coeffs(np.convolve(*pair).tolist())
 
 
 def test_equality_across_fields_is_false():
