@@ -201,6 +201,8 @@ def cmd_simulate(args) -> int:
     x = _parse("--x", args.x, Fraction)
     if args.n < 0:
         raise InvalidInputError("--n must be nonnegative")
+    if args.seed < 0:
+        raise InvalidInputError("--seed must be nonnegative")
     rng = np.random.default_rng(args.seed)
     bits = rng.integers(0, 2, size=4 * args.n)
     digits = expansions.simulate_expansion(x, args.n, sys_, iter(int(b) for b in bits))

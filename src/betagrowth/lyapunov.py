@@ -4,7 +4,8 @@ Routes:
   * Kingman Monte-Carlo: sample the Parry chain on the essential class of
     the coding automaton and average the log-norm growth of the running
     row-vector product through the transition matrices.  All chains walk
-    in lockstep, one numpy step at a time, in a single process.
+    in lockstep in a single process: a block of path steps by table lookup
+    on the ranks of the uniforms, then one numpy multiply per step.
   * Multinacci series: the closed-form series for gamma_n over products of
     the two unimodular digit matrices, enumerated exactly up to a cutoff
     with an analytic geometric tail bound (and a Monte-Carlo middle segment
@@ -111,6 +112,24 @@ class GammaEstimate:
         return self.stderr / math.log(2)
 
 
+def _rank_table(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct cumulative probabilities K and the edge each rank picks.
+
+    cdf[s] holds the cumulative probabilities of state s's edges, padded with
+    2.  A uniform u of rank r = searchsorted(K, u, side="right"), the number
+    of k with K[k] <= u, sits between K[r - 1] and K[r]; every cdf entry is
+    some K[k], so cdf[s, e] > u exactly when cdf[s, e] > K[r - 1].  Hence
+    first[s, r] = the first edge e with cdf[s, e] > K[r - 1] (edge 0 for
+    r = 0) is the edge searchsorted(cdf[s], u, side="right") picks, found
+    with no rounding.
+    """
+    # sorted(set()) rather than np.unique, which imports numpy.ma (0.6 MB)
+    K = np.array(sorted(set(cdf[cdf < 2.0].tolist())))
+    below = np.concatenate(([-np.inf], K))
+    first = (cdf[:, :, None] > below).argmax(axis=1)
+    return K, first
+
+
 def estimate_gamma_mc(chain: ParryChain, auto: Automaton, path_len: int = 100_000,
                       n_chains: int = 32, seed: int = 0) -> GammaEstimate:
     """Kingman Monte-Carlo estimate of gamma over the Parry chain.
@@ -118,15 +137,19 @@ def estimate_gamma_mc(chain: ParryChain, auto: Automaton, path_len: int = 100_00
     Each chain samples a stationary path, pushes a row vector through the
     transition matrices with renormalization every RENORM_EVERY steps, and
     averages the accumulated log growth per step (relative to the starting
-    vector).  All chains advance together: one step picks every chain's
-    edge, multiplies every vector by its padded matrix and moves every
-    state.  Chain c draws its uniforms from the generator seeded with
-    (seed, c), so the result is fully determined by the master seed.
+    vector).  All chains advance together, a block of DRAW_BLOCK steps at a
+    time: the block's paths are walked first, one table lookup per step on
+    the ranks of its uniforms (`_rank_table`), and then every vector is
+    multiplied by its padded edge matrix, one step at a time.  Chain c draws
+    its uniforms from the generator seeded with (seed, c), so the result is
+    fully determined by the master seed.
     """
     if path_len < 1_000:
         raise InvalidInputError("path_len must be at least 1000")
     if n_chains < 2:
         raise InvalidInputError("need at least 2 chains for a standard error")
+    if seed < 0:
+        raise InvalidInputError("seed must be nonnegative")
     # edge e out of local state s is numbered s * width + e; cdf[s, e] is the
     # cumulative Parry probability of edges 0..e, padded with 2 so a padded
     # slot is never chosen; nxt and mats hold each edge's target and its
@@ -146,10 +169,17 @@ def estimate_gamma_mc(chain: ParryChain, auto: Automaton, path_len: int = 100_00
         targets = nxt[s * width:s * width + len(auto.children[i])]
         cdf[s, :len(targets)] = np.cumsum(chain.matrix[s, targets])
         cdf[s, len(targets) - 1] = 1.0
+    # after[e, r] is the edge that follows edge e on a uniform of rank r;
+    # row len(nxt) + s is first[s], "start in state s", so one lookup per
+    # step walks a path from its first edge on
+    K, first = _rank_table(cdf)
+    first += width * np.arange(len(omega))[:, None]
+    after = np.concatenate((first[nxt], first))
     rngs = [np.random.default_rng((seed, c)) for c in range(n_chains)]
     start_cdf = np.cumsum(chain.stationary)
     start_cdf[-1] = 1.0
     state = np.searchsorted(start_cdf, [rng.random() for rng in rngs], side="right")
+    edge = len(nxt) + state
     vdim = np.array([auto.v(i) for i in omega])[state]
     vec = (np.arange(dim) < vdim[:, None]).astype(float)
     # growth is measured relative to the initial all-ones vector, which
@@ -160,13 +190,18 @@ def estimate_gamma_mc(chain: ParryChain, auto: Automaton, path_len: int = 100_00
     logscale = np.array([-math.log(v) for v in vdim])
     for start in range(0, path_len, DRAW_BLOCK):
         u = np.stack([rng.random(min(DRAW_BLOCK, path_len - start)) for rng in rngs], axis=1)
-        for step, ut in enumerate(u[:, :, None], start + 1):
-            # the first edge whose cumulative probability exceeds u, as
-            # searchsorted(side="right") finds it
-            edge = (cdf[state] > ut).argmax(axis=1) + width * state
-            vec = np.einsum("cv,cvw->cw", vec, mats[edge])
-            state = nxt[edge]
-            if step % RENORM_EVERY == 0:
+        # each step's ranks are overwritten by its edges, in place
+        path = np.searchsorted(K, u, side="right")
+        del u
+        for k, rank in enumerate(path):
+            edge = path[k] = after[edge, rank]
+        for at in range(0, len(path), RENORM_EVERY):
+            chunk = mats[path[at:at + RENORM_EVERY]]
+            for m in chunk:
+                vec = np.einsum("cv,cvw->cw", vec, m)
+            # DRAW_BLOCK is a multiple of RENORM_EVERY: a full chunk ends on
+            # a step that is one too
+            if len(chunk) == RENORM_EVERY:
                 total = sum(vec.T)
                 logscale += [math.log(t) for t in total]
                 vec /= total[:, None]
@@ -256,6 +291,8 @@ def gamma_multinacci_table(n_values: Sequence[int], k_exact: int = 20,
         raise InvalidInputError("series formula implemented for 2 <= n <= 10")
     if k_exact < 0 or mc_budget < 2:
         raise InvalidInputError("k_exact must be >= 0 and mc_budget >= 2")
+    if seed < 0:
+        raise InvalidInputError("seed must be nonnegative")
     inner = _inner_log_sums(k_exact)
     return [_series_estimate(n, inner, mc_budget, seed) for n in n_values]
 

@@ -290,6 +290,20 @@ def field_automaton(sys: BetaSystem) -> Automaton:
     return auto
 
 
+def mc_cdf_rows(chain, auto) -> tuple[list[np.ndarray], list[list]]:
+    """Each essential state's cumulative Parry probabilities (the last set to
+    1) and its edges as (local target, matrix), in child order."""
+    local = {s: k for k, s in enumerate(chain.states)}
+    cum_rows, edges = [], []
+    for k, i in enumerate(chain.states):
+        out = [(local[j], T) for j, _lo, _hi, T in auto.children[i]]
+        cdf = np.cumsum([chain.matrix[k, child] for child, _T in out])
+        cdf[-1] = 1.0
+        cum_rows.append(cdf)
+        edges.append(out)
+    return cum_rows, edges
+
+
 def mc_chain_values(chain, auto, path_len: int, n_chains: int, seed: int) -> list[float]:
     """Per-chain log-growth averages of `lyapunov.estimate_gamma_mc`, one
     chain at a time by a per-step loop over Python lists.
@@ -299,14 +313,7 @@ def mc_chain_values(chain, auto, path_len: int, n_chains: int, seed: int) -> lis
     an edge by its row of cumulative Parry probabilities.
     """
     omega = chain.states
-    local = {s: k for k, s in enumerate(omega)}
-    cum_rows, edges = [], []
-    for k, i in enumerate(omega):
-        out = [(local[j], T) for j, _lo, _hi, T in auto.children[i]]
-        cdf = np.cumsum([chain.matrix[k, child] for child, _T in out])
-        cdf[-1] = 1.0
-        cum_rows.append(cdf)
-        edges.append(out)
+    cum_rows, edges = mc_cdf_rows(chain, auto)
     start_cdf = np.cumsum(chain.stationary)
     start_cdf[-1] = 1.0
     values = []

@@ -100,6 +100,10 @@ def test_exit_code_bad_input(capsys):
         ("tree", "--beta", "golden", "--x", "1", "--depth", "3", "--node-cap", "-1"),
         ("sums", "--beta", "golden", "--n-max", "4", "--cap", "-1"),
         ("automaton", "--beta", "golden", "--state-cap", "-1"),
+        ("gamma", "--beta", "golden", "--method", "mc", "--seed", "-1"),
+        ("gamma", "--beta", "golden", "--method", "series", "--seed", "-1"),
+        ("table1", "--seed", "-1"),
+        ("simulate", *golden, "--seed", "-1"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv

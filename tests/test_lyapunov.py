@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betagrowth.errors import HypothesisError, InvalidInputError
 from betagrowth.lyapunov import (
+    DRAW_BLOCK,
     MC_STDERR_FLOOR,
     GammaEstimate,
     _inner_log_sums,
+    _rank_table,
     dimension,
     estimate_gamma_mc,
     gamma_integer_case,
@@ -17,7 +21,7 @@ from betagrowth.lyapunov import (
 )
 from betagrowth.netautomaton import build_automaton
 from betagrowth.numberfield import parse_beta
-from conftest import mc_chain_values
+from conftest import mc_cdf_rows, mc_chain_values
 
 PAPER_GAMMA_OVER_LOG2 = {
     3: 0.102500, 4: 0.041560, 5: 0.018426, 6: 0.008590, 7: 0.004123,
@@ -106,6 +110,55 @@ def test_mc_matches_per_chain_reference(spec, m, path_len, n_chains):
     assert est.stderr == max(float(values.std(ddof=1) / math.sqrt(n_chains)), MC_STDERR_FLOOR)
 
 
+# unequal out-degrees (poly:-1,0,-1,1) and padding to V = 8 (golden, m = 3)
+MC_PROPERTY_BASES = [("golden", 3), ("multinacci:4", 2), ("int:2", 4), ("poly:-1,0,-1,1", 2)]
+
+
+@pytest.fixture(scope="module")
+def mc_chains():
+    autos = {base: build_automaton(parse_beta(*base)) for base in MC_PROPERTY_BASES}
+    return {base: (auto, parry_chain(auto)) for base, auto in autos.items()}
+
+
+@settings(max_examples=10, deadline=None)
+@given(base=st.sampled_from(MC_PROPERTY_BASES), seed=st.integers(0, 2 ** 64),
+       path_len=st.integers(1000, 2 * DRAW_BLOCK + 33), n_chains=st.integers(2, 5))
+def test_mc_equals_per_chain_loop(mc_chains, base, seed, path_len, n_chains):
+    auto, chain = mc_chains[base]
+    values = np.array(mc_chain_values(chain, auto, path_len, n_chains, seed))
+    est = estimate_gamma_mc(chain, auto, path_len=path_len, n_chains=n_chains, seed=seed)
+    assert est.value == float(values.mean())
+    assert est.stderr == max(float(values.std(ddof=1) / math.sqrt(n_chains)), MC_STDERR_FLOOR)
+
+
+def _rank_table_picks(rows):
+    """Assert `_rank_table` picks searchsorted(row, u, side="right") on every
+    row, for u at each cumulative value of any row and at its neighbours."""
+    width = max(len(row) for row in rows)
+    cdf = np.full((len(rows), width), 2.0)
+    for s, row in enumerate(rows):
+        cdf[s, :len(row)] = row
+    K, first = _rank_table(cdf)
+    assert first.shape == (len(rows), len(K) + 1)
+    values = np.concatenate([np.asarray(row) for row in rows])
+    uniforms = [0.0, *values, *np.nextafter(values, 0.0), *np.nextafter(values, 2.0)]
+    for u in (u for u in uniforms if u < 1.0):
+        rank = np.searchsorted(K, u, side="right")
+        for s, row in enumerate(rows):
+            assert first[s, rank] == np.searchsorted(row, u, side="right"), (s, u)
+
+
+def test_rank_table_on_ties():
+    # 0.25 and 0.75 belong to one row each, 0.5 to two; the last row has one edge
+    _rank_table_picks([[0.25, 0.5, 1.0], [0.5, 0.75, 1.0], [1.0]])
+
+
+def test_rank_table_on_parry_rows(mc_chains):
+    for base in MC_PROPERTY_BASES:
+        auto, chain = mc_chains[base]
+        _rank_table_picks(mc_cdf_rows(chain, auto)[0])
+
+
 def test_mc_seed_determinism(tri_chain):
     auto, chain = tri_chain
     a = estimate_gamma_mc(chain, auto, path_len=5000, n_chains=4, seed=99)
@@ -121,6 +174,10 @@ def test_mc_bad_params(tri_chain):
         estimate_gamma_mc(chain, auto, path_len=10, n_chains=4)
     with pytest.raises(InvalidInputError):
         estimate_gamma_mc(chain, auto, path_len=5000, n_chains=1)
+    with pytest.raises(InvalidInputError, match="seed"):
+        estimate_gamma_mc(chain, auto, path_len=5000, n_chains=4, seed=-1)
+    with pytest.raises(InvalidInputError, match="seed"):
+        gamma_multinacci_table([2, 3], seed=-1)
 
 
 def test_mc_vs_series_small_multinacci():
