@@ -275,6 +275,7 @@ def cmd_gamma(args) -> int:
         n = 2 if args.beta == "golden" else int(args.beta.split(":")[1])
         est = lyapunov.gamma_multinacci_series(n, seed=args.seed, **options)
     else:
+        lyapunov.check_mc_params(seed=args.seed, **options)
         auto = netautomaton.build_automaton(sys_)
         chain = lyapunov.parry_chain(auto)
         est = lyapunov.estimate_gamma_mc(chain, auto, seed=args.seed, **options)
@@ -408,6 +409,16 @@ def _selftest_checks():
     g1 = lyapunov.estimate_gamma_mc(chain, auto, path_len=2000, n_chains=2, seed=5)
     g2 = lyapunov.estimate_gamma_mc(chain, auto, path_len=2000, n_chains=2, seed=5)
     yield "seeded MC bit-identical", g1.value == g2.value
+
+    def int2_mc(m):
+        auto_m = netautomaton.build_automaton(parse_beta("int:2", m))
+        return lyapunov.estimate_gamma_mc(lyapunov.parry_chain(auto_m), auto_m, path_len=4000,
+                                          n_chains=4, seed=5)
+
+    # integer bases multiply chunks of 32 steps exactly; gamma is log(m/2)
+    g4 = int2_mc(4)
+    yield "MC int:2 m=4 within 3 stderr of log 2", abs(g4.value - math.log(2)) <= 3 * g4.stderr
+    yield "MC int:2 m=2 exactly 0.0", int2_mc(2).value == 0.0
 
 
 def cmd_selftest(args) -> int:

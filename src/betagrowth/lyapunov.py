@@ -5,7 +5,9 @@ Routes:
     the coding automaton and average the log-norm growth of the running
     row-vector product through the transition matrices.  All chains walk
     in lockstep in a single process: a block of path steps by table lookup
-    on the ranks of the uniforms, then one numpy multiply per step.
+    on the ranks of the uniforms, then one numpy multiply per chunk of
+    steps, by the chunk's edge matrices multiplied exactly in a pairwise
+    tree (a chunk is one step where the tree would cost more).
   * Multinacci series: the closed-form series for gamma_n over products of
     the two unimodular digit matrices, enumerated exactly up to a cutoff
     with an analytic geometric tail bound (and a Monte-Carlo middle segment
@@ -27,6 +29,12 @@ from .netautomaton import Automaton
 from .numberfield import BetaSystem, FieldElement, multinacci
 
 RENORM_EVERY = 32
+# estimate_gamma_mc defaults, also for check_mc_params
+MC_PATH_LEN = 100_000
+MC_CHAINS = 32
+# the fixed cost of one numpy call, counted in the float multiply-adds a
+# batched matmul does in the same time (DECISIONS.md has the argument)
+NUMPY_CALL_MADDS = 2 ** 14
 POWER_ITER_TOL = 1e-14
 POWER_ITER_MAX = 200_000
 # each chain draws its uniforms in blocks of this many steps: the same stream
@@ -130,8 +138,53 @@ def _rank_table(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return K, first
 
 
-def estimate_gamma_mc(chain: ParryChain, auto: Automaton, path_len: int = 100_000,
-                      n_chains: int = 32, seed: int = 0) -> GammaEstimate:
+def mc_chunk_len(max_row_sum: int, dim: int, n_chains: int) -> int:
+    """Steps h that `estimate_gamma_mc` multiplies into one product: the
+    largest power of two h <= RENORM_EVERY that is exact, and small enough
+    that one chunk's matrices take no more memory than its uniforms
+    (h * dim^2 <= DRAW_BLOCK); 1 where the product tree costs more than it
+    saves.
+
+    Exactness: the largest row sum r of nonnegative integer matrices is
+    submultiplicative and bounds every entry of their product, partial sums
+    included, so with r^h < 2^53 every product of h edge matrices is formed
+    exactly in float64, in any order of summation.  Cost: the tree does
+    about n_chains * dim^3 multiply-adds per step where the per-step
+    multiply does n_chains * dim^2 and one numpy call; past
+    NUMPY_CALL_MADDS of extra work per step the call is the cheaper.
+    """
+    if n_chains * dim * dim * (dim - 1) > NUMPY_CALL_MADDS:
+        return 1
+    h = RENORM_EVERY
+    while h > 1 and (max_row_sum ** h >= 2 ** 53 or h * dim * dim > DRAW_BLOCK):
+        h //= 2
+    return h
+
+
+def _chunk_products(mats: np.ndarray, h: int) -> np.ndarray:
+    """The product of each run of h consecutive matrices along axis 0 (h a
+    power of two dividing len(mats)), by a pairwise tree: log2 h batched
+    matmuls cover every run at once."""
+    prods = mats.reshape(-1, h, *mats.shape[1:])
+    while prods.shape[1] > 1:
+        prods = prods[:, 0::2] @ prods[:, 1::2]
+    return prods[:, 0]
+
+
+def check_mc_params(path_len: int = MC_PATH_LEN, n_chains: int = MC_CHAINS,
+                    seed: int = 0) -> None:
+    """Reject parameters `estimate_gamma_mc` cannot run with, before any
+    automaton is built for it."""
+    if path_len < 1_000:
+        raise InvalidInputError("path_len must be at least 1000")
+    if n_chains < 2:
+        raise InvalidInputError("need at least 2 chains for a standard error")
+    if seed < 0:
+        raise InvalidInputError("seed must be nonnegative")
+
+
+def estimate_gamma_mc(chain: ParryChain, auto: Automaton, path_len: int = MC_PATH_LEN,
+                      n_chains: int = MC_CHAINS, seed: int = 0) -> GammaEstimate:
     """Kingman Monte-Carlo estimate of gamma over the Parry chain.
 
     Each chain samples a stationary path, pushes a row vector through the
@@ -139,28 +192,27 @@ def estimate_gamma_mc(chain: ParryChain, auto: Automaton, path_len: int = 100_00
     averages the accumulated log growth per step (relative to the starting
     vector).  All chains advance together, a block of DRAW_BLOCK steps at a
     time: the block's paths are walked first, one table lookup per step on
-    the ranks of its uniforms (`_rank_table`), and then every vector is
-    multiplied by its padded edge matrix, one step at a time.  Chain c draws
-    its uniforms from the generator seeded with (seed, c), so the result is
-    fully determined by the master seed.
+    the ranks of its uniforms (`_rank_table`); then, a slice of the block at
+    a time, the edge matrices of every run of h = `mc_chunk_len` steps are
+    multiplied into one exact integer product (`_chunk_products`), and every
+    vector is multiplied by its chunk's product.  Chain c draws its uniforms
+    from the generator seeded with (seed, c), so the result is fully
+    determined by the master seed.
     """
-    if path_len < 1_000:
-        raise InvalidInputError("path_len must be at least 1000")
-    if n_chains < 2:
-        raise InvalidInputError("need at least 2 chains for a standard error")
-    if seed < 0:
-        raise InvalidInputError("seed must be nonnegative")
+    check_mc_params(path_len, n_chains, seed)
     # edge e out of local state s is numbered s * width + e; cdf[s, e] is the
     # cumulative Parry probability of edges 0..e, padded with 2 so a padded
     # slot is never chosen; nxt and mats hold each edge's target and its
-    # matrix, zero-padded to dim x dim for dim the largest multiplicity
+    # matrix, zero-padded to dim x dim for dim the largest multiplicity, and
+    # one more edge, the identity, pads the path's last chunk to h steps
     omega = chain.states
     local = {s: k for k, s in enumerate(omega)}
     width = max(len(auto.children[i]) for i in omega)
     dim = max(auto.v(i) for i in omega)
     cdf = np.full((len(omega), width), 2.0)
     nxt = np.zeros(len(omega) * width, dtype=np.intp)
-    mats = np.zeros((len(omega) * width, dim, dim))
+    mats = np.zeros((len(omega) * width + 1, dim, dim))
+    mats[-1] = np.eye(dim)
     for s, i in enumerate(omega):
         # each child state appears on exactly one edge (ranks separate twins)
         for e, (j, _lo, _hi, T) in enumerate(auto.children[i], s * width):
@@ -169,17 +221,23 @@ def estimate_gamma_mc(chain: ParryChain, auto: Automaton, path_len: int = 100_00
         targets = nxt[s * width:s * width + len(auto.children[i])]
         cdf[s, :len(targets)] = np.cumsum(chain.matrix[s, targets])
         cdf[s, len(targets) - 1] = 1.0
+    h = mc_chunk_len(int(mats.sum(axis=2).max()), dim, n_chains)
+    # a slice of whole chunks whose gathered matrices take no more memory
+    # than a block of uniforms (one step at the least)
+    span = max(1, DRAW_BLOCK // (h * dim * dim)) * h
     # after[e, r] is the edge that follows edge e on a uniform of rank r;
     # row len(nxt) + s is first[s], "start in state s", so one lookup per
-    # step walks a path from its first edge on
+    # step walks a path from its first edge on; the walk runs on the flat
+    # table, every edge scaled by the row length to its row's offset
     K, first = _rank_table(cdf)
     first += width * np.arange(len(omega))[:, None]
-    after = np.concatenate((first[nxt], first))
+    n_ranks = len(K) + 1
+    after = (np.concatenate((first[nxt], first)) * n_ranks).ravel()
     rngs = [np.random.default_rng((seed, c)) for c in range(n_chains)]
     start_cdf = np.cumsum(chain.stationary)
     start_cdf[-1] = 1.0
     state = np.searchsorted(start_cdf, [rng.random() for rng in rngs], side="right")
-    edge = len(nxt) + state
+    cur = (len(nxt) + state) * n_ranks
     vdim = np.array([auto.v(i) for i in omega])[state]
     vec = (np.arange(dim) < vdim[:, None]).astype(float)
     # growth is measured relative to the initial all-ones vector, which
@@ -188,23 +246,26 @@ def estimate_gamma_mc(chain: ParryChain, auto: Automaton, path_len: int = 100_00
     # per-chain loop over Python lists takes them, so each chain's value
     # matches that loop bit for bit
     logscale = np.array([-math.log(v) for v in vdim])
+    done = 0
     for start in range(0, path_len, DRAW_BLOCK):
         u = np.stack([rng.random(min(DRAW_BLOCK, path_len - start)) for rng in rngs], axis=1)
-        # each step's ranks are overwritten by its edges, in place
+        # each step's ranks are overwritten by its edges' offsets in the
+        # flat table, in place, and then by the edges
         path = np.searchsorted(K, u, side="right")
         del u
-        for k, rank in enumerate(path):
-            edge = path[k] = after[edge, rank]
-        for at in range(0, len(path), RENORM_EVERY):
-            chunk = mats[path[at:at + RENORM_EVERY]]
-            for m in chunk:
-                vec = np.einsum("cv,cvw->cw", vec, m)
-            # DRAW_BLOCK is a multiple of RENORM_EVERY: a full chunk ends on
-            # a step that is one too
-            if len(chunk) == RENORM_EVERY:
-                total = sum(vec.T)
-                logscale += [math.log(t) for t in total]
-                vec /= total[:, None]
+        for k in range(len(path)):
+            cur = path[k] = after[cur + path[k]]
+        path //= n_ranks
+        for at in range(0, len(path), span):
+            edges = path[at:at + span]
+            edges = np.concatenate((edges, np.full((-len(edges) % h, n_chains), len(nxt))))
+            for prod in _chunk_products(mats[edges], h):
+                vec = np.einsum("cv,cvw->cw", vec, prod)
+                done = min(done + h, path_len)
+                if done % RENORM_EVERY == 0:
+                    total = sum(vec.T)
+                    logscale += [math.log(t) for t in total]
+                    vec /= total[:, None]
     logscale += [math.log(t) for t in sum(vec.T)]
     arr = logscale / path_len
     mean = float(arr.mean())

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from betagrowth.errors import InvariantError
-from betagrowth.lyapunov import RENORM_EVERY
+from betagrowth.lyapunov import RENORM_EVERY, mc_chunk_len
 from betagrowth.netautomaton import Automaton, CharacteristicState, NetInterval, essential_class
 from betagrowth.numberfield import BetaSystem, parse_beta
 
@@ -306,14 +306,20 @@ def mc_cdf_rows(chain, auto) -> tuple[list[np.ndarray], list[list]]:
 
 def mc_chain_values(chain, auto, path_len: int, n_chains: int, seed: int) -> list[float]:
     """Per-chain log-growth averages of `lyapunov.estimate_gamma_mc`, one
-    chain at a time by a per-step loop over Python lists.
+    chain at a time by a loop over Python lists.
 
     Chain c draws path_len + 1 uniforms from default_rng((seed, c)): the
     first picks the start state from the stationary vector, each further one
-    an edge by its row of cumulative Parry probabilities.
+    an edge by its row of cumulative Parry probabilities.  The edge matrices
+    of each run of h = `mc_chunk_len` steps (the last run may be shorter)
+    are multiplied left to right in Python ints, and the vector is
+    multiplied by that exact product in floats.
     """
     omega = chain.states
     cum_rows, edges = mc_cdf_rows(chain, auto)
+    edges = [[(j, np.array(T, dtype=object)) for j, T in row] for row in edges]
+    max_row_sum = max(int(T.sum(axis=1).max()) for row in edges for _j, T in row)
+    h = mc_chunk_len(max_row_sum, max(auto.v(i) for i in omega), n_chains)
     start_cdf = np.cumsum(chain.stationary)
     start_cdf[-1] = 1.0
     values = []
@@ -322,11 +328,14 @@ def mc_chain_values(chain, auto, path_len: int, n_chains: int, seed: int) -> lis
         state = int(np.searchsorted(start_cdf, u[0], side="right"))
         vec = [1.0] * auto.v(omega[state])
         logscale = -math.log(sum(vec))
-        for step in range(path_len):
-            k = int(np.searchsorted(cum_rows[state], u[step + 1], side="right"))
-            state, T = edges[state][k]
-            vec = [sum(vec[a] * T[a][w] for a in range(len(vec))) for w in range(len(T[0]))]
-            if (step + 1) % RENORM_EVERY == 0:
+        for at in range(0, path_len, h):
+            prod = None
+            for step in range(at, min(at + h, path_len)):
+                k = int(np.searchsorted(cum_rows[state], u[step + 1], side="right"))
+                state, T = edges[state][k]
+                prod = T if prod is None else prod @ T
+            vec = [sum(vec[a] * prod[a, w] for a in range(len(vec))) for w in range(prod.shape[1])]
+            if min(at + h, path_len) % RENORM_EVERY == 0:
                 s = sum(vec)
                 logscale += math.log(s)
                 vec = [x / s for x in vec]

@@ -110,6 +110,18 @@ def test_exit_code_bad_input(capsys):
         assert err.startswith("error:"), argv
 
 
+def test_gamma_mc_validates_before_build(capsys, monkeypatch):
+    def no_build(_sys):
+        raise AssertionError("build_automaton called")
+
+    monkeypatch.setattr("betagrowth.netautomaton.build_automaton", no_build)
+    for bad in (("--seed", "-1"), ("--paths", "999"), ("--chains", "1")):
+        code, out, err = run_cli(capsys, "gamma", "--beta", "poly:-1,-1,0,1", "--method", "mc",
+                                 *bad)
+        assert (code, out) == (2, ""), bad
+        assert err.startswith("error:"), bad
+
+
 def test_exit_code_cap(capsys):
     code, _out, err = run_cli(capsys, "automaton", "--beta", "poly:-3,0,1",
                               "--m", "2", "--state-cap", "200")

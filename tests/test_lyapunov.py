@@ -10,13 +10,16 @@ from betagrowth.lyapunov import (
     DRAW_BLOCK,
     MC_STDERR_FLOOR,
     GammaEstimate,
+    _chunk_products,
     _inner_log_sums,
     _rank_table,
+    check_mc_params,
     dimension,
     estimate_gamma_mc,
     gamma_integer_case,
     gamma_multinacci_series,
     gamma_multinacci_table,
+    mc_chunk_len,
     parry_chain,
 )
 from betagrowth.netautomaton import build_automaton
@@ -100,6 +103,7 @@ def test_mc_integer_case_log2(base2m4):
     ("multinacci:3", 2, 5003, 4),  # crosses a draw block, ends mid-renormalization
     ("golden", 3, 3000, 4),        # matrices padded to V = 8
     ("int:2", 4, 3000, 4),
+    ("int:2", 6, 3000, 4),         # row sum 5: chunks of 16 steps
 ])
 def test_mc_matches_per_chain_reference(spec, m, path_len, n_chains):
     auto = build_automaton(parse_beta(spec, m))
@@ -110,8 +114,10 @@ def test_mc_matches_per_chain_reference(spec, m, path_len, n_chains):
     assert est.stderr == max(float(values.std(ddof=1) / math.sqrt(n_chains)), MC_STDERR_FLOOR)
 
 
-# unequal out-degrees (poly:-1,0,-1,1) and padding to V = 8 (golden, m = 3)
-MC_PROPERTY_BASES = [("golden", 3), ("multinacci:4", 2), ("int:2", 4), ("poly:-1,0,-1,1", 2)]
+# unequal out-degrees (poly:-1,0,-1,1), padding to V = 8 (golden, m = 3) and
+# chunks of 16 steps (int:2, m = 6)
+MC_PROPERTY_BASES = [("golden", 3), ("multinacci:4", 2), ("int:2", 4), ("poly:-1,0,-1,1", 2),
+                     ("int:2", 6)]
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +135,35 @@ def test_mc_equals_per_chain_loop(mc_chains, base, seed, path_len, n_chains):
     est = estimate_gamma_mc(chain, auto, path_len=path_len, n_chains=n_chains, seed=seed)
     assert est.value == float(values.mean())
     assert est.stderr == max(float(values.std(ddof=1) / math.sqrt(n_chains)), MC_STDERR_FLOOR)
+
+
+def test_mc_chunk_len():
+    # the largest power of two h <= 32 with r^h < 2^53
+    for r, h in ((1, 32), (2, 32), (3, 32), (5, 16), (7, 16), (2 ** 53, 1)):
+        assert mc_chunk_len(r, 2, 8) == h, r
+    # one chunk's matrices fit in the memory of its uniforms: 16 * 12^2 <= DRAW_BLOCK
+    assert mc_chunk_len(2, 12, 2) == 16
+    # the plastic number's 27 x 27 matrices: the tree costs more than it saves
+    for n_chains in (2, 8, 32):
+        assert mc_chunk_len(2, 27, n_chains) == 1
+
+
+def test_chunk_products_exact():
+    # a random int:2, m = 6 path: row sum 5, so chunks of 16 steps
+    auto = build_automaton(parse_beta("int:2", 6))
+    rng = np.random.default_rng(3)
+    state, path = min(auto.essential), []
+    for _ in range(4 * 16):
+        state, _lo, _hi, T = auto.children[state][rng.integers(len(auto.children[state]))]
+        path.append(T)
+    h = mc_chunk_len(5, 5, 4)
+    assert h == 16
+    got = _chunk_products(np.array(path, dtype=float)[:, None], h)[:, 0]
+    for k, chunk in enumerate(range(0, len(path), h)):
+        want = np.array(path[chunk], dtype=object)
+        for T in path[chunk + 1:chunk + h]:
+            want = want @ np.array(T, dtype=object)
+        assert got[k].tolist() == want.tolist()
 
 
 def _rank_table_picks(rows):
@@ -178,6 +213,8 @@ def test_mc_bad_params(tri_chain):
         estimate_gamma_mc(chain, auto, path_len=5000, n_chains=4, seed=-1)
     with pytest.raises(InvalidInputError, match="seed"):
         gamma_multinacci_table([2, 3], seed=-1)
+    with pytest.raises(InvalidInputError, match="chains"):
+        check_mc_params(n_chains=1)
 
 
 def test_mc_vs_series_small_multinacci():
