@@ -208,7 +208,8 @@ def cmd_simulate(args) -> int:
     digits = expansions.simulate_expansion(x, args.n, sys_, iter(int(b) for b in bits))
     # reconstruction error |x - sum digits beta^-k| <= tail
     approx = sum(d * float(sys_.rho) ** (k + 1) for k, d in enumerate(digits))
-    rows = [{"digits": "".join(str(d) for d in digits),
+    sep = "" if sys_.m <= 10 else ","  # a digit above 9 needs a separator
+    rows = [{"digits": sep.join(str(d) for d in digits),
              "reconstruction": repr(approx), "x_float": repr(float(sys_.element(x)))}]
     _emit(args, rows, ["digits", "reconstruction", "x_float"],
           _config(args, x=str(args.x), n=args.n))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import HypothesisError, InvalidInputError, InvariantError
 from .netautomaton import Automaton
-from .numberfield import BetaSystem, FieldElement, multinacci
+from .numberfield import BetaSystem, multinacci
 
 RENORM_EVERY = 32
 # estimate_gamma_mc defaults, also for check_mc_params
@@ -59,7 +59,6 @@ class ParryChain:
     states: tuple[int, ...]          # automaton state indices
     matrix: np.ndarray               # row-stochastic, len(states) square
     stationary: np.ndarray           # p with p @ P = p, p > 0
-    exact_rows: list[list[tuple[int, FieldElement]]]  # (local j, exact P_ij)
 
 
 def parry_chain(auto: Automaton) -> ParryChain:
@@ -67,23 +66,16 @@ def parry_chain(auto: Automaton) -> ParryChain:
     omega = sorted(auto.essential)
     local = {s: k for k, s in enumerate(omega)}
     n = len(omega)
-    exact_rows: list[list[tuple[int, FieldElement]]] = []
+    # rows sum to 1 exactly: build_automaton has checked the length
+    # identity ell_i = rho * sum_j ell_j on the essential class
     P = np.zeros((n, n))
     for k, i in enumerate(omega):
         # each child state sits on one edge of i (ranks separate twins)
-        row = []
-        total = sys.field.zero
         scale = sys.rho / auto.ell(i)
         for j, _lo, _hi, _T in auto.children[i]:
             if j not in local:
                 raise InvariantError("essential class not forward closed")
-            pij = auto.ell(j) * scale
-            row.append((local[j], pij))
-            total = total + pij
-            P[k, local[j]] = float(pij)
-        if not (total - sys.field.one).is_zero():
-            raise InvariantError("Parry row does not sum to 1 exactly")
-        exact_rows.append(sorted(row, key=lambda entry: entry[0]))
+            P[k, local[j]] = float(auto.ell(j) * scale)
     # stationary vector by power iteration
     p = np.full(n, 1.0 / n)
     for _ in range(POWER_ITER_MAX):
@@ -97,7 +89,7 @@ def parry_chain(auto: Automaton) -> ParryChain:
         raise InvariantError("power iteration did not reach the residual target")
     if (p <= 0).any():
         raise InvariantError("stationary vector not strictly positive")
-    return ParryChain(tuple(omega), P, p, exact_rows)
+    return ParryChain(tuple(omega), P, p)
 
 
 # ---------------------------------------------------------------------------

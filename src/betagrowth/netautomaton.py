@@ -12,7 +12,8 @@ The closure runs on integer rows: a state's length and offsets are
 coefficient rows over one denominator, and one vector pass per state sorts
 all its cylinder endpoints exactly (`NumberField.rank_rows`) and reads the
 covers off their ranks.  Field elements are built once, for the final
-states and edges, which keep the numbering of `CharacteristicState.key()`.
+states and edges, numbered in the canonical state order: the initial state
+first, the rest by (length, offsets, rank) compared as coefficient tuples.
 
 Transition matrices count digit extensions between covering slots; the
 row-vector product along a coding word recovers the covering multiplicity
@@ -131,14 +132,6 @@ class CharacteristicState:
     length: FieldElement
     offsets: tuple[FieldElement, ...]
     rank: int
-
-    def key(self):
-        """Sort key of the canonical state order: Fraction coefficient tuples."""
-        return (
-            self.length.coeffs,
-            tuple(o.coeffs for o in self.offsets),
-            self.rank,
-        )
 
     @property
     def v(self) -> int:
@@ -320,7 +313,7 @@ def build_automaton(sys: BetaSystem, state_cap: int = DEFAULT_STATE_CAP) -> Auto
 
     # canonical re-indexing: initial state first, the rest sorted by
     # (length, offsets, rank) with every row over one common denominator,
-    # which is the order of CharacteristicState.key()
+    # which orders them as their rational coefficient tuples would
     common = math.lcm(*(den for (den, _flat), _rank in states))
 
     def key(i):

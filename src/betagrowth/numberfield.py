@@ -1,4 +1,4 @@
-"""Exact arithmetic in Q(beta) for a designated real root beta > 1.
+"""Exact arithmetic in Q(beta) for a designated real root beta > 1, on ints.
 
 An element is an integer coefficient vector over one positive denominator,
 (sum_i num_i beta^i) / den with i below the degree of the minimal
@@ -7,8 +7,10 @@ exact integer checks.  Every sign query goes through `sign_int_coeffs`, or
 `sign_rows` for the rows of an integer matrix: a float evaluation screens
 it under a proven error bound, and values too close to zero for the
 screen are settled exactly by `sign_of`, which refines an isolating
-interval of the root by bisection in integers.  Pisot status is decided
-exactly by a Routh-Hurwitz count on a Sturm remainder chain.
+interval of the root by bisection in integers.  Sturm chains of primitive
+pseudo-remainders isolate beta and any rational root (one routine,
+`_isolate`) and decide Pisot status by a Routh-Hurwitz count.  Fractions
+appear only at the edges: rational input, output and bracket endpoints.
 """
 
 from __future__ import annotations
@@ -42,89 +44,131 @@ def _trim(p: list) -> list:
     return p
 
 
-def _poly_eval(coeffs: Sequence[Rational], x: Rational) -> Rational:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
+def _eval_homog(p: Sequence[int], n: int, q: int) -> int:
+    """q^deg(p) p(n/q) = sum_i p_i n^i q^(deg(p) - i), by Horner in integers;
+    for q > 0 it has the sign of p(n/q)."""
+    acc, qk = 0, 1
+    for c in reversed(p):
+        acc = acc * n + c * qk
+        qk *= q
     return acc
 
 
-def _poly_derivative(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    return [Fraction(k) * coeffs[k] for k in range(1, len(coeffs))]
+def _prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """A positive multiple of rem(a, b), primitive: each step multiplies a
+    by |lead(b)| before cancelling its leading term, and the result is
+    divided by its positive content."""
+    a = _trim(list(a))
+    lead, sgn = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    while len(a) >= len(b):
+        c = sgn * a.pop()
+        shift = len(a) - len(b) + 1
+        a = [lead * x for x in a]
+        for i, bi in enumerate(b[:-1]):
+            a[shift + i] -= c * bi
+        _trim(a)
+    g = math.gcd(*a)
+    return [x // g for x in a] if g > 1 else a
 
 
-def _poly_rem(num: Sequence[Fraction], den: Sequence[Fraction]) -> list[Fraction]:
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    while len(num) - 1 >= dd and any(num):
-        _trim(num)
-        if len(num) - 1 < dd:
-            break
-        q = num[-1] / lead
-        shift = len(num) - 1 - dd
-        for i, c in enumerate(den):
-            num[shift + i] -= q * c
-        num.pop()
-    return _trim(num)
-
-
-def _sturm_sequence(coeffs: Sequence[Fraction],
-                    second: Sequence[Fraction] | None = None) -> list[list[Fraction]]:
-    """Remainder chain f, g, -rem(f, g), ...; g defaults to f'.
+def _sturm_sequence(coeffs: Sequence[int],
+                    second: Sequence[int] | None = None) -> list[list[int]]:
+    """Remainder chain f, g, -rem(f, g), ... of integer polynomials, each
+    remainder replaced by a positive multiple (`_prem`); g defaults to f'.
 
     Its sign variations satisfy V(a) - V(b) = Cauchy index of g/f over
-    (a, b); for g = f' that is the number of distinct real roots of f.
-    The last entry is gcd(f, g) up to a constant.
+    (a, b); for g = f' that is the number of distinct real roots of f in
+    (a, b].  The last entry is gcd(f, g) up to a constant.
     """
-    seq = [list(coeffs), _poly_derivative(coeffs) if second is None else list(second)]
-    while seq[-1]:
-        rem = _poly_rem(seq[-2], seq[-1])
-        if not rem:
-            break
+    if second is None:
+        second = [k * c for k, c in enumerate(coeffs)][1:]
+    seq = [p for p in (list(coeffs), list(second)) if p]
+    while len(seq) > 1 and (rem := _prem(seq[-2], seq[-1])):
         seq.append([-c for c in rem])
-    return [p for p in seq if p]
+    return seq
 
 
-def _sign_variations(values: Iterable[Fraction]) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
+def _sign_variations(values: Iterable[int]) -> int:
+    signs = [v > 0 for v in values if v != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _index_over_reals(sturm: Sequence[Sequence[Fraction]]) -> int:
+def _index_over_reals(sturm: Sequence[Sequence[int]]) -> int:
     """V(-inf) - V(+inf) of a chain, read off leading coefficients and degrees."""
     at_plus = [p[-1] for p in sturm]
     at_minus = [c if len(p) % 2 else -c for p, c in zip(sturm, at_plus)]
     return _sign_variations(at_minus) - _sign_variations(at_plus)
 
 
-def _roots_in_interval(sturm: Sequence[Sequence[Fraction]], a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots in (a, b]; endpoints must not be roots of f."""
-    va = _sign_variations(_poly_eval(p, a) for p in sturm)
-    vb = _sign_variations(_poly_eval(p, b) for p in sturm)
-    return va - vb
-
-
 # ---------------------------------------------------------------------------
-# irreducibility: rational roots, factor degrees mod p
+# root isolation: beta, and rational roots
 # ---------------------------------------------------------------------------
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = [d for d in range(1, int(math.isqrt(n)) + 1) if n % d == 0]
-    return sorted(set(out + [n // d for d in out]))
+def _isolate(sturm: Sequence[Sequence[int]], a: int, b: int, q: int, lead: int = 0):
+    """Roots of f = sturm[0] in (a/q, b/q], largest first, for q > 0 and
+    f(a/q), f(b/q) != 0.
+
+    Yields (a', b', q') where (a'/q', b'/q'] holds exactly one root and
+    lead * (b' - a') <= q' (lead = 0: any width), and stops after (m, m, q')
+    where f vanishes at a bisection point m/q'.  A work list of halves, the
+    right one on top, replaces recursion, so the depth is not bounded by
+    the bit size of the coefficients.
+    """
+    va, vb = (_sign_variations(_eval_homog(p, n, q) for p in sturm) for n in (a, b))
+    work = [(a, b, q, va, vb)]
+    while work:
+        a, b, q, va, vb = work.pop()
+        if va - vb == 1 and lead * (b - a) <= q:
+            yield a, b, q
+        elif va > vb:
+            a, b, q = 2 * a, 2 * b, 2 * q
+            m = (a + b) >> 1
+            values = [_eval_homog(p, m, q) for p in sturm]
+            if values[0] == 0:  # past a multiple root the counts would fail
+                yield m, m, q
+                return
+            vm = _sign_variations(values)
+            work += [(a, m, q, va, vm), (m, b, q, vm, vb)]
 
 
 def _has_rational_root(coeffs: Sequence[int]) -> bool:
-    if coeffs[0] == 0:
-        return True
-    for p in _divisors(coeffs[0]):
-        for q in _divisors(coeffs[-1]):
-            for sign in (1, -1):
-                if _poly_eval([Fraction(c) for c in coeffs], Fraction(sign * p, q)) == 0:
-                    return True
+    """Whether an integer polynomial has a root in Q.
+
+    A rational root r of f has |lead| r in Z.  The roots of f lie in
+    (-B, B], B the Cauchy bound, and `_isolate` either meets r at a
+    bisection point or isolates it in an interval of width <= 1/|lead|,
+    which holds one multiple of 1/|lead| at most: r is that one.
+    """
+    lead = abs(coeffs[-1])
+    bound = lead + max(abs(c) for c in coeffs[:-1])  # B over the denominator lead
+    for a, b, q in _isolate(_sturm_sequence(coeffs), -bound, bound, lead, lead):
+        k = b * lead // q  # the largest k with k/lead <= b/q
+        if a == b or (k * q > a * lead and _eval_homog(coeffs, k, lead) == 0):
+            return True
     return False
 
+
+def _isolate_largest_root_above_one(minpoly: MinimalPolynomial) -> tuple[Fraction, Fraction]:
+    coeffs = minpoly.coeffs
+    if minpoly.degree == 1:
+        root = Fraction(-coeffs[0], coeffs[1])
+        if root <= 1:
+            raise InvalidInputError("no real root greater than 1")
+        return root, root
+    # the largest root in (1, B], B the Cauchy bound, over the denominator
+    # |lead|; f is irreducible of degree >= 2, so it has no rational root:
+    # not 1, and the interval found holds one simple root that f changes
+    # sign across, as bisection needs
+    lead = abs(coeffs[-1])
+    bound = lead + max(abs(c) for c in coeffs[:-1])
+    for a, b, q in _isolate(_sturm_sequence(coeffs), lead, bound, lead):
+        return Fraction(a, q), Fraction(b, q)
+    raise InvalidInputError("no real root greater than 1")
+
+
+# ---------------------------------------------------------------------------
+# irreducibility: factor degrees mod p
+# ---------------------------------------------------------------------------
 
 def _gf_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
     prod = [0] * (len(a) + len(b) - 1)
@@ -148,15 +192,11 @@ def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     while b:
         inv = pow(b[-1], p - 2, p)
         r = [c % p for c in a]
-        while len(r) >= len(b):
-            r = _trim(r)
-            if len(r) < len(b):
-                break
+        while len(_trim(r)) >= len(b):
             q = (r[-1] * inv) % p
             shift = len(r) - len(b)
             for i, c in enumerate(b):
                 r[shift + i] = (r[shift + i] - q * c) % p
-            r = _trim(r)
         a, b = b, r
     return a
 
@@ -170,13 +210,6 @@ def _gf_pow(base: list[int], e: int, f: list[int], p: int) -> list[int]:
         base = _gf_mulmod(base, base, f, p)
         e >>= 1
     return result
-
-
-def _gf_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    return _trim([(x - y) % p for x, y in zip(a, b)])
 
 
 def _factor_degrees_mod_p(coeffs: Sequence[int], p: int) -> list[int] | None:
@@ -197,12 +230,13 @@ def _factor_degrees_mod_p(coeffs: Sequence[int], p: int) -> list[int] | None:
     derivative = _trim([(k * c) % p for k, c in enumerate(f)][1:])
     if len(_gf_gcd(f, derivative, p)) != 1:
         return None
-    x = [0, 1]
-    power = x  # x^(p^k) mod (f, p)
+    power = [0, 1]  # x^(p^k) mod (f, p)
     counts = [0] * (d // 2 + 1)  # counts[k]: factors of degree k
     for k in range(1, d // 2 + 1):
         power = _gf_pow(power, p, f, p)
-        found = len(_gf_gcd(f, _gf_sub(power, x, p), p)) - 1
+        diff = power + [0] * (2 - len(power))  # x^(p^k) - x
+        diff[1] = (diff[1] - 1) % p
+        found = len(_gf_gcd(f, diff, p)) - 1
         counts[k] = (found - sum(j * counts[j] for j in range(1, k) if k % j == 0)) // k
     degrees = [k for k in range(1, d // 2 + 1) for _ in range(counts[k])]
     rest = d - sum(degrees)
@@ -219,9 +253,7 @@ def _check_irreducible(coeffs: Sequence[int]) -> None:
     2..d-2 is such a sum for every certificate prime (DECISIONS.md).
     """
     d = len(coeffs) - 1
-    if d == 1:
-        return
-    if _has_rational_root(coeffs):
+    if d > 1 and _has_rational_root(coeffs):
         raise InvalidInputError(f"polynomial {list(coeffs)} is reducible (rational root)")
     if d <= 3:
         return
@@ -261,16 +293,12 @@ class MinimalPolynomial:
 
     @staticmethod
     def from_coeffs(seq: Sequence[int]) -> "MinimalPolynomial":
-        coeffs = [int(c) for c in seq]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
+        coeffs = _trim([int(c) for c in seq])
         if len(coeffs) < 2:
             raise InvalidInputError("minimal polynomial must have degree >= 1")
         if len(coeffs) - 1 > MAX_DEGREE:
             raise InvalidInputError(f"degree {len(coeffs) - 1} exceeds cap {MAX_DEGREE}")
-        g = 0
-        for c in coeffs:
-            g = math.gcd(g, c)
+        g = math.gcd(*coeffs)
         coeffs = [c // g for c in coeffs]
         if coeffs[-1] < 0:
             coeffs = [-c for c in coeffs]
@@ -302,7 +330,7 @@ class FieldElement:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients num_i / den as Fractions (output and ordering keys)."""
+        """The coefficients num_i / den as Fractions, for output."""
         return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- arithmetic ---------------------------------------------------------
@@ -391,7 +419,8 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return self.field.from_coeffs(self.field._inverse(self.num)) * self.den
+        num, den = self.field._inverse(self.num)
+        return FieldElement(self.field, tuple(self.den * c for c in num), den)
 
     # -- predicates ---------------------------------------------------------
 
@@ -438,7 +467,8 @@ class FieldElement:
 
     def __float__(self) -> float:
         beta = self.field.beta_float_powers()
-        return float(sum(float(c) * b for c, b in zip(self.coeffs, beta)))
+        # c / den is float(Fraction(c, den)): int true division rounds correctly
+        return float(sum(c / self.den * b for c, b in zip(self.num, beta)))
 
     def __repr__(self):
         return f"FieldElement({list(self.coeffs)})"
@@ -456,7 +486,9 @@ class NumberField:
         self.degree = minpoly.degree
         self._lead = minpoly.coeffs[-1]
         self._row = tuple(-c for c in minpoly.coeffs[:-1])  # lead*beta^d = sum row_i beta^i
-        self._lo, self._hi = bracket
+        # the isolating interval is [a/q, b/q], in integers
+        self._q = math.lcm(bracket[0].denominator, bracket[1].denominator)
+        self._a, self._b = (int(t * self._q) for t in bracket)
         self._float_powers: tuple[float, ...] | None = None
         zeros = (0,) * self.degree
         self.zero = FieldElement(self, zeros)
@@ -516,79 +548,80 @@ class NumberField:
                     prod[k - d + i] += c * r
         return tuple(prod[:d]), scale
 
-    def _inverse(self, a: Sequence[int]) -> list[Fraction]:
-        """Coefficients of 1/a for a nonzero integer vector a.
+    def _inverse(self, a: Sequence[int]) -> tuple[tuple[int, ...], int]:
+        """(u, den) with 1/a = (sum_j u_j beta^j) / den, for a nonzero
+        integer vector a.
 
-        Column j of the linear system is a*beta^j; Gauss-Jordan elimination
-        over Q solves for the coordinates u of sum_j u_j a beta^j = 1.
+        Column j of the linear system is a*beta^j = c_j / s_j; fraction-free
+        Gauss-Jordan elimination (Bareiss) solves sum_j w_j c_j = 1 in
+        integers, every division exact, ending with each unknown's row
+        reading pivot * w_j = x_j; then u_j = s_j x_j over den = pivot.
         """
         d = self.degree
-        rows = [[Fraction(0)] * d + [Fraction(int(i == 0))] for i in range(d)]
-        col, scale = tuple(a), 1
-        for j in range(d):
-            for i in range(d):
-                rows[i][j] = Fraction(col[i], scale)
-            if j + 1 < d:
-                col, s = self._mul(col, self.beta.num)
-                scale *= s
+        cols, scales = [tuple(a)], [1]
+        while len(cols) < d:
+            col, s = self._mul(cols[-1], self.beta.num)
+            cols.append(col)
+            scales.append(scales[-1] * s)
+        rows = [[c[i] for c in cols] + [int(i == 0)] for i in range(d)]
+        prev = 1
         for j in range(d):
             p = next(i for i in range(j, d) if rows[i][j])
             rows[j], rows[p] = rows[p], rows[j]
-            pivot = [v / rows[j][j] for v in rows[j]]
-            rows[j] = pivot
+            pivot = rows[j]
             for i in range(d):
-                if i != j and rows[i][j]:
+                if i != j:
                     f = rows[i][j]
-                    rows[i] = [v - f * w for v, w in zip(rows[i], pivot)]
-        return [r[d] for r in rows]
+                    rows[i] = [(pivot[j] * v - f * w) // prev for v, w in zip(rows[i], pivot)]
+            prev = pivot[j]
+        return tuple(s * r[d] for s, r in zip(scales, rows)), prev
 
     # -- sign determination ----------------------------------------------------
 
     def bracket(self) -> tuple[Fraction, Fraction]:
-        return self._lo, self._hi
+        return Fraction(self._a, self._q), Fraction(self._b, self._q)
 
     def _bisect(self, steps: int) -> None:
-        """Halve the isolating interval `steps` times, in integers: over one
-        denominator q with a factor 2^steps every midpoint n is an integer,
-        and q^d p(n/q) = sum_i c_i n^i q^(d-i) has the sign of p(n/q)."""
-        q = math.lcm(self._lo.denominator, self._hi.denominator) << steps
-        lo, hi = int(self._lo * q), int(self._hi * q)
-        scaled = [c * q ** (self.degree - i) for i, c in enumerate(self.minpoly.coeffs)]
-        rising = _poly_eval(scaled, lo) < 0
+        """Halve the isolating interval `steps` times, in integers: over the
+        denominator q 2^steps every midpoint n is an integer, and
+        `_eval_homog` gives the sign of p(n/q)."""
+        q, lo, hi = (t << steps for t in (self._q, self._a, self._b))
+        coeffs = self.minpoly.coeffs
+        rising = _eval_homog(coeffs, lo, q) < 0
         for _ in range(steps):
             mid = (lo + hi) >> 1
-            v = _poly_eval(scaled, mid)
+            v = _eval_homog(coeffs, mid, q)
             if v == 0:
                 raise InvariantError("bisection midpoint is a root; polynomial not irreducible?")
             lo, hi = (mid, hi) if (v < 0) == rising else (lo, mid)
-        self._lo, self._hi = Fraction(lo, q), Fraction(hi, q)
+        self._a, self._b, self._q = lo, hi, q
         self._float_powers = None
 
     def refine_to(self, width: Fraction) -> tuple[Fraction, Fraction]:
-        # the fewest halvings t with (hi - lo) / 2^t <= width
-        gap = self._hi - self._lo
-        ratio = -(-gap.numerator * width.denominator // (width.numerator * gap.denominator))
+        # the fewest halvings t with (b - a) / (q 2^t) <= width
+        ratio = -(-(self._b - self._a) * width.denominator // (width.numerator * self._q))
         if ratio > 1:
             self._bisect((ratio - 1).bit_length())
-        return self._lo, self._hi
+        return self.bracket()
 
     def sign_of(self, coeffs: Sequence[int]) -> int:
         """Sign of sum(c_k beta^k) for a *nonzero* integer vector, by bisection."""
         while True:
-            vlo, vhi = _interval_horner(coeffs, self._lo, self._hi)
+            vlo, vhi = _interval_horner(coeffs, self._a, self._b, self._q)
             if vlo > 0:
                 return 1
             if vhi < 0:
                 return -1
-            if self._lo == self._hi:
+            if self._a == self._b:
                 # degree-one field: evaluation was exact, value must be zero
                 raise InvariantError("sign query on zero element slipped through")
             self._bisect(1)
 
     def beta_float_powers(self) -> tuple[float, ...]:
         if self._float_powers is None:
-            mid = sum(self.refine_to(Fraction(1, 10 ** 30))) / 2
-            self._float_powers = tuple(float(mid ** k) for k in range(self.degree))
+            self.refine_to(Fraction(1, 10 ** 30))
+            n, q = self._a + self._b, 2 * self._q  # the midpoint n/q
+            self._float_powers = tuple(n ** k / q ** k for k in range(self.degree))
         return self._float_powers
 
     def float_error(self, mag):
@@ -681,48 +714,16 @@ class NumberField:
         return rank
 
 
-def _interval_horner(
-    coeffs: Sequence[int], lo: Fraction, hi: Fraction
-) -> tuple[Fraction, Fraction]:
-    """Enclosure of sum(c_k * t^k) over t in [lo, hi]."""
-    alo = ahi = Fraction(0)
+def _interval_horner(coeffs: Sequence[int], a: int, b: int, q: int) -> tuple[int, int]:
+    """Enclosure of q^D sum(c_k t^k) over t in [a/q, b/q], D = len(coeffs) - 1
+    and q > 0: interval Horner scaled as in `_eval_homog`."""
+    alo, ahi, qk = 0, 0, 1
     for c in reversed(coeffs):
-        p1, p2, p3, p4 = alo * lo, alo * hi, ahi * lo, ahi * hi
-        alo = min(p1, p2, p3, p4) + c
-        ahi = max(p1, p2, p3, p4) + c
+        p1, p2, p3, p4 = alo * a, alo * b, ahi * a, ahi * b
+        alo = min(p1, p2, p3, p4) + c * qk
+        ahi = max(p1, p2, p3, p4) + c * qk
+        qk *= q
     return alo, ahi
-
-
-# ---------------------------------------------------------------------------
-# root isolation
-# ---------------------------------------------------------------------------
-
-def _isolate_largest_root_above_one(minpoly: MinimalPolynomial) -> tuple[Fraction, Fraction]:
-    coeffs = [Fraction(c) for c in minpoly.coeffs]
-    if minpoly.degree == 1:
-        root = Fraction(-minpoly.coeffs[0], minpoly.coeffs[1])
-        if root <= 1:
-            raise InvalidInputError("no real root greater than 1")
-        return root, root
-    if _poly_eval(coeffs, Fraction(1)) == 0:
-        raise InvalidInputError("polynomial vanishes at 1; not a valid base")
-    bound = Fraction(1) + max(abs(c) for c in coeffs[:-1]) / abs(coeffs[-1])
-    sturm = _sturm_sequence(coeffs)
-    total = _roots_in_interval(sturm, Fraction(1), bound)
-    if total == 0:
-        raise InvalidInputError("no real root greater than 1")
-    lo, hi = Fraction(1), bound
-    count = total
-    while count > 1:
-        mid = (lo + hi) / 2
-        right = _roots_in_interval(sturm, mid, hi)
-        if right >= 1:
-            lo, count = mid, right
-        else:
-            hi, count = mid, count - right
-    # f has no rational root, so (lo, hi] holds one simple root and f
-    # changes sign across it, as bisection needs
-    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -745,8 +746,8 @@ def _roots_outside_unit_circle(coeffs: Sequence[int]) -> int | None:
              for k, pk in enumerate(coeffs) for i in range(min(k, j) + 1))
          for j in range(d + 1)]
     # i^j = 1, i, -1, -i: the real and imaginary parts of q(iy)
-    a = _trim([Fraction((1, 0, -1, 0)[j % 4] * c) for j, c in enumerate(q)])
-    b = _trim([Fraction((0, 1, 0, -1)[j % 4] * c) for j, c in enumerate(q)])
+    a = _trim([(1, 0, -1, 0)[j % 4] * c for j, c in enumerate(q)])
+    b = _trim([(0, 1, 0, -1)[j % 4] * c for j, c in enumerate(q)])
     chain = _sturm_sequence(b, a) if d % 2 else _sturm_sequence(a, [-c for c in b])
     gcd = chain[-1]
     if len(gcd) > 1 and _index_over_reals(_sturm_sequence(gcd)) > 0:
@@ -754,23 +755,21 @@ def _roots_outside_unit_circle(coeffs: Sequence[int]) -> int | None:
     return (d - _index_over_reals(chain)) // 2
 
 
-def _pisot_flag(minpoly: MinimalPolynomial, bracket: tuple[Fraction, Fraction]) -> bool:
-    if not minpoly.monic:
-        return False
-    if bracket[0] == bracket[1]:  # degree one, integer root k >= 2
-        return bracket[0] > 1
-    # beta > 1 is one root outside the disc; Pisot means it is the only one
-    return _roots_outside_unit_circle(minpoly.coeffs) == 1
+def _pisot_flag(minpoly: MinimalPolynomial) -> bool:
+    """Pisot status once the largest real root beta is known to exceed 1:
+    beta is one root outside the disc; Pisot means it is the only one.
+    In degree one, beta is an integer k >= 2 when the polynomial is monic."""
+    return minpoly.monic and (minpoly.degree == 1 or _roots_outside_unit_circle(minpoly.coeffs) == 1)
 
 
 def is_pisot(minpoly: MinimalPolynomial) -> bool:
     """True iff the largest real root exceeds 1 and all conjugates lie
-    strictly inside the unit circle; decided exactly in rational arithmetic."""
+    strictly inside the unit circle; decided exactly in integer arithmetic."""
     try:
-        bracket = _isolate_largest_root_above_one(minpoly)
+        _isolate_largest_root_above_one(minpoly)
     except InvalidInputError:
         return False
-    return _pisot_flag(minpoly, bracket)
+    return _pisot_flag(minpoly)
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +829,7 @@ def _system_from_minpoly(spec: str, minpoly: MinimalPolynomial, m: int) -> BetaS
     if not (rho * beta == field.one):
         raise InvariantError("rho * beta != 1")
     right_end = field.rational(m - 1) / (beta - field.one)
-    pisot = _pisot_flag(minpoly, bracket)
+    pisot = _pisot_flag(minpoly)
     return BetaSystem(
         spec=spec,
         minpoly=minpoly,

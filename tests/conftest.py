@@ -3,16 +3,17 @@
 The oracles here deliberately avoid the library's DP/matrix machinery:
 prefix counts come from enumerating all m^n words against the defining
 remainder inequality, and covering counts from enumerating all composed
-map images.  Tests freeze values computed by these oracles.  The
-Monte-Carlo reference walks one Parry chain at a time with plain Python
-lists, against which the lockstep numpy walk is compared exactly; the
-lattice reference steps the prefix-sum DP one state at a time on a dict,
-against which the array kernel is compared state for state; the automaton
-reference builds the coding automaton in field elements, one cylinder and
-one breakpoint at a time, against which the integer-row closure is
-compared state for state; the net-interval reference sorts every word's
-cylinder in field elements, against which the rank-sorted rows are
-compared interval for interval.
+map images; rational roots come from trial division by the divisors of the
+constant and leading coefficients.  Tests freeze values computed by these
+oracles.  The Monte-Carlo reference walks one Parry chain at a time with
+plain Python lists, against which the lockstep numpy walk is compared
+exactly; the lattice reference steps the prefix-sum DP one state at a time
+on a dict, against which the array kernel is compared state for state; the
+automaton reference builds the coding automaton in field elements, one
+cylinder and one breakpoint at a time, against which the integer-row
+closure is compared state for state; the net-interval reference sorts
+every word's cylinder in field elements, against which the rank-sorted
+rows are compared interval for interval.
 """
 
 import math
@@ -76,6 +77,21 @@ def b14() -> BetaSystem:
 @pytest.fixture(scope="session")
 def b13() -> BetaSystem:
     return parse_beta("1.3", 2)
+
+
+def _divisors(n: int) -> list[int]:
+    n = abs(n)
+    out = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted(set(out + [n // d for d in out]))
+
+
+def brute_has_rational_root(coeffs) -> bool:
+    """Whether an integer polynomial has a root in Q, by trial division: a
+    root p/q in lowest terms has p | c_0 and q | c_d."""
+    if coeffs[0] == 0:
+        return True
+    return any(sum(c * Fraction(sign * p, q) ** k for k, c in enumerate(coeffs)) == 0
+               for p in _divisors(coeffs[0]) for q in _divisors(coeffs[-1]) for sign in (1, -1))
 
 
 def _rho_powers(sys: BetaSystem, n: int):
@@ -261,10 +277,15 @@ def field_children(sys: BetaSystem, length, offsets):
     return out
 
 
+def state_key(st: CharacteristicState):
+    """Sort key of the canonical state order: Fraction coefficient tuples."""
+    return st.length.coeffs, tuple(o.coeffs for o in st.offsets), st.rank
+
+
 def field_automaton(sys: BetaSystem) -> Automaton:
     """The coding automaton by a breadth-first closure of `field_children`
     over field-element states, numbered like `build_automaton`: the root
-    first, the rest in `CharacteristicState.key()` order."""
+    first, the rest in `state_key` order."""
     root = CharacteristicState(sys.field.one, (sys.field.zero,), 1)
     index = {root: 0}
     states = [root]
@@ -280,7 +301,7 @@ def field_automaton(sys: BetaSystem) -> Automaton:
                 states.append(child)
             kids.append((index[child], u_lo, u_hi, T))
         raw_children.append(kids)
-    order = [0] + sorted(range(1, len(states)), key=lambda i: states[i].key())
+    order = [0] + sorted(range(1, len(states)), key=lambda i: state_key(states[i]))
     relabel = {old: new for new, old in enumerate(order)}
     children = [None] * len(states)
     for old, kids in enumerate(raw_children):

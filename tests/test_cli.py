@@ -176,6 +176,18 @@ def test_simulate_deterministic(capsys):
     assert a == b and a[0] == 0
 
 
+def test_simulate_digit_column(capsys):
+    # m <= 10: one character per digit; above, a digit 10 must not read as 1, 0
+    code, out, _ = run_cli(capsys, "simulate", "--beta", "golden", "--m", "2",
+                           "--x", "2/5", "--n", "8", "--seed", "1")
+    assert code == 0
+    assert out.splitlines()[-1] == "00110000,0.38196601125010526,0.4"
+    code, out, _ = run_cli(capsys, "simulate", "--beta", "10.5", "--m", "11",
+                           "--x", "1", "--n", "6", "--seed", "1")
+    assert code == 0
+    assert out.splitlines()[-1].startswith('"10,5,2,6,5,9",')
+
+
 def test_automaton_json(capsys):
     code, out, _ = run_cli(capsys, "automaton", "--beta", "golden", "--m", "2")
     assert code == 0
@@ -250,6 +262,33 @@ def test_runs_without_mpmath():
     result = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
+
+
+def _cli_subprocess(*argv, timeout=60):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "betagrowth.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("digits", [18, 40, 300])
+def test_huge_constant_term_parses_fast(digits):
+    # x^2 - (10^k + 1): irreducible, beta ~ 10^(k/2) > m; parsing is
+    # polynomial in the bit size, so the m check is reached in a moment
+    spec = f"poly:-{10 ** digits + 1},0,1"
+    result = _cli_subprocess("count", "--beta", spec, "--m", "2", "--x", "1", "--n", "1")
+    assert result.returncode == 2
+    assert "m=2 must not be smaller than beta" in result.stderr
+
+
+def test_planted_large_rational_root_rejected():
+    # (x - r)(x^2 + 1): r is the one integer in an isolating interval of
+    # width <= 1 (the lead is 1), where f vanishes exactly
+    r = 999999999989
+    result = _cli_subprocess("count", "--beta", f"poly:{-r},1,{-r},1", "--m", "2",
+                             "--x", "1", "--n", "1")
+    assert result.returncode == 2
+    assert "is reducible (rational root)" in result.stderr
 
 
 def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):

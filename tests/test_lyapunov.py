@@ -58,15 +58,21 @@ def test_parry_stationary(tri_chain):
     assert (chain.stationary > 0).all()
 
 
-def test_parry_exact_rows_sum_to_one(golden):
-    auto = build_automaton(golden)
+@pytest.mark.parametrize("spec,m", [("golden", 2), ("golden", 3), ("multinacci:3", 2),
+                                    ("poly:-1,-1,0,1", 2)])
+def test_parry_rows_sum_to_one_exactly(spec, m):
+    # P_ij = rho l_j / l_i sums to 1 over a row exactly when the children
+    # lengths of each essential state i sum to beta l_i
+    sys_ = parse_beta(spec, m)
+    auto = build_automaton(sys_)
     chain = parry_chain(auto)
-    one = golden.field.one
-    for row in chain.exact_rows:
-        total = golden.field.zero
-        for _j, pij in row:
-            total = total + pij
-        assert total == one
+    assert sorted(auto.essential) == list(chain.states)
+    for i in chain.states:
+        total = sys_.field.zero
+        for j, _lo, _hi, _T in auto.children[i]:
+            assert j in auto.essential
+            total = total + auto.ell(j)
+        assert total == sys_.beta * auto.ell(i)
 
 
 def test_parry_binary(binary):

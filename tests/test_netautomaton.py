@@ -16,7 +16,7 @@ from betagrowth.netautomaton import (
     products_positive,
 )
 from betagrowth.numberfield import parse_beta
-from conftest import field_automaton, field_net_intervals, multiplicity_direct
+from conftest import field_automaton, field_net_intervals, multiplicity_direct, state_key
 
 
 @pytest.fixture(scope="module")
@@ -171,7 +171,7 @@ def test_essential_class_properties(golden_auto, tri_auto, binary):
 def test_determinism(golden):
     a1 = build_automaton(golden)
     a2 = build_automaton(golden)
-    assert [s.key() for s in a1.states] == [s.key() for s in a2.states]
+    assert [state_key(s) for s in a1.states] == [state_key(s) for s in a2.states]
     for i in range(a1.size):
         kids1 = [(j, T) for j, _lo, _hi, T in a1.children[i]]
         kids2 = [(j, T) for j, _lo, _hi, T in a2.children[i]]

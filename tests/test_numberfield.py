@@ -15,12 +15,14 @@ from betagrowth.numberfield import (
     MinimalPolynomial,
     NumberField,
     _factor_degrees_mod_p,
+    _has_rational_root,
     _roots_outside_unit_circle,
     _sturm_sequence,
     is_pisot,
     multinacci,
     parse_beta,
 )
+from conftest import brute_has_rational_root
 
 # beta values printed in the multinacci table (6 decimals)
 MULTINACCI_BETA = {
@@ -181,7 +183,7 @@ def _exact_quotient(num, den):
 
 def _squarefree_parts(coeffs):
     """s_1, s_2, ...: s_j has the distinct roots of multiplicity >= j, each once."""
-    p = [Fraction(c) for c in coeffs]
+    p = list(coeffs)
     while len(p) > 1:
         g = _sturm_sequence(p)[-1]  # gcd(p, p') up to a constant
         yield _exact_quotient(p, g)
@@ -204,6 +206,33 @@ def test_outside_root_count_matches_numpy(coeffs):
     moduli = [np.abs(np.roots([float(c) for c in s[::-1]])) for s in _squarefree_parts(coeffs)]
     assume(not np.any(np.abs(moduli[0] - 1) < 1e-6))
     assert _roots_outside_unit_circle(coeffs) == sum(int((m > 1).sum()) for m in moduli)
+
+
+@st.composite
+def _rational_root_polys(draw):
+    """Degree 1..8, small coefficients, lead in {+-1, 2, 3, -5, 6}; half of
+    them (q x - p) g(x) with a planted root p/q, q dividing the lead."""
+    lead = draw(st.sampled_from([1, -1, 2, 3, -5, 6]))
+    if not draw(st.booleans()):
+        d = draw(st.integers(1, 8))
+        return draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d)) + [lead]
+    q = draw(st.sampled_from([k for k in range(1, 7) if lead % k == 0]))
+    p = draw(st.integers(-9, 9))
+    g = draw(st.lists(st.integers(-9, 9), max_size=7)) + [lead // q]
+    f = [0] * (len(g) + 1)
+    for i, c in enumerate(g):
+        f[i] -= p * c
+        f[i + 1] += q * c
+    return f
+
+
+@example(coeffs=[1, -5, 6])  # (2x - 1)(3x - 1): roots 1/lead apart
+@example(coeffs=[1, -4, 5, -4, 4])  # (2x - 1)^2 (x^2 + 1): a double root
+@example(coeffs=[0, 0, 0, 1])  # x^3
+@settings(max_examples=400, deadline=None)
+@given(coeffs=_rational_root_polys())
+def test_rational_root_matches_trial_division(coeffs):
+    assert _has_rational_root(coeffs) == brute_has_rational_root(coeffs)
 
 
 def test_decimal_literal_not_pisot():
@@ -328,7 +357,8 @@ def test_equality_across_fields_is_false():
 # property tests of the integer-vector format
 # ---------------------------------------------------------------------------
 
-PROPERTY_SPECS = ("golden", "multinacci:3", "1.5", "poly:-3,0,2")
+# poly:-1,-1,0,-1,2 is 2x^4 - x^3 - x - 1 (beta ~ 1.173): non-monic, degree 4
+PROPERTY_SPECS = ("golden", "multinacci:3", "1.5", "poly:-3,0,2", "poly:-1,-1,0,-1,2")
 
 
 @pytest.fixture(scope="module")
