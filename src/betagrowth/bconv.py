@@ -53,6 +53,7 @@ class MeasureAtoms:
     def __post_init__(self):
         self._lattice = Lattice(self.sys)
         self._sorted_cache = None
+        self._cells = {}
 
     @property
     def size(self) -> int:
@@ -75,6 +76,20 @@ class MeasureAtoms:
 
     def weights_float(self) -> np.ndarray:
         return self._sorted()[2]
+
+    def cell_masses(self, width: float) -> np.ndarray:
+        """Masses of the grid cells [j*width, (j+1)*width) that hold an atom,
+        in increasing j, kept per width for every q of a tau table.  The
+        values are sorted, so each cell's atoms are one run, and the run
+        numbers are the labels a sort of the cells would give; bincount then
+        adds each cell's weights in the same order (DECISIONS.md)."""
+        if width not in self._cells:
+            cells = np.floor(self.values_float() / width)
+            starts = np.flatnonzero(cells[1:] != cells[:-1]) + 1
+            runs = np.diff(starts, prepend=0, append=len(cells))
+            labels = np.repeat(np.arange(len(runs)), runs)
+            self._cells[width] = np.bincount(labels, weights=self.weights_float())
+        return self._cells[width]
 
     def items_exact(self):
         """(value FieldElement, weight Fraction) in increasing value order."""
@@ -251,6 +266,11 @@ class TauEstimate:
     levels_used: tuple[int, ...]
 
 
+def _check_q(q_list: Sequence[float]) -> None:
+    if not all(-2 <= q <= 4 for q in q_list):
+        raise InvalidInputError("q must lie in [-2, 4]")
+
+
 def lq_spectrum_estimate(q: float, sys: BetaSystem, levels: Sequence[int],
                          margin: int = 8,
                          atoms: MeasureAtoms | None = None) -> TauEstimate:
@@ -260,24 +280,17 @@ def lq_spectrum_estimate(q: float, sys: BetaSystem, levels: Sequence[int],
     moment; cells of zero mass are excluded (they only matter for q <= 0).
     Heuristic for q < 0, exact for the uniform calibration case.
     """
-    if not -2 <= q <= 4:
-        raise InvalidInputError("q must lie in [-2, 4]")
+    _check_q([q])
     levels = _sorted_levels(levels, margin, min_count=3)
     if atoms is None:
         atoms = level_atoms(sys, max(levels) + margin)
-    values = atoms.values_float()
-    weights = atoms.weights_float()
     beta_f = float(sys.beta)
     used = _deepest_half(levels)
     xs, ys = [], []
     for n in used:
         r = beta_f ** (-n)
         width = 2 * r
-        idx = np.floor(values / width).astype(np.int64)
-        _cells, inverse = np.unique(idx, return_inverse=True)
-        masses = np.bincount(inverse, weights=weights)
-        masses = masses[masses > 0]
-        moment = float((masses ** q).sum())
+        moment = float((atoms.cell_masses(width) ** q).sum())
         xs.append(math.log(r))
         ys.append(math.log(moment))
     slope, rms = _regression_slope(xs, ys)
@@ -288,6 +301,7 @@ def lq_spectrum_table(q_list: Sequence[float], sys: BetaSystem,
                       levels: Sequence[int], margin: int = 8) -> list[TauEstimate]:
     """tau-hat for several q sharing one atom construction."""
     _sorted_levels(levels, margin, min_count=3)
+    _check_q(q_list)
     atoms = level_atoms(sys, max(levels) + margin)
     return [
         lq_spectrum_estimate(q, sys, levels, margin=margin, atoms=atoms)

@@ -13,7 +13,9 @@ automaton reference builds the coding automaton in field elements, one
 cylinder and one breakpoint at a time, against which the integer-row
 closure is compared state for state; the net-interval reference sorts
 every word's cylinder in field elements, against which the rank-sorted
-rows are compared interval for interval.
+rows are compared interval for interval.  The row merge is checked against
+a dict of tuples, and the run-based grid-cell masses of the L^q estimate
+against the sort-and-bincount form they replaced, bit for bit.
 """
 
 import math
@@ -241,6 +243,24 @@ def dict_lattice_levels(sys: BetaSystem, n: int, a=None, b=None) -> list[dict]:
             states = dict_lattice_step(sys, states, k, lo - sys.right_end, hi)
         levels.append(states)
     return levels
+
+
+def dict_merge_rows(rows, counts) -> dict:
+    """{row tuple: summed count} over equal integer rows, one row at a time."""
+    merged: dict = {}
+    for row, count in zip(rows, counts):
+        merged[tuple(row)] = merged.get(tuple(row), 0) + count
+    return merged
+
+
+def bincount_cell_masses(values: np.ndarray, weights: np.ndarray, width: float) -> np.ndarray:
+    """Masses of the grid cells [j*width, (j+1)*width) that hold an atom, in
+    increasing j: the cell indices ranked by a sort (np.unique) and the
+    weights of each rank added by bincount, in the order of the atoms."""
+    idx = np.floor(values / width).astype(np.int64)
+    _cells, inverse = np.unique(idx, return_inverse=True)
+    masses = np.bincount(inverse, weights=weights)
+    return masses[masses > 0]
 
 
 def field_children(sys: BetaSystem, length, offsets):

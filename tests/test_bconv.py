@@ -18,6 +18,8 @@ from betagrowth.errors import CapExceededError, HypothesisError, InvalidInputErr
 from betagrowth.expansions import count_prefixes, distinct_sums_count
 from betagrowth.numberfield import parse_beta
 
+from conftest import bincount_cell_masses
+
 
 # ---------------------------------------------------------------------------
 # atoms
@@ -242,6 +244,25 @@ def test_tau_concavity(golden):
 def test_tau_rejects_bad_q(golden):
     with pytest.raises(InvalidInputError):
         lq_spectrum_estimate(5.0, golden, levels=range(10, 14))
+
+
+# the used levels of tau on golden (levels 12..18, margin 8) and on 13/10
+# (levels 4..10, margin 8); golden with m = 3 has weights that are not
+# dyadic, so there the cell sums depend on the order of their terms
+@pytest.mark.parametrize("spec, m, atom_level, used", [
+    ("golden", 2, 26, (15, 16, 17, 18)),
+    ("13/10", 2, 18, (7, 8, 9, 10)),
+    ("golden", 3, 16, (6, 7, 8)),
+])
+def test_cell_masses_match_bincount(spec, m, atom_level, used):
+    sys_ = parse_beta(spec, m)
+    atoms = level_atoms(sys_, atom_level)
+    values, weights = atoms.values_float(), atoms.weights_float()
+    for n in used:
+        width = 2 * float(sys_.beta) ** -n
+        got = atoms.cell_masses(width)
+        want = bincount_cell_masses(values, weights, width)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), n
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,17 @@ def test_gamma_mc_validates_before_build(capsys, monkeypatch):
         assert err.startswith("error:"), bad
 
 
+def test_tau_validates_q_before_atoms(capsys, monkeypatch):
+    def no_atoms(*_args, **_kwargs):
+        raise AssertionError("level_atoms called")
+
+    monkeypatch.setattr("betagrowth.bconv.level_atoms", no_atoms)
+    for q_list in ("--q-list=5", "--q-list=1,5", "--q-list=-3,0"):
+        code, out, err = run_cli(capsys, "tau", "--beta", "golden", q_list, "--levels", "12..20")
+        assert (code, out) == (2, ""), q_list
+        assert err.startswith("error:") and "q must lie in [-2, 4]" in err, q_list
+
+
 def test_exit_code_cap(capsys):
     code, _out, err = run_cli(capsys, "automaton", "--beta", "poly:-3,0,1",
                               "--m", "2", "--state-cap", "200")

@@ -250,6 +250,32 @@ def test_garsia_min_gap_is_exact_minimum(spec):
         assert r.min_gap_scaled == float(exact)
 
 
+GOLDEN_GAP, TRIB_GAP = 0.6180339887498949, 0.5436890126920764
+
+
+# the sums of the benchmark's spectrum tasks: distinct counts and minimum
+# scaled gaps, frozen from the np.unique form of the gap dedupe
+@pytest.mark.parametrize("spec, counts, gaps", [
+    ("golden", [2, 4, 7, 12, 20, 33, 54, 88, 143, 232, 376, 609, 986, 1596, 2583, 4180,
+                6764, 10945, 17710, 28656, 46367, 75024, 121392, 196417],
+     [1.0] + [GOLDEN_GAP] * 23),
+    ("multinacci:3", [2, 4, 8, 15, 28, 52, 96, 177, 326, 600, 1104, 2031, 3736, 6872,
+                      12640, 23249, 42762, 78652],
+     [1.0, 0.8392867552141612] + [TRIB_GAP] * 16),
+    ("13/10", [2 ** n for n in range(1, 19)],
+     [1.0, 0.3, 0.3, 0.103, 0.0309, 0.0309, 0.019291, 0.0048727, 0.00032821, 0.00032821,
+      0.0001715119, 0.0001715119, 9.3307889e-05, 1.60557257e-05, 1.269281659e-05,
+      8.872892653e-06, 7.6909183159e-06, 6.4319573777e-07]),
+])
+def test_garsia_report_frozen(spec, counts, gaps):
+    sys_ = parse_beta(spec, 2)
+    rows = garsia_report(sys_, len(counts))
+    assert [r.count for r in rows] == counts
+    assert [r.min_gap_scaled for r in rows] == gaps
+    assert [r.count_over_beta_n for r in rows] == [
+        c / float(sys_.beta) ** n for n, c in enumerate(counts, start=1)]
+
+
 @pytest.mark.parametrize("spec", ["golden", "13/10"])
 def test_garsia_report_python_int_rows(spec, monkeypatch):
     # with less room in int64, keys or only their differences become Python

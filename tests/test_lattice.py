@@ -1,5 +1,6 @@
 """Property tests for the lattice DP kernel against the brute-force oracles
-and against the dict form of its step (`conftest.dict_lattice_step`).
+and against the dict form of its step (`conftest.dict_lattice_step`), and
+for its row merge against a dict of tuples (`conftest.dict_merge_rows`).
 
 The bases cover degree one (1.5 and 13/10) and higher degrees, monic
 (golden, tribonacci) and non-monic (poly:-3,0,2, whose root sqrt(3/2) has
@@ -16,10 +17,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from betagrowth.bconv import interval_mass, level_atoms
-from betagrowth.expansions import Lattice, distinct_sums_count, prefix_count_series
+from betagrowth.expansions import (INT64_MAX, Lattice, _distinct_rows, distinct_sums_count,
+                                   prefix_count_series)
 from betagrowth.numberfield import parse_beta
 
-from conftest import brute_distinct_sums, brute_prefix_count, dict_lattice_levels
+from conftest import (brute_distinct_sums, brute_prefix_count, dict_lattice_levels,
+                      dict_merge_rows)
 
 SPECS = ("golden", "multinacci:3", "1.5", "poly:-3,0,2")
 KERNEL_SPECS = SPECS + ("13/10",)
@@ -117,3 +120,47 @@ def test_kernel_switches_keys_to_python_ints():
     key_dtypes = [k for k, _c in dtypes]
     assert key_dtypes[0] == np.int64 and key_dtypes[-1] == object
     assert key_dtypes == sorted(key_dtypes, key=lambda t: t == object)
+
+
+@st.composite
+def integer_rows(draw):
+    """(rows, counts): 1 to 30 rows of degree 1 to 4 drawn from a pool of at
+    most 6, so rows repeat; entries small, int64-wide or past int64."""
+    d = draw(st.integers(1, 4))
+    bound = draw(st.sampled_from((5, 2 ** 40, 2 ** 62, 2 ** 100)))
+    pool = draw(st.lists(st.tuples(*[st.integers(-bound, bound)] * d), min_size=1, max_size=6))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    counts = draw(st.lists(st.integers(1, 10 ** 6), min_size=len(rows), max_size=len(rows)))
+    return rows, counts
+
+
+def _merged_groups(keys: np.ndarray, counts: list[int]) -> list[tuple[tuple, int]]:
+    """The groups of `_distinct_rows` as (row, summed count), in its order;
+    each group must hold equal rows only."""
+    order, starts = _distinct_rows(keys)
+    assert sorted(order.tolist()) == list(range(len(keys)))
+    rows = keys[order].tolist()
+    bounds = starts.tolist() + [len(rows)]
+    groups = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        assert lo < hi and all(row == rows[lo] for row in rows[lo:hi])
+        groups.append((tuple(rows[lo]), sum(counts[i] for i in order[lo:hi].tolist())))
+    return groups
+
+
+@PROPERTY_SETTINGS
+@given(case=integer_rows())
+# column spans of 2^63 + 1: their product passes int64, so the key is a Python int
+@example(case=([(-2 ** 62, 2 ** 62), (2 ** 62, -2 ** 62), (-2 ** 62, 2 ** 62)], [1, 2, 3]))
+@example(case=([(-3,), (2 ** 62,), (-3,), (-2 ** 62,)], [1, 2, 3, 4]))
+def test_distinct_rows_match_dict_merge(case):
+    rows, counts = case
+    want = dict_merge_rows(rows, counts)
+    forms = [np.array(rows, dtype=object)]
+    if max(abs(e) for row in rows for e in row) <= INT64_MAX:
+        forms.append(np.array(rows, dtype=np.int64))
+    for keys in forms:
+        groups = _merged_groups(keys, counts)
+        assert dict(groups) == want and len(groups) == len(want)
+        # the groups come in the order of the rows read from the last column
+        assert [row for row, _count in groups] == sorted(want, key=lambda row: row[::-1])
