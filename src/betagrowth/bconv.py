@@ -94,7 +94,7 @@ class MeasureAtoms:
     def items_exact(self):
         """(value FieldElement, weight Fraction) in increasing value order."""
         order = self._sorted()[0]
-        rho_n = self.sys.rho ** self.level
+        rho_n = self.sys.rho_powers[self.level]
         denom = self.sys.m ** self.level
         for key, count in zip(self.keys[order].tolist(), self.counts[order].tolist()):
             yield self._lattice.value(key, self.level) * rho_n, Fraction(count, denom)
@@ -130,7 +130,7 @@ def interval_mass(sys: BetaSystem, level: int, lo, hi) -> Fraction:
     """
     if level < 0:
         raise InvalidInputError("level must be nonnegative")
-    a = sys.element(lo) + sys.right_end * sys.rho ** level
+    a = sys.element(lo) + sys.right_end * sys.rho_powers[level]
     hi = sys.element(hi)
     if hi.sign() < 0 or (a - sys.right_end).sign() > 0:
         return Fraction(0)  # the empty word's sum 0 is outside the level-0 window
@@ -171,7 +171,7 @@ def ball_mass_brackets(sys: BetaSystem, x, levels: Sequence[int],
     states, k = lattice.start, 0
     brackets = {}
     for n in levels:
-        r = sys.right_end * sys.rho ** n
+        r = sys.right_end * sys.rho_powers[n]
         for nxt in lattice.windowed(states, k, n + margin, x - r, x + r):
             prev, states, k = states, nxt, k + 1
             lattice.check_cap(states, DEFAULT_ATOM_CAP, k)
@@ -179,7 +179,7 @@ def ball_mass_brackets(sys: BetaSystem, x, levels: Sequence[int],
         if k == 0:
             lower = upper  # the empty word: its sum 0 lies in [x - R, x]
         else:
-            tail = sys.right_end * sys.rho ** k
+            tail = sys.right_end * sys.rho_powers[k]
             shrunk = lattice.windowed(prev, k - 1, k, x - r + tail, x + r - tail)
             lower = int(next(shrunk)[1].sum())
         brackets[n] = (Fraction(lower, sys.m ** k), Fraction(upper, sys.m ** k))
@@ -240,7 +240,7 @@ def local_dim_estimate(x, sys: BetaSystem, levels: Sequence[int],
             raise InvalidInputError(
                 f"zero lower mass bracket at level {n}; increase margin"
             )
-        rows.append(LocalDimRow(n, float(sys.right_end * sys.rho ** n), lower, upper))
+        rows.append(LocalDimRow(n, float(sys.right_end * sys.rho_powers[n]), lower, upper))
     used = set(_deepest_half([row.n for row in rows]))
     xs, ys, widths = [], [], []
     for row in rows:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -423,13 +424,15 @@ def _selftest_checks():
 
 
 def cmd_selftest(args) -> int:
-    t0 = time.time()
+    t0 = tick = time.perf_counter()
     failed = None
     for name, ok in _selftest_checks():
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
+        seconds = time.perf_counter() - tick
+        print(f"{'PASS' if ok else 'FAIL'}  {name}  ({seconds:.3f}s)")
         if not ok and failed is None:
             failed = name
-    print(f"selftest finished in {time.time() - t0:.1f}s")
+        tick = time.perf_counter()
+    print(f"selftest finished in {time.perf_counter() - t0:.1f}s")
     if failed is not None:
         raise InvariantError(f"selftest failed: {failed}")
     return 0
@@ -536,9 +539,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# parse_args fills a new Namespace on every call and no action keeps state,
+# so one parser serves every call in a process (DECISIONS.md)
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.fn(args)
     except BetaGrowthError as exc:

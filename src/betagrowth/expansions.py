@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapExceededError, HypothesisError, InvalidInputError, InvariantError
-from .numberfield import BetaSystem, FieldElement
+from .numberfield import BetaSystem, FieldElement, Powers
 
 DEFAULT_NODE_CAP = 500_000
 DEFAULT_SUM_CAP = 5_000_000
@@ -91,6 +91,8 @@ class Lattice:
         self._matrix = np.vstack([self.lead * np.eye(d - 1, d, 1, dtype=np.int64), row])
         # no entry of times_beta(rows) exceeds growth * max|rows| in size
         self.growth = self.lead + max(map(abs, row))
+        # (beta * lead) ** k scales the window at level k
+        self.grow_powers = Powers(sys.beta * self.lead)
         self.start = (np.zeros((1, d), dtype=np.int64), np.ones(1, dtype=np.int64))
 
     def windowed(self, level: Level, k: int, n: int, a: FieldElement, b: FieldElement):
@@ -101,8 +103,9 @@ class Lattice:
         prefix window at level j is beta^j a - R <= t <= beta^j b.
         """
         # the window at level j, times lead^j as the keys are
-        grow = self.sys.beta * self.lead
-        lo, hi = a * grow ** k, b * grow ** k
+        grow, power = self.grow_powers.base, self.grow_powers[k]
+        lo = a * power
+        hi = lo if b is a else b * power
         tail = self.sys.right_end * self.lead ** k
         for j in range(k, n):
             lo, tail = lo * grow, tail * self.lead
@@ -127,10 +130,13 @@ class Lattice:
                 keys = keys.astype(object)
         if counts.dtype != object and m ** (k + 1) > INT64_MAX:
             counts = counts.astype(object)
-        # the rows of digit 0, then those of digit 1, ...
-        digits = np.zeros((m, 1, self.degree), dtype=keys.dtype)
-        digits[:, 0, 0] = [e * scale for e in range(m)]
-        keys = (self.times_beta(keys) + digits).reshape(-1, self.degree)
+        # the rows of digit 0, then those of digit 1, ...: digit e adds
+        # e * lead^(k+1) to column 0 of the e-th copy
+        keys = self.times_beta(keys)
+        rows = len(keys)
+        keys = np.concatenate((keys,) * m)
+        for e in range(1, m):
+            keys[e * rows:(e + 1) * rows, 0] += e * scale
         counts = np.concatenate((counts,) * m)
         if window is not None:
             lo_sign, hi_sign = self.sys.field.sign_rows(keys, *window)
@@ -507,7 +513,7 @@ def sparse_profile(m_seq: Sequence[int], sys: BetaSystem) -> list[SparseCheckpoi
         pos += 2 * mk + 1
     x = sys.field.zero
     for p in positions:
-        x = x + sys.rho ** p
+        x = x + sys.rho_powers[p]
     rows = []
     product = 1
     checkpoints = []

@@ -474,6 +474,26 @@ class FieldElement:
         return f"FieldElement({list(self.coeffs)})"
 
 
+class Powers:
+    """base ** n for n >= 0 by lookup: each power is made once, by one
+    multiplication from the one before, and kept.  Elements are canonical,
+    so an entry is the same (num, den) as `base ** n` (DECISIONS.md)."""
+
+    __slots__ = ("base", "_table")
+
+    def __init__(self, base: FieldElement):
+        self.base = base
+        self._table = [base.field.one]
+
+    def __getitem__(self, n: int) -> FieldElement:
+        if n < 0:
+            raise InvalidInputError("power tables hold nonnegative exponents")
+        table = self._table
+        while len(table) <= n:
+            table.append(table[-1] * self.base)
+        return table[n]
+
+
 class NumberField:
     """Q[x]/(p) together with an isolating interval for the designated root.
 
@@ -810,6 +830,11 @@ class BetaSystem:
     def in_interval(self, x: FieldElement) -> bool:
         """x in I_beta = [0, (m-1)/(beta-1)], endpoint inclusive."""
         return x.sign() >= 0 and (self.right_end - x).sign() >= 0
+
+    @functools.cached_property
+    def rho_powers(self) -> Powers:
+        """rho ** n as `rho_powers[n]`, kept for the life of this system."""
+        return Powers(self.rho)
 
     def __repr__(self):
         return f"BetaSystem({self.spec!r}, m={self.m})"

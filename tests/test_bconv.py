@@ -16,7 +16,7 @@ from betagrowth.bconv import (
 )
 from betagrowth.errors import CapExceededError, HypothesisError, InvalidInputError
 from betagrowth.expansions import count_prefixes, distinct_sums_count
-from betagrowth.numberfield import parse_beta
+from betagrowth.numberfield import FieldElement, parse_beta
 
 from conftest import bincount_cell_masses
 
@@ -200,6 +200,25 @@ def test_local_dim_golden_at_zero(golden):
 def test_local_dim_needs_levels(golden):
     with pytest.raises(InvalidInputError):
         local_dim_estimate(Fraction(2, 5), golden, levels=[5, 6], margin=8)
+
+
+def test_local_dim_powers_do_not_grow_with_levels(monkeypatch):
+    # the radii and windows read their powers from tables, so the number of
+    # powers by repeated squaring does not grow with the number of levels
+    calls = []
+    power = FieldElement.__pow__
+
+    def counted(self, n):
+        calls.append(n)
+        return power(self, n)
+
+    monkeypatch.setattr(FieldElement, "__pow__", counted)
+    counts = []
+    for top in (10, 30):
+        calls.clear()
+        local_dim_estimate(Fraction(2, 5), parse_beta("golden", 2), range(1, top + 1), margin=10)
+        counts.append(len(calls))
+    assert counts[1] <= counts[0], counts
 
 
 def test_local_dim_golden_random_mean(golden):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from betagrowth import cli
 from betagrowth.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -108,6 +109,43 @@ def test_exit_code_bad_input(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error:"), argv
+
+
+def _outcome(capsys, run, argv):
+    """(exit code, stdout) of run(argv); an argparse error exits 2."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def _on_fresh_parser(argv):
+    args = build_parser().parse_args(argv)
+    return args.fn(args)
+
+
+@pytest.mark.parametrize("calls", [
+    # a --paths value must not carry over into the series route, which rejects
+    # it, nor a --seed into the config of a command without one
+    [("gamma --beta multinacci:3 --method mc --paths 3000 --chains 2 --seed 3", 0),
+     ("gamma --beta multinacci:3 --method series", 0),
+     ("count --beta golden --x 1 --n 3", 0)],
+    [("count --beta golden --x 2/5 --n 6 --format json", 0),
+     ("count --beta golden --x 2/5 --n 6", 0)],
+    [("count --beta golden --x 1", 2),  # no --n: argparse exits
+     ("count --beta golden --x 1 --n 3", 0)],
+    [("kappa --beta 1.5", 0),
+     ("tau --beta golden --q-list -1,0,2 --levels 6..9 --margin 4", 0)],
+])
+def test_one_parser_serves_many_calls(capsys, calls):
+    # each call on the process's one parser gives the exit code and stdout
+    # of the same call on a parser built for it alone
+    cli._shared_parser.cache_clear()
+    shared = [_outcome(capsys, main, line.split()) for line, _code in calls]
+    assert cli._shared_parser.cache_info().misses == 1
+    assert shared == [_outcome(capsys, _on_fresh_parser, line.split()) for line, _code in calls]
+    assert [code for code, _out in shared] == [code for _line, code in calls]
 
 
 def test_gamma_mc_validates_before_build(capsys, monkeypatch):

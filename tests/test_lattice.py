@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from betagrowth.bconv import interval_mass, level_atoms
+from betagrowth.errors import InvalidInputError
 from betagrowth.expansions import (INT64_MAX, Lattice, _distinct_rows, distinct_sums_count,
                                    prefix_count_series)
 from betagrowth.numberfield import parse_beta
@@ -38,6 +39,19 @@ def _fraction_of_interval(sys_, num: int, den: int) -> Fraction:
     """num/den of a rational lower bound of (m-1)/(beta-1): a point of I_beta."""
     right = Fraction(math.floor(float(sys_.right_end) * 1000), 1000)
     return Fraction(num, den) * right
+
+
+@pytest.mark.parametrize("spec", ["golden", "multinacci:3", "13/10", "poly:-1,-1,0,-1,2"])
+def test_power_tables_match_pow(spec):
+    # the window powers of beta * lead and the powers of rho, read out of
+    # order, are the canonical elements that repeated squaring gives
+    sys_ = parse_beta(spec, 2)
+    for table in (Lattice(sys_).grow_powers, sys_.rho_powers):
+        for n in (80, 3, 0, *range(81)):
+            got, want = table[n], table.base ** n
+            assert (got.num, got.den) == (want.num, want.den), (spec, n)
+        with pytest.raises(InvalidInputError):
+            table[-1]
 
 
 points = st.integers(1, 997).flatmap(lambda den: st.tuples(st.integers(0, den), st.just(den)))
