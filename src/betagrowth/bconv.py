@@ -25,11 +25,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import HypothesisError, InvalidInputError
-from .expansions import (Lattice, _coerce_point, _count_meets_bound, kappa,
+from .expansions import (DEFAULT_ATOM_CAP, Lattice, _coerce_point, _count_meets_bound, kappa,
                          prefix_count_series)
 from .numberfield import BetaSystem
 
-DEFAULT_ATOM_CAP = 4_000_000
 DEFAULT_MARGIN = 10
 
 
@@ -136,8 +135,8 @@ def interval_mass(sys: BetaSystem, level: int, lo, hi) -> Fraction:
         return Fraction(0)  # the empty word's sum 0 is outside the level-0 window
     lattice = Lattice(sys)
     states = lattice.start
-    for k, states in enumerate(lattice.windowed(states, 0, level, a, hi), start=1):
-        lattice.check_cap(states, DEFAULT_ATOM_CAP, k)
+    for states in lattice.windowed(states, 0, level, a, hi, DEFAULT_ATOM_CAP):
+        pass
     return Fraction(int(states[1].sum()), sys.m ** level)
 
 
@@ -172,9 +171,8 @@ def ball_mass_brackets(sys: BetaSystem, x, levels: Sequence[int],
     brackets = {}
     for n in levels:
         r = sys.right_end * sys.rho_powers[n]
-        for nxt in lattice.windowed(states, k, n + margin, x - r, x + r):
+        for nxt in lattice.windowed(states, k, n + margin, x - r, x + r, DEFAULT_ATOM_CAP):
             prev, states, k = states, nxt, k + 1
-            lattice.check_cap(states, DEFAULT_ATOM_CAP, k)
         upper = int(states[1].sum())
         if k == 0:
             lower = upper  # the empty word: its sum 0 lies in [x - R, x]

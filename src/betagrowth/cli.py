@@ -270,11 +270,7 @@ def cmd_gamma(args) -> int:
     if args.method == "integer":
         est = lyapunov.gamma_integer_case(sys_)
     elif args.method == "series":
-        if not args.beta.startswith("multinacci:") and args.beta != "golden":
-            raise InvalidInputError("series route applies to multinacci bases")
-        if args.m != 2:
-            raise InvalidInputError("series route requires m = 2")
-        n = 2 if args.beta == "golden" else int(args.beta.split(":")[1])
+        n = lyapunov.multinacci_index(sys_)
         est = lyapunov.gamma_multinacci_series(n, seed=args.seed, **options)
     else:
         lyapunov.check_mc_params(seed=args.seed, **options)
@@ -302,12 +298,12 @@ def cmd_table1(args) -> int:
     n_values = _parse("--n-range", args.n_range, _int_range)
     if not n_values or n_values[0] < 2 or n_values[-1] > 10:
         raise InvalidInputError("n range must lie within 2..10")
-    estimates = lyapunov.gamma_multinacci_table(
-        n_values, k_exact=args.k_exact, mc_budget=args.mc_budget, seed=args.seed
+    systems = [parse_beta(f"multinacci:{n}", 2) for n in n_values]
+    estimates = lyapunov.gamma_series_table(
+        systems, k_exact=args.k_exact, mc_budget=args.mc_budget, seed=args.seed
     )
     rows = []
-    for n, est in zip(n_values, estimates):
-        sys_n = parse_beta(f"multinacci:{n}", 2)
+    for n, sys_n, est in zip(n_values, systems, estimates):
         dim = lyapunov.dimension(est, sys_n)
         rows.append(
             {

@@ -23,6 +23,8 @@ import numpy as np
 from .errors import CapExceededError, HypothesisError, InvalidInputError, InvariantError
 from .numberfield import BetaSystem, FieldElement, Powers
 
+# the most states any one level of a windowed sweep may hold
+DEFAULT_ATOM_CAP = 4_000_000
 DEFAULT_NODE_CAP = 500_000
 DEFAULT_SUM_CAP = 5_000_000
 GOLDEN_COEFFS = (-1, -1, 1)
@@ -95,8 +97,10 @@ class Lattice:
         self.grow_powers = Powers(sys.beta * self.lead)
         self.start = (np.zeros((1, d), dtype=np.int64), np.ones(1, dtype=np.int64))
 
-    def windowed(self, level: Level, k: int, n: int, a: FieldElement, b: FieldElement):
-        """Step level-k states up to level n, yielding each level's states.
+    def windowed(self, level: Level, k: int, n: int, a: FieldElement, b: FieldElement,
+                 cap: int = DEFAULT_ATOM_CAP):
+        """Step level-k states up to level n, yielding each level's states;
+        a level of more than cap states raises CapExceededError.
 
         Only prefixes of expansions of points in [a, b] are kept: the digits
         after a prefix add a tail in [0, R], R = (m-1)/(beta-1), so the
@@ -111,6 +115,7 @@ class Lattice:
             lo, tail = lo * grow, tail * self.lead
             hi = lo if b is a else hi * grow
             level = self.step(level, j, (lo - tail, hi))
+            self.check_cap(level, cap, j + 1)
             yield level
 
     def step(self, level: Level, k: int, window=None) -> Level:

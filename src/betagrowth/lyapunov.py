@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .errors import HypothesisError, InvalidInputError, InvariantError
 from .netautomaton import Automaton
-from .numberfield import BetaSystem, multinacci
+from .numberfield import BetaSystem, multinacci, multinacci_polynomial
 
 RENORM_EVERY = 32
 # estimate_gamma_mc defaults, also for check_mc_params
@@ -67,7 +66,8 @@ def parry_chain(auto: Automaton) -> ParryChain:
     local = {s: k for k, s in enumerate(omega)}
     n = len(omega)
     # rows sum to 1 exactly: build_automaton has checked the length
-    # identity ell_i = rho * sum_j ell_j on the essential class
+    # identity ell_i = rho * sum_j ell_j at every state; the closure check
+    # below guards automata built by other means
     P = np.zeros((n, n))
     for k, i in enumerate(omega):
         # each child state sits on one edge of i (ranks separate twins)
@@ -338,22 +338,40 @@ def gamma_multinacci_series(n: int, k_exact: int = 20, mc_budget: int = 20_000,
 
 def gamma_multinacci_table(n_values: Sequence[int], k_exact: int = 20,
                            mc_budget: int = 20_000, seed: int = 0) -> list[GammaEstimate]:
-    """`gamma_multinacci_series` for every n in n_values; the exact inner
-    sums depend on k_exact alone and are enumerated once."""
+    """`gamma_multinacci_series` for every n in n_values."""
     if not all(2 <= n <= 10 for n in n_values):
         raise InvalidInputError("series formula implemented for 2 <= n <= 10")
+    return gamma_series_table([multinacci(n) for n in n_values], k_exact, mc_budget, seed)
+
+
+def multinacci_index(sys: BetaSystem) -> int:
+    """n when sys is the n-th multinacci base with m = 2, the series route's
+    domain; InvalidInputError otherwise."""
+    n = sys.minpoly.degree
+    if n < 2 or sys.minpoly != multinacci_polynomial(n):
+        raise InvalidInputError("series route applies to multinacci bases")
+    if sys.m != 2:
+        raise InvalidInputError("series route requires m = 2")
+    return n
+
+
+def gamma_series_table(systems: Sequence[BetaSystem], k_exact: int = 20,
+                       mc_budget: int = 20_000, seed: int = 0) -> list[GammaEstimate]:
+    """The series gamma of each multinacci system; the exact inner sums
+    depend on k_exact alone and are enumerated once."""
+    n_values = [multinacci_index(sys) for sys in systems]
     if k_exact < 0 or mc_budget < 2:
         raise InvalidInputError("k_exact must be >= 0 and mc_budget >= 2")
     if seed < 0:
         raise InvalidInputError("seed must be nonnegative")
     inner = _inner_log_sums(k_exact)
-    return [_series_estimate(n, inner, mc_budget, seed) for n in n_values]
+    return [_series_estimate(n, float(sys.beta), inner, mc_budget, seed)
+            for n, sys in zip(n_values, systems)]
 
 
-def _series_estimate(n: int, inner: list[float], mc_budget: int, seed: int) -> GammaEstimate:
+def _series_estimate(n: int, beta: float, inner: list[float], mc_budget: int,
+                     seed: int) -> GammaEstimate:
     k_exact = len(inner) - 1
-    sys = multinacci(n)
-    beta = float(sum(sys.field.refine_to(Fraction(1, 10 ** 40))) / 2)
     bn = beta ** n
     x = 2.0 / bn
     if x >= 1:

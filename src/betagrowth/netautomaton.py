@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapExceededError, InvalidInputError, InvariantError
-from .expansions import INT64_MAX, Lattice
+from .expansions import DEFAULT_ATOM_CAP, INT64_MAX, Lattice
 from .numberfield import BetaSystem, FieldElement
 
 DEFAULT_STATE_CAP = 10_000
@@ -83,8 +83,8 @@ def net_intervals(sys: BetaSystem, n: int) -> list[NetInterval]:
         raise CapExceededError(f"net interval level {n} exceeds cap {DIRECT_LEVEL_CAP}")
     lattice = Lattice(sys)
     level = lattice.start
-    for k in range(n):
-        level = lattice.step(level, k)
+    for level in lattice.levels(n, DEFAULT_ATOM_CAP):
+        pass
     keys, counts = level
     # cylinder starts and ends as Python-int rows over one denominator
     right = sys.right_end
@@ -339,19 +339,15 @@ def build_automaton(sys: BetaSystem, state_cap: int = DEFAULT_STATE_CAP) -> Auto
     auto = Automaton(sys, new_states, new_children, frozenset())
     _verify_length_identity(auto)
     auto.essential = essential_class(auto)
-    _verify_length_identity(auto, restrict=auto.essential)
     return auto
 
 
-def _verify_length_identity(auto: Automaton, restrict: frozenset[int] | None = None) -> None:
-    """ell_i = rho * sum of children lengths, exactly (full set or essential)."""
+def _verify_length_identity(auto: Automaton) -> None:
+    """ell_i = rho * sum of children lengths, exactly, at every state."""
     sys = auto.sys
-    idx = range(auto.size) if restrict is None else sorted(restrict)
-    for i in idx:
+    for i in range(auto.size):
         total = sys.field.zero
         for j, _lo, _hi, _m in auto.children[i]:
-            if restrict is not None and j not in restrict:
-                raise InvariantError("essential class is not forward closed")
             total = total + auto.ell(j)
         if not (auto.ell(i) - sys.rho * total).is_zero():
             raise InvariantError(f"length identity fails at state {i}")
@@ -361,103 +357,43 @@ def _verify_length_identity(auto: Automaton, restrict: frozenset[int] | None = N
 # essential class
 # ---------------------------------------------------------------------------
 
-def _strongly_connected_components(succ: list[list[int]]) -> list[list[int]]:
-    """Tarjan, iterative."""
-    n = len(succ)
-    indexv = [-1] * n
-    low = [0] * n
-    onstack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if indexv[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                indexv[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                onstack[v] = True
-            advanced = False
-            for k in range(pi, len(succ[v])):
-                w = succ[v][k]
-                if indexv[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if onstack[w]:
-                    low[v] = min(low[v], indexv[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == indexv[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-    return comps
+def _reach(edges: list[list[int]], s: int) -> set[int]:
+    """The states reachable from s along edges, s included."""
+    seen = {s}
+    frontier = [s]
+    while frontier:
+        for w in edges[frontier.pop()]:
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return seen
 
 
 def essential_class(auto: Automaton) -> frozenset[int]:
-    """The forward-closed, communicating class reachable from every state."""
+    """The forward-closed, communicating class reachable from every state.
+
+    From s, the states ahead (reachable from s) and behind (reaching s):
+    while some state t ahead does not reach s, s moves to t, and the set
+    ahead shrinks.  Where it stops, the set ahead is s's class and nothing
+    leaves it; with every state behind s it is the only such class
+    (DECISIONS.md).
+    """
     succ = [auto.successors(i) for i in range(auto.size)]
-    comps = _strongly_connected_components(succ)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    bottoms = []
-    for ci, comp in enumerate(comps):
-        if all(comp_of[w] == ci for v in comp for w in succ[v]):
-            bottoms.append(ci)
-    if len(bottoms) != 1:
-        raise InvariantError(f"expected one bottom class, found {len(bottoms)}")
-    omega = frozenset(comps[bottoms[0]])
-    # (i) forward closed
-    for i in omega:
-        if not set(succ[i]) <= omega:
-            raise InvariantError("essential class not forward closed")
-    # (ii) internal communication: strong connectivity within omega
-    if len(omega) > 1:
-        start = next(iter(omega))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w in succ[v]:
-                if w in omega and w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        if seen != omega:
-            raise InvariantError("essential class not internally communicating")
-    # (iii) reachable from every state
-    for s in range(auto.size):
-        seen = {s}
-        frontier = [s]
-        hit = s in omega
-        while frontier and not hit:
-            v = frontier.pop()
-            for w in succ[v]:
-                if w in omega:
-                    hit = True
-                    break
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        if not hit:
-            raise InvariantError(f"essential class unreachable from state {s}")
-    return omega
+    pred: list[list[int]] = [[] for _ in succ]
+    for i, kids in enumerate(succ):
+        for j in kids:
+            pred[j].append(i)
+    s = 0
+    while True:
+        ahead, behind = _reach(succ, s), _reach(pred, s)
+        escapes = ahead - behind
+        if not escapes:
+            break
+        s = min(escapes)
+    if len(behind) < auto.size:
+        stray = min(set(range(auto.size)) - behind)
+        raise InvariantError(f"essential class unreachable from state {stray}")
+    return frozenset(ahead)
 
 
 # ---------------------------------------------------------------------------

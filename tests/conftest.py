@@ -11,7 +11,8 @@ exactly; the lattice reference steps the prefix-sum DP one state at a time
 on a dict, against which the array kernel is compared state for state; the
 automaton reference builds the coding automaton in field elements, one
 cylinder and one breakpoint at a time, against which the integer-row
-closure is compared state for state; the net-interval reference sorts
+closure is compared state for state, with its essential class taken as
+the states every state reaches; the net-interval reference sorts
 every word's cylinder in field elements, against which the rank-sorted
 rows are compared interval for interval.  The row merge is checked against
 a dict of tuples, and the run-based grid-cell masses of the L^q estimate
@@ -27,7 +28,7 @@ import pytest
 
 from betagrowth.errors import InvariantError
 from betagrowth.lyapunov import RENORM_EVERY, mc_chunk_len
-from betagrowth.netautomaton import Automaton, CharacteristicState, NetInterval, essential_class
+from betagrowth.netautomaton import Automaton, CharacteristicState, NetInterval
 from betagrowth.numberfield import BetaSystem, parse_beta
 
 # (criterion, ok, detail) tuples filled in by test_acceptance.py
@@ -327,8 +328,24 @@ def field_automaton(sys: BetaSystem) -> Automaton:
     for old, kids in enumerate(raw_children):
         children[relabel[old]] = [(relabel[j], lo, hi, T) for j, lo, hi, T in kids]
     auto = Automaton(sys, [states[old] for old in order], children, frozenset())
-    auto.essential = essential_class(auto)
+    auto.essential = brute_essential_class(auto)
     return auto
+
+
+def brute_essential_class(auto: Automaton) -> frozenset:
+    """The states reachable from every state: the intersection of the
+    forward reach sets of all states, one depth-first search from each.
+    Empty when the graph has more than one bottom class."""
+    common = None
+    for s in range(auto.size):
+        seen, stack = {s}, [s]
+        while stack:
+            for j, _lo, _hi, _T in auto.children[stack.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        common = seen if common is None else common & seen
+    return frozenset(common)
 
 
 def mc_cdf_rows(chain, auto) -> tuple[list[np.ndarray], list[list]]:

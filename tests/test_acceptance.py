@@ -166,7 +166,7 @@ def test_criterion_6_automaton_identities(golden, tribonacci):
                     ok = False
         ok = ok and auto.v(0) == 1
         ok = ok and netautomaton.products_positive(auto, 12)
-        omega = netautomaton.essential_class(auto)  # re-verifies (C5)(i)-(iii)
+        omega = netautomaton.essential_class(auto)  # raises unless (C5)(i)-(iii) hold
         ok = ok and omega == auto.essential
         details.append(f"{sys_.spec}: {auto.size} states, |essential|={len(omega)}")
     record("6 Automaton exact identities", ok, "; ".join(details))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from betagrowth import cli
+from betagrowth import cli, numberfield
 from betagrowth.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -169,6 +169,27 @@ def test_tau_validates_q_before_atoms(capsys, monkeypatch):
         code, out, err = run_cli(capsys, "tau", "--beta", "golden", q_list, "--levels", "12..20")
         assert (code, out) == (2, ""), q_list
         assert err.startswith("error:") and "q must lie in [-2, 4]" in err, q_list
+
+
+def test_series_route_reads_the_polynomial(capsys):
+    # golden and tribonacci given by their polynomials take the series route
+    for spec, poly in (("golden", "poly:-1,-1,1"), ("multinacci:3", "poly:-1,-1,-1,1")):
+        code, out, _ = run_cli(capsys, "gamma", "--beta", spec, "--method", "series")
+        assert code == 0
+        code, by_poly, _ = run_cli(capsys, "gamma", "--beta", poly, "--method", "series")
+        assert code == 0
+        assert by_poly.splitlines()[1:] == out.splitlines()[1:]
+        assert by_poly.splitlines()[0] == out.splitlines()[0].replace(spec, poly)
+
+
+def test_table1_builds_each_system_once(capsys, monkeypatch):
+    built = []
+    build = numberfield._system_from_minpoly
+    monkeypatch.setattr(numberfield, "_system_from_minpoly",
+                        lambda spec, *args: built.append(spec) or build(spec, *args))
+    code, _out, _err = run_cli(capsys, "table1", "--n-range", "3..5")
+    assert code == 0
+    assert built == ["multinacci:3", "multinacci:4", "multinacci:5"]
 
 
 def test_exit_code_cap(capsys):
@@ -338,6 +359,14 @@ def test_planted_large_rational_root_rejected():
                              "--x", "1", "--n", "1")
     assert result.returncode == 2
     assert "is reducible (rational root)" in result.stderr
+
+
+def test_prefix_count_sweep_hits_state_cap():
+    # states grow about 1.5x a level at beta = 13/10: the sweep stops at the
+    # first level over the 4,000,000-state cap instead of running out of memory
+    result = _cli_subprocess("count", "--beta", "13/10", "--x", "1", "--n", "60")
+    assert result.returncode == 3
+    assert "DP states at level 35 exceed the cap 4000000" in result.stderr
 
 
 def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):

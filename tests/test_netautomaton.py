@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from betagrowth import netautomaton
-from betagrowth.errors import CapExceededError, InvalidInputError
+from betagrowth.errors import CapExceededError, InvalidInputError, InvariantError
 from betagrowth.expansions import count_prefixes
 from betagrowth.netautomaton import (
+    Automaton,
     automaton_to_dot,
     build_automaton,
     coding_of_point,
@@ -16,7 +17,8 @@ from betagrowth.netautomaton import (
     products_positive,
 )
 from betagrowth.numberfield import parse_beta
-from conftest import field_automaton, field_net_intervals, multiplicity_direct, state_key
+from conftest import (brute_essential_class, field_automaton, field_net_intervals,
+                      multiplicity_direct, state_key)
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +209,40 @@ def test_automaton_object_rows(spec, m, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _assert_same_automaton(build_automaton(sys_), want)
+
+
+def test_essential_class_matches_brute_force_plastic():
+    # the oracle bases compare it in test_automaton_matches_field_element_closure;
+    # the plastic number (1,809 states) is too large for the field-element closure
+    auto = build_automaton(parse_beta("poly:-1,-1,0,1", 2))
+    assert auto.essential == brute_essential_class(auto)
+
+
+def _graph(succ: list[list[int]]) -> Automaton:
+    """An automaton with the given edges and nothing else: the essential
+    class reads only the state count and the successors."""
+    return Automaton(None, [None] * len(succ),
+                     [[(j, None, None, ()) for j in kids] for kids in succ], frozenset())
+
+
+def test_essential_class_two_bottom_classes():
+    auto = _graph([[1, 2], [1], [2]])
+    assert brute_essential_class(auto) == frozenset()
+    with pytest.raises(InvariantError, match="unreachable from state 2$"):
+        essential_class(auto)
+
+
+@pytest.mark.parametrize("succ,want", [
+    # a transient state with a self-loop in front of the bottom class
+    ([[0, 1], [2], [1]], {1, 2}),
+    # a transient chain of 50 states, then the bottom class {50, 51}
+    ([[k + 1] for k in range(50)] + [[51], [50]], {50, 51}),
+    # the bottom class numbered below a transient state that enters it
+    ([[3], [2], [1], [3, 1]], {1, 2}),
+])
+def test_essential_class_behind_transient_states(succ, want):
+    auto = _graph(succ)
+    assert essential_class(auto) == brute_essential_class(auto) == want
 
 
 def test_non_pisot_hits_cap():
