@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import bconv, expansions, lyapunov, netautomaton
-from .errors import BetaGrowthError, InvalidInputError, InvariantError
+from .errors import BetaGrowthError, HypothesisError, InvalidInputError, InvariantError
 from .numberfield import BetaSystem, FieldElement, parse_beta
 
 TABLE1_COLUMNS = ["n", "beta_decimal", "gamma_over_log2", "gamma_error", "D", "D_error", "method"]
@@ -274,6 +274,9 @@ def cmd_gamma(args) -> int:
         est = lyapunov.gamma_multinacci_series(n, seed=args.seed, **options)
     else:
         lyapunov.check_mc_params(seed=args.seed, **options)
+        # the automaton is proven finite only for Pisot bases (Feng 2005)
+        if not sys_.pisot:
+            raise HypothesisError(f"the Monte-Carlo route requires a Pisot base; {sys_.spec} is not")
         auto = netautomaton.build_automaton(sys_)
         chain = lyapunov.parry_chain(auto)
         est = lyapunov.estimate_gamma_mc(chain, auto, seed=args.seed, **options)

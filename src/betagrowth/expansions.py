@@ -6,9 +6,11 @@ equal value with summed multiplicities and keeps those in one window.  With
 R = (m-1)/(beta-1), a scaled sum t after k digits is a prefix of an
 expansion of a point of [a, b] exactly when beta^k a - R <= t <= beta^k b;
 N_n(x) is the window of [x, x].  Merging keeps the reachable state set
-small: constant-size for Pisot bases (Garsia separation) and
-window-bounded for rational ones.  Membership uses the vector float screen
-`NumberField.sign_rows`, with a proven error bound and an exact fallback.
+constant-size for Pisot bases (Garsia separation); for rational ones the
+window bounds it, and when m <= p for beta = p/q no two words share a
+state, so a windowed step skips the merge.  Membership uses
+`NumberField.rows_within`: a vector float screen with a proven error bound
+and an exact fallback, or two exact integer comparisons in degree one.
 """
 
 from __future__ import annotations
@@ -21,14 +23,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapExceededError, HypothesisError, InvalidInputError, InvariantError
-from .numberfield import BetaSystem, FieldElement, Powers
+from .numberfield import INT64_MAX, BetaSystem, FieldElement, Powers
 
 # the most states any one level of a windowed sweep may hold
 DEFAULT_ATOM_CAP = 4_000_000
 DEFAULT_NODE_CAP = 500_000
 DEFAULT_SUM_CAP = 5_000_000
 GOLDEN_COEFFS = (-1, -1, 1)
-INT64_MAX = 2 ** 63 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +82,11 @@ class Lattice:
     vector.  Both are int64 while an a-priori bound taken before each step
     shows that the step cannot overflow, and Python ints (dtype object)
     from then on; keys leave the kernel as Python ints.
+
+    A base is collision-free when beta = p/q in lowest terms (q >= 1) and
+    m <= p: then distinct words have distinct keys (DECISIONS.md), every
+    count is 1 and level k of `levels` holds exactly m^k states, so its
+    windowed steps skip the merge and `levels` checks the cap up front.
     """
 
     def __init__(self, sys: BetaSystem):
@@ -95,6 +101,8 @@ class Lattice:
         self.growth = self.lead + max(map(abs, row))
         # (beta * lead) ** k scales the window at level k
         self.grow_powers = Powers(sys.beta * self.lead)
+        # degree one: row = [p] for beta = p/q, so no step ever merges two words
+        self.collision_free = d == 1 and sys.m <= row[0]
         self.start = (np.zeros((1, d), dtype=np.int64), np.ones(1, dtype=np.int64))
 
     def windowed(self, level: Level, k: int, n: int, a: FieldElement, b: FieldElement,
@@ -115,14 +123,17 @@ class Lattice:
             lo, tail = lo * grow, tail * self.lead
             hi = lo if b is a else hi * grow
             level = self.step(level, j, (lo - tail, hi))
-            self.check_cap(level, cap, j + 1)
+            self.check_cap(len(level[1]), cap, j + 1)
             yield level
 
     def step(self, level: Level, k: int, window=None) -> Level:
         """Level-k states -> level-(k+1) states under t -> beta*t + eps.
 
         Counts of merged states add up.  A window (lo, hi) of field elements
-        keeps the states whose keys' values sum_i c_i beta^i lie in it.
+        keeps the states whose keys' values sum_i c_i beta^i lie in it.  A
+        windowed step of a collision-free base has no equal rows to merge
+        and returns them unsorted; an unwindowed step always returns its
+        rows merged, in the order of `_distinct_rows`.
         """
         keys, counts = level
         m, scale = self.sys.m, self.lead ** (k + 1)
@@ -144,10 +155,11 @@ class Lattice:
             keys[e * rows:(e + 1) * rows, 0] += e * scale
         counts = np.concatenate((counts,) * m)
         if window is not None:
-            lo_sign, hi_sign = self.sys.field.sign_rows(keys, *window)
-            inside = ((lo_sign >= 0) & (hi_sign <= 0)).nonzero()[0]
+            inside = self.sys.field.rows_within(keys, *window).nonzero()[0]
             # np.take gathers rows about ten times faster than keys[inside]
             keys, counts = np.take(keys, inside, axis=0), counts[inside]
+            if self.collision_free:
+                return keys, counts
         if len(counts) <= 1:
             return keys, counts
         order, starts = _distinct_rows(keys)
@@ -162,16 +174,20 @@ class Lattice:
         """Yield the unwindowed states of levels 1..n, starting from the empty word."""
         if cap < 0:
             raise InvalidInputError("cap must be nonnegative")
+        if self.collision_free:
+            # level k holds m^k states: a level over the cap is known before any step
+            for k in range(1, n + 1):
+                self.check_cap(self.sys.m ** k, cap, k)
         level = self.start
         for k in range(n):
             level = self.step(level, k)
-            self.check_cap(level, cap, k + 1)
+            self.check_cap(len(level[1]), cap, k + 1)
             yield level
 
     @staticmethod
-    def check_cap(level: Level, cap: int, k: int) -> None:
-        if len(level[1]) > cap:
-            raise CapExceededError(f"{len(level[1])} DP states at level {k} exceed the cap {cap}")
+    def check_cap(states: int, cap: int, k: int) -> None:
+        if states > cap:
+            raise CapExceededError(f"{states} DP states at level {k} exceed the cap {cap}")
 
     def value(self, key: Sequence[int], k: int) -> FieldElement:
         """The exact value of a level-k key, a sequence of Python ints."""
@@ -360,16 +376,6 @@ def switch_geometry(sys: BetaSystem) -> SwitchGeometry:
     return SwitchGeometry(sys, fb, tuple(intervals))
 
 
-def step_k_beta(omega_head: int, x, sys: BetaSystem) -> tuple[bool, int, FieldElement]:
-    """One step of K_beta: (coin consumed?, emitted digit, beta*x - digit)."""
-    x = _coerce_point(x, sys)
-    kind, k = switch_geometry(sys).classify(x)
-    if kind == "equal":
-        return False, k, x * sys.beta - k
-    digit = k if omega_head else k - 1
-    return True, digit, x * sys.beta - digit
-
-
 def simulate_expansion(x, n: int, sys: BetaSystem, coin_bits: Iterable[int]) -> list[int]:
     """Digits emitted by n iterations of K_beta driven by the given coin bits."""
     geom = switch_geometry(sys)
@@ -390,15 +396,6 @@ def simulate_expansion(x, n: int, sys: BetaSystem, coin_bits: Iterable[int]) -> 
 # ---------------------------------------------------------------------------
 # distinct power sums (Garsia diagnostics)
 # ---------------------------------------------------------------------------
-
-def distinct_sums_count(n: int, sys: BetaSystem, cap: int = DEFAULT_SUM_CAP) -> int:
-    """Number of distinct values of sum_{j<=n} eps_j beta^-j, exact."""
-    if n < 1:
-        raise InvalidInputError("n must be >= 1")
-    for keys, _counts in Lattice(sys).levels(n, cap):
-        pass
-    return len(keys)
-
 
 @dataclass(frozen=True)
 class GarsiaRow:

@@ -4,13 +4,15 @@ An element is an integer coefficient vector over one positive denominator,
 (sum_i num_i beta^i) / den with i below the degree of the minimal
 polynomial, kept in lowest terms; equality, hashing and the zero test are
 exact integer checks.  Every sign query goes through `sign_int_coeffs`, or
-`sign_rows` for the rows of an integer matrix: a float evaluation screens
-it under a proven error bound, and values too close to zero for the
-screen are settled exactly by `sign_of`, which refines an isolating
-interval of the root by bisection in integers.  Sturm chains of primitive
-pseudo-remainders isolate beta and any rational root (one routine,
-`_isolate`) and decide Pisot status by a Routh-Hurwitz count.  Fractions
-appear only at the edges: rational input, output and bracket endpoints.
+`sign_rows` (or `rows_within`) for the rows of an integer matrix: a float
+evaluation screens it under a proven error bound, and values too close to
+zero for the screen are settled exactly by `sign_of`, which refines an
+isolating interval of the root by bisection in integers.  In degree one a
+value is an integer over a denominator, and integer comparisons settle
+every sign with no screen.  Sturm chains of primitive pseudo-remainders
+isolate beta and any rational root (one routine, `_isolate`) and decide
+Pisot status by a Routh-Hurwitz count.  Fractions appear only at the
+edges: rational input, output and bracket endpoints.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 from .errors import InvalidInputError, InvariantError
 
 MAX_DEGREE = 10
+INT64_MAX = 2 ** 63 - 1
 
 # Primes of the factor-degree irreducibility certificate.
 _CERT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
@@ -398,12 +401,6 @@ class FieldElement:
             return NotImplemented
         return self * o.inverse()
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
@@ -668,8 +665,11 @@ class NumberField:
 
         A float evaluation with a proven error bound (`float_error`) screens
         the easy cases; near-zero values, and coefficients beyond float
-        range, fall back to interval bisection (`sign_of`).
+        range, fall back to interval bisection (`sign_of`).  In degree one
+        the value is the integer c_0 itself.
         """
+        if self.degree == 1:
+            return 1 if coeffs[0] > 0 else -1 if coeffs[0] < 0 else 0
         if not any(coeffs):
             return 0
         val, err = self._float_value(coeffs)
@@ -699,7 +699,19 @@ class NumberField:
         """Exact signs of sum_i rows[r, i] beta^i - shift, int8 of shape
         (shifts, rows), for each shift given: a row farther from the shift
         than both float error bounds together is settled (proof:
-        DECISIONS.md), the rest go to `sign_int_coeffs`."""
+        DECISIONS.md), the rest go to `sign_int_coeffs`.
+
+        In degree one a row's value is its integer c and a shift is N/D,
+        D > 0, so c - N/D > 0 exactly when c > floor(N/D) and < 0 exactly
+        when c < ceil(N/D): two integer comparisons, with no screen."""
+        if self.degree == 1:
+            bounds = [(s.num[0] // s.den, -(-s.num[0] // s.den)) for s in shifts]
+            col = self._column(rows, [b for pair in bounds for b in pair])
+            signs = np.empty((len(shifts), len(rows)), dtype=np.int8)
+            for sign, (floor, ceil) in zip(signs, bounds):
+                sign[:] = col > floor
+                sign -= col < ceil
+            return signs
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan stay unsettled
             val, err = self.float_rows(rows)
             bounds = np.array([self._float_value(s.num, s.den) for s in shifts])
@@ -710,6 +722,27 @@ class NumberField:
             s, row = shifts[j], rows[r].tolist()  # Python ints: den * c must not wrap
             signs[j, r] = self.sign_int_coeffs([s.den * c - b for c, b in zip(row, s.num)])
         return signs
+
+    def rows_within(self, rows: np.ndarray, lo: FieldElement, hi: FieldElement) -> np.ndarray:
+        """Whether lo <= sum_i rows[r, i] beta^i <= hi, exactly, row by row.
+        In degree one an integer c is at least lo exactly when c >= ceil(lo),
+        and at most hi exactly when c <= floor(hi): two comparisons."""
+        if self.degree == 1:
+            low, high = -(-lo.num[0] // lo.den), hi.num[0] // hi.den
+            col = self._column(rows, (low, high))
+            return (col >= low) & (col <= high)
+        lo_sign, hi_sign = self.sign_rows(rows, lo, hi)
+        return (lo_sign >= 0) & (hi_sign <= 0)
+
+    @staticmethod
+    def _column(rows: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
+        """Column 0 of degree-one rows, to be compared with integer bounds:
+        as Python ints when a bound lies outside int64, which numpy 1.x
+        would compare with an int64 column in floats."""
+        col = rows[:, 0]
+        if col.dtype != object and not all(-INT64_MAX - 1 <= b <= INT64_MAX for b in bounds):
+            col = col.astype(object)
+        return col
 
     def rank_rows(self, rows: np.ndarray) -> np.ndarray:
         """Dense ranks of the values sum_i rows[r, i] beta^i of an integer

@@ -17,6 +17,11 @@ every word's cylinder in field elements, against which the rank-sorted
 rows are compared interval for interval.  The row merge is checked against
 a dict of tuples, and the run-based grid-cell masses of the L^q estimate
 against the sort-and-bincount form they replaced, bit for bit.
+
+Two helpers here are thin readers of the library that only tests call:
+`distinct_sums_count` (the size of the last level of `Lattice.levels`,
+checked against `brute_distinct_sums`) and `step_k_beta` (one step of
+K_beta on `switch_geometry`).
 """
 
 import math
@@ -26,10 +31,11 @@ from itertools import product
 import numpy as np
 import pytest
 
-from betagrowth.errors import InvariantError
+from betagrowth.errors import InvalidInputError, InvariantError
+from betagrowth.expansions import DEFAULT_SUM_CAP, Lattice, switch_geometry
 from betagrowth.lyapunov import RENORM_EVERY, mc_chunk_len
 from betagrowth.netautomaton import Automaton, CharacteristicState, NetInterval
-from betagrowth.numberfield import BetaSystem, parse_beta
+from betagrowth.numberfield import BetaSystem, FieldElement, parse_beta
 
 # (criterion, ok, detail) tuples filled in by test_acceptance.py
 ACCEPTANCE_LOG: list[tuple[str, bool, str]] = []
@@ -137,6 +143,26 @@ def brute_distinct_sum_values(n: int, sys: BetaSystem) -> set:
 def brute_distinct_sums(n: int, sys: BetaSystem) -> int:
     """#distinct values of sum_{j<=n} eps_j beta^-j by full enumeration."""
     return len(brute_distinct_sum_values(n, sys))
+
+
+def distinct_sums_count(n: int, sys: BetaSystem, cap: int = DEFAULT_SUM_CAP) -> int:
+    """Number of distinct values of sum_{j<=n} eps_j beta^-j: the states of
+    level n of `Lattice.levels`, which raises CapExceededError past cap."""
+    if n < 1:
+        raise InvalidInputError("n must be >= 1")
+    for keys, _counts in Lattice(sys).levels(n, cap):
+        pass
+    return len(keys)
+
+
+def step_k_beta(omega_head: int, x, sys: BetaSystem) -> tuple[bool, int, FieldElement]:
+    """One step of K_beta: (coin consumed?, emitted digit, beta*x - digit)."""
+    x = sys.element(x)
+    kind, k = switch_geometry(sys).classify(x)
+    if kind == "equal":
+        return False, k, x * sys.beta - k
+    digit = k if omega_head else k - 1
+    return True, digit, x * sys.beta - digit
 
 
 def brute_value_count(target, length: int, sys: BetaSystem) -> int:

@@ -15,10 +15,10 @@ from betagrowth.bconv import (
     upper_dim_bound_check,
 )
 from betagrowth.errors import CapExceededError, HypothesisError, InvalidInputError
-from betagrowth.expansions import count_prefixes, distinct_sums_count
+from betagrowth.expansions import count_prefixes
 from betagrowth.numberfield import FieldElement, parse_beta
 
-from conftest import bincount_cell_masses
+from conftest import bincount_cell_masses, distinct_sums_count
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,30 @@ def test_tau_validates_q_before_atoms(capsys, monkeypatch):
         assert err.startswith("error:") and "q must lie in [-2, 4]" in err, q_list
 
 
+def test_gamma_mc_rejects_non_pisot_before_build(capsys, monkeypatch):
+    def no_build(_sys):
+        raise AssertionError("build_automaton called")
+
+    monkeypatch.setattr("betagrowth.netautomaton.build_automaton", no_build)
+    # 13/10 is rational, not an integer; sqrt(3) has the conjugate -sqrt(3)
+    for spec in ("13/10", "poly:-3,0,1"):
+        code, out, err = run_cli(capsys, "gamma", "--beta", spec, "--method", "mc")
+        assert (code, out) == (4, ""), spec
+        assert err.startswith("error:") and "Pisot" in err, spec
+
+
+def test_tau_collision_free_cap_before_any_level(capsys, monkeypatch):
+    # 13/10 with m = 2 has 2^k distinct level-k sums, so the level-24 atoms
+    # pass the cap at level 22, which is known before the first step
+    def no_step(*_args, **_kwargs):
+        raise AssertionError("Lattice.step called")
+
+    monkeypatch.setattr("betagrowth.expansions.Lattice.step", no_step)
+    code, out, err = run_cli(capsys, "tau", "--beta", "13/10")
+    assert (code, out) == (3, "")
+    assert err == "error: 4194304 DP states at level 22 exceed the cap 4000000\n"
+
+
 def test_series_route_reads_the_polynomial(capsys):
     # golden and tribonacci given by their polynomials take the series route
     for spec, poly in (("golden", "poly:-1,-1,1"), ("multinacci:3", "poly:-1,-1,-1,1")):

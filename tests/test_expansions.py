@@ -9,13 +9,11 @@ from betagrowth.errors import CapExceededError, HypothesisError, InvalidInputErr
 from betagrowth.expansions import (
     count_X_m,
     count_prefixes,
-    distinct_sums_count,
     garsia_report,
     kappa,
     prefix_count_series,
     simulate_expansion,
     sparse_profile,
-    step_k_beta,
     switch_geometry,
     tree_level_counts,
     verify_growth_bound,
@@ -27,6 +25,8 @@ from conftest import (
     brute_distinct_sums,
     brute_prefix_count,
     brute_value_count,
+    distinct_sums_count,
+    step_k_beta,
 )
 
 

@@ -6,8 +6,12 @@ The bases cover degree one (1.5 and 13/10) and higher degrees, monic
 (golden, tribonacci) and non-monic (poly:-3,0,2, whose root sqrt(3/2) has
 a leading coefficient of 2).  13/10 and golden with m = 3 run far enough
 that the kernel switches from int64 to Python-int arrays mid-sweep.
+Random rational bases p/q check the collision-free lemma (DECISIONS.md):
+distinct keys for m <= p, merges at m = p + 1, windowed counts against
+the dict step either way, and the exact degree-one sign and window tests.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,14 +20,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from betagrowth.bconv import interval_mass, level_atoms
-from betagrowth.errors import InvalidInputError
-from betagrowth.expansions import (INT64_MAX, Lattice, _distinct_rows, distinct_sums_count,
-                                   prefix_count_series)
-from betagrowth.numberfield import parse_beta
+from betagrowth.bconv import ball_mass_brackets, interval_mass, level_atoms
+from betagrowth.errors import CapExceededError, InvalidInputError
+from betagrowth.expansions import INT64_MAX, Lattice, _distinct_rows, prefix_count_series
+from betagrowth.numberfield import FieldElement, parse_beta
 
 from conftest import (brute_distinct_sums, brute_prefix_count, dict_lattice_levels,
-                      dict_merge_rows)
+                      dict_merge_rows, distinct_sums_count)
 
 SPECS = ("golden", "multinacci:3", "1.5", "poly:-3,0,2")
 KERNEL_SPECS = SPECS + ("13/10",)
@@ -178,3 +181,116 @@ def test_distinct_rows_match_dict_merge(case):
         assert dict(groups) == want and len(groups) == len(want)
         # the groups come in the order of the rows read from the last column
         assert [row for row, _count in groups] == sorted(want, key=lambda row: row[::-1])
+
+
+# ---------------------------------------------------------------------------
+# rational bases: distinct words have distinct keys when m <= p
+# ---------------------------------------------------------------------------
+
+# beta = p/q in lowest terms, q = 1 included (integer bases)
+rational_bases = st.tuples(st.integers(2, 9), st.integers(1, 8)).filter(
+    lambda pq: pq[1] < pq[0] and math.gcd(*pq) == 1)
+
+
+@PROPERTY_SETTINGS
+@given(base=rational_bases, data=st.data())
+@example(base=(13, 10), data=None)
+def test_rational_keys_are_distinct_up_to_m_p(base, data):
+    # the level-n key of a word is sum_j eps_j p^(n-j) q^j; for m <= p the
+    # m^n words give m^n distinct keys, and the windowed sweep over all of
+    # I_beta returns exactly those keys, unmerged, each with count 1
+    p, q = base
+    if data is None:
+        m, n = 2, 12
+    else:
+        m = data.draw(st.integers(max(2, -(-p // q)), p), label="m")
+        n = data.draw(st.integers(1, int(math.log(3000, m))), label="n")
+    sys_ = parse_beta(f"{p}/{q}", m)
+    lattice = Lattice(sys_)
+    assert lattice.collision_free
+    words = itertools.product(range(m), repeat=n)
+    want = sorted(sum(e * p ** (n - j) * q ** j for j, e in enumerate(w, 1)) for w in words)
+    assert len(set(want)) == m ** n
+    for keys, counts in lattice.windowed(lattice.start, 0, n, sys_.field.zero, sys_.right_end):
+        pass
+    assert sorted(keys[:, 0].tolist()) == want and counts.tolist() == [1] * m ** n
+    *_, (keys, counts) = lattice.levels(n, m ** n)
+    assert keys[:, 0].tolist() == want and counts.tolist() == [1] * m ** n
+    # level n is known to hold m^n states before the first step
+    with pytest.raises(CapExceededError, match=f"{m ** n} DP states at level {n} exceed"):
+        next(lattice.levels(n, m ** n - 1))
+
+
+@PROPERTY_SETTINGS
+@given(base=rational_bases, n=st.integers(2, 4))
+def test_rational_keys_merge_at_m_p_plus_1(base, n):
+    # with digits 0..p the words (q, 0) and (0, p) share the key p q^2 at
+    # level 2, so the kernel must merge, as the dict step does
+    p, q = base
+    sys_ = parse_beta(f"{p}/{q}", p + 1)
+    lattice = Lattice(sys_)
+    assert not lattice.collision_free
+    levels = list(lattice.levels(n, 10 ** 6))
+    _assert_levels_match(levels, dict_lattice_levels(sys_, n))
+    assert len(levels[1][1]) < (p + 1) ** 2 and levels[1][1].max() > 1
+
+
+@PROPERTY_SETTINGS
+@given(base=rational_bases, data=st.data(), x=points)
+def test_rational_windowed_counts_match_dict_step(base, data, x):
+    # collision-free bases (m <= p) skip the merge; m = p + 1 merges
+    p, q = base
+    m = data.draw(st.integers(max(2, -(-p // q)), p + 1), label="m")
+    sys_ = parse_beta(f"{p}/{q}", m)
+    x = _fraction_of_interval(sys_, *x)
+    depth = int(math.log(20_000, m))  # a ball window may keep most of the m^depth words
+    n_max = data.draw(st.integers(0, depth), label="n_max")
+    series = [sum(level.values()) for level in dict_lattice_levels(sys_, n_max, x, x)]
+    assert prefix_count_series(x, n_max, sys_) == [1] + series
+    margin = data.draw(st.integers(0, 3), label="margin")
+    levels = data.draw(st.lists(st.integers(1, max(1, depth - margin)), min_size=1, max_size=3),
+                       label="levels")
+    for n, (lower, upper) in ball_mass_brackets(sys_, x, levels, margin).items():
+        # the brackets are mu_L of [x - r, x + r - R beta^-L] and of
+        # [x - r - R beta^-L, x + r], L = n + margin; as in interval_mass,
+        # mu_L([lo, hi]) counts the words under the window of [lo + R beta^-L, hi]
+        length, r = n + margin, sys_.right_end * sys_.rho ** n
+        tail = sys_.right_end * sys_.rho ** length
+        want = [dict_lattice_levels(sys_, length, x - r + shift, x + r - shift)[-1]
+                for shift in (tail, 0)]
+        assert (lower, upper) == tuple(Fraction(sum(w.values()), m ** length) for w in want)
+
+
+@PROPERTY_SETTINGS
+@given(base=rational_bases, data=st.data(), wide=st.booleans())
+@example(base=(3, 2), data=None, wide=False)
+@example(base=(3, 2), data=None, wide=True)
+def test_degree_one_sign_rows_match_sign_int_coeffs(base, data, wide):
+    # the window test of rational lattices: shifts on a row, between rows
+    # and past +-2^63, where a float comparison of an int64 row cannot tell
+    # 2^63 - 1 from 2^63 - 1/2; `rows_within` for each pair of shifts
+    p, q = base
+    field = parse_beta(f"{p}/{q}", p).field
+    lo, hi = (-2 ** 70, 2 ** 70) if wide else (-INT64_MAX - 1, INT64_MAX)
+    edges = [lo, lo + 1, -1, 0, 1, hi - 1, hi]
+    if data is None:
+        rows = edges
+    else:
+        rows = data.draw(st.lists(st.one_of(st.integers(lo, hi), st.sampled_from(edges)),
+                                  min_size=1, max_size=8), label="rows")
+    shifts = [FieldElement(field, (c,)) for c in rows[:2]]  # on a row
+    shifts += [FieldElement(field, (7 * rows[0] + 3,), 7),  # between rows
+               FieldElement(field, (2 * rows[-1] - 1,), 2)]
+    shifts += [FieldElement(field, (n,), d)  # at and past +-2^63
+               for n, d in ((2 ** 63, 1), (2 ** 64 - 1, 2), (-2 ** 64 - 1, 2),
+                            (-2 ** 63 - 1, 1), (2 ** 200 + 1, 3), (-3 ** 100, 1))]
+    matrix = np.array([[c] for c in rows], dtype=object if wide else np.int64)
+    signs = field.sign_rows(matrix, *shifts)
+    assert signs.dtype == np.int8 and signs.shape == (len(shifts), len(rows))
+    values = [Fraction(s.num[0], s.den) for s in shifts]
+    for s, value, got in zip(shifts, values, signs.tolist()):
+        exact = [field.sign_int_coeffs([s.den * c - s.num[0]]) for c in rows]
+        assert got == exact == [(c > value) - (c < value) for c in rows]
+    for (low, a), (high, b) in itertools.product(zip(shifts, values), repeat=2):
+        within = field.rows_within(matrix, low, high)
+        assert within.tolist() == [a <= c <= b for c in rows]
