@@ -4,10 +4,11 @@ Routes:
   * Kingman Monte-Carlo: sample the Parry chain on the essential class of
     the coding automaton and average the log-norm growth of the running
     row-vector product through the transition matrices.  All chains walk
-    in lockstep in a single process: a block of path steps by table lookup
-    on the ranks of the uniforms, then one numpy multiply per chunk of
-    steps, by the chunk's edge matrices multiplied exactly in a pairwise
-    tree (a chunk is one step where the tree would cost more).
+    in lockstep in a single process: a block of path steps by one table
+    lookup per k steps on the ranks of the uniforms, then one numpy multiply
+    per chunk of steps, by the chunk's k-step products (tabled with the
+    lookup) multiplied exactly in a pairwise tree (a chunk is one step where
+    the tree would cost more).
   * Multinacci series: the closed-form series for gamma_n over products of
     the two unimodular digit matrices, enumerated exactly up to a cutoff
     with an analytic geometric tail bound (and a Monte-Carlo middle segment
@@ -39,6 +40,8 @@ POWER_ITER_MAX = 200_000
 # each chain draws its uniforms in blocks of this many steps: the same stream
 # as one long draw, with memory bounded by the block instead of the path
 DRAW_BLOCK = 128 * RENORM_EVERY
+# the k-step product table of the walk holds at most this many floats (4 MiB)
+RUN_TABLE_FLOATS = 128 * DRAW_BLOCK
 # accumulated float rounding along a renormalized product; the reported MC
 # standard error is never below this, so degenerate chains (integer bases,
 # where every path gives the same value) still carry an honest error bar
@@ -130,6 +133,63 @@ def _rank_table(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return K, first
 
 
+def _edge_arrays(chain: ParryChain, auto: Automaton) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """cdf, nxt and mats of the Parry walk.
+
+    Edge e out of local state s is numbered s * width + e; cdf[s, e] is the
+    cumulative Parry probability of edges 0..e (the last set to 1), padded
+    with 2 so a padded slot is never chosen; nxt and mats hold each edge's
+    local target and its matrix, zero-padded to dim x dim for dim the largest
+    multiplicity.
+    """
+    omega = chain.states
+    local = {s: k for k, s in enumerate(omega)}
+    width = max(len(auto.children[i]) for i in omega)
+    dim = max(auto.v(i) for i in omega)
+    cdf = np.full((len(omega), width), 2.0)
+    nxt = np.zeros(len(omega) * width, dtype=np.intp)
+    mats = np.zeros((len(omega) * width, dim, dim))
+    for s, i in enumerate(omega):
+        # each child state appears on exactly one edge (ranks separate twins)
+        for e, (j, _lo, _hi, T) in enumerate(auto.children[i], s * width):
+            nxt[e] = local[j]
+            mats[e, :len(T), :len(T[0])] = T
+        targets = nxt[s * width:s * width + len(auto.children[i])]
+        cdf[s, :len(targets)] = np.cumsum(chain.matrix[s, targets])
+        cdf[s, len(targets) - 1] = 1.0
+    return cdf, nxt, mats
+
+
+def _run_tables(cdf: np.ndarray, nxt: np.ndarray, mats: np.ndarray,
+                k_max: int) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, np.ndarray]:
+    """K, k and the k-step tables (jump, pick, prods) of the walk on
+    `_edge_arrays` (cdf, nxt, mats).
+
+    k is the largest power of two <= k_max whose product table holds at most
+    RUN_TABLE_FLOATS floats.  A word w packs k ranks in base |K|, the first
+    step most significant: a uniform u < 1 = K[-1] has a rank below |K|, so
+    `_rank_table`'s last column is never read.  jump[s, w] is the state the
+    k steps of w reach from state s, and prods[s, w] the exact product of
+    their edge matrices, first step on the left.  The one-step tables are
+    jump = nxt[first] and the matrices mats[first], and each squaring doubles
+    k: jump[jump], and prods[s, w1] @ prods[jump[s, w1], w2] as a (w1, w2)
+    table.  At k = 1 no states x ranks copy of the edge stack is made: pick
+    is `first` and prods is mats itself, so the product is mats[pick[s, w]];
+    above it pick is None.
+    """
+    K, first = _rank_table(cdf)
+    first = first[:, :-1] + cdf.shape[1] * np.arange(len(cdf))[:, None]
+    dim = mats.shape[1]
+    k, jump, pick, prods = 1, nxt[first], first, mats
+    while 2 * k <= k_max and jump.size * jump.shape[1] * dim * dim <= RUN_TABLE_FLOATS:
+        table = prods if pick is None else prods[pick]
+        prods = (table[:, :, None] @ table[jump]).reshape(len(jump), -1, dim, dim)
+        jump = jump[jump].reshape(len(jump), -1)
+        pick = None
+        k *= 2
+    return K, k, jump, pick, prods
+
+
 def mc_chunk_len(max_row_sum: int, dim: int, n_chains: int) -> int:
     """Steps h that `estimate_gamma_mc` multiplies into one product: the
     largest power of two h <= RENORM_EVERY that is exact, and small enough
@@ -183,53 +243,45 @@ def estimate_gamma_mc(chain: ParryChain, auto: Automaton, path_len: int = MC_PAT
     transition matrices with renormalization every RENORM_EVERY steps, and
     averages the accumulated log growth per step (relative to the starting
     vector).  All chains advance together, a block of DRAW_BLOCK steps at a
-    time: the block's paths are walked first, one table lookup per step on
-    the ranks of its uniforms (`_rank_table`); then, a slice of the block at
-    a time, the edge matrices of every run of h = `mc_chunk_len` steps are
-    multiplied into one exact integer product (`_chunk_products`), and every
-    vector is multiplied by its chunk's product.  Chain c draws its uniforms
-    from the generator seeded with (seed, c), so the result is fully
-    determined by the master seed.
+    time.  The ranks of a block's uniforms (`_rank_table`) are packed k to a
+    word, and the block's paths are walked one table lookup per word; each
+    word's k edge matrices come multiplied exactly from a second table
+    (`_run_tables`, k a power of two dividing both h and path_len).  Then, a
+    slice of the block at a time, the h/k products of every run of
+    h = `mc_chunk_len` steps are multiplied into one exact integer product
+    (`_chunk_products`), and every vector is multiplied by its chunk's
+    product.  Chain c draws its uniforms from the generator seeded with
+    (seed, c), so the result is fully determined by the master seed.
     """
     check_mc_params(path_len, n_chains, seed)
-    # edge e out of local state s is numbered s * width + e; cdf[s, e] is the
-    # cumulative Parry probability of edges 0..e, padded with 2 so a padded
-    # slot is never chosen; nxt and mats hold each edge's target and its
-    # matrix, zero-padded to dim x dim for dim the largest multiplicity, and
-    # one more edge, the identity, pads the path's last chunk to h steps
     omega = chain.states
-    local = {s: k for k, s in enumerate(omega)}
-    width = max(len(auto.children[i]) for i in omega)
-    dim = max(auto.v(i) for i in omega)
-    cdf = np.full((len(omega), width), 2.0)
-    nxt = np.zeros(len(omega) * width, dtype=np.intp)
-    mats = np.zeros((len(omega) * width + 1, dim, dim))
-    mats[-1] = np.eye(dim)
-    for s, i in enumerate(omega):
-        # each child state appears on exactly one edge (ranks separate twins)
-        for e, (j, _lo, _hi, T) in enumerate(auto.children[i], s * width):
-            nxt[e] = local[j]
-            mats[e, :len(T), :len(T[0])] = T
-        targets = nxt[s * width:s * width + len(auto.children[i])]
-        cdf[s, :len(targets)] = np.cumsum(chain.matrix[s, targets])
-        cdf[s, len(targets) - 1] = 1.0
+    cdf, nxt, mats = _edge_arrays(chain, auto)
+    dim = mats.shape[1]
     h = mc_chunk_len(int(mats.sum(axis=2).max()), dim, n_chains)
-    # a slice of whole chunks whose gathered matrices take no more memory
-    # than a block of uniforms (one step at the least)
-    span = max(1, DRAW_BLOCK // (h * dim * dim)) * h
-    # after[e, r] is the edge that follows edge e on a uniform of rank r;
-    # row len(nxt) + s is first[s], "start in state s", so one lookup per
-    # step walks a path from its first edge on; the walk runs on the flat
-    # table, every edge scaled by the row length to its row's offset
-    K, first = _rank_table(cdf)
-    first += width * np.arange(len(omega))[:, None]
-    n_ranks = len(K) + 1
-    after = (np.concatenate((first[nxt], first)) * n_ranks).ravel()
+    # k divides path_len too, so no word runs past the end of a path
+    K, k, jump, pick, prods = _run_tables(cdf, nxt, mats, math.gcd(h, path_len))
+    n_ranks, (n_states, n_words), per_chunk = len(K), jump.shape, h // k
+    # a word's ranks, first step most significant
+    packing = n_ranks ** np.arange(k - 1, -1, -1)
+    # a slice of whole chunks whose gathered products take no more memory
+    # than a block of uniforms (one chunk at the least)
+    span = max(1, DRAW_BLOCK // (per_chunk * dim * dim)) * per_chunk
+    # the walk runs on flat tables: a step from table entry s * n_words + w
+    # (state s, word w) enters the row of state jump[s, w], whose offset the
+    # raveled, scaled `after` holds; one more entry per state, after the
+    # table, holds that state's own offset, so a chain starts from an entry
+    # too, and the walk is one lookup per word from the start state on
+    after = np.concatenate((jump.ravel(), np.arange(n_states)))
+    after *= n_words
+    del jump
+    # table entry e's product is prods[e], or at k = 1 the matrix of edge pick[e]
+    prods = prods.reshape(-1, dim, dim)
+    pick = None if pick is None else pick.ravel()
     rngs = [np.random.default_rng((seed, c)) for c in range(n_chains)]
     start_cdf = np.cumsum(chain.stationary)
     start_cdf[-1] = 1.0
     state = np.searchsorted(start_cdf, [rng.random() for rng in rngs], side="right")
-    cur = (len(nxt) + state) * n_ranks
+    cur = n_states * n_words + state
     vdim = np.array([auto.v(i) for i in omega])[state]
     vec = (np.arange(dim) < vdim[:, None]).astype(float)
     # growth is measured relative to the initial all-ones vector, which
@@ -241,17 +293,24 @@ def estimate_gamma_mc(chain: ParryChain, auto: Automaton, path_len: int = MC_PAT
     done = 0
     for start in range(0, path_len, DRAW_BLOCK):
         u = np.stack([rng.random(min(DRAW_BLOCK, path_len - start)) for rng in rngs], axis=1)
-        # each step's ranks are overwritten by its edges' offsets in the
-        # flat table, in place, and then by the edges
-        path = np.searchsorted(K, u, side="right")
+        # the rank of u, searchsorted(K, u, side="right"), counted by
+        # comparisons: u < 1 = K[-1], so K[-1] never counts
+        ranks = np.zeros(u.shape, dtype=np.intp)
+        for below in K[:-1]:
+            ranks += u >= below
         del u
-        for k in range(len(path)):
-            cur = path[k] = after[cur + path[k]]
-        path //= n_ranks
-        for at in range(0, len(path), span):
-            edges = path[at:at + span]
-            edges = np.concatenate((edges, np.full((-len(edges) % h, n_chains), len(nxt))))
-            for prod in _chunk_products(mats[edges], h):
+        # each word is overwritten by its table entry, in place
+        words = packing @ ranks.reshape(-1, k, n_chains)
+        for r in range(len(words)):
+            cur = words[r] = after[cur] + words[r]
+        for at in range(0, len(words), span):
+            entries = words[at:at + span]
+            runs = prods[entries if pick is None else pick[entries]]
+            # identities pad the path's last chunk to h steps
+            pad = -len(runs) % per_chunk
+            if pad:
+                runs = np.concatenate((runs, np.broadcast_to(np.eye(dim), (pad, *runs.shape[1:]))))
+            for prod in _chunk_products(runs, per_chunk):
                 vec = np.einsum("cv,cvw->cw", vec, prod)
                 done = min(done + h, path_len)
                 if done % RENORM_EVERY == 0:

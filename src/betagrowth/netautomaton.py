@@ -173,14 +173,6 @@ class Automaton:
     def successors(self, i: int) -> list[int]:
         return [j for j, _lo, _hi, _m in self.children[i]]
 
-    def is_admissible(self, word: Sequence[int]) -> bool:
-        if not word or word[0] != 0:
-            return False
-        for i, j in zip(word, word[1:]):
-            if j not in self.successors(i):
-                return False
-        return True
-
 
 class _Cylinders:
     """The child construction on integer rows, one vector pass per state.
@@ -438,25 +430,6 @@ def count_via_matrices(auto: Automaton, word: Sequence[int]) -> int:
         cols = len(T[0])
         vec = [sum(vec[u] * T[u][w] for u in range(len(vec))) for w in range(cols)]
     return sum(vec)
-
-
-def products_positive(auto: Automaton, max_len: int) -> bool:
-    """Check row products over all admissible words from the root up to the
-    given length stay entrywise >= 1 (the strict-positivity property)."""
-    frontier = [(0, (1,) * auto.v(0))]
-    for _ in range(max_len):
-        nxt = []
-        for state, vec in frontier:
-            for j, _lo, _hi, T in auto.children[state]:
-                cols = len(T[0])
-                out = tuple(
-                    sum(vec[u] * T[u][w] for u in range(len(vec))) for w in range(cols)
-                )
-                if any(e < 1 for e in out):
-                    return False
-                nxt.append((j, out))
-        frontier = nxt
-    return True
 
 
 def automaton_to_dot(auto: Automaton) -> str:

@@ -7,21 +7,25 @@ map images; rational roots come from trial division by the divisors of the
 constant and leading coefficients.  Tests freeze values computed by these
 oracles.  The Monte-Carlo reference walks one Parry chain at a time with
 plain Python lists, against which the lockstep numpy walk is compared
-exactly; the lattice reference steps the prefix-sum DP one state at a time
-on a dict, against which the array kernel is compared state for state; the
-automaton reference builds the coding automaton in field elements, one
-cylinder and one breakpoint at a time, against which the integer-row
-closure is compared state for state, with its essential class taken as
-the states every state reaches; the net-interval reference sorts
-every word's cylinder in field elements, against which the rank-sorted
-rows are compared interval for interval.  The row merge is checked against
+exactly, and its word reference walks every k-step word from every state
+by one searchsorted per step, against which the walk's k-step tables are
+compared entry for entry; the lattice reference steps the prefix-sum DP
+one state at a time on a dict, against which the array kernel is compared
+state for state; the automaton reference builds the coding automaton in
+field elements, one cylinder and one breakpoint at a time, against which
+the integer-row closure is compared state for state, with its essential
+class taken as the states every state reaches; the net-interval reference
+sorts every word's cylinder in field elements, against which the
+rank-sorted rows are compared interval for interval.  The row merge is checked against
 a dict of tuples, and the run-based grid-cell masses of the L^q estimate
 against the sort-and-bincount form they replaced, bit for bit.
 
 Two helpers here are thin readers of the library that only tests call:
 `distinct_sums_count` (the size of the last level of `Lattice.levels`,
 checked against `brute_distinct_sums`) and `step_k_beta` (one step of
-K_beta on `switch_geometry`).
+K_beta on `switch_geometry`).  Two more read an automaton's edges:
+`is_admissible` (a word is a path from the root) and `products_positive`
+(every row product from the root stays entrywise >= 1).
 """
 
 import math
@@ -374,6 +378,32 @@ def brute_essential_class(auto: Automaton) -> frozenset:
     return frozenset(common)
 
 
+def is_admissible(auto: Automaton, word) -> bool:
+    """Whether word is a path of the automaton from its root state 0."""
+    if not word or word[0] != 0:
+        return False
+    return all(j in auto.successors(i) for i, j in zip(word, word[1:]))
+
+
+def products_positive(auto: Automaton, max_len: int) -> bool:
+    """Check row products over all admissible words from the root up to the
+    given length stay entrywise >= 1 (the strict-positivity property)."""
+    frontier = [(0, (1,) * auto.v(0))]
+    for _ in range(max_len):
+        nxt = []
+        for state, vec in frontier:
+            for j, _lo, _hi, T in auto.children[state]:
+                cols = len(T[0])
+                out = tuple(
+                    sum(vec[u] * T[u][w] for u in range(len(vec))) for w in range(cols)
+                )
+                if any(e < 1 for e in out):
+                    return False
+                nxt.append((j, out))
+        frontier = nxt
+    return True
+
+
 def mc_cdf_rows(chain, auto) -> tuple[list[np.ndarray], list[list]]:
     """Each essential state's cumulative Parry probabilities (the last set to
     1) and its edges as (local target, matrix), in child order."""
@@ -426,3 +456,45 @@ def mc_chain_values(chain, auto, path_len: int, n_chains: int, seed: int) -> lis
         logscale += math.log(sum(vec))
         values.append(logscale / path_len)
     return values
+
+
+def mc_word_walks(chain, auto, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every k-step walk of the Parry chain, from every state on every word.
+
+    K is the sorted set of all cumulative Parry probabilities, and a word w
+    packs k ranks in base |K|, the first step most significant (a uniform
+    below 1 = K[-1] has a rank below |K|).  Step j takes a uniform of the
+    word's j-th rank r (0 for r = 0, K[r - 1] otherwise) and picks its edge
+    by one searchsorted on the current state's cumulative row.  Returns
+    states[s, w], the state reached from state s, and products[s, w], the
+    product of the k edge matrices left to right in Python ints, zero-padded
+    to the largest multiplicity.
+    """
+    cum_rows, edges = mc_cdf_rows(chain, auto)
+    K = sorted({float(c) for row in cum_rows for c in row})
+    n_ranks, n_words = len(K), len(K) ** k
+    uniform = np.array([0.0, *K[:-1]])
+    dim = max(auto.v(i) for i in chain.states)
+    targets, mats = [], []
+    for row in edges:
+        targets.append(np.array([j for j, _T in row]))
+        padded = np.zeros((len(row), dim, dim), dtype=object)
+        for e, (_j, T) in enumerate(row):
+            padded[e, :len(T), :len(T[0])] = np.array(T, dtype=object)
+        mats.append(padded)
+    state = np.repeat(np.arange(len(cum_rows)), n_words)
+    word = np.tile(np.arange(n_words), len(cum_rows))
+    products = None
+    for j in range(k):
+        u = uniform[word // n_ranks ** (k - 1 - j) % n_ranks]
+        after = np.empty_like(state)
+        step = np.empty((len(state), dim, dim), dtype=object)
+        for s, row in enumerate(cum_rows):
+            at = np.flatnonzero(state == s)
+            picks = np.searchsorted(row, u[at], side="right")
+            after[at] = targets[s][picks]
+            step[at] = mats[s][picks]
+        state = after
+        products = step if products is None else products @ step
+    return (state.reshape(len(cum_rows), n_words),
+            products.reshape(len(cum_rows), n_words, dim, dim))

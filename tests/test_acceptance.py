@@ -15,7 +15,7 @@ from betagrowth import bconv, expansions, lyapunov, netautomaton
 from betagrowth.cli import main as cli_main
 from betagrowth.numberfield import parse_beta
 
-from conftest import ACCEPTANCE_LOG, brute_value_count
+from conftest import ACCEPTANCE_LOG, brute_value_count, products_positive
 
 PAPER_GAMMA = {
     3: 0.102500, 4: 0.041560, 5: 0.018426, 6: 0.008590, 7: 0.004123,
@@ -165,7 +165,7 @@ def test_criterion_6_automaton_identities(golden, tribonacci):
                 if not (auto.ell(i) - sys_.rho * total).is_zero():
                     ok = False
         ok = ok and auto.v(0) == 1
-        ok = ok and netautomaton.products_positive(auto, 12)
+        ok = ok and products_positive(auto, 12)
         omega = netautomaton.essential_class(auto)  # raises unless (C5)(i)-(iii) hold
         ok = ok and omega == auto.essential
         details.append(f"{sys_.spec}: {auto.size} states, |essential|={len(omega)}")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -334,6 +335,33 @@ def test_gamma_mc_deterministic(tmp_path, capsys):
                                "--seed", "13", "--out", str(target))
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# sha256 of `gamma --method mc` stdout, recorded at 3be0f16, where the walk
+# took one table lookup and one matrix gather per step: walking k steps per
+# lookup must leave every chain value, and so every byte, as it was
+GAMMA_MC_STDOUT_SHA256 = {
+    ("multinacci:3", "2", "5000", "1"):
+        "ca5df8abe86271ea858352f528c6f9dc2a9884ad92348f2327382a97e24c8a3e",
+    ("multinacci:3", "2", "5000", "38"):
+        "1d102f177fa35b60dc854e3dccd197930cc8799046c86588b453411985c96b89",
+    ("int:2", "4", "3000", "1"):
+        "f30c2d718d8cc9ae38c999bc5ae5d6e18751e252e9d5b807e5671e79a8b71692",
+    ("int:2", "4", "3000", "38"):
+        "f081f295ee5627990541e3f2458c3afa2934cfea44d09c03b08de1b5e00ec02e",
+    ("golden", "3", "3000", "1"):
+        "b26eb624aa9b8e0652df54adfa1b1ba163d70c8521ea6c1d4bf5d4416f053d30",
+    ("golden", "3", "3000", "38"):
+        "63fdba589ec6d99f04b49075a6cefabec958f388fde0c228e9327b8c28ccb312",
+}
+
+
+@pytest.mark.parametrize("spec, m, paths, seed", GAMMA_MC_STDOUT_SHA256)
+def test_gamma_mc_stdout_frozen(capsys, spec, m, paths, seed):
+    code, out, _ = run_cli(capsys, "gamma", "--beta", spec, "--m", m, "--method", "mc",
+                           "--paths", paths, "--chains", "4", "--seed", seed)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GAMMA_MC_STDOUT_SHA256[spec, m, paths, seed]
 
 
 def test_selftest(capsys):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,9 +11,12 @@ from betagrowth.lyapunov import (
     DRAW_BLOCK,
     MC_STDERR_FLOOR,
     GammaEstimate,
+    ParryChain,
     _chunk_products,
+    _edge_arrays,
     _inner_log_sums,
     _rank_table,
+    _run_tables,
     check_mc_params,
     dimension,
     estimate_gamma_mc,
@@ -24,7 +28,7 @@ from betagrowth.lyapunov import (
 )
 from betagrowth.netautomaton import build_automaton
 from betagrowth.numberfield import parse_beta
-from conftest import mc_cdf_rows, mc_chain_values
+from conftest import mc_cdf_rows, mc_chain_values, mc_word_walks
 
 PAPER_GAMMA_OVER_LOG2 = {
     3: 0.102500, 4: 0.041560, 5: 0.018426, 6: 0.008590, 7: 0.004123,
@@ -106,10 +110,11 @@ def test_mc_integer_case_log2(base2m4):
 
 
 @pytest.mark.parametrize("spec, m, path_len, n_chains", [
-    ("multinacci:3", 2, 5003, 4),  # crosses a draw block, ends mid-renormalization
-    ("golden", 3, 3000, 4),        # matrices padded to V = 8
+    ("multinacci:3", 2, 5003, 4),      # crosses a draw block, ends mid-renormalization; k = 1
+    ("multinacci:3", 2, 4096 + 64, 4),  # crosses a draw block in words of k = 4 steps
+    ("golden", 3, 3000, 4),            # matrices padded to V = 8
     ("int:2", 4, 3000, 4),
-    ("int:2", 6, 3000, 4),         # row sum 5: chunks of 16 steps
+    ("int:2", 6, 3000, 4),             # row sum 5: chunks of 16 steps
 ])
 def test_mc_matches_per_chain_reference(spec, m, path_len, n_chains):
     auto = build_automaton(parse_beta(spec, m))
@@ -198,6 +203,50 @@ def test_rank_table_on_parry_rows(mc_chains):
     for base in MC_PROPERTY_BASES:
         auto, chain = mc_chains[base]
         _rank_table_picks(mc_cdf_rows(chain, auto)[0])
+
+
+def _tie_chain():
+    """A three-state chain on the rows of `test_rank_table_on_ties`, with
+    random 2 x 2 edge matrices."""
+    rng = np.random.default_rng(5)
+    targets = [(1, 2, 0), (2, 0, 1), (0,)]
+    P = np.zeros((3, 3))
+    P[0, [1, 2, 0]] = 0.25, 0.25, 0.5
+    P[1, [2, 0, 1]] = 0.5, 0.25, 0.25
+    P[2, 0] = 1.0
+    children = [[(j, None, None, rng.integers(0, 3, (2, 2)).tolist()) for j in row]
+                for row in targets]
+    return ParryChain((0, 1, 2), P, np.full(3, 1 / 3)), SimpleNamespace(children=children,
+                                                                     v=lambda i: 2)
+
+
+@pytest.mark.parametrize("spec, m, k_max, k", [
+    ("golden", 3, 32, 4),
+    ("multinacci:3", 2, 32, 4),
+    ("int:2", 4, 32, 8),
+    ("poly:-1,0,-1,1", 2, 32, 2),
+    ("multinacci:3", 3, 16, 1),  # 447 states, |K| = 25, d = 16: the cap stops at 1
+    ("ties", 2, 4, 4),           # k_max stops it
+])
+def test_run_tables_entry_by_entry(spec, m, k_max, k):
+    if spec == "ties":
+        chain, auto = _tie_chain()
+    else:
+        auto = build_automaton(parse_beta(spec, m))
+        chain = parry_chain(auto)
+    cdf, nxt, mats = _edge_arrays(chain, auto)
+    K, got_k, jump, pick, prods = _run_tables(cdf, nxt, mats, k_max)
+    assert got_k == k
+    states, products = mc_word_walks(chain, auto, k)
+    assert jump.shape == states.shape == (len(cdf), len(K) ** k)
+    assert (jump == states).all()
+    if k == 1:
+        # no states x ranks copy of the edge stack
+        assert prods is mats
+        prods = prods[pick]
+    else:
+        assert pick is None
+    assert np.array_equal(prods, products.astype(float))
 
 
 def test_mc_seed_determinism(tri_chain):

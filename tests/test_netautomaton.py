@@ -14,11 +14,10 @@ from betagrowth.netautomaton import (
     count_via_matrices,
     essential_class,
     net_intervals,
-    products_positive,
 )
 from betagrowth.numberfield import parse_beta
 from conftest import (brute_essential_class, field_automaton, field_net_intervals,
-                      multiplicity_direct, state_key)
+                      is_admissible, multiplicity_direct, products_positive, state_key)
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +126,7 @@ def test_binary_automaton_shape(binary):
         T == ((1,),) for i in range(auto.size) for _j, _lo, _hi, T in auto.children[i]
     )
     for word in [[0], [0, 0, 1, 0, 1, 1]]:
-        if auto.is_admissible(word):
+        if is_admissible(auto, word):
             assert count_via_matrices(auto, word) == 1
 
 
@@ -265,7 +264,7 @@ def test_coding_nesting(golden_auto):
     z = Fraction(2, 5)
     word = coding_of_point(z, 5, golden_auto)
     assert len(word) == 6 and word[0] == 0
-    assert golden_auto.is_admissible(word)
+    assert is_admissible(golden_auto, word)
     # truncation yields the shallower coding (net structure preserved)
     assert coding_of_point(z, 3, golden_auto) == word[:4]
 
@@ -278,7 +277,7 @@ def test_inadmissible_word_rejected(golden_auto):
     with pytest.raises(InvalidInputError):
         count_via_matrices(golden_auto, [1, 0])
     bad = [0, golden_auto.size - 1]
-    if not golden_auto.is_admissible(bad):
+    if not is_admissible(golden_auto, bad):
         with pytest.raises(InvalidInputError):
             count_via_matrices(golden_auto, bad)
 
