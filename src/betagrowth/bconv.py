@@ -24,9 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import HypothesisError, InvalidInputError
-from .expansions import (DEFAULT_ATOM_CAP, Lattice, _coerce_point, _count_meets_bound, kappa,
-                         prefix_count_series)
+from .errors import InvalidInputError
+from .expansions import DEFAULT_ATOM_CAP, Lattice, _coerce_point
 from .numberfield import BetaSystem
 
 DEFAULT_MARGIN = 10
@@ -50,7 +49,6 @@ class MeasureAtoms:
     counts: np.ndarray
 
     def __post_init__(self):
-        self._lattice = Lattice(self.sys)
         self._sorted_cache = None
         self._cells = {}
 
@@ -63,18 +61,19 @@ class MeasureAtoms:
 
     def _sorted(self):
         if self._sorted_cache is None:
-            vals = self.sys.field.float_rows(self.keys)[0] / float(self._lattice.lead ** self.level)
+            lead = self.sys.minpoly.coeffs[-1]
+            vals = self.sys.field.float_rows(self.keys)[0] / float(lead ** self.level)
             order = np.argsort(vals, kind="stable")
             values = vals[order] * float(self.sys.rho) ** self.level
             weights = self.counts[order].astype(float) / float(self.sys.m) ** self.level
-            self._sorted_cache = (order, values, weights)
+            self._sorted_cache = (values, weights)
         return self._sorted_cache
 
     def values_float(self) -> np.ndarray:
-        return self._sorted()[1]
+        return self._sorted()[0]
 
     def weights_float(self) -> np.ndarray:
-        return self._sorted()[2]
+        return self._sorted()[1]
 
     def cell_masses(self, width: float) -> np.ndarray:
         """Masses of the grid cells [j*width, (j+1)*width) that hold an atom,
@@ -89,19 +88,6 @@ class MeasureAtoms:
             labels = np.repeat(np.arange(len(runs)), runs)
             self._cells[width] = np.bincount(labels, weights=self.weights_float())
         return self._cells[width]
-
-    def items_exact(self):
-        """(value FieldElement, weight Fraction) in increasing value order."""
-        order = self._sorted()[0]
-        rho_n = self.sys.rho_powers[self.level]
-        denom = self.sys.m ** self.level
-        for key, count in zip(self.keys[order].tolist(), self.counts[order].tolist()):
-            yield self._lattice.value(key, self.level) * rho_n, Fraction(count, denom)
-
-    def refine(self) -> "MeasureAtoms":
-        """Push every atom through one more uniform digit and merge."""
-        return MeasureAtoms(self.sys, self.level + 1,
-                            *self._lattice.step((self.keys, self.counts), self.level))
 
 
 def level_atoms(sys: BetaSystem, n: int, cap: int = DEFAULT_ATOM_CAP) -> MeasureAtoms:
@@ -305,58 +291,3 @@ def lq_spectrum_table(q_list: Sequence[float], sys: BetaSystem,
         lq_spectrum_estimate(q, sys, levels, margin=margin, atoms=atoms)
         for q in q_list
     ]
-
-
-# ---------------------------------------------------------------------------
-# upper bound check (small beta, m = 2)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class UpperBoundRow:
-    n: int
-    count: int
-    count_bound_ok: bool     # N_n >= 2^(kappa n - 1)
-    mass_lower: Fraction
-    sandwich_ok: bool        # mass_lower >= 2^-n * N_n
-    finite_slope: float      # -(1/n) log_beta(2^-n * N_n)
-
-
-@dataclass(frozen=True)
-class UpperBoundReport:
-    kappa: Fraction
-    limit: float             # (1 - kappa) * log_beta(2)
-    x: float
-    rows: tuple[UpperBoundRow, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.count_bound_ok and r.sandwich_ok for r in self.rows)
-
-
-def upper_dim_bound_check(sys: BetaSystem, x, n_max: int,
-                          margin: int = 5) -> UpperBoundReport:
-    """Finite-level form of the upper local-dimension bound for beta below
-    the golden ratio with m = 2.
-
-    Checks, for each n <= n_max, the chain  mu(ball(x, beta^-n/(beta-1)))
-    >= 2^-n * N_n(x) >= (1/2) * 2^((kappa-1) n): the first inequality via
-    the certified lower mass bracket of `ball_mass_brackets`, the second
-    exactly.
-    """
-    if sys.m != 2:
-        raise HypothesisError("upper bound check requires m = 2")
-    kap = kappa(sys)  # raises HypothesisError for beta >= golden
-    x = _coerce_point(x, sys)
-    counts = prefix_count_series(x, n_max, sys)
-    brackets = ball_mass_brackets(sys, x, range(1, n_max + 1), margin)
-    log_beta = math.log(float(sys.beta))
-    rows = []
-    for n in range(1, n_max + 1):
-        count = counts[n]
-        count_ok = _count_meets_bound(count, kap, n)
-        lower, _upper = brackets[n]
-        sandwich_ok = lower >= Fraction(count, 2 ** n)
-        slope = (n * math.log(2) - math.log(count)) / (n * log_beta)
-        rows.append(UpperBoundRow(n, count, count_ok, lower, sandwich_ok, slope))
-    limit = (1 - float(kap)) * math.log(2) / log_beta
-    return UpperBoundReport(kap, limit, float(x), tuple(rows))

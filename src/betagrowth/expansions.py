@@ -8,9 +8,10 @@ expansion of a point of [a, b] exactly when beta^k a - R <= t <= beta^k b;
 N_n(x) is the window of [x, x].  Merging keeps the reachable state set
 constant-size for Pisot bases (Garsia separation); for rational ones the
 window bounds it, and when m <= p for beta = p/q no two words share a
-state, so a windowed step skips the merge.  Membership uses
-`NumberField.rows_within`: a vector float screen with a proven error bound
-and an exact fallback, or two exact integer comparisons in degree one.
+state, so a windowed step skips the merge; its keys stay int64, as limbs.
+Membership uses `NumberField.rows_within`: a vector float screen with a
+proven error bound and an exact fallback, or exact integer comparisons of
+limbs in degree one.
 """
 
 from __future__ import annotations
@@ -23,12 +24,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapExceededError, HypothesisError, InvalidInputError, InvariantError
-from .numberfield import INT64_MAX, BetaSystem, FieldElement, Powers
+from .numberfield import INT64_MAX, LIMB_BITS, LIMB_MASK, BetaSystem, FieldElement, Powers
 
 # the most states any one level of a windowed sweep may hold
 DEFAULT_ATOM_CAP = 4_000_000
+# p times a limb, plus a limb and a carry, must fit int64 (DECISIONS.md)
+LIMB_P_BOUND = 2 ** 30
 DEFAULT_NODE_CAP = 500_000
 DEFAULT_SUM_CAP = 5_000_000
+GAP_BLOCK = 1024
 GOLDEN_COEFFS = (-1, -1, 1)
 
 
@@ -70,6 +74,13 @@ def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, new.nonzero()[0]
 
 
+def _limbs(value: int, width: int) -> list[int]:
+    """A nonnegative integer as width little-endian base-2^LIMB_BITS limbs,
+    the last one taking what is left."""
+    shift = LIMB_BITS * (width - 1)
+    return [value >> (LIMB_BITS * i) & LIMB_MASK for i in range(width - 1)] + [value >> shift]
+
+
 class Lattice:
     """Digit sums scaled by beta^k, as integer vectors: the one DP state format.
 
@@ -81,7 +92,11 @@ class Lattice:
     holds each vector once, as a row of one key matrix, with a count
     vector.  Both are int64 while an a-priori bound taken before each step
     shows that the step cannot overflow, and Python ints (dtype object)
-    from then on; keys leave the kernel as Python ints.
+    from then on.  Degree one with p < 2^30 (`limbs`) is the exception in
+    windowed steps: a key is one row of int64 limbs, little-endian base
+    2^LIMB_BITS digits, each in [0, 2^LIMB_BITS) but the last, and a limb
+    is added before a step that could overflow the last; `key_ints` joins
+    them.  `levels` keeps Python ints, whose values its readers use.
 
     A base is collision-free when beta = p/q in lowest terms (q >= 1) and
     m <= p: then distinct words have distinct keys (DECISIONS.md), every
@@ -93,7 +108,7 @@ class Lattice:
         self.sys = sys
         coeffs = sys.minpoly.coeffs
         self.lead = coeffs[-1]
-        row = [-c for c in coeffs[:-1]]  # lead*beta^d = sum row_i beta^i
+        self.row = row = [-c for c in coeffs[:-1]]  # lead*beta^d = sum row_i beta^i
         self.degree = d = len(row)
         # c @ matrix is the key of lead * beta * (value of c)
         self._matrix = np.vstack([self.lead * np.eye(d - 1, d, 1, dtype=np.int64), row])
@@ -103,6 +118,8 @@ class Lattice:
         self.grow_powers = Powers(sys.beta * self.lead)
         # degree one: row = [p] for beta = p/q, so no step ever merges two words
         self.collision_free = d == 1 and sys.m <= row[0]
+        # degree one with p < 2^30: windowed keys stay int64, as limbs
+        self.limbs = d == 1 and row[0] < LIMB_P_BOUND
         self.start = (np.zeros((1, d), dtype=np.int64), np.ones(1, dtype=np.int64))
 
     def windowed(self, level: Level, k: int, n: int, a: FieldElement, b: FieldElement,
@@ -137,22 +154,33 @@ class Lattice:
         """
         keys, counts = level
         m, scale = self.sys.m, self.lead ** (k + 1)
-        # a new entry is a sum of at most two products plus a digit term, so
-        # |entry| <= max|key| * (lead + max|row|) + (m-1) * lead^(k+1); no
-        # count exceeds the m^(k+1) words of length k+1
-        if keys.dtype != object:
+        limbs = self.limbs and window is not None and keys.dtype != object
+        if limbs:
+            keys = self._widened(keys, scale)
+        elif keys.dtype != object:
+            # a new entry is a sum of at most two products plus a digit term,
+            # so |entry| <= max|key| * (lead + max|row|) + (m-1) * lead^(k+1)
             big = int(np.abs(keys).max(initial=0))
             if big * self.growth + (m - 1) * scale > INT64_MAX:
                 keys = keys.astype(object)
+        # no count exceeds the m^(k+1) words of length k+1
         if counts.dtype != object and m ** (k + 1) > INT64_MAX:
             counts = counts.astype(object)
         # the rows of digit 0, then those of digit 1, ...: digit e adds
-        # e * lead^(k+1) to column 0 of the e-th copy
+        # e * lead^(k+1) to column 0 of the e-th copy, or its limbs to the limbs
         keys = self.times_beta(keys)
-        rows = len(keys)
+        rows, width = len(keys), keys.shape[1]
         keys = np.concatenate((keys,) * m)
         for e in range(1, m):
-            keys[e * rows:(e + 1) * rows, 0] += e * scale
+            for i, digit in enumerate(_limbs(e * scale, width) if limbs else [e * scale]):
+                if digit:
+                    keys[e * rows:(e + 1) * rows, i] += digit
+        if limbs:
+            # carry each limb's excess into the next: every limb below the
+            # last is back in [0, 2^LIMB_BITS)
+            for i in range(width - 1):
+                keys[:, i + 1] += keys[:, i] >> LIMB_BITS
+                keys[:, i] &= LIMB_MASK
         counts = np.concatenate((counts,) * m)
         if window is not None:
             inside = self.sys.field.rows_within(keys, *window).nonzero()[0]
@@ -165,9 +193,26 @@ class Lattice:
         order, starts = _distinct_rows(keys)
         return np.take(keys, order[starts], axis=0), np.add.reduceat(counts[order], starts)
 
+    def _widened(self, keys: np.ndarray, scale: int) -> np.ndarray:
+        """Limb keys, a new last limb split off until the next step fits.
+        Degree-one keys are nonnegative and below (top + 1) 2^shift, so the
+        last limb of p c + e scale is at most (p (top + 1) 2^shift + (m-1)
+        scale) >> shift; the limbs below stay under (p + 2) 2^LIMB_BITS."""
+        while True:
+            shift = LIMB_BITS * (keys.shape[1] - 1)
+            top = int(keys[:, -1].max(initial=0))
+            grown = (self.row[0] * (top + 1) << shift) + (self.sys.m - 1) * scale
+            if grown >> shift <= INT64_MAX:
+                return keys
+            last = keys[:, -1:]
+            keys = np.concatenate((keys[:, :-1], last & LIMB_MASK, last >> LIMB_BITS), axis=1)
+
     def times_beta(self, rows: np.ndarray) -> np.ndarray:
         """Integer rows of lead * beta times the value of each row, in the
-        rows' dtype: a sum of at most two products per entry."""
+        rows' dtype: a sum of at most two products per entry.  In degree
+        one that is p times each entry, limbs too (`step` carries them)."""
+        if self.degree == 1:
+            return rows * self.row[0]
         return rows @ self._matrix.astype(rows.dtype)
 
     def levels(self, n: int, cap: int):
@@ -188,6 +233,12 @@ class Lattice:
     def check_cap(states: int, cap: int, k: int) -> None:
         if states > cap:
             raise CapExceededError(f"{states} DP states at level {k} exceed the cap {cap}")
+
+    def key_ints(self, keys: np.ndarray) -> list[list[int]]:
+        """A level's keys as rows of Python ints, limbs joined."""
+        if not self.limbs or keys.dtype == object:
+            return keys.tolist()
+        return [[sum(v << (LIMB_BITS * i) for i, v in enumerate(row))] for row in keys.tolist()]
 
     def value(self, key: Sequence[int], k: int) -> FieldElement:
         """The exact value of a level-k key, a sequence of Python ints."""
@@ -410,14 +461,16 @@ def garsia_report(sys: BetaSystem, n_max: int, cap: int = DEFAULT_SUM_CAP) -> li
 
     The reported gap is beta^n * (smallest difference between distinct
     level-n sums); Garsia separation predicts a positive lower bound for
-    Pisot beta.  The minimum is certified: the sums are presorted by their
-    float values (`NumberField.float_rows`), and every gap whose float value
-    lies within the proven error bounds of the smallest one is compared
-    exactly, so no gap left out can be smaller and a misordered presort is
-    detected.  Tied candidates share one difference of two keys; the
-    differences are merged by `_distinct_rows`, the lattice step's merge, so
-    each distinct one is decided once (at golden n = 24, 75,024 candidates
-    are one difference).
+    Pisot beta.  The minimum is certified.  In degree one the merged keys
+    of `levels` are integers in increasing order, so the gaps are the exact
+    differences of neighbours, each checked positive.  Otherwise the sums
+    are presorted by their float values (`NumberField.float_rows`), and
+    every gap whose float value lies within the proven error bounds of the
+    smallest one is compared exactly, so no gap left out can be smaller and
+    a misordered presort is detected.  Tied candidates share one difference
+    of two keys; the differences are merged by `_distinct_rows`, the
+    lattice step's merge, so each distinct one is decided once (at golden
+    n = 24, 75,024 candidates are one difference).
     """
     rows = []
     beta_f = float(sys.beta)
@@ -427,6 +480,17 @@ def garsia_report(sys: BetaSystem, n_max: int, cap: int = DEFAULT_SUM_CAP) -> li
         size = len(keys)
         if size < 2:
             rows.append(GarsiaRow(n, size, size / beta_f ** n, math.inf))
+            continue
+        if lattice.degree == 1:
+            # increasing nonnegative keys: exact gaps in the keys' dtype, a
+            # block at a time, since a level of Python-int differences at
+            # once leaves the heap fragmented (DECISIONS.md)
+            gap = min(np.diff(keys[i:i + GAP_BLOCK + 1, 0]).min()
+                      for i in range(0, size - 1, GAP_BLOCK))
+            if gap <= 0:
+                raise InvariantError(f"level-{n} keys of `levels` out of order")
+            best = FieldElement(field, (int(gap),), lattice.lead ** n)
+            rows.append(GarsiaRow(n, size, size / beta_f ** n, float(best)))
             continue
         # gaps of the keys: the sums scaled by lead^n beta^n
         vals, errs = field.float_rows(keys)

@@ -55,11 +55,6 @@ class NetInterval:
     def multiplicity(self) -> int:
         return len(self.offsets)
 
-    def length_normalized(self) -> FieldElement:
-        # beta^n * (b - a)
-        sys_beta = self.a.field.beta
-        return (self.b - self.a) * sys_beta ** self.level
-
 
 def _digit_starts(sys: BetaSystem) -> list[FieldElement]:
     """S_a(0) = (a-1)(1-rho)/(m-1) for a = 1..m."""

@@ -29,6 +29,9 @@ from .errors import InvalidInputError, InvariantError
 
 MAX_DEGREE = 10
 INT64_MAX = 2 ** 63 - 1
+# degree-one key rows of windowed sweeps are int64 limbs in base 2^LIMB_BITS
+LIMB_BITS = 32
+LIMB_MASK = (1 << LIMB_BITS) - 1
 
 # Primes of the factor-degree irreducibility certificate.
 _CERT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
@@ -456,12 +459,6 @@ class FieldElement:
 
     # -- conversions --------------------------------------------------------
 
-    def as_fraction(self) -> Fraction:
-        """Exact value when the element is rational; error otherwise."""
-        if any(self.num[1:]):
-            raise InvalidInputError("element is not rational")
-        return Fraction(self.num[0], self.den)
-
     def __float__(self) -> float:
         beta = self.field.beta_float_powers()
         # c / den is float(Fraction(c, den)): int true division rounds correctly
@@ -705,12 +702,10 @@ class NumberField:
         D > 0, so c - N/D > 0 exactly when c > floor(N/D) and < 0 exactly
         when c < ceil(N/D): two integer comparisons, with no screen."""
         if self.degree == 1:
-            bounds = [(s.num[0] // s.den, -(-s.num[0] // s.den)) for s in shifts]
-            col = self._column(rows, [b for pair in bounds for b in pair])
             signs = np.empty((len(shifts), len(rows)), dtype=np.int8)
-            for sign, (floor, ceil) in zip(signs, bounds):
-                sign[:] = col > floor
-                sign -= col < ceil
+            for sign, s in zip(signs, shifts):
+                sign[:] = self._at_least(rows, s.num[0] // s.den + 1)
+                sign -= ~self._at_least(rows, -(-s.num[0] // s.den))
             return signs
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan stay unsettled
             val, err = self.float_rows(rows)
@@ -726,23 +721,33 @@ class NumberField:
     def rows_within(self, rows: np.ndarray, lo: FieldElement, hi: FieldElement) -> np.ndarray:
         """Whether lo <= sum_i rows[r, i] beta^i <= hi, exactly, row by row.
         In degree one an integer c is at least lo exactly when c >= ceil(lo),
-        and at most hi exactly when c <= floor(hi): two comparisons."""
+        and at most hi exactly when c < floor(hi) + 1: two comparisons."""
         if self.degree == 1:
             low, high = -(-lo.num[0] // lo.den), hi.num[0] // hi.den
-            col = self._column(rows, (low, high))
-            return (col >= low) & (col <= high)
+            return self._at_least(rows, low) & ~self._at_least(rows, high + 1)
         lo_sign, hi_sign = self.sign_rows(rows, lo, hi)
         return (lo_sign >= 0) & (hi_sign <= 0)
 
     @staticmethod
-    def _column(rows: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
-        """Column 0 of degree-one rows, to be compared with integer bounds:
-        as Python ints when a bound lies outside int64, which numpy 1.x
-        would compare with an int64 column in floats."""
-        col = rows[:, 0]
-        if col.dtype != object and not all(-INT64_MAX - 1 <= b <= INT64_MAX for b in bounds):
-            col = col.astype(object)
-        return col
+    def _at_least(rows: np.ndarray, bound: int) -> np.ndarray:
+        """Whether each degree-one row's integer is at least the bound.  Rows
+        are one column of Python ints, or int64 limbs (`Lattice.step`), last
+        limb first; a bound whose last limb leaves int64 settles every row,
+        so no int64 column meets a Python int outside int64, which numpy 1.x
+        would compare in floats."""
+        if rows.dtype == object:
+            return rows[:, 0] >= bound
+        width = rows.shape[1]
+        top = bound >> (LIMB_BITS * (width - 1))
+        if not -INT64_MAX - 1 <= top <= INT64_MAX:
+            return np.full(len(rows), top < 0)
+        at_least = rows[:, -1] >= top
+        if width > 1:
+            # rows whose last limb equals the bound's are decided by the rest
+            tied = (rows[:, -1] == top).nonzero()[0]
+            rest = bound - (top << (LIMB_BITS * (width - 1)))
+            at_least[tied] = NumberField._at_least(rows[tied, :-1], rest)
+        return at_least
 
     def rank_rows(self, rows: np.ndarray) -> np.ndarray:
         """Dense ranks of the values sum_i rows[r, i] beta^i of an integer

@@ -20,23 +20,30 @@ rank-sorted rows are compared interval for interval.  The row merge is checked a
 a dict of tuples, and the run-based grid-cell masses of the L^q estimate
 against the sort-and-bincount form they replaced, bit for bit.
 
-Two helpers here are thin readers of the library that only tests call:
+Some helpers here are thin readers of the library that only tests call:
 `distinct_sums_count` (the size of the last level of `Lattice.levels`,
-checked against `brute_distinct_sums`) and `step_k_beta` (one step of
-K_beta on `switch_geometry`).  Two more read an automaton's edges:
-`is_admissible` (a word is a path from the root) and `products_positive`
-(every row product from the root stays entrywise >= 1).
+checked against `brute_distinct_sums`), `step_k_beta` (one step of
+K_beta on `switch_geometry`), `as_fraction` and `length_normalized` (a
+rational element and a net interval's scaled length), `atoms_items_exact`
+and `refine_atoms` (exact atoms in value order, one more lattice step) and
+`upper_dim_bound_check` (the finite-level upper local-dimension chain).
+Two more read an automaton's edges: `is_admissible` (a word is a path from
+the root) and `products_positive` (every row product from the root stays
+entrywise >= 1).
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
-from betagrowth.errors import InvalidInputError, InvariantError
-from betagrowth.expansions import DEFAULT_SUM_CAP, Lattice, switch_geometry
+from betagrowth.bconv import MeasureAtoms, ball_mass_brackets
+from betagrowth.errors import HypothesisError, InvalidInputError, InvariantError
+from betagrowth.expansions import (DEFAULT_SUM_CAP, Lattice, _coerce_point, _count_meets_bound,
+                                   kappa, prefix_count_series, switch_geometry)
 from betagrowth.lyapunov import RENORM_EVERY, mc_chunk_len
 from betagrowth.netautomaton import Automaton, CharacteristicState, NetInterval
 from betagrowth.numberfield import BetaSystem, FieldElement, parse_beta
@@ -167,6 +174,83 @@ def step_k_beta(omega_head: int, x, sys: BetaSystem) -> tuple[bool, int, FieldEl
         return False, k, x * sys.beta - k
     digit = k if omega_head else k - 1
     return True, digit, x * sys.beta - digit
+
+
+def as_fraction(x: FieldElement) -> Fraction:
+    """Exact value of a rational element; error otherwise."""
+    if any(x.num[1:]):
+        raise InvalidInputError("element is not rational")
+    return Fraction(x.num[0], x.den)
+
+
+def length_normalized(interval: NetInterval) -> FieldElement:
+    """beta^n * (b - a) of a level-n net interval."""
+    return (interval.b - interval.a) * interval.a.field.beta ** interval.level
+
+
+def atoms_items_exact(atoms: MeasureAtoms) -> list[tuple[FieldElement, Fraction]]:
+    """(value, weight) of every atom in increasing value order, sorted by
+    exact comparisons."""
+    lattice = Lattice(atoms.sys)
+    rho_n = atoms.sys.rho_powers[atoms.level]
+    denom = atoms.sys.m ** atoms.level
+    return sorted((lattice.value(key, atoms.level) * rho_n, Fraction(count, denom))
+                  for key, count in zip(atoms.keys.tolist(), atoms.counts.tolist()))
+
+
+def refine_atoms(atoms: MeasureAtoms) -> MeasureAtoms:
+    """Every atom pushed through one more uniform digit and merged."""
+    level = Lattice(atoms.sys).step((atoms.keys, atoms.counts), atoms.level)
+    return MeasureAtoms(atoms.sys, atoms.level + 1, *level)
+
+
+@dataclass(frozen=True)
+class UpperBoundRow:
+    n: int
+    count: int
+    count_bound_ok: bool     # N_n >= 2^(kappa n - 1)
+    mass_lower: Fraction
+    sandwich_ok: bool        # mass_lower >= 2^-n * N_n
+    finite_slope: float      # -(1/n) log_beta(2^-n * N_n)
+
+
+@dataclass(frozen=True)
+class UpperBoundReport:
+    kappa: Fraction
+    limit: float             # (1 - kappa) * log_beta(2)
+    x: float
+    rows: tuple[UpperBoundRow, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(r.count_bound_ok and r.sandwich_ok for r in self.rows)
+
+
+def upper_dim_bound_check(sys: BetaSystem, x, n_max: int, margin: int = 5) -> UpperBoundReport:
+    """Finite-level form of the upper local-dimension bound for beta below
+    the golden ratio with m = 2.
+
+    Checks, for each n <= n_max, the chain  mu(ball(x, beta^-n/(beta-1)))
+    >= 2^-n * N_n(x) >= (1/2) * 2^((kappa-1) n): the first inequality via
+    the certified lower mass bracket of `ball_mass_brackets`, the second
+    exactly.
+    """
+    if sys.m != 2:
+        raise HypothesisError("upper bound check requires m = 2")
+    kap = kappa(sys)  # raises HypothesisError for beta >= golden
+    x = _coerce_point(x, sys)
+    counts = prefix_count_series(x, n_max, sys)
+    brackets = ball_mass_brackets(sys, x, range(1, n_max + 1), margin)
+    log_beta = math.log(float(sys.beta))
+    rows = []
+    for n in range(1, n_max + 1):
+        count = counts[n]
+        lower, _upper = brackets[n]
+        slope = (n * math.log(2) - math.log(count)) / (n * log_beta)
+        rows.append(UpperBoundRow(n, count, _count_meets_bound(count, kap, n), lower,
+                                  lower >= Fraction(count, 2 ** n), slope))
+    limit = (1 - float(kap)) * math.log(2) / log_beta
+    return UpperBoundReport(kap, limit, float(x), tuple(rows))
 
 
 def brute_value_count(target, length: int, sys: BetaSystem) -> int:

@@ -25,7 +25,7 @@ from betagrowth.errors import CapExceededError, InvalidInputError
 from betagrowth.expansions import INT64_MAX, Lattice, _distinct_rows, prefix_count_series
 from betagrowth.numberfield import FieldElement, parse_beta
 
-from conftest import (brute_distinct_sums, brute_prefix_count, dict_lattice_levels,
+from conftest import (atoms_items_exact, brute_distinct_sums, brute_prefix_count, dict_lattice_levels,
                       dict_merge_rows, distinct_sums_count)
 
 SPECS = ("golden", "multinacci:3", "1.5", "poly:-3,0,2")
@@ -81,7 +81,7 @@ def test_interval_mass_matches_atoms(systems, spec, a, b, n):
     sys_ = systems[spec]
     lo, hi = sorted((_fraction_of_interval(sys_, *a), _fraction_of_interval(sys_, *b)))
     direct = sum(
-        (w for v, w in level_atoms(sys_, n).items_exact()
+        (w for v, w in atoms_items_exact(level_atoms(sys_, n))
          if (v - lo).sign() >= 0 and (hi - v).sign() >= 0),
         Fraction(0),
     )
@@ -294,3 +294,105 @@ def test_degree_one_sign_rows_match_sign_int_coeffs(base, data, wide):
     for (low, a), (high, b) in itertools.product(zip(shifts, values), repeat=2):
         within = field.rows_within(matrix, low, high)
         assert within.tolist() == [a <= c <= b for c in rows]
+
+
+# ---------------------------------------------------------------------------
+# degree-one windowed keys as int64 limbs
+# ---------------------------------------------------------------------------
+
+def _limb_rows(values: list[int], width: int) -> np.ndarray:
+    """Nonnegative integers as rows of width little-endian base-2^32 limbs."""
+    return np.array([[v >> (32 * i) & (2 ** 32 - 1) for i in range(width - 1)]
+                     + [v >> (32 * (width - 1))] for v in values], dtype=np.int64).reshape(-1, width)
+
+
+def _width(big: int) -> int:
+    """The fewest limbs whose last one holds big >> 32 (limbs - 1) in int64."""
+    width = 1
+    while big >> (32 * (width - 1)) > INT64_MAX:
+        width += 1
+    return width
+
+
+# p = 2^30 - 35, near the largest p kept on limbs, with beta close to 1
+limb_bases = st.one_of(rational_bases, st.just((2 ** 30 - 35, 2 ** 30 - 36)))
+
+
+@PROPERTY_SETTINGS
+@given(base=limb_bases, data=st.data())
+@example(base=(13, 10), data=None)
+def test_limb_step_matches_python_ints(base, data):
+    # one windowed step on limb keys against p c + e q^(k+1) in Python ints:
+    # the multiply-add and its carries, a widening, the window test with low
+    # ends below zero and bounds past the last limb, and the merge at m = p + 1
+    p, q = base
+    if data is None:
+        m, k, values, extra = 2, 27, [0, 1, 2 ** 63 - 1, 13 ** 28, 2 ** 127 - 1], 0
+        ends = (Fraction(-1, 3), Fraction(2 ** 130))
+    else:
+        digits = [m for m in (max(2, -(-p // q)), min(p, 9), p + 1) if m <= 10]
+        m = data.draw(st.sampled_from(digits), label="m")
+        k = data.draw(st.integers(0, 90), label="k")
+        bits = data.draw(st.sampled_from((8, 62, 63, 64, 100, 200)), label="bits")
+        values = data.draw(st.lists(st.integers(0, 2 ** bits), min_size=1, max_size=12,
+                                    unique=True), label="values")
+        extra = data.draw(st.integers(0, 2), label="extra limbs")
+        after = sorted(p * c + e * q ** (k + 1) for c in values for e in range(m))
+        near = st.sampled_from(after).flatmap(lambda v: st.integers(v - 2, v + 2))
+        huge = st.sampled_from((2 ** 300, -2 ** 300, 2 ** 63, 2 ** 64 + 1))
+        end = st.tuples(st.one_of(near, huge, st.integers(-2 ** 70, -1)),
+                        st.integers(-2, 2)).map(lambda t: Fraction(3 * t[0] + t[1], 3))
+        ends = tuple(sorted(data.draw(st.tuples(end, end), label="window")))
+    sys_ = parse_beta(f"{p}/{q}", m)
+    lattice = Lattice(sys_)
+    assert lattice.limbs
+    keys = _limb_rows(values, _width(max(values)) + extra)
+    counts = np.arange(1, len(values) + 1, dtype=np.int64)
+    lo, hi = (sys_.element(v) for v in ends)
+    new_keys, new_counts = lattice.step((keys, counts), k, (lo, hi))
+    want: dict = {}
+    for c, count in zip(values, counts.tolist()):
+        for e in range(m):
+            v = p * c + e * q ** (k + 1)
+            if ends[0] <= v <= ends[1]:
+                want[v] = want.get(v, 0) + count
+    got = lattice.key_ints(new_keys)
+    assert dict(zip((row[0] for row in got), new_counts.tolist())) == want
+    assert len(got) == len(want) and new_keys.dtype == np.int64
+    # every limb below the last is in [0, 2^32)
+    assert ((new_keys[:, :-1] >= 0) & (new_keys[:, :-1] < 2 ** 32)).all()
+    # the window test on the limb rows themselves
+    field = sys_.field
+    within = field.rows_within(keys, lo, hi).tolist()
+    assert within == [ends[0] <= c <= ends[1] for c in values]
+    signs = field.sign_rows(keys, lo, hi).tolist()
+    assert signs == [[(c > e) - (c < e) for c in values] for e in ends]
+
+
+def test_windowed_13_10_keys_reach_three_limbs():
+    # keys of 13/10 near x = 1/20 pass 2^95 by level 30: three limbs, each
+    # level the dict step's keys and counts
+    sys_ = parse_beta("13/10", 2)
+    lattice = Lattice(sys_)
+    x = Fraction(1, 20)
+    levels = list(lattice.windowed(lattice.start, 0, 30, sys_.element(x), sys_.element(x)))
+    for (keys, counts), expected in zip(levels, dict_lattice_levels(sys_, 30, x, x), strict=True):
+        got = dict(zip(map(tuple, lattice.key_ints(keys)), counts.tolist()))
+        assert got == expected and len(counts) == len(expected)
+    assert levels[-1][0].shape[1] == 3
+
+
+@pytest.mark.parametrize("spec, n, x, limbs", [("13/10", 40, Fraction(1, 100), True),
+                                               ("1.5", 48, Fraction(1, 100), True),
+                                               ("2147483659/2147483648", 12, 5, False)])
+def test_windowed_degree_one_keys_stay_int64(spec, n, x, limbs):
+    # the counterpart of test_kernel_switches_keys_to_python_ints: below
+    # p = 2^30 a windowed degree-one sweep never holds dtype-object keys,
+    # though its keys pass 2^63; from p = 2^30 on it switches as `levels` does
+    sys_ = parse_beta(spec, 2)
+    lattice = Lattice(sys_)
+    assert lattice.limbs is limbs
+    x = sys_.element(x)
+    levels = list(lattice.windowed(lattice.start, 0, n, x, x))
+    assert (object in [keys.dtype for keys, _c in levels]) is not limbs
+    assert max(row[0] for row in lattice.key_ints(levels[-1][0])) > INT64_MAX

@@ -17,7 +17,8 @@ from betagrowth.netautomaton import (
 )
 from betagrowth.numberfield import parse_beta
 from conftest import (brute_essential_class, field_automaton, field_net_intervals,
-                      is_admissible, multiplicity_direct, products_positive, state_key)
+                      is_admissible, length_normalized, multiplicity_direct, products_positive,
+                      state_key)
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +94,7 @@ def test_net_structure(spec):
         prev = nis
         # covering offsets stay within [0, 1 - normalized length]
         for iv in nis:
-            ell = iv.length_normalized()
+            ell = length_normalized(iv)
             for off in iv.offsets:
                 assert off.sign() >= 0
                 assert (1 - ell - off).sign() >= 0

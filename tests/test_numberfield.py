@@ -22,7 +22,7 @@ from betagrowth.numberfield import (
     multinacci,
     parse_beta,
 )
-from conftest import brute_has_rational_root
+from conftest import as_fraction, brute_has_rational_root
 
 # beta values printed in the multinacci table (6 decimals)
 MULTINACCI_BETA = {
@@ -34,7 +34,7 @@ MULTINACCI_BETA = {
 def test_parse_integer_base():
     sys_ = parse_beta("int:2", 2)
     assert float(sys_.beta) == 2.0
-    assert sys_.rho.as_fraction() == Fraction(1, 2)
+    assert as_fraction(sys_.rho) == Fraction(1, 2)
     assert sys_.pisot
 
 
@@ -238,7 +238,7 @@ def test_rational_root_matches_trial_division(coeffs):
 def test_decimal_literal_not_pisot():
     sys_ = parse_beta("1.5", 2)
     assert not sys_.pisot
-    assert sys_.rho.as_fraction() == Fraction(2, 3)
+    assert as_fraction(sys_.rho) == Fraction(2, 3)
     assert sys_.beta_floor() == 1
 
 
