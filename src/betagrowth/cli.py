@@ -55,10 +55,6 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def elem_json(e: FieldElement) -> dict:
-    return {"coeffs": [frac_str(c) for c in e.coeffs], "approx": float(e)}
-
-
 def _parse(option: str, text: str, convert):
     """convert(text), reporting malformed text as bad input."""
     try:
@@ -217,40 +213,96 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _element_text(e: FieldElement, pad: str) -> str:
+    """A field element as its JSON object {"approx", "coeffs"} at indent pad.
+
+    A coefficient num_i / den is written in lowest terms, the text of
+    frac_str(Fraction(num_i, den)); approx is repr of a finite float, the
+    text json writes for it.
+    """
+    den = e.den
+    coeffs = [f'"{c // (g := math.gcd(c, den))}/{den // g}"' for c in e.num]
+    return (f'{{\n{pad}  "approx": {float(e)!r},'
+            f'\n{pad}  "coeffs": {_list_text(coeffs, pad + "  ")}\n{pad}}}')
+
+
+def _list_text(items: list[str], pad: str) -> str:
+    """Encoded items as json's indent=2 list at indent pad."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+
+
+def _write_items(write, items, pad: str, brackets: str = "[]") -> None:
+    """_list_text of a list (or an object's "key": value items), one item
+    per call of write."""
+    opening, closing = brackets
+    first = True
+    for item in items:
+        write(f"{opening if first else ','}\n{pad}  {item}")
+        first = False
+    write(opening + closing if first else f"\n{pad}{closing}")
+
+
+def _adjacency_rows(auto):
+    """The dense 0/1 adjacency rows of the automaton document, as text."""
+    sep = ",\n" + " " * 6
+    zeros = sep.join("0" * auto.size)
+    # cell j is the one character at stride * j
+    stride = len(sep) + 1
+    for kids in auto.children:
+        cells, done = [], 0
+        for j in sorted({j for j, _lo, _hi, _T in kids}):
+            cells += (zeros[done:stride * j], "1")
+            done = stride * j + 1
+        cells.append(zeros[done:])
+        yield "[\n      " + "".join(cells) + "\n    ]"
+
+
+def _write_automaton(write, config: dict, auto, chain) -> None:
+    """Write the automaton document, one state, adjacency row or matrix per
+    call of write, as the text of json.dumps(doc, sort_keys=True, indent=2)
+    of the same document held whole (DECISIONS.md)."""
+    # few distinct field elements and matrix rows recur many times
+    element = functools.cache(_element_text)
+    row_text = functools.cache(lambda row: _list_text(list(map(str, row)), " " * 6))
+    write('{\n  "adjacency": ')
+    _write_items(write, _adjacency_rows(auto), "  ")
+    essential = [str(i) for i in sorted(auto.essential)]
+    write(',\n  "config": ' + json.dumps(config, sort_keys=True, indent=2).replace("\n", "\n  ")
+          + ',\n  "essential": ' + _list_text(essential, "  ") + ',\n  "matrices": ')
+    # a later edge i -> j would replace an earlier one, as in a dict
+    matrices = {f"{i}->{j}": T for i, kids in enumerate(auto.children) for j, _lo, _hi, T in kids}
+    _write_items(write, (f'"{key}": ' + _list_text(list(map(row_text, matrices[key])), " " * 4)
+                         for key in sorted(matrices)), "  ", "{}")
+    stationary = [f'"{p!r}"' for p in chain.stationary]
+    write(',\n  "parry_stationary": ' + _list_text(stationary, "  ")
+          + f',\n  "size": {auto.size},\n  "states": ')
+    _write_items(write, (
+        f'{{\n      "essential": {"true" if i in auto.essential else "false"},'
+        f'\n      "index": {i},\n      "length": {element(st.length, " " * 6)},'
+        f'\n      "offsets": {_list_text([element(o, " " * 8) for o in st.offsets], " " * 6)},'
+        f'\n      "rank": {st.rank},\n      "v": {st.v}\n    }}'
+        for i, st in enumerate(auto.states)), "  ")
+    write("\n}\n")
+
+
 def cmd_automaton(args) -> int:
+    # the document is JSON whatever --format says; the config still echoes
+    # the csv that --format used to default to (DECISIONS.md)
+    if args.format is not None:
+        raise InvalidInputError("--format does not apply to automaton, which always writes JSON")
     sys_ = _system(args)
     auto = netautomaton.build_automaton(sys_, state_cap=args.state_cap)
     chain = lyapunov.parry_chain(auto)
-    doc = {
-        "config": _config(args, state_cap=args.state_cap),
-        "size": auto.size,
-        "states": [
-            {
-                "index": i,
-                "length": elem_json(st.length),
-                "offsets": [elem_json(o) for o in st.offsets],
-                "v": st.v,
-                "rank": st.rank,
-                "essential": i in auto.essential,
-            }
-            for i, st in enumerate(auto.states)
-        ],
-        "adjacency": auto.adjacency(),
-        "matrices": {
-            f"{i}->{j}": [list(row) for row in T]
-            for i in range(auto.size)
-            for j, _lo, _hi, T in auto.children[i]
-        },
-        "essential": sorted(auto.essential),
-        "parry_stationary": [repr(p) for p in chain.stationary],
-    }
-    text = json.dumps(doc, sort_keys=True, indent=2, default=str) + "\n"
+    config = _config(args, format="csv", state_cap=args.state_cap)
     out = _resolve_out(args.out)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write_automaton(fh.write, config, auto, chain)
     else:
-        sys.stdout.write(text)
+        _write_automaton(sys.stdout.write, config, auto, chain)
     if args.dot:
         with open(_resolve_out(args.dot), "w", encoding="utf-8") as fh:
             fh.write(netautomaton.automaton_to_dot(auto) + "\n")
@@ -441,11 +493,11 @@ def cmd_selftest(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p, m_default=2):
+def _add_common(p, m_default=2, format_default="csv"):
     p.add_argument("--beta", required=True, help="base spec: golden | multinacci:n | int:k | poly:c0,..,cd | decimal")
     p.add_argument("--m", type=int, default=m_default, help="digit count")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=("csv", "json"), default=format_default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -495,7 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("automaton", help="dump the coding automaton as JSON")
-    _add_common(p)
+    # an explicit --format is rejected: the document is always JSON
+    _add_common(p, format_default=None)
     p.add_argument("--state-cap", type=int, default=netautomaton.DEFAULT_STATE_CAP)
     p.add_argument("--dot", default=None, help="also write a DOT digraph here")
     p.set_defaults(fn=cmd_automaton)

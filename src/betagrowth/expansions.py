@@ -110,6 +110,13 @@ class Lattice:
         self.lead = coeffs[-1]
         self.row = row = [-c for c in coeffs[:-1]]  # lead*beta^d = sum row_i beta^i
         self.degree = d = len(row)
+        # the step's dtype bound keeps int64 products in range only when the
+        # matrix entries themselves are int64
+        big, bound = max(self.lead, *map(abs, row)), int(np.iinfo(np.int64).max)
+        if big > bound:
+            raise InvalidInputError(
+                f"{sys.spec}: minimal polynomial coefficient {big} exceeds the int64 bound "
+                f"2^63 - 1 = {bound} of the lattice steps")
         # c @ matrix is the key of lead * beta * (value of c)
         self._matrix = np.vstack([self.lead * np.eye(d - 1, d, 1, dtype=np.int64), row])
         # no entry of times_beta(rows) exceeds growth * max|rows| in size

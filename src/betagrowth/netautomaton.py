@@ -157,14 +157,6 @@ class Automaton:
                 return mat
         raise InvalidInputError(f"no edge {i} -> {j}")
 
-    def adjacency(self) -> list[list[int]]:
-        n = self.size
-        A = [[0] * n for _ in range(n)]
-        for i, kids in enumerate(self.children):
-            for j, _lo, _hi, _m in kids:
-                A[i][j] = 1
-        return A
-
     def successors(self, i: int) -> list[int]:
         return [j for j, _lo, _hi, _m in self.children[i]]
 

@@ -29,9 +29,11 @@ and `refine_atoms` (exact atoms in value order, one more lattice step) and
 `upper_dim_bound_check` (the finite-level upper local-dimension chain).
 Two more read an automaton's edges: `is_admissible` (a word is a path from
 the root) and `products_positive` (every row product from the root stays
-entrywise >= 1).
+entrywise >= 1).  `automaton_doc_text` is the `automaton` document as one
+dict encoded by json.dumps, the oracle of the CLI's streamed writer.
 """
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -486,6 +488,45 @@ def products_positive(auto: Automaton, max_len: int) -> bool:
                 nxt.append((j, out))
         frontier = nxt
     return True
+
+
+def automaton_doc_text(args, auto: Automaton, chain) -> str:
+    """The `automaton` document as the whole dict it once was, encoded by
+    json.dumps(sort_keys=True, indent=2): the oracle of the streamed writer."""
+
+    def elem_json(e: FieldElement) -> dict:
+        return {"coeffs": [f"{c.numerator}/{c.denominator}" for c in e.coeffs],
+                "approx": float(e)}
+
+    n = auto.size
+    adjacency = [[0] * n for _ in range(n)]
+    for i, kids in enumerate(auto.children):
+        for j, _lo, _hi, _T in kids:
+            adjacency[i][j] = 1
+    doc = {
+        "config": {"beta": args.beta, "m": args.m, "format": "csv", "state_cap": args.state_cap},
+        "size": n,
+        "states": [
+            {
+                "index": i,
+                "length": elem_json(st.length),
+                "offsets": [elem_json(o) for o in st.offsets],
+                "v": st.v,
+                "rank": st.rank,
+                "essential": i in auto.essential,
+            }
+            for i, st in enumerate(auto.states)
+        ],
+        "adjacency": adjacency,
+        "matrices": {
+            f"{i}->{j}": [list(row) for row in T]
+            for i in range(n)
+            for j, _lo, _hi, T in auto.children[i]
+        },
+        "essential": sorted(auto.essential),
+        "parry_stationary": [repr(p) for p in chain.stationary],
+    }
+    return json.dumps(doc, sort_keys=True, indent=2, default=str) + "\n"
 
 
 def mc_cdf_rows(chain, auto) -> tuple[list[np.ndarray], list[list]]:

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from betagrowth import cli, numberfield
+from betagrowth import cli, lyapunov, netautomaton, numberfield
 from betagrowth.cli import build_parser, main
+from conftest import automaton_doc_text
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -299,6 +300,54 @@ def test_automaton_dot(tmp_path, capsys):
                             "--out", str(tmp_path / "a.json"), "--dot", str(dot))
     assert code == 0
     assert dot.read_text().startswith("digraph")
+
+
+# SHA-256 of each base's --dot file as written before the streamed writer
+AUTOMATON_DOT_SHA256 = {
+    ("golden", "2"): "3244cc39405a6cf78915186da96a376a434fa7348479ce59b29f06a758ad783e",
+    ("golden", "3"): "8b32b8a5fa929cbef3a2b89fbe79ba51a9f9283af7ac06b36b2d44564a4dbc41",
+    ("golden", "4"): "f7cf9c35194cb53de0c2b923c6fd1dbbced722909cfe9b130ae1f17863b171fa",
+    ("multinacci:3", "2"): "6c9b5d2ee1a9fa06eb26a060058505d46b9aba3c105a306d0c3a3df3fe51b32d",
+    ("multinacci:4", "2"): "ebae1284b0e51561a455e7eb7b22135ef66b99d0a8cac20bafd5586605891ca5",
+    ("multinacci:5", "2"): "d6e9398dde708297045c3e8495477d83e319bee5e7d5963ab724491179a365a1",
+    ("poly:-1,0,-1,1", "2"): "20a9bb13d97a6b43a1d211851a4785615afc90d7ed82a0e41d51b652dc5a3e39",
+}
+
+
+@pytest.mark.parametrize("beta, m", sorted(AUTOMATON_DOT_SHA256))
+def test_automaton_stream_matches_json_dumps(tmp_path, capsys, beta, m):
+    argv = ["automaton", "--beta", beta, "--m", m]
+    auto = netautomaton.build_automaton(numberfield.parse_beta(beta, int(m)))
+    expected = automaton_doc_text(build_parser().parse_args(argv), auto, lyapunov.parry_chain(auto))
+    assert run_cli(capsys, *argv)[:2] == (0, expected)
+    doc, dot = tmp_path / "a.json", tmp_path / "a.dot"
+    assert run_cli(capsys, *argv, "--out", str(doc), "--dot", str(dot))[:2] == (0, "")
+    assert doc.read_bytes() == expected.encode()
+    assert hashlib.sha256(dot.read_bytes()).hexdigest() == AUTOMATON_DOT_SHA256[beta, m]
+
+
+def test_automaton_rejects_format(capsys):
+    # the document is always JSON; its config echoes "format": "csv"
+    for fmt in ("csv", "json"):
+        code, out, err = run_cli(capsys, "automaton", "--beta", "golden", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert "--format" in err
+    code, out, _ = run_cli(capsys, "automaton", "--beta", "golden")
+    assert code == 0
+    assert json.loads(out)["config"]["format"] == "csv"
+
+
+def test_huge_rational_base_rejected(capsys):
+    # q = 2^63 + 28 does not fit the lattice's int64 step matrix
+    beta = "9223372036854775837/9223372036854775836"
+    for argv in (("count", "--beta", beta, "--x", "1", "--n", "3"), ("automaton", "--beta", beta)):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "2^63 - 1" in err, argv
+    # the largest q that fits still counts
+    code, out, _ = run_cli(capsys, "count", "--beta", "9223372036854775807/9223372036854775806",
+                           "--x", "1", "--n", "3")
+    assert (code, out.splitlines()[-1]) == (0, "3,1/1,4")
 
 
 def test_dims(capsys):

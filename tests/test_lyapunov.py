@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betagrowth import lyapunov
 from betagrowth.errors import HypothesisError, InvalidInputError
 from betagrowth.lyapunov import (
     DRAW_BLOCK,
@@ -146,6 +147,26 @@ def test_mc_equals_per_chain_loop(mc_chains, base, seed, path_len, n_chains):
     est = estimate_gamma_mc(chain, auto, path_len=path_len, n_chains=n_chains, seed=seed)
     assert est.value == float(values.mean())
     assert est.stderr == max(float(values.std(ddof=1) / math.sqrt(n_chains)), MC_STDERR_FLOOR)
+
+
+@pytest.mark.parametrize("spec, m, path_len", [
+    ("golden", 3, 3),             # one partial chunk, 8-entry vectors
+    ("poly:1,0,-2,-1,1", 2, 37),  # a chunk of 32 steps and a partial one; gamma about 0.04
+])
+def test_mc_short_paths_match_per_chain_reference(monkeypatch, spec, m, path_len):
+    # a long path's log sum of hundreds of nats has an ulp near 1e-13 and
+    # swallows a change of one rounding in a chunk; over these paths each
+    # chain's log sum is O(1), so == sees it.  The 1000-step floor guards the
+    # estimate's statistics, not its arithmetic.
+    monkeypatch.setattr(lyapunov, "check_mc_params", lambda *args: None)
+    auto = build_automaton(parse_beta(spec, m))
+    chain = parry_chain(auto)
+    for seed in range(16):
+        values = np.array(mc_chain_values(chain, auto, path_len, 4, seed))
+        est = estimate_gamma_mc(chain, auto, path_len=path_len, n_chains=4, seed=seed)
+        assert (np.abs(values) * path_len < 4).all()  # log sums of at most a few nats
+        assert est.value == float(values.mean()), seed
+        assert est.stderr == max(float(values.std(ddof=1) / 2), MC_STDERR_FLOOR), seed
 
 
 def test_mc_chunk_len():
