@@ -92,8 +92,6 @@ class MeasureAtoms:
 
 def level_atoms(sys: BetaSystem, n: int, cap: int = DEFAULT_ATOM_CAP) -> MeasureAtoms:
     """Exact level-n atoms of mu, merged by value."""
-    if n < 0:
-        raise InvalidInputError("level must be nonnegative")
     lattice = Lattice(sys)
     level = lattice.start
     for level in lattice.levels(n, cap):
@@ -121,7 +119,7 @@ def interval_mass(sys: BetaSystem, level: int, lo, hi) -> Fraction:
         return Fraction(0)  # the empty word's sum 0 is outside the level-0 window
     lattice = Lattice(sys)
     states = lattice.start
-    for states in lattice.windowed(states, 0, level, a, hi, DEFAULT_ATOM_CAP):
+    for states in lattice.windowed(states, 0, level, a, hi):
         pass
     return Fraction(int(states[1].sum()), sys.m ** level)
 
@@ -157,7 +155,7 @@ def ball_mass_brackets(sys: BetaSystem, x, levels: Sequence[int],
     brackets = {}
     for n in levels:
         r = sys.right_end * sys.rho_powers[n]
-        for nxt in lattice.windowed(states, k, n + margin, x - r, x + r, DEFAULT_ATOM_CAP):
+        for nxt in lattice.windowed(states, k, n + margin, x - r, x + r):
             prev, states, k = states, nxt, k + 1
         upper = int(states[1].sum())
         if k == 0:

@@ -319,6 +319,10 @@ def cmd_gamma(args) -> int:
             if route != args.method:
                 raise InvalidInputError(f"{flag} applies only to --method {route}")
             options[param] = getattr(args, param)
+    if args.seed is None:
+        args.seed = 0  # every route's config echoes the seed, unset or not
+    elif args.method == "integer":
+        raise InvalidInputError("--seed applies only to --method mc or series")
     if args.method == "integer":
         est = lyapunov.gamma_integer_case(sys_)
     elif args.method == "series":
@@ -556,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gamma", help="growth exponent gamma")
     _add_common(p)
     p.add_argument("--method", choices=("mc", "series", "integer"), required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="--method mc or series only (default 0)")
     for flag, (route, param) in GAMMA_ROUTE_OPTIONS.items():
         p.add_argument(flag, dest=param, type=int, help=f"--method {route} only")
     p.set_defaults(fn=cmd_gamma)

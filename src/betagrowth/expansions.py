@@ -95,8 +95,8 @@ class Lattice:
     from then on.  Degree one with p < 2^30 (`limbs`) is the exception in
     windowed steps: a key is one row of int64 limbs, little-endian base
     2^LIMB_BITS digits, each in [0, 2^LIMB_BITS) but the last, and a limb
-    is added before a step that could overflow the last; `key_ints` joins
-    them.  `levels` keeps Python ints, whose values its readers use.
+    is added before a step that could overflow the last.  `levels` keeps
+    Python ints, whose values its readers use.
 
     A base is collision-free when beta = p/q in lowest terms (q >= 1) and
     m <= p: then distinct words have distinct keys (DECISIONS.md), every
@@ -129,10 +129,9 @@ class Lattice:
         self.limbs = d == 1 and row[0] < LIMB_P_BOUND
         self.start = (np.zeros((1, d), dtype=np.int64), np.ones(1, dtype=np.int64))
 
-    def windowed(self, level: Level, k: int, n: int, a: FieldElement, b: FieldElement,
-                 cap: int = DEFAULT_ATOM_CAP):
+    def windowed(self, level: Level, k: int, n: int, a: FieldElement, b: FieldElement):
         """Step level-k states up to level n, yielding each level's states;
-        a level of more than cap states raises CapExceededError.
+        a level of more than DEFAULT_ATOM_CAP states raises CapExceededError.
 
         Only prefixes of expansions of points in [a, b] are kept: the digits
         after a prefix add a tail in [0, R], R = (m-1)/(beta-1), so the
@@ -147,7 +146,7 @@ class Lattice:
             lo, tail = lo * grow, tail * self.lead
             hi = lo if b is a else hi * grow
             level = self.step(level, j, (lo - tail, hi))
-            self.check_cap(len(level[1]), cap, j + 1)
+            self.check_cap(len(level[1]), DEFAULT_ATOM_CAP, j + 1)
             yield level
 
     def step(self, level: Level, k: int, window=None) -> Level:
@@ -224,6 +223,8 @@ class Lattice:
 
     def levels(self, n: int, cap: int):
         """Yield the unwindowed states of levels 1..n, starting from the empty word."""
+        if n < 0:
+            raise InvalidInputError("level must be nonnegative")
         if cap < 0:
             raise InvalidInputError("cap must be nonnegative")
         if self.collision_free:
@@ -240,16 +241,6 @@ class Lattice:
     def check_cap(states: int, cap: int, k: int) -> None:
         if states > cap:
             raise CapExceededError(f"{states} DP states at level {k} exceed the cap {cap}")
-
-    def key_ints(self, keys: np.ndarray) -> list[list[int]]:
-        """A level's keys as rows of Python ints, limbs joined."""
-        if not self.limbs or keys.dtype == object:
-            return keys.tolist()
-        return [[sum(v << (LIMB_BITS * i) for i, v in enumerate(row))] for row in keys.tolist()]
-
-    def value(self, key: Sequence[int], k: int) -> FieldElement:
-        """The exact value of a level-k key, a sequence of Python ints."""
-        return FieldElement(self.sys.field, tuple(key), self.lead ** k)
 
 
 # ---------------------------------------------------------------------------

@@ -392,15 +392,7 @@ def gamma_multinacci_series(n: int, k_exact: int = 20, mc_budget: int = 20_000,
     k_exact < k <= SERIES_K_TAIL is added, with its standard error reported; for
     n >= 3 the analytic tail bound beyond k_exact is already negligible.
     """
-    return gamma_multinacci_table([n], k_exact, mc_budget, seed)[0]
-
-
-def gamma_multinacci_table(n_values: Sequence[int], k_exact: int = 20,
-                           mc_budget: int = 20_000, seed: int = 0) -> list[GammaEstimate]:
-    """`gamma_multinacci_series` for every n in n_values."""
-    if not all(2 <= n <= 10 for n in n_values):
-        raise InvalidInputError("series formula implemented for 2 <= n <= 10")
-    return gamma_series_table([multinacci(n) for n in n_values], k_exact, mc_budget, seed)
+    return gamma_series_table([multinacci(n)], k_exact, mc_budget, seed)[0]
 
 
 def multinacci_index(sys: BetaSystem) -> int:

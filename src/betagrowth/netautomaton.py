@@ -72,8 +72,6 @@ def net_intervals(sys: BetaSystem, n: int) -> list[NetInterval]:
     [0, 1] is [0, beta^n R]: the net intervals lie between consecutive
     distinct ends of the cylinders, which one exact rank sort orders.
     """
-    if n < 0:
-        raise InvalidInputError("level must be nonnegative")
     if n > DIRECT_LEVEL_CAP:
         raise CapExceededError(f"net interval level {n} exceeds cap {DIRECT_LEVEL_CAP}")
     lattice = Lattice(sys)

@@ -3,13 +3,15 @@
 An element is an integer coefficient vector over one positive denominator,
 (sum_i num_i beta^i) / den with i below the degree of the minimal
 polynomial, kept in lowest terms; equality, hashing and the zero test are
-exact integer checks.  Every sign query goes through `sign_int_coeffs`, or
-`sign_rows` (or `rows_within`) for the rows of an integer matrix: a float
-evaluation screens it under a proven error bound, and values too close to
-zero for the screen are settled exactly by `sign_of`, which refines an
-isolating interval of the root by bisection in integers.  In degree one a
-value is an integer over a denominator, and integer comparisons settle
-every sign with no screen.  Sturm chains of primitive pseudo-remainders
+exact integer checks.  A scalar sign (`sign_int_coeffs`, behind
+`FieldElement.sign` and the comparisons) is exact bisection with no float:
+`sign_of` refines an isolating interval of the root in integers until an
+interval evaluation of the value excludes zero.  The rows of an integer
+matrix go through `sign_rows` (or `rows_within`): one vector float
+evaluation screens them under a proven error bound, and the rows too close
+to zero for the screen take the scalar path.  In degree one a value is an
+integer over a denominator, and integer comparisons settle every matrix
+sign with no screen.  Sturm chains of primitive pseudo-remainders
 isolate beta and any rational root (one routine, `_isolate`) and decide
 Pisot status by a Routh-Hurwitz count.  Fractions appear only at the
 edges: rational input, output and bracket endpoints.
@@ -643,7 +645,7 @@ class NumberField:
         `beta_float_powers` and one final rounding, given mag = sum(|c_k| beta^k)."""
         return mag * ((self.degree + 4) * 4e-16)
 
-    def _float_value(self, num: Sequence[int], den: int = 1) -> tuple[float, float]:
+    def _float_value(self, num: Sequence[int], den: int) -> tuple[float, float]:
         """Float value of (sum_k num_k beta^k) / den, the terms added left to
         right, and its error bound; (nan, inf) beyond float range."""
         val = mag = 0.0
@@ -658,23 +660,11 @@ class NumberField:
         return val / den, self.float_error(mag) / den
 
     def sign_int_coeffs(self, coeffs: Sequence[int]) -> int:
-        """Exact sign of sum(c_k beta^k) for integer coefficients.
-
-        A float evaluation with a proven error bound (`float_error`) screens
-        the easy cases; near-zero values, and coefficients beyond float
-        range, fall back to interval bisection (`sign_of`).  In degree one
-        the value is the integer c_0 itself.
-        """
-        if self.degree == 1:
-            return 1 if coeffs[0] > 0 else -1 if coeffs[0] < 0 else 0
-        if not any(coeffs):
-            return 0
-        val, err = self._float_value(coeffs)
-        if val > err:
-            return 1
-        if val < -err:
-            return -1
-        return self.sign_of(coeffs)
+        """Exact sign of sum(c_k beta^k) for integer coefficients: 0 for the
+        zero vector, otherwise interval bisection (`sign_of`), with no float
+        screen.  In degree one the bracket is the root itself, so the first
+        evaluation is exact."""
+        return self.sign_of(coeffs) if any(coeffs) else 0
 
     def float_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Float values of sum_i rows[r, i] beta^i over the rows of an integer
@@ -694,9 +684,10 @@ class NumberField:
 
     def sign_rows(self, rows: np.ndarray, *shifts: FieldElement) -> np.ndarray:
         """Exact signs of sum_i rows[r, i] beta^i - shift, int8 of shape
-        (shifts, rows), for each shift given: a row farther from the shift
-        than both float error bounds together is settled (proof:
-        DECISIONS.md), the rest go to `sign_int_coeffs`.
+        (shifts, rows), for each shift given.  This is the one float
+        screen: a row farther from the shift than both float error bounds
+        together is settled (proof: DECISIONS.md), the rest go to the exact
+        bisection of `sign_int_coeffs`.
 
         In degree one a row's value is its integer c and a shift is N/D,
         D > 0, so c - N/D > 0 exactly when c > floor(N/D) and < 0 exactly

@@ -25,8 +25,10 @@ Some helpers here are thin readers of the library that only tests call:
 checked against `brute_distinct_sums`), `step_k_beta` (one step of
 K_beta on `switch_geometry`), `as_fraction` and `length_normalized` (a
 rational element and a net interval's scaled length), `atoms_items_exact`
-and `refine_atoms` (exact atoms in value order, one more lattice step) and
-`upper_dim_bound_check` (the finite-level upper local-dimension chain).
+and `refine_atoms` (exact atoms in value order, one more lattice step),
+`key_ints` and `key_value` (a level's keys as Python ints, limbs joined,
+and the exact value of one key) and `upper_dim_bound_check` (the
+finite-level upper local-dimension chain).
 Two more read an automaton's edges: `is_admissible` (a word is a path from
 the root) and `products_positive` (every row product from the root stays
 entrywise >= 1).  `automaton_doc_text` is the `automaton` document as one
@@ -48,7 +50,7 @@ from betagrowth.expansions import (DEFAULT_SUM_CAP, Lattice, _coerce_point, _cou
                                    kappa, prefix_count_series, switch_geometry)
 from betagrowth.lyapunov import RENORM_EVERY, mc_chunk_len
 from betagrowth.netautomaton import Automaton, CharacteristicState, NetInterval
-from betagrowth.numberfield import BetaSystem, FieldElement, parse_beta
+from betagrowth.numberfield import LIMB_BITS, BetaSystem, FieldElement, parse_beta
 
 # (criterion, ok, detail) tuples filled in by test_acceptance.py
 ACCEPTANCE_LOG: list[tuple[str, bool, str]] = []
@@ -190,13 +192,25 @@ def length_normalized(interval: NetInterval) -> FieldElement:
     return (interval.b - interval.a) * interval.a.field.beta ** interval.level
 
 
+def key_ints(lattice: Lattice, keys: np.ndarray) -> list[list[int]]:
+    """A level's keys as rows of Python ints, limbs joined."""
+    if not lattice.limbs or keys.dtype == object:
+        return keys.tolist()
+    return [[sum(v << (LIMB_BITS * i) for i, v in enumerate(row))] for row in keys.tolist()]
+
+
+def key_value(lattice: Lattice, key, k: int) -> FieldElement:
+    """The exact value of a level-k key, a sequence of Python ints."""
+    return FieldElement(lattice.sys.field, tuple(key), lattice.lead ** k)
+
+
 def atoms_items_exact(atoms: MeasureAtoms) -> list[tuple[FieldElement, Fraction]]:
     """(value, weight) of every atom in increasing value order, sorted by
     exact comparisons."""
     lattice = Lattice(atoms.sys)
     rho_n = atoms.sys.rho_powers[atoms.level]
     denom = atoms.sys.m ** atoms.level
-    return sorted((lattice.value(key, atoms.level) * rho_n, Fraction(count, denom))
+    return sorted((key_value(lattice, key, atoms.level) * rho_n, Fraction(count, denom))
                   for key, count in zip(atoms.keys.tolist(), atoms.counts.tolist()))
 
 

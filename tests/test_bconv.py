@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from betagrowth import bconv
+from betagrowth import expansions
 from betagrowth.bconv import (
     ball_mass_brackets,
     interval_mass,
@@ -139,7 +139,7 @@ def test_ball_mass_brackets_match_interval_mass(spec, m, x_text, margin):
 
 
 def test_windowed_counts_check_atom_cap(b13, monkeypatch):
-    monkeypatch.setattr(bconv, "DEFAULT_ATOM_CAP", 40)
+    monkeypatch.setattr(expansions, "DEFAULT_ATOM_CAP", 40)
     with pytest.raises(CapExceededError):
         ball_mass_brackets(b13, Fraction(1, 2), range(10, 14), 12)
     with pytest.raises(CapExceededError):

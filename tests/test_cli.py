@@ -68,6 +68,7 @@ def test_exit_code_bad_input(capsys):
         ("--beta", "int:2", "--m", "4", "--method", "integer", "--paths", "5", "--k-exact", "3"),
         ("--beta", "multinacci:3", "--method", "series", "--paths", "5000", "--chains", "3"),
         ("--beta", "multinacci:3", "--method", "mc", "--mc-budget", "100"),
+        ("--beta", "int:2", "--m", "4", "--method", "integer", "--seed", "7"),
     ):
         code, out, err = run_cli(capsys, "gamma", *argv)
         assert (code, out) == (2, "")
@@ -102,6 +103,7 @@ def test_exit_code_bad_input(capsys):
         ("gamma", "--beta", "golden", "--method", "series", "--mc-budget", "1"),
         ("tree", "--beta", "golden", "--x", "1", "--depth", "3", "--node-cap", "-1"),
         ("sums", "--beta", "golden", "--n-max", "4", "--cap", "-1"),
+        ("sums", "--beta", "golden", "--n-max", "-1"),
         ("automaton", "--beta", "golden", "--state-cap", "-1"),
         ("gamma", "--beta", "golden", "--method", "mc", "--seed", "-1"),
         ("gamma", "--beta", "golden", "--method", "series", "--seed", "-1"),

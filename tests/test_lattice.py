@@ -26,7 +26,7 @@ from betagrowth.expansions import INT64_MAX, Lattice, _distinct_rows, prefix_cou
 from betagrowth.numberfield import FieldElement, parse_beta
 
 from conftest import (atoms_items_exact, brute_distinct_sums, brute_prefix_count, dict_lattice_levels,
-                      dict_merge_rows, distinct_sums_count)
+                      dict_merge_rows, distinct_sums_count, key_ints)
 
 SPECS = ("golden", "multinacci:3", "1.5", "poly:-3,0,2")
 KERNEL_SPECS = SPECS + ("13/10",)
@@ -356,7 +356,7 @@ def test_limb_step_matches_python_ints(base, data):
             v = p * c + e * q ** (k + 1)
             if ends[0] <= v <= ends[1]:
                 want[v] = want.get(v, 0) + count
-    got = lattice.key_ints(new_keys)
+    got = key_ints(lattice, new_keys)
     assert dict(zip((row[0] for row in got), new_counts.tolist())) == want
     assert len(got) == len(want) and new_keys.dtype == np.int64
     # every limb below the last is in [0, 2^32)
@@ -377,7 +377,7 @@ def test_windowed_13_10_keys_reach_three_limbs():
     x = Fraction(1, 20)
     levels = list(lattice.windowed(lattice.start, 0, 30, sys_.element(x), sys_.element(x)))
     for (keys, counts), expected in zip(levels, dict_lattice_levels(sys_, 30, x, x), strict=True):
-        got = dict(zip(map(tuple, lattice.key_ints(keys)), counts.tolist()))
+        got = dict(zip(map(tuple, key_ints(lattice, keys)), counts.tolist()))
         assert got == expected and len(counts) == len(expected)
     assert levels[-1][0].shape[1] == 3
 
@@ -395,4 +395,4 @@ def test_windowed_degree_one_keys_stay_int64(spec, n, x, limbs):
     x = sys_.element(x)
     levels = list(lattice.windowed(lattice.start, 0, n, x, x))
     assert (object in [keys.dtype for keys, _c in levels]) is not limbs
-    assert max(row[0] for row in lattice.key_ints(levels[-1][0])) > INT64_MAX
+    assert max(row[0] for row in key_ints(lattice, levels[-1][0])) > INT64_MAX

@@ -23,12 +23,12 @@ from betagrowth.lyapunov import (
     estimate_gamma_mc,
     gamma_integer_case,
     gamma_multinacci_series,
-    gamma_multinacci_table,
+    gamma_series_table,
     mc_chunk_len,
     parry_chain,
 )
 from betagrowth.netautomaton import build_automaton
-from betagrowth.numberfield import parse_beta
+from betagrowth.numberfield import multinacci, parse_beta
 from conftest import mc_cdf_rows, mc_chain_values, mc_word_walks
 
 PAPER_GAMMA_OVER_LOG2 = {
@@ -288,7 +288,7 @@ def test_mc_bad_params(tri_chain):
     with pytest.raises(InvalidInputError, match="seed"):
         estimate_gamma_mc(chain, auto, path_len=5000, n_chains=4, seed=-1)
     with pytest.raises(InvalidInputError, match="seed"):
-        gamma_multinacci_table([2, 3], seed=-1)
+        gamma_series_table([multinacci(2), multinacci(3)], seed=-1)
     with pytest.raises(InvalidInputError, match="chains"):
         check_mc_params(n_chains=1)
 
@@ -450,7 +450,9 @@ def test_theorem_dichotomy(tri_chain):
 def test_table_matches_series_per_n():
     # one enumeration of the inner sums serves every row of the table
     ns = [2, 3, 5]
-    table = gamma_multinacci_table(ns, k_exact=12, mc_budget=500, seed=4)
+    table = gamma_series_table([multinacci(n) for n in ns], k_exact=12, mc_budget=500, seed=4)
     assert table == [gamma_multinacci_series(n, 12, 500, 4) for n in ns]
     with pytest.raises(InvalidInputError):
-        gamma_multinacci_table([3, 11])
+        gamma_series_table([multinacci(3), parse_beta("golden", 3)])
+    with pytest.raises(InvalidInputError):
+        gamma_multinacci_series(11)

@@ -84,7 +84,8 @@ def test_sign_basics(golden):
 
 
 def test_sign_int_coeffs_beyond_float_range(golden):
-    # float(10**400) overflows, so the screen must hand over to exact bisection
+    # float(10**400) would overflow; the scalar sign is bisection in integers
+    # and evaluates no float
     big = 10 ** 400
     assert golden.field.sign_int_coeffs((big, -1)) == 1
     assert golden.field.sign_int_coeffs((-big, big)) == 1       # big * (beta - 1)
@@ -366,6 +367,20 @@ def fields():
     return {spec: parse_beta(spec, 3).field for spec in PROPERTY_SPECS}
 
 
+@pytest.fixture(scope="module")
+def roots(fields):
+    """beta of each property base to 60 digits, by Newton's method from its
+    float value in mpmath."""
+    out = {}
+    with mpmath.workdps(60):
+        for spec, field in fields.items():
+            coeffs = field.minpoly.coeffs[::-1]  # highest degree first
+            root = mpmath.findroot(lambda t: mpmath.polyval(coeffs, t), float(field.beta))
+            assert abs(root - float(field.beta)) < 1e-12
+            out[spec] = root
+    return out
+
+
 fractions_ = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
 
 
@@ -416,10 +431,16 @@ def test_canonical_form(fields, spec, data, k):
 
 @settings(max_examples=40, deadline=None)
 @given(spec=st.sampled_from(PROPERTY_SPECS), data=st.data())
-def test_sign_matches_exact_bisection(fields, spec, data):
+def test_sign_matches_exact_bisection(fields, roots, spec, data):
     field = fields[spec]
     a = _element(field, data)
-    expected = 0 if a.is_zero() else field.sign_of(a.num)
+    if field.degree == 1:
+        expected = (a.num[0] > 0) - (a.num[0] < 0)  # the value is num_0 / den
+    else:
+        with mpmath.workdps(60):
+            value = mpmath.fsum(c * roots[spec] ** k for k, c in enumerate(a.num))
+            assert a.is_zero() or abs(value) > mpmath.mpf(10) ** -40
+            expected = (value > 0) - (value < 0)
     assert a.sign() == expected
     assert (-a).sign() == -expected
 
@@ -436,9 +457,10 @@ def test_sign_near_zero_falls_back_to_bisection(golden, monkeypatch, n):
     sign_of = field.sign_of
     monkeypatch.setattr(field, "sign_of", lambda coeffs: exact.append(coeffs) or sign_of(coeffs))
     assert e.sign() == (-1) ** n == sign_of(e.num)
-    # the screen's bound is 24e-16 * (F_{n+1} + F_n beta) ~ 2e-15 * beta^(n+1);
-    # |value| = beta^-n falls below it from n = 35 on
-    assert exact == ([e.num] if n >= 35 else [])
+    # a scalar sign tries no float screen first: even where a screen's
+    # bound, about 2e-15 * beta^(n+1), is far below |value| = beta^-n, the
+    # sign comes from one bisection query
+    assert exact == [e.num]
 
 
 def _row_sign(field, row, shift) -> int:
