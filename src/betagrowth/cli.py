@@ -319,7 +319,8 @@ def cmd_gamma(args) -> int:
             if route != args.method:
                 raise InvalidInputError(f"{flag} applies only to --method {route}")
             options[param] = getattr(args, param)
-    if args.seed is None:
+    seeded = args.seed is not None
+    if not seeded:
         args.seed = 0  # every route's config echoes the seed, unset or not
     elif args.method == "integer":
         raise InvalidInputError("--seed applies only to --method mc or series")
@@ -327,6 +328,10 @@ def cmd_gamma(args) -> int:
         est = lyapunov.gamma_integer_case(sys_)
     elif args.method == "series":
         n = lyapunov.multinacci_index(sys_)
+        # only n = 2 adds the Monte-Carlo middle segment that reads them
+        if n >= 3 and (seeded or "mc_budget" in options):
+            raise InvalidInputError("--seed and --mc-budget apply to --method series "
+                                    "only on the golden ratio (n = 2)")
         est = lyapunov.gamma_multinacci_series(n, seed=args.seed, **options)
     else:
         lyapunov.check_mc_params(seed=args.seed, **options)

@@ -356,6 +356,7 @@ class GrowthBoundReport:
 
 def verify_growth_bound(sys: BetaSystem, x, n_max: int) -> GrowthBoundReport:
     """Check N_n(x) >= 2^(kappa*n - 1) for 1 <= n <= n_max, exactly."""
+    Lattice(sys)  # rejects an int64-overflowing coefficient before kappa's long power loop
     kap = kappa(sys)
     x = _coerce_point(x, sys)
     if x.sign() <= 0 or (sys.right_end - x).sign() <= 0:

@@ -9,11 +9,13 @@ state [0,1] under the child construction is finite; a configurable cap
 catches everything else.
 
 The closure runs on integer rows: a state's length and offsets are
-coefficient rows over one denominator, and one vector pass per state sorts
-all its cylinder endpoints exactly (`NumberField.rank_rows`) and reads the
-covers off their ranks.  Field elements are built once, for the final
-states and edges, numbered in the canonical state order: the initial state
-first, the rest by (length, offsets, rank) compared as coefficient tuples.
+coefficient rows over one denominator.  The breadth-first closure takes
+its frontier in batches, and one vector pass per batch sorts the cylinder
+endpoints of every state in it exactly (a float presort that one
+`sign_rows` call proves) and reads the covers off their ranks.  Field
+elements are built once, for the final states and edges, numbered in the
+canonical state order: the initial state first, the rest by (length,
+offsets, rank) compared as coefficient tuples.
 
 Transition matrices count digit extensions between covering slots; the
 row-vector product along a coding word recovers the covering multiplicity
@@ -30,7 +32,7 @@ import numpy as np
 
 from .errors import CapExceededError, InvalidInputError, InvariantError
 from .expansions import DEFAULT_ATOM_CAP, INT64_MAX, Lattice
-from .numberfield import BetaSystem, FieldElement
+from .numberfield import BetaSystem, FieldElement, NumberField
 
 DEFAULT_STATE_CAP = 10_000
 DIRECT_LEVEL_CAP = 14
@@ -159,8 +161,21 @@ class Automaton:
         return [j for j, _lo, _hi, _m in self.children[i]]
 
 
+def _presort_values(field: NumberField, rows: np.ndarray) -> np.ndarray:
+    """Float values of integer rows, the presort key of `_Cylinders.children`:
+    they only choose which order the exact screen verifies."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan sort anywhere
+        return field.float_rows(rows)[0]
+
+
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Where each of the consecutive segments of the given sizes begins."""
+    return np.cumsum(counts) - counts
+
+
 class _Cylinders:
-    """The child construction on integer rows, one vector pass per state.
+    """The child construction on integer rows, one vector pass per batch of
+    states.
 
     A state's geometry is (den, flat): its normalized length and its sorted
     offsets as the integer rows flat[:d], flat[d:2d], ... of the values
@@ -181,71 +196,183 @@ class _Cylinders:
         self.fixed_big = (max(abs(c) for row in self.fixed[:-1] for c in row)
                           + max(map(abs, self.fixed[-1])))
 
-    def children(self, den: int, flat: tuple[int, ...]):
-        """Sub-intervals of a state at the next level, left to right, as
-        (u_lo row, u_hi row, their denominator, child geometry, T); T maps
-        the parent's covering slots to the child's."""
-        d, m = self.d, self.m
-        den_w = math.lcm(den, self.den)
-        scale, fixed_scale = den_w // den, den_w // self.den
-        # over den_w no endpoint entry exceeds X = max|offset or length| +
-        # max|start| + max|rho|, no difference of two exceeds 2X, and
-        # times_beta multiplies that by at most growth
-        big = max(map(abs, flat)) * scale + self.fixed_big * fixed_scale
-        dtype = np.int64 if 2 * big * self.lattice.growth <= INT64_MAX else object
-        rows = np.array(flat, dtype=dtype).reshape(-1, d) * scale
-        fixed = np.array(self.fixed, dtype=dtype) * fixed_scale
-        v = len(rows) - 1
-        # cylinder (slot ci, digit a) is row ci * m + a: S_a(0) - offset_ci
-        starts = (fixed[None, :-1] - rows[1:, None]).reshape(-1, d)
-        points = np.concatenate((np.zeros((1, d), dtype=dtype), rows[:1],
-                                 starts, starts + fixed[-1]))
-        rank = self.field.rank_rows(points)
+    def children(self, geometries: Sequence[tuple[int, tuple[int, ...]]]) -> dict:
+        """Sub-intervals at the next level of each geometry, by geometry, left
+        to right, as (u_lo row, u_hi row, their denominator, child geometry,
+        T); T maps the parent's covering slots to the child's.  The
+        geometries whose rows fit int64 by the a-priori bound (DECISIONS.md)
+        share one pass, the rest one pass on Python ints."""
+        wide: dict[bool, list] = {}
+        for den, flat in geometries:
+            den_w = math.lcm(den, self.den)
+            big = max(map(abs, flat)) * (den_w // den) + self.fixed_big * (den_w // self.den)
+            wide.setdefault(2 * big * self.lattice.growth > INT64_MAX, []).append((den, flat))
+        out: dict = {}
+        for is_wide, batch in wide.items():
+            out.update(zip(batch, self._pass(batch, object if is_wide else np.int64)))
+        return out
+
+    def _pass(self, geometries, dtype) -> list[list]:
+        """`children` of geometries whose rows take one dtype, in order."""
+        d, m, lattice = self.d, self.m, self.lattice
+        n = len(geometries)
+        den_w = [math.lcm(den, self.den) for den, _flat in geometries]
+        rows = np.array([c * (w // den) for (den, flat), w in zip(geometries, den_w) for c in flat],
+                        dtype=dtype).reshape(-1, d)
+        # state s holds rows head[s] (its length) to head[s] + v[s] (its offsets)
+        v = np.array([len(flat) // d - 1 for _den, flat in geometries])
+        head = _starts(v + 1)
+        off_state = np.repeat(np.arange(n), v)
+        fixed = (np.array(self.fixed, dtype=dtype)[None]
+                 * np.array([w // self.den for w in den_w], dtype=dtype)[:, None, None])
+        # the cylinder of offset row r and digit a is row r * m + a of
+        # starts: S_a(0) - offset, ending at start + rho
+        starts = (fixed[off_state, :m] - np.delete(rows, head, axis=0)[:, None]).reshape(-1, d)
+        cyl_state = np.repeat(off_state, m)
+        n_cyl = len(starts)
+        points = np.concatenate((np.zeros((n, d), dtype=dtype), rows[head], starts,
+                                 starts + fixed[cyl_state, m]))
+        tag = np.concatenate((np.arange(n), np.arange(n), cyl_state, cyl_state))
+        rank = self._rank(points, tag)
         distinct = np.empty((int(rank.max()) + 1, d), dtype=dtype)
         distinct[rank] = points
-        # the breakpoints are the distinct points in [0, length]; child k is
-        # [b_k, b_{k+1}], and as every cylinder has length rho, cylinder c
-        # covers it exactly when start_c <= b_k and end_c >= b_{k+1}
-        lo, hi = int(rank[0]), int(rank[1])
-        start_rank, end_rank = rank[2:2 + v * m], rank[2 + v * m:]
+        # the breakpoints of s are its distinct points in [0, length]; child
+        # k is [b_k, b_{k+1}], and as every cylinder has length rho,
+        # cylinder c covers it exactly when start_c <= b_k and end_c >= b_{k+1}
+        lo, hi = rank[:n], rank[n:2 * n]
+        start_rank, end_rank = rank[2 * n:2 * n + n_cyl], rank[2 * n + n_cyl:]
         n_kids = hi - lo
-        levels = np.arange(lo, hi)[:, None]
-        covers = (start_rank <= levels) & (end_rank > levels)
-        # descending starts give ascending child offsets (b_k - start) * beta
-        by_start = np.argsort(-start_rank, kind="stable")
-        kid, pos = np.nonzero(covers[:, by_start])
-        cyl = by_start[pos]
+        kid_start = _starts(n_kids)
+        kid_state = np.repeat(np.arange(n), n_kids)
+        first = np.maximum(start_rank, lo[cyl_state])
+        runs = np.maximum(np.minimum(end_rank, hi[cyl_state]) - first, 0)
+        # (cylinder, child) pairs, child numbered on through the states
+        cyl = np.repeat(np.arange(n_cyl), runs)
+        level = np.repeat(first, runs) + np.arange(len(cyl)) - np.repeat(_starts(runs), runs)
+        kid = level + (kid_start - lo)[cyl_state[cyl]]
+        # each child's covers by descending start, which are ascending
+        # child offsets (b_k - start) * beta
+        by_kid = np.lexsort((-start_rank[cyl], kid))
+        kid, cyl, level = kid[by_kid], cyl[by_kid], level[by_kid]
         new_kid = np.ones(len(kid), dtype=bool)
         new_kid[1:] = kid[1:] != kid[:-1]
-        if np.count_nonzero(new_kid) < n_kids:
+        if np.count_nonzero(new_kid) < len(kid_state):
             raise InvariantError("child interval with no covering cylinder")
         # a child's covers with one start share a column of T, numbered from
-        # 0 in each child
+        # 0 in each child; T of child k is a v x cols block of one bincount
         new_col = new_kid.copy()
         new_col[1:] |= start_rank[cyl[1:]] != start_rank[cyl[:-1]]
         col = np.cumsum(new_col) - 1
         col -= col[new_kid][kid]
-        width = int(col.max()) + 1
-        T = np.bincount((kid * v + cyl // m) * width + col, minlength=n_kids * v * width)
-        T = T.reshape(n_kids, v, width).tolist()
-        bounds = distinct[lo:hi + 1]
-        offsets = self.lattice.times_beta(bounds[kid[new_col]] - starts[cyl[new_col]])
-        offsets = offsets.reshape(-1).tolist()
-        lengths = self.lattice.times_beta(bounds[1:] - bounds[:-1]).tolist()
-        ends = (np.cumsum(np.bincount(kid[new_col], minlength=n_kids)) * d).tolist()
-        bounds = bounds.tolist()
-        den_child = den_w * self.lattice.lead
-        out = []
-        begin = 0
-        for k, end in enumerate(ends):
-            child = lengths[k] + offsets[begin:end]
-            begin = end
-            cols = len(child) // d - 1
+        cols = np.bincount(kid[new_col], minlength=len(kid_state))
+        block = v[kid_state] * cols
+        slot = cyl // m - _starts(v)[cyl_state[cyl]]
+        T = np.bincount(_starts(block)[kid] + slot * cols[kid] + col, minlength=int(block.sum()))
+        offsets = lattice.times_beta(distinct[level[new_col]] - starts[cyl[new_col]])
+        kid_lo = lo[kid_state] + np.arange(len(kid_state)) - kid_start[kid_state]
+        u_lo, u_hi = distinct[kid_lo], distinct[kid_lo + 1]
+        lengths = lattice.times_beta(u_hi - u_lo)
+        # T of a child is v rows of cols entries, and the children share few
+        # distinct rows: each is made once, looked up by its bytes
+        row_bytes = np.repeat(cols, v[kid_state]) * T.itemsize
+        packed, made, rows = T.tobytes(), {}, []
+        for end, size in zip(np.cumsum(row_bytes).tolist(), row_bytes.tolist()):
+            key = packed[end - size:end]
+            row = made.get(key)
+            if row is None:
+                row = made[key] = tuple(np.frombuffer(key, dtype=T.dtype).tolist())
+            rows.append(row)
+        u_lo, u_hi, v = u_lo.tolist(), u_hi.tolist(), v.tolist()
+        lengths, offsets = lengths.tolist(), offsets.reshape(-1).tolist()
+        out: list[list] = [[] for _ in geometries]
+        at_off = at_T = 0
+        for k, (s, c, length) in enumerate(zip(kid_state.tolist(), cols.tolist(), lengths)):
+            child = length + offsets[at_off:at_off + c * d]
+            at_off += c * d
+            den_child = den_w[s] * lattice.lead
             g = math.gcd(den_child, *child)
-            geometry = (den_child // g, tuple(c // g for c in child))
-            T_k = tuple(tuple(row[:cols]) for row in T[k])
-            out.append((bounds[k], bounds[k + 1], den_w, geometry, T_k))
+            if g != 1:
+                child = [x // g for x in child]
+            out[s].append((u_lo[k], u_hi[k], den_w[s], (den_child // g, tuple(child)),
+                           tuple(rows[at_T:at_T + v[s]])))
+            at_T += v[s]
         return out
+
+    def _rank(self, points: np.ndarray, tag: np.ndarray) -> np.ndarray:
+        """Exact dense ranks of the rows' values within each tag, numbered on
+        through the tags, so each tag holds a range of ranks: a presort by
+        (tag, float value) proven by one `sign_rows` call, and
+        `NumberField.rank_rows` for a tag it misorders (DECISIONS.md)."""
+        order = np.lexsort((_presort_values(self.field, points), tag))
+        ordered, tags = points[order], tag[order]
+        steps = ordered[1:] - ordered[:-1]
+        same = tags[1:] == tags[:-1]
+        new = ~same | (steps != 0).any(axis=1)  # equal rows are equal values
+        check = np.flatnonzero(same & new)
+        negative = self.field.sign_rows(steps[check], self.field.zero)[0] < 0
+        misordered = np.unique(tags[1:][check[negative]])
+        rank = np.empty(len(points), dtype=np.intp)
+        rank[order] = np.concatenate(([0], np.cumsum(new)))
+        for s in misordered.tolist():
+            members = np.flatnonzero(tag == s)
+            rank[members] = rank[members].min() + self.field.rank_rows(points[members])
+        return rank
+
+
+def _close(cylinders: _Cylinders, states: list, raw_children: list, state_cap: int) -> None:
+    """Extend a breadth-first closure in place until every state has its
+    entries (child index, u_lo row, u_hi row, den, T) in raw_children, or a
+    new state would pass state_cap (CapExceededError).  The parents go
+    through `_Cylinders.children` in batches of (state_cap - states + 1) //
+    fanout, fanout the most children of a parent so far, so that a capped
+    closure works out few children it never reaches (DECISIONS.md)."""
+    index = {state: i for i, state in enumerate(states)}
+    geometry_cache: dict = {}
+    fanout = 1
+    while len(raw_children) < len(states):
+        done = len(raw_children)
+        batch = states[done:done + max(1, (state_cap - len(states) + 1) // fanout)]
+        made = cylinders.children(list(dict.fromkeys(
+            geometry for geometry, _rank in batch if geometry not in geometry_cache)))
+        geometry_cache.update(made)
+        fanout = max(fanout, max(map(len, made.values()), default=0))
+        for geometry, _rank in batch:
+            kid_entries = []
+            seen_cv: dict = {}
+            for u_lo, u_hi, den, c_geometry, T in geometry_cache[geometry]:
+                rank = seen_cv.get(c_geometry, 0) + 1
+                seen_cv[c_geometry] = rank
+                child = (c_geometry, rank)
+                if child not in index:
+                    if len(states) >= state_cap:
+                        raise CapExceededError(
+                            f"automaton exceeds {state_cap} states; "
+                            "likely a non-Pisot base or a cap set too small"
+                        )
+                    index[child] = len(states)
+                    states.append(child)
+                kid_entries.append((index[child], u_lo, u_hi, den, T))
+            raw_children.append(kid_entries)
+
+
+def _check_lengths(lattice: Lattice, states: list, raw_children: list) -> None:
+    """ell_i = rho * sum of children lengths at every state, exactly, on the
+    integer rows: with the children's lengths summed over their lcm D, the
+    rows of lead * beta * ell_i * D and of lead * den_i * sum agree."""
+    d = lattice.degree
+    parents, totals = [], []
+    for i, kids in enumerate(raw_children):
+        (den, flat), _rank = states[i]
+        lengths = [states[j][0] for j, *_ in kids]
+        common = math.lcm(*(c_den for c_den, _flat in lengths))
+        parents.append([c * common for c in flat[:d]])
+        totals.append([lattice.lead * den * sum(c_flat[t] * (common // c_den)
+                                                for c_den, c_flat in lengths)
+                       for t in range(d)])
+    grown = lattice.times_beta(np.array(parents, dtype=object).reshape(-1, d)).tolist()
+    for i, (lhs, rhs) in enumerate(zip(grown, totals)):
+        if lhs != rhs:
+            raise InvariantError(f"length identity fails at state {i}")
 
 
 def build_automaton(sys: BetaSystem, state_cap: int = DEFAULT_STATE_CAP) -> Automaton:
@@ -254,39 +381,17 @@ def build_automaton(sys: BetaSystem, state_cap: int = DEFAULT_STATE_CAP) -> Auto
     Terminates for Pisot beta; raises CapExceededError when the state count
     passes state_cap (expected for non-Pisot algebraic bases).  During the
     closure a state is a (geometry, rank) pair of integer rows
-    (`_Cylinders`); field elements are built once, for the final states and
-    for the edges.
+    (`_Cylinders`), and the length identity is checked on them; field
+    elements are built once, for the final states and for the edges.
     """
     if state_cap < 0:
         raise InvalidInputError("state cap must be nonnegative")
     cylinders = _Cylinders(sys)
     d = cylinders.d
-    root = ((1, (1,) + (0,) * (2 * d - 1)), 1)
-    index: dict = {root: 0}
-    states = [root]
+    states: list = [((1, (1,) + (0,) * (2 * d - 1)), 1)]
     raw_children: list = []
-    geometry_cache: dict = {}
-    while len(raw_children) < len(states):
-        geometry, _rank = states[len(raw_children)]
-        pieces = geometry_cache.get(geometry)
-        if pieces is None:
-            pieces = geometry_cache[geometry] = cylinders.children(*geometry)
-        kid_entries = []
-        seen_cv: dict = {}
-        for u_lo, u_hi, den, c_geometry, T in pieces:
-            rank = seen_cv.get(c_geometry, 0) + 1
-            seen_cv[c_geometry] = rank
-            child = (c_geometry, rank)
-            if child not in index:
-                if len(states) >= state_cap:
-                    raise CapExceededError(
-                        f"automaton exceeds {state_cap} states; "
-                        "likely a non-Pisot base or a cap set too small"
-                    )
-                index[child] = len(states)
-                states.append(child)
-            kid_entries.append((index[child], u_lo, u_hi, den, T))
-        raw_children.append(kid_entries)
+    _close(cylinders, states, raw_children, state_cap)
+    _check_lengths(cylinders.lattice, states, raw_children)
 
     # canonical re-indexing: initial state first, the rest sorted by
     # (length, offsets, rank) with every row over one common denominator,
@@ -295,39 +400,38 @@ def build_automaton(sys: BetaSystem, state_cap: int = DEFAULT_STATE_CAP) -> Auto
 
     def key(i):
         (den, flat), rank = states[i]
-        row = [c * (common // den) for c in flat]
-        return tuple(row[:d]), tuple(tuple(row[j:j + d]) for j in range(d, len(row), d)), rank
+        scale = common // den
+        if scale != 1:
+            flat = tuple(c * scale for c in flat)
+        # the offsets are rows of d entries, so flattened they compare as
+        # their tuple of rows would
+        return flat[:d], flat[d:], rank
 
     order = [0] + sorted(range(1, len(states)), key=key)
     relabel = {old: new for new, old in enumerate(order)}
-    field = sys.field
+    # the states share few distinct values: one element each
+    elements: dict = {}
+
+    def element(row: tuple[int, ...], den: int) -> FieldElement:
+        elem = elements.get((row, den))
+        if elem is None:
+            elem = elements[row, den] = FieldElement(sys.field, row, den)
+        return elem
+
     new_states = []
     for old in order:
         (den, flat), rank = states[old]
-        elems = [FieldElement(field, flat[j:j + d], den) for j in range(0, len(flat), d)]
+        elems = [element(flat[j:j + d], den) for j in range(0, len(flat), d)]
         new_states.append(CharacteristicState(elems[0], tuple(elems[1:]), rank))
     new_children: list = [None] * len(states)
     for old, kids in enumerate(raw_children):
         new_children[relabel[old]] = [
-            (relabel[j], FieldElement(field, tuple(u_lo), den),
-             FieldElement(field, tuple(u_hi), den), T)
+            (relabel[j], element(tuple(u_lo), den), element(tuple(u_hi), den), T)
             for j, u_lo, u_hi, den, T in kids
         ]
     auto = Automaton(sys, new_states, new_children, frozenset())
-    _verify_length_identity(auto)
     auto.essential = essential_class(auto)
     return auto
-
-
-def _verify_length_identity(auto: Automaton) -> None:
-    """ell_i = rho * sum of children lengths, exactly, at every state."""
-    sys = auto.sys
-    for i in range(auto.size):
-        total = sys.field.zero
-        for j, _lo, _hi, _m in auto.children[i]:
-            total = total + auto.ell(j)
-        if not (auto.ell(i) - sys.rho * total).is_zero():
-            raise InvariantError(f"length identity fails at state {i}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,10 @@ one state at a time on a dict, against which the array kernel is compared
 state for state; the automaton reference builds the coding automaton in
 field elements, one cylinder and one breakpoint at a time, against which
 the integer-row closure is compared state for state, with its essential
-class taken as the states every state reaches; the net-interval reference
+class taken as the states every state reaches; the per-state cylinder
+reference ranks one state's integer rows at a time, against which the
+batched closure is compared row for row, state, bound, denominator and T
+alike; the net-interval reference
 sorts every word's cylinder in field elements, against which the
 rank-sorted rows are compared interval for interval.  The row merge is checked against
 a dict of tuples, and the run-based grid-cell masses of the L^q estimate
@@ -45,12 +48,12 @@ import numpy as np
 import pytest
 
 from betagrowth.bconv import MeasureAtoms, ball_mass_brackets
-from betagrowth.errors import HypothesisError, InvalidInputError, InvariantError
+from betagrowth.errors import CapExceededError, HypothesisError, InvalidInputError, InvariantError
 from betagrowth.expansions import (DEFAULT_SUM_CAP, Lattice, _coerce_point, _count_meets_bound,
                                    kappa, prefix_count_series, switch_geometry)
 from betagrowth.lyapunov import RENORM_EVERY, mc_chunk_len
 from betagrowth.netautomaton import Automaton, CharacteristicState, NetInterval
-from betagrowth.numberfield import LIMB_BITS, BetaSystem, FieldElement, parse_beta
+from betagrowth.numberfield import INT64_MAX, LIMB_BITS, BetaSystem, FieldElement, parse_beta
 
 # (criterion, ok, detail) tuples filled in by test_acceptance.py
 ACCEPTANCE_LOG: list[tuple[str, bool, str]] = []
@@ -460,6 +463,90 @@ def field_automaton(sys: BetaSystem) -> Automaton:
     auto = Automaton(sys, [states[old] for old in order], children, frozenset())
     auto.essential = brute_essential_class(auto)
     return auto
+
+
+def cylinder_children(cylinders, den: int, flat: tuple[int, ...]) -> list:
+    """Sub-intervals of one state geometry at the next level, left to right,
+    as `netautomaton._Cylinders.children` gives them: (u_lo row, u_hi row,
+    their denominator, child geometry, T).  One state at a time, its
+    points ranked by `NumberField.rank_rows` and its covers read off a
+    dense child x cylinder table; `cylinders` lends its fixed rows, field
+    and lattice."""
+    d, m, lattice = cylinders.d, cylinders.m, cylinders.lattice
+    den_w = math.lcm(den, cylinders.den)
+    scale, fixed_scale = den_w // den, den_w // cylinders.den
+    big = max(map(abs, flat)) * scale + cylinders.fixed_big * fixed_scale
+    dtype = np.int64 if 2 * big * lattice.growth <= INT64_MAX else object
+    rows = np.array(flat, dtype=dtype).reshape(-1, d) * scale
+    fixed = np.array(cylinders.fixed, dtype=dtype) * fixed_scale
+    v = len(rows) - 1
+    # cylinder (slot ci, digit a) is row ci * m + a: S_a(0) - offset_ci
+    starts = (fixed[None, :-1] - rows[1:, None]).reshape(-1, d)
+    points = np.concatenate((np.zeros((1, d), dtype=dtype), rows[:1], starts, starts + fixed[-1]))
+    rank = cylinders.field.rank_rows(points)
+    distinct = np.empty((int(rank.max()) + 1, d), dtype=dtype)
+    distinct[rank] = points
+    lo, hi = int(rank[0]), int(rank[1])
+    start_rank, end_rank = rank[2:2 + v * m], rank[2 + v * m:]
+    n_kids = hi - lo
+    levels = np.arange(lo, hi)[:, None]
+    covers = (start_rank <= levels) & (end_rank > levels)
+    # descending starts give ascending child offsets (b_k - start) * beta
+    by_start = np.argsort(-start_rank, kind="stable")
+    kid, pos = np.nonzero(covers[:, by_start])
+    cyl = by_start[pos]
+    new_kid = np.ones(len(kid), dtype=bool)
+    new_kid[1:] = kid[1:] != kid[:-1]
+    if np.count_nonzero(new_kid) < n_kids:
+        raise InvariantError("child interval with no covering cylinder")
+    new_col = new_kid.copy()
+    new_col[1:] |= start_rank[cyl[1:]] != start_rank[cyl[:-1]]
+    col = np.cumsum(new_col) - 1
+    col -= col[new_kid][kid]
+    width = int(col.max()) + 1
+    T = np.bincount((kid * v + cyl // m) * width + col, minlength=n_kids * v * width)
+    T = T.reshape(n_kids, v, width).tolist()
+    bounds = distinct[lo:hi + 1]
+    offsets = lattice.times_beta(bounds[kid[new_col]] - starts[cyl[new_col]]).reshape(-1).tolist()
+    lengths = lattice.times_beta(bounds[1:] - bounds[:-1]).tolist()
+    ends = (np.cumsum(np.bincount(kid[new_col], minlength=n_kids)) * d).tolist()
+    bounds = bounds.tolist()
+    den_child = den_w * lattice.lead
+    out = []
+    begin = 0
+    for k, end in enumerate(ends):
+        child = lengths[k] + offsets[begin:end]
+        begin = end
+        cols = len(child) // d - 1
+        g = math.gcd(den_child, *child)
+        geometry = (den_child // g, tuple(c // g for c in child))
+        out.append((bounds[k], bounds[k + 1], den_w, geometry,
+                    tuple(tuple(row[:cols]) for row in T[k])))
+    return out
+
+
+def cylinder_closure(cylinders, states: list, raw_children: list, state_cap: int) -> None:
+    """`netautomaton._close` one parent at a time: extend states and
+    raw_children in place, each geometry's children from `cylinder_children`."""
+    index = {state: i for i, state in enumerate(states)}
+    pieces: dict = {}
+    while len(raw_children) < len(states):
+        geometry, _rank = states[len(raw_children)]
+        if geometry not in pieces:
+            pieces[geometry] = cylinder_children(cylinders, *geometry)
+        kids, seen = [], {}
+        for u_lo, u_hi, den, c_geometry, T in pieces[geometry]:
+            seen[c_geometry] = rank = seen.get(c_geometry, 0) + 1
+            child = (c_geometry, rank)
+            if child not in index:
+                if len(states) >= state_cap:
+                    raise CapExceededError(
+                        f"automaton exceeds {state_cap} states; "
+                        "likely a non-Pisot base or a cap set too small")
+                index[child] = len(states)
+                states.append(child)
+            kids.append((index[child], u_lo, u_hi, den, T))
+        raw_children.append(kids)
 
 
 def brute_essential_class(auto: Automaton) -> frozenset:

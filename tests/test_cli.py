@@ -164,6 +164,22 @@ def test_gamma_mc_validates_before_build(capsys, monkeypatch):
         assert err.startswith("error:"), bad
 
 
+def test_gamma_series_rejects_mc_options_beyond_golden(capsys):
+    # only n = 2 adds the Monte-Carlo middle segment, which reads --seed and
+    # --mc-budget; for n >= 3 they would be dropped
+    for spec in ("multinacci:3", "poly:-1,-1,-1,-1,1"):
+        for bad in (("--seed", "0"), ("--seed", "7"), ("--mc-budget", "100")):
+            code, out, err = run_cli(capsys, "gamma", "--beta", spec, "--method", "series", *bad)
+            assert (code, out) == (2, ""), (spec, bad)
+            assert err.startswith("error:") and "n = 2" in err, (spec, bad)
+        code, _out, _err = run_cli(capsys, "gamma", "--beta", spec, "--method", "series",
+                                   "--k-exact", "8")
+        assert code == 0, spec
+    code, _out, _err = run_cli(capsys, "gamma", "--beta", "golden", "--method", "series",
+                               "--k-exact", "8", "--mc-budget", "100", "--seed", "3")
+    assert code == 0
+
+
 def test_tau_validates_q_before_atoms(capsys, monkeypatch):
     def no_atoms(*_args, **_kwargs):
         raise AssertionError("level_atoms called")
@@ -342,7 +358,10 @@ def test_automaton_rejects_format(capsys):
 def test_huge_rational_base_rejected(capsys):
     # q = 2^63 + 28 does not fit the lattice's int64 step matrix
     beta = "9223372036854775837/9223372036854775836"
-    for argv in (("count", "--beta", beta, "--x", "1", "--n", "3"), ("automaton", "--beta", beta)):
+    # bound checks the coefficients before kappa, whose power loop would take
+    # about 44 * 2^63 steps on this base
+    for argv in (("count", "--beta", beta, "--x", "1", "--n", "3"), ("automaton", "--beta", beta),
+                 ("bound", "--beta", beta, "--x", "1", "--n-max", "3")):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert "2^63 - 1" in err, argv

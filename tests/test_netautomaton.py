@@ -1,6 +1,7 @@
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from betagrowth import netautomaton
@@ -16,9 +17,9 @@ from betagrowth.netautomaton import (
     net_intervals,
 )
 from betagrowth.numberfield import parse_beta
-from conftest import (brute_essential_class, field_automaton, field_net_intervals,
-                      is_admissible, length_normalized, multiplicity_direct, products_positive,
-                      state_key)
+from conftest import (brute_essential_class, cylinder_closure, field_automaton,
+                      field_net_intervals, is_admissible, length_normalized, multiplicity_direct,
+                      products_positive, state_key)
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +210,89 @@ def test_automaton_object_rows(spec, m, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _assert_same_automaton(build_automaton(sys_), want)
+
+
+def _closure(close, sys_, state_cap=netautomaton.DEFAULT_STATE_CAP):
+    """A closure from the root by `netautomaton._close` or its per-state
+    oracle: (states, raw_children, the CapExceededError text or None)."""
+    cylinders = netautomaton._Cylinders(sys_)
+    states, raw_children = [((1, (1,) + (0,) * (2 * cylinders.d - 1)), 1)], []
+    try:
+        close(cylinders, states, raw_children, state_cap)
+    except CapExceededError as exc:
+        return states, raw_children, str(exc)
+    return states, raw_children, None
+
+
+LAYER_BASES = [("golden", 2), ("golden", 3), ("golden", 4), ("multinacci:3", 2),
+               ("multinacci:4", 2), ("multinacci:5", 2), ("poly:-1,0,-1,1", 2),
+               ("int:2", 3), ("int:2", 4), ("poly:-1,-1,0,1", 2)]
+
+
+@pytest.mark.parametrize("spec,m", LAYER_BASES)
+def test_layer_pass_matches_per_state_oracle(spec, m):
+    # the same states and ranks in discovery order, and per child the same
+    # index, u_lo and u_hi rows, denominator and T
+    sys_ = parse_beta(spec, m)
+    batched = _closure(netautomaton._close, sys_)
+    assert batched == _closure(cylinder_closure, sys_)
+    assert batched[2] is None
+
+
+def test_layer_pass_capped_mixed_rows(monkeypatch):
+    # 13/10 is not Pisot: the first 300 states of its capped closure, with
+    # the int64 room cut so that batches mix int64 and Python-int rows
+    dtypes = []
+    run_pass = netautomaton._Cylinders._pass
+
+    def spy(self, geometries, dtype):
+        dtypes.append(dtype)
+        return run_pass(self, geometries, dtype)
+
+    monkeypatch.setattr(netautomaton._Cylinders, "_pass", spy)
+    monkeypatch.setattr(netautomaton, "INT64_MAX", 2 ** 30)
+    sys_ = parse_beta("13/10", 2)
+    batched = _closure(netautomaton._close, sys_, state_cap=300)
+    assert batched == _closure(cylinder_closure, sys_, state_cap=300)
+    assert batched[2] == "automaton exceeds 300 states; likely a non-Pisot base or a cap set too small"
+    assert len(batched[0]) == 300
+    assert {np.int64, object} <= set(dtypes)
+
+
+@pytest.mark.parametrize("spec,m", [("golden", 4), ("poly:-1,0,-1,1", 2), ("int:2", 3)])
+def test_layer_pass_misordered_presort(spec, m, monkeypatch):
+    # a presort key that reverses every state's float order: the sign_rows
+    # screen finds every geometry misordered (0 < length), and rank_rows
+    # alone ranks each, to the same closure
+    sys_ = parse_beta(spec, m)
+    want = _closure(cylinder_closure, sys_)
+    alone = []
+    rank_rows = type(sys_.field).rank_rows
+
+    def counted(field, rows):
+        alone.append(len(rows))
+        return rank_rows(field, rows)
+
+    presort = netautomaton._presort_values
+    monkeypatch.setattr(netautomaton, "_presort_values", lambda field, rows: -presort(field, rows))
+    monkeypatch.setattr(type(sys_.field), "rank_rows", counted)
+    assert _closure(netautomaton._close, sys_) == want
+    assert len(alone) == len({geometry for geometry, _rank in want[0]})
+
+
+def test_length_identity_on_rows():
+    # the closure passes the check; halving one child's length fails it at
+    # that child's parent
+    sys_ = parse_beta("golden", 3)
+    states, raw_children, _message = _closure(netautomaton._close, sys_)
+    lattice = netautomaton._Cylinders(sys_).lattice
+    netautomaton._check_lengths(lattice, states, raw_children)
+    j = raw_children[5][0][0]
+    (den, flat), rank = states[j]
+    states[j] = ((2 * den, flat), rank)
+    parent = min(i for i, kids in enumerate(raw_children) if j in [kid[0] for kid in kids])
+    with pytest.raises(InvariantError, match=f"length identity fails at state {parent}$"):
+        netautomaton._check_lengths(lattice, states, raw_children)
 
 
 def test_essential_class_matches_brute_force_plastic():
