@@ -23,7 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import bconv, expansions, lyapunov, netautomaton
-from .errors import BetaGrowthError, HypothesisError, InvalidInputError, InvariantError
+from .errors import (BetaGrowthError, CapExceededError, HypothesisError, InvalidInputError,
+                     InvariantError)
 from .numberfield import BetaSystem, FieldElement, parse_beta
 
 TABLE1_COLUMNS = ["n", "beta_decimal", "gamma_over_log2", "gamma_error", "D", "D_error", "method"]
@@ -612,6 +613,9 @@ def main(argv=None) -> int:
     except BetaGrowthError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError:  # an exhausted resource, as a cap is
+        print("error: out of memory", file=sys.stderr)
+        return CapExceededError.exit_code
 
 
 if __name__ == "__main__":

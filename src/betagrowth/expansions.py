@@ -571,21 +571,16 @@ def sparse_profile(m_seq: Sequence[int], sys: BetaSystem) -> list[SparseCheckpoi
         raise InvalidInputError("m_seq must be strictly increasing")
     if len(m_seq) > 8:
         raise CapExceededError("checkpoint cap: at most 8 blocks")
-    positions = []
-    pos = 1
+    # block k's 1 at p_k: p_1 = 1, p_(k+1) = p_k + 2 m_k + 1 = n_k + 1
+    positions = [1]
     for mk in m_seq:
-        positions.append(pos)
-        pos += 2 * mk + 1
+        positions.append(positions[-1] + 2 * mk + 1)
     x = sys.field.zero
-    for p in positions:
+    for p in positions[:-1]:
         x = x + sys.rho_powers[p]
+    checkpoints = [p - 1 for p in positions[1:]]
     rows = []
     product = 1
-    checkpoints = []
-    n = 0
-    for mk in m_seq:
-        n += 2 * mk + 1
-        checkpoints.append(n)
     counts = prefix_count_series(x, checkpoints[-1], sys)
     for mk, n_k in zip(m_seq, checkpoints):
         product *= count_X_m(mk, sys)

@@ -126,7 +126,7 @@ def _rank_table(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r = 0) is the edge searchsorted(cdf[s], u, side="right") picks, found
     with no rounding.
     """
-    # sorted(set()) rather than np.unique, which imports numpy.ma (0.6 MB)
+    # sorted(set()): numpy's unique imports numpy.ma (0.6 MB, DECISIONS.md)
     K = np.array(sorted(set(cdf[cdf < 2.0].tolist())))
     below = np.concatenate(([-np.inf], K))
     first = (cdf[:, :, None] > below).argmax(axis=1)
@@ -353,8 +353,8 @@ def _inner_log_sums(k_max: int) -> list[float]:
     return out
 
 
-def _mc_middle(n: int, beta_pow_n: float, k_lo: int, k_hi: int,
-               budget: int, seed: int) -> tuple[float, float]:
+def _mc_middle(beta_pow_n: float, k_lo: int, k_hi: int, budget: int,
+               seed: int) -> tuple[float, float]:
     """Monte-Carlo estimate of sum_{k=k_lo..k_hi} x^k E[log||M_J||].
 
     One family of random words is extended level by level; the per-path
@@ -430,7 +430,7 @@ def _series_estimate(n: int, beta: float, inner: list[float], mc_budget: int,
     series = sum(inner[k] / bn ** k for k in range(k_exact + 1))
     stderr_series = 0.0
     if n == 2:
-        mid, mid_err = _mc_middle(n, bn, k_exact + 1, SERIES_K_TAIL, mc_budget, seed)
+        mid, mid_err = _mc_middle(bn, k_exact + 1, SERIES_K_TAIL, mc_budget, seed)
         series += mid
         stderr_series = mid_err
         trunc = _tail_bound(x, SERIES_K_TAIL + 1)

@@ -10,12 +10,12 @@ catches everything else.
 
 The closure runs on integer rows: a state's length and offsets are
 coefficient rows over one denominator.  The breadth-first closure takes
-its frontier in batches, and one vector pass per batch sorts the cylinder
-endpoints of every state in it exactly (a float presort that one
-`sign_rows` call proves) and reads the covers off their ranks.  Field
-elements are built once, for the final states and edges, numbered in the
-canonical state order: the initial state first, the rest by (length,
-offsets, rank) compared as coefficient tuples.
+its frontier in batches, and one vector pass per batch ranks the cylinder
+endpoints of every state in it exactly, by one `NumberField.rank_rows`
+call with the points tagged by state, and reads the covers off their
+ranks.  Field elements are built once, for the final states and edges,
+numbered in the canonical state order: the initial state first, the rest
+by (length, offsets, rank) compared as coefficient tuples.
 
 Transition matrices count digit extensions between covering slots; the
 row-vector product along a coding word recovers the covering multiplicity
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import CapExceededError, InvalidInputError, InvariantError
 from .expansions import DEFAULT_ATOM_CAP, INT64_MAX, Lattice
-from .numberfield import BetaSystem, FieldElement, NumberField
+from .numberfield import BetaSystem, FieldElement
 
 DEFAULT_STATE_CAP = 10_000
 DIRECT_LEVEL_CAP = 14
@@ -161,13 +161,6 @@ class Automaton:
         return [j for j, _lo, _hi, _m in self.children[i]]
 
 
-def _presort_values(field: NumberField, rows: np.ndarray) -> np.ndarray:
-    """Float values of integer rows, the presort key of `_Cylinders.children`:
-    they only choose which order the exact screen verifies."""
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan sort anywhere
-        return field.float_rows(rows)[0]
-
-
 def _starts(counts: np.ndarray) -> np.ndarray:
     """Where each of the consecutive segments of the given sizes begins."""
     return np.cumsum(counts) - counts
@@ -175,7 +168,8 @@ def _starts(counts: np.ndarray) -> np.ndarray:
 
 class _Cylinders:
     """The child construction on integer rows, one vector pass per batch of
-    states.
+    states, on rows of one dtype, its order decisions all made by one
+    tagged `NumberField.rank_rows` call.
 
     A state's geometry is (den, flat): its normalized length and its sorted
     offsets as the integer rows flat[:d], flat[d:2d], ... of the values
@@ -199,21 +193,23 @@ class _Cylinders:
     def children(self, geometries: Sequence[tuple[int, tuple[int, ...]]]) -> dict:
         """Sub-intervals at the next level of each geometry, by geometry, left
         to right, as (u_lo row, u_hi row, their denominator, child geometry,
-        T); T maps the parent's covering slots to the child's.  The
-        geometries whose rows fit int64 by the a-priori bound (DECISIONS.md)
-        share one pass, the rest one pass on Python ints."""
-        wide: dict[bool, list] = {}
+        T); T maps the parent's covering slots to the child's.  The batch
+        runs as one pass, on int64 rows when every geometry fits int64 by the
+        a-priori bound (DECISIONS.md) and on Python ints otherwise."""
+        if not geometries:
+            return {}
+        dtype = np.int64
         for den, flat in geometries:
             den_w = math.lcm(den, self.den)
             big = max(map(abs, flat)) * (den_w // den) + self.fixed_big * (den_w // self.den)
-            wide.setdefault(2 * big * self.lattice.growth > INT64_MAX, []).append((den, flat))
-        out: dict = {}
-        for is_wide, batch in wide.items():
-            out.update(zip(batch, self._pass(batch, object if is_wide else np.int64)))
-        return out
+            if 2 * big * self.lattice.growth > INT64_MAX:
+                dtype = object
+                break
+        return dict(zip(geometries, self._pass(geometries, dtype)))
 
     def _pass(self, geometries, dtype) -> list[list]:
-        """`children` of geometries whose rows take one dtype, in order."""
+        """`children` of a nonempty batch of geometries on rows of one
+        dtype, in order."""
         d, m, lattice = self.d, self.m, self.lattice
         n = len(geometries)
         den_w = [math.lcm(den, self.den) for den, _flat in geometries]
@@ -233,7 +229,7 @@ class _Cylinders:
         points = np.concatenate((np.zeros((n, d), dtype=dtype), rows[head], starts,
                                  starts + fixed[cyl_state, m]))
         tag = np.concatenate((np.arange(n), np.arange(n), cyl_state, cyl_state))
-        rank = self._rank(points, tag)
+        rank = self.field.rank_rows(points, tag)
         distinct = np.empty((int(rank.max()) + 1, d), dtype=dtype)
         distinct[rank] = points
         # the breakpoints of s are its distinct points in [0, length]; child
@@ -297,26 +293,6 @@ class _Cylinders:
                            tuple(rows[at_T:at_T + v[s]])))
             at_T += v[s]
         return out
-
-    def _rank(self, points: np.ndarray, tag: np.ndarray) -> np.ndarray:
-        """Exact dense ranks of the rows' values within each tag, numbered on
-        through the tags, so each tag holds a range of ranks: a presort by
-        (tag, float value) proven by one `sign_rows` call, and
-        `NumberField.rank_rows` for a tag it misorders (DECISIONS.md)."""
-        order = np.lexsort((_presort_values(self.field, points), tag))
-        ordered, tags = points[order], tag[order]
-        steps = ordered[1:] - ordered[:-1]
-        same = tags[1:] == tags[:-1]
-        new = ~same | (steps != 0).any(axis=1)  # equal rows are equal values
-        check = np.flatnonzero(same & new)
-        negative = self.field.sign_rows(steps[check], self.field.zero)[0] < 0
-        misordered = np.unique(tags[1:][check[negative]])
-        rank = np.empty(len(points), dtype=np.intp)
-        rank[order] = np.concatenate(([0], np.cumsum(new)))
-        for s in misordered.tolist():
-            members = np.flatnonzero(tag == s)
-            rank[members] = rank[members].min() + self.field.rank_rows(points[members])
-        return rank
 
 
 def _close(cylinders: _Cylinders, states: list, raw_children: list, state_cap: int) -> None:

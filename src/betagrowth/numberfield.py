@@ -9,12 +9,15 @@ exact integer checks.  A scalar sign (`sign_int_coeffs`, behind
 interval evaluation of the value excludes zero.  The rows of an integer
 matrix go through `sign_rows` (or `rows_within`): one vector float
 evaluation screens them under a proven error bound, and the rows too close
-to zero for the screen take the scalar path.  In degree one a value is an
-integer over a denominator, and integer comparisons settle every matrix
-sign with no screen.  Sturm chains of primitive pseudo-remainders
-isolate beta and any rational root (one routine, `_isolate`) and decide
-Pisot status by a Routh-Hurwitz count.  Fractions appear only at the
-edges: rational input, output and bracket endpoints.
+to zero for the screen take the scalar path.  `rank_rows` is the one
+ranking of integer rows, optionally in tagged groups: a float presort
+that one `sign_rows` call proves, with an exact comparison sort where the
+presort misorders.  In degree one a value is an integer over a
+denominator, and integer comparisons settle every matrix sign with no
+screen.  Sturm chains of primitive pseudo-remainders isolate beta and any
+rational root (one routine, `_isolate`) and decide Pisot status by a
+Routh-Hurwitz count.  Fractions appear only at the edges: rational input,
+output and bracket endpoints.
 """
 
 from __future__ import annotations
@@ -740,26 +743,38 @@ class NumberField:
             at_least[tied] = NumberField._at_least(rows[tied, :-1], rest)
         return at_least
 
-    def rank_rows(self, rows: np.ndarray) -> np.ndarray:
+    def rank_rows(self, rows: np.ndarray, tags: np.ndarray | None = None) -> np.ndarray:
         """Dense ranks of the values sum_i rows[r, i] beta^i of an integer
-        matrix: equal values share a rank and rank order is value order,
-        exactly.  The rows are presorted by float value and the presort is
-        proven by the signs of adjacent differences (`sign_rows`), or, if one
-        is negative, replaced by an exact comparison sort.  The differences
-        must fit the rows' dtype."""
+        matrix within each tag, numbered on through the tags in ascending
+        order, so each tag holds its own range of ranks (no tags: one tag):
+        within a tag equal values share a rank and rank order is value
+        order, exactly.  The rows are presorted by (tag, float value) and
+        every tag's presort is proven by one `sign_rows` call on the
+        differences of rows adjacent in it; a tag with a negative difference
+        is ranked by an exact comparison sort instead, in the first ranks
+        of its range (DECISIONS.md).  The differences must fit the rows'
+        dtype."""
+        if tags is None:
+            tags = np.zeros(len(rows), dtype=np.intp)
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan sort anywhere
-            order = np.argsort(self.float_rows(rows)[0], kind="stable")
-        ordered = rows[order]
+            order = np.lexsort((self.float_rows(rows)[0], tags))
+        ordered, tagged = rows[order], tags[order]
         steps = ordered[1:] - ordered[:-1]
-        new = (steps != 0).any(axis=1)  # equal rows are equal values
-        if (self.sign_rows(steps[new], self.zero) < 0).any():
-            def compare(i, j):
-                return self.sign_int_coeffs([a - b for a, b in zip(rows[i].tolist(), rows[j].tolist())])
-            order = np.array(sorted(range(len(rows)), key=functools.cmp_to_key(compare)), dtype=np.intp)
-            ordered = rows[order]
-            new = (ordered[1:] != ordered[:-1]).any(axis=1)
+        same = tagged[1:] == tagged[:-1]
+        new = ~same | (steps != 0).any(axis=1)  # equal rows are equal values
+        check = np.flatnonzero(same & new)
+        negative = self.sign_rows(steps[check], self.zero)[0] < 0
         rank = np.empty(len(rows), dtype=np.intp)
         rank[order] = np.concatenate(([0], np.cumsum(new)))
+
+        def compare(i, j):
+            return self.sign_int_coeffs([a - b for a, b in zip(rows[i].tolist(), rows[j].tolist())])
+
+        for tag in set(tagged[1:][check[negative]].tolist()):
+            members = sorted(np.flatnonzero(tags == tag).tolist(), key=functools.cmp_to_key(compare))
+            ordered = rows[members]
+            new = (ordered[1:] != ordered[:-1]).any(axis=1)
+            rank[members] = rank[members].min() + np.concatenate(([0], np.cumsum(new)))
         return rank
 
 

@@ -15,9 +15,11 @@ state for state; the automaton reference builds the coding automaton in
 field elements, one cylinder and one breakpoint at a time, against which
 the integer-row closure is compared state for state, with its essential
 class taken as the states every state reaches; the per-state cylinder
-reference ranks one state's integer rows at a time, against which the
-batched closure is compared row for row, state, bound, denominator and T
-alike; the net-interval reference
+reference ranks one state's integer rows at a time by an untagged
+`NumberField.rank_rows` call (the batched closure makes one tagged call
+per batch) and reads its covers off a dense child x cylinder table,
+against which the batched closure is compared row for row, state, bound,
+denominator and T alike; the net-interval reference
 sorts every word's cylinder in field elements, against which the
 rank-sorted rows are compared interval for interval.  The row merge is checked against
 a dict of tuples, and the run-based grid-cell masses of the L^q estimate
@@ -38,6 +40,7 @@ entrywise >= 1).  `automaton_doc_text` is the `automaton` document as one
 dict encoded by json.dumps, the oracle of the CLI's streamed writer.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -104,6 +107,21 @@ def b14() -> BetaSystem:
 @pytest.fixture(scope="session")
 def b13() -> BetaSystem:
     return parse_beta("1.3", 2)
+
+
+@pytest.fixture
+def comparison_sorts(monkeypatch) -> list:
+    """The compare functions of the exact comparison sorts that
+    `NumberField.rank_rows` runs during a test, one per misordered tag."""
+    sorts = []
+    cmp_to_key = functools.cmp_to_key
+
+    def counted(compare):
+        sorts.append(compare)
+        return cmp_to_key(compare)
+
+    monkeypatch.setattr(functools, "cmp_to_key", counted)
+    return sorts
 
 
 def _divisors(n: int) -> list[int]:

@@ -203,6 +203,16 @@ def test_gamma_mc_rejects_non_pisot_before_build(capsys, monkeypatch):
         assert err.startswith("error:") and "Pisot" in err, spec
 
 
+def test_out_of_memory_exits_3(capsys, monkeypatch):
+    # an exhausted resource exits 3 with one error line, as a cap does
+    def no_memory(_sys, state_cap):
+        raise MemoryError
+
+    monkeypatch.setattr("betagrowth.netautomaton.build_automaton", no_memory)
+    code, out, err = run_cli(capsys, "automaton", "--beta", "golden")
+    assert (code, out, err) == (3, "", "error: out of memory\n")
+
+
 def test_tau_collision_free_cap_before_any_level(capsys, monkeypatch):
     # 13/10 with m = 2 has 2^k distinct level-k sums, so the level-24 atoms
     # pass the cap at level 22, which is known before the first step
@@ -449,6 +459,26 @@ def test_runs_without_mpmath():
         "from betagrowth.numberfield import parse_beta\n"
         "assert main(['selftest']) == 0\n"
         "assert parse_beta('multinacci:5', 2).pisot\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+
+
+def test_automaton_and_gamma_leave_numpy_ma_unloaded():
+    # np.unique imports numpy.ma (0.6 MB, resident from then on); the
+    # automaton build and the Monte-Carlo walk load no more of it than the
+    # import of the CLI does (numpy 1.x loads it with numpy itself)
+    script = (
+        "import io, sys, contextlib\n"
+        "import betagrowth.cli\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert betagrowth.cli.main(['automaton', '--beta', 'multinacci:3']) == 0\n"
+        "    assert betagrowth.cli.main(['gamma', '--beta', 'int:2', '--m', '4', '--method', 'mc',\n"
+        "                                '--paths', '2000', '--chains', '2']) == 0\n"
+        "assert ('numpy.ma' in sys.modules) == before, before\n"
     )
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},

@@ -16,7 +16,7 @@ from betagrowth.netautomaton import (
     essential_class,
     net_intervals,
 )
-from betagrowth.numberfield import parse_beta
+from betagrowth.numberfield import NumberField, parse_beta
 from conftest import (brute_essential_class, cylinder_closure, field_automaton,
                       field_net_intervals, is_admissible, length_normalized, multiplicity_direct,
                       products_positive, state_key)
@@ -241,7 +241,8 @@ def test_layer_pass_matches_per_state_oracle(spec, m):
 
 def test_layer_pass_capped_mixed_rows(monkeypatch):
     # 13/10 is not Pisot: the first 300 states of its capped closure, with
-    # the int64 room cut so that batches mix int64 and Python-int rows
+    # the int64 room cut so that its early batches run on int64 rows and its
+    # later ones on Python ints
     dtypes = []
     run_pass = netautomaton._Cylinders._pass
 
@@ -260,24 +261,23 @@ def test_layer_pass_capped_mixed_rows(monkeypatch):
 
 
 @pytest.mark.parametrize("spec,m", [("golden", 4), ("poly:-1,0,-1,1", 2), ("int:2", 3)])
-def test_layer_pass_misordered_presort(spec, m, monkeypatch):
-    # a presort key that reverses every state's float order: the sign_rows
-    # screen finds every geometry misordered (0 < length), and rank_rows
-    # alone ranks each, to the same closure
+def test_layer_pass_misordered_presort(spec, m, monkeypatch, comparison_sorts):
+    # float values negated, with infinite error bounds: every state's
+    # presort is reversed and the sign_rows screen settles nothing, so the
+    # exact signs find every geometry misordered (0 < length) and the
+    # comparison sort of rank_rows ranks each, to the same closure
     sys_ = parse_beta(spec, m)
     want = _closure(cylinder_closure, sys_)
-    alone = []
-    rank_rows = type(sys_.field).rank_rows
+    float_rows = NumberField.float_rows
 
-    def counted(field, rows):
-        alone.append(len(rows))
-        return rank_rows(field, rows)
+    def reversed_rows(field, rows):
+        val, err = float_rows(field, rows)
+        return -val, np.full_like(err, np.inf)
 
-    presort = netautomaton._presort_values
-    monkeypatch.setattr(netautomaton, "_presort_values", lambda field, rows: -presort(field, rows))
-    monkeypatch.setattr(type(sys_.field), "rank_rows", counted)
+    monkeypatch.setattr(NumberField, "float_rows", reversed_rows)
+    del comparison_sorts[:]  # those of the oracle, if any
     assert _closure(netautomaton._close, sys_) == want
-    assert len(alone) == len({geometry for geometry, _rank in want[0]})
+    assert len(comparison_sorts) == len({geometry for geometry, _rank in want[0]})
 
 
 def test_length_identity_on_rows():

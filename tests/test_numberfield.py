@@ -560,6 +560,18 @@ def _exact_ranks(field, rows) -> list[int]:
     return [distinct.index(v) for v in values]
 
 
+def _check_tagged_ranks(field, rows, tags, ranks) -> None:
+    # within each tag, the exact dense ranks counted from the tag's least;
+    # the tags' rank ranges are disjoint and ascend with the tag
+    last = -1
+    for tag in sorted(set(tags)):
+        members = [i for i, t in enumerate(tags) if t == tag]
+        got = [ranks[i] for i in members]
+        assert min(got) > last
+        assert [r - min(got) for r in got] == _exact_ranks(field, [rows[i] for i in members])
+        last = max(got)
+
+
 def _near_tie_rows(n_values) -> list[list[int]]:
     # F_{n+1} - F_n beta = (-1/beta)^n, tiny against the coefficients
     fib = [0, 1]
@@ -619,5 +631,26 @@ def test_rank_rows_match_exact_order(fields, spec, data, bound):
     field = fields[spec]
     rows = data.draw(st.lists(st.lists(st.integers(-bound, bound), min_size=field.degree,
                                        max_size=field.degree), min_size=1, max_size=12))
+    tags = data.draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
     matrix = np.array(rows, dtype=object if bound > 2 ** 61 else np.int64)
     assert field.rank_rows(matrix).tolist() == _exact_ranks(field, rows)
+    _check_tagged_ranks(field, rows, tags, field.rank_rows(matrix, np.array(tags)).tolist())
+
+
+@pytest.mark.parametrize("dtype,scale", [(np.int64, 1), (object, 2 ** 70)],
+                         ids=["int64", "object"])
+def test_rank_rows_misordered_tag_beside_ordered_tags(golden, dtype, scale, comparison_sorts):
+    # tag 1 holds near ties whose presort misorders (n >= 50), tags 0 and 2
+    # rows that the proven presort ranks; the rows of the tags interleave,
+    # and only tag 1 takes the comparison sort
+    field = golden.field
+    ties = _near_tie_rows(range(50, 62))
+    spread = _near_tie_rows(range(1, 12)) + [[0, 0], [1, 0], [1, 0]]
+    rows = [[scale * c for c in row] for row in spread + ties + spread[::-1]]
+    tags = [0] * len(spread) + [1] * len(ties) + [2] * len(spread)
+    mix = list(range(len(rows)))
+    random.Random(1).shuffle(mix)
+    rows, tags = [rows[i] for i in mix], [tags[i] for i in mix]
+    ranks = field.rank_rows(np.array(rows, dtype=dtype), np.array(tags)).tolist()
+    _check_tagged_ranks(field, rows, tags, ranks)
+    assert len(comparison_sorts) == 1
