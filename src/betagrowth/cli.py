@@ -128,10 +128,10 @@ def cmd_count(args) -> int:
 def cmd_tree(args) -> int:
     sys_ = _system(args)
     x = _parse("--x", args.x, Fraction)
-    counts = expansions.tree_level_counts(x, args.depth, sys_, node_cap=args.node_cap)
+    # the depth-k nodes of the branching tree are the length-k prefixes
+    counts = expansions.prefix_count_series(x, args.depth, sys_)
     rows = [{"depth": d, "nodes": str(c)} for d, c in enumerate(counts)]
-    _emit(args, rows, ["depth", "nodes"],
-          _config(args, x=str(args.x), depth=args.depth, node_cap=args.node_cap))
+    _emit(args, rows, ["depth", "nodes"], _config(args, x=str(args.x), depth=args.depth))
     return 0
 
 
@@ -310,6 +310,15 @@ def cmd_automaton(args) -> int:
     return 0
 
 
+def _require_golden_series(args, n_values) -> None:
+    """Only the golden ratio (n = 2) adds the Monte-Carlo middle segment to
+    the multinacci series, and only it reads --seed and --mc-budget: for
+    any other n they would be dropped, so they are rejected."""
+    if 2 not in n_values and (args.seed is not None or args.mc_budget is not None):
+        raise InvalidInputError("--seed and --mc-budget apply to the multinacci series "
+                                "only on the golden ratio (n = 2)")
+
+
 def cmd_gamma(args) -> int:
     sys_ = _system(args)
     # unset options take the library defaults; one that only another route
@@ -320,19 +329,16 @@ def cmd_gamma(args) -> int:
             if route != args.method:
                 raise InvalidInputError(f"{flag} applies only to --method {route}")
             options[param] = getattr(args, param)
-    seeded = args.seed is not None
-    if not seeded:
-        args.seed = 0  # every route's config echoes the seed, unset or not
-    elif args.method == "integer":
+    if args.method == "integer" and args.seed is not None:
         raise InvalidInputError("--seed applies only to --method mc or series")
+    if args.method == "series":
+        n = lyapunov.multinacci_index(sys_)
+        _require_golden_series(args, [n])
+    if args.seed is None:
+        args.seed = 0  # every route's config echoes the seed, unset or not
     if args.method == "integer":
         est = lyapunov.gamma_integer_case(sys_)
     elif args.method == "series":
-        n = lyapunov.multinacci_index(sys_)
-        # only n = 2 adds the Monte-Carlo middle segment that reads them
-        if n >= 3 and (seeded or "mc_budget" in options):
-            raise InvalidInputError("--seed and --mc-budget apply to --method series "
-                                    "only on the golden ratio (n = 2)")
         est = lyapunov.gamma_multinacci_series(n, seed=args.seed, **options)
     else:
         lyapunov.check_mc_params(seed=args.seed, **options)
@@ -363,10 +369,14 @@ def cmd_table1(args) -> int:
     n_values = _parse("--n-range", args.n_range, _int_range)
     if not n_values or n_values[0] < 2 or n_values[-1] > 10:
         raise InvalidInputError("n range must lie within 2..10")
+    _require_golden_series(args, n_values)
+    # unset, they take the library defaults; the config echoes the seed,
+    # unset or not
+    if args.seed is None:
+        args.seed = 0
+    mc = {} if args.mc_budget is None else {"mc_budget": args.mc_budget}
     systems = [parse_beta(f"multinacci:{n}", 2) for n in n_values]
-    estimates = lyapunov.gamma_series_table(
-        systems, k_exact=args.k_exact, mc_budget=args.mc_budget, seed=args.seed
-    )
+    estimates = lyapunov.gamma_series_table(systems, k_exact=args.k_exact, seed=args.seed, **mc)
     rows = []
     for n, sys_n, est in zip(n_values, systems, estimates):
         dim = lyapunov.dimension(est, sys_n)
@@ -503,9 +513,9 @@ def cmd_selftest(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p, m_default=2, format_default="csv"):
+def _add_common(p, format_default="csv"):
     p.add_argument("--beta", required=True, help="base spec: golden | multinacci:n | int:k | poly:c0,..,cd | decimal")
-    p.add_argument("--m", type=int, default=m_default, help="digit count")
+    p.add_argument("--m", type=int, default=2, help="digit count")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default=format_default)
 
@@ -521,11 +531,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(fn=cmd_count)
 
-    p = sub.add_parser("tree", help="branching tree level counts")
+    p = sub.add_parser("tree", help="branching-tree nodes per depth: N_0(x), ..., N_depth(x)")
     _add_common(p)
     p.add_argument("--x", required=True)
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--node-cap", type=int, default=expansions.DEFAULT_NODE_CAP)
     p.set_defaults(fn=cmd_tree)
 
     p = sub.add_parser("kappa", help="universal growth exponent for beta below golden")
@@ -574,8 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table1", help="multinacci gamma/D table as CSV")
     p.add_argument("--n-range", default="2..10")
     p.add_argument("--k-exact", type=int, default=20)
-    p.add_argument("--mc-budget", type=int, default=20_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--mc-budget", type=int, default=None, help="n = 2 only (default 20000)")
+    p.add_argument("--seed", type=int, default=None, help="n = 2 only (default 0)")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_table1, beta="multinacci", m=2)

@@ -30,7 +30,6 @@ from .numberfield import INT64_MAX, LIMB_BITS, LIMB_MASK, BetaSystem, FieldEleme
 DEFAULT_ATOM_CAP = 4_000_000
 # p times a limb, plus a limb and a carry, must fit int64 (DECISIONS.md)
 LIMB_P_BOUND = 2 ** 30
-DEFAULT_NODE_CAP = 500_000
 DEFAULT_SUM_CAP = 5_000_000
 GAP_BLOCK = 1024
 GOLDEN_COEFFS = (-1, -1, 1)
@@ -244,7 +243,7 @@ class Lattice:
 
 
 # ---------------------------------------------------------------------------
-# prefix counts
+# prefix counts: `count`, `bound` and the branching tree of `tree`
 # ---------------------------------------------------------------------------
 
 def _coerce_point(x, sys: BetaSystem) -> FieldElement:
@@ -259,10 +258,12 @@ def prefix_count_series(x, n_max: int, sys: BetaSystem) -> list[int]:
 
     N_k(x) counts the prefixes that pass the prefix window of the point
     interval [x, x]: after k digits with scaled sum t the remainder
-    beta^k x - t must lie in [0, (m-1)/(beta-1)].
+    beta^k x - t must lie in [0, (m-1)/(beta-1)].  The length-k prefixes
+    are the depth-k nodes of the branching tree of admissible digit choices,
+    so the series is also the tree's node count per depth.
     """
     if n_max < 0:
-        raise InvalidInputError("n must be nonnegative")
+        raise InvalidInputError("prefix length must be nonnegative")
     x = _coerce_point(x, sys)
     lattice = Lattice(sys)
     return [1] + [int(c.sum()) for _keys, c in lattice.windowed(lattice.start, 0, n_max, x, x)]
@@ -271,34 +272,6 @@ def prefix_count_series(x, n_max: int, sys: BetaSystem) -> list[int]:
 def count_prefixes(x, n: int, sys: BetaSystem) -> int:
     """Number of admissible length-n prefixes of beta-expansions of x."""
     return prefix_count_series(x, n, sys)[n]
-
-
-# ---------------------------------------------------------------------------
-# branching tree
-# ---------------------------------------------------------------------------
-
-def tree_level_counts(x, depth: int, sys: BetaSystem,
-                      node_cap: int = DEFAULT_NODE_CAP) -> list[int]:
-    """Nodes per depth 0..depth of the tree of admissible digit choices.
-
-    The nodes at depth k are the length-k prefixes, so the counts are
-    N_0(x), ..., N_depth(x).  The levels are stepped one at a time and the
-    first depth whose cumulative node count exceeds node_cap raises
-    CapExceededError; the root alone is never held against the cap.
-    """
-    if depth < 0 or node_cap < 0:
-        raise InvalidInputError("depth and node cap must be nonnegative")
-    x = _coerce_point(x, sys)
-    lattice = Lattice(sys)
-    counts = [1]
-    for _keys, level_counts in lattice.windowed(lattice.start, 0, depth, x, x):
-        counts.append(int(level_counts.sum()))
-        if sum(counts) > node_cap:
-            raise CapExceededError(
-                f"{max(node_cap, 1) + 1} branch-tree nodes at depth {len(counts) - 1} "
-                f"exceed the cap {node_cap}"
-            )
-    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +542,6 @@ def sparse_profile(m_seq: Sequence[int], sys: BetaSystem) -> list[SparseCheckpoi
         raise InvalidInputError("m_seq must be a nonempty list of block sizes >= 1")
     if any(b <= a for a, b in zip(m_seq, m_seq[1:])):
         raise InvalidInputError("m_seq must be strictly increasing")
-    if len(m_seq) > 8:
-        raise CapExceededError("checkpoint cap: at most 8 blocks")
     # block k's 1 at p_k: p_1 = 1, p_(k+1) = p_k + 2 m_k + 1 = n_k + 1
     positions = [1]
     for mk in m_seq:

@@ -4,13 +4,14 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from betagrowth import cli, lyapunov, netautomaton, numberfield
+from betagrowth import cli, expansions, lyapunov, netautomaton, numberfield
 from betagrowth.cli import build_parser, main
-from conftest import automaton_doc_text
+from conftest import automaton_doc_text, brute_prefix_count
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -77,6 +78,11 @@ def test_exit_code_bad_input(capsys):
         build_parser().parse_args(["gamma", "--beta", "golden", "--method", "mc",
                                    "--workers", "2"])
     assert exc.value.code == 2
+    # tree is the prefix-count sweep, which the state cap alone bounds
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["tree", "--beta", "golden", "--x", "1", "--depth", "3",
+                                   "--node-cap", "5"])
+    assert exc.value.code == 2
     capsys.readouterr()
     # malformed text and negative sizes are bad input, not a traceback
     golden = ("--beta", "golden", "--x", "2/5")
@@ -101,13 +107,15 @@ def test_exit_code_bad_input(capsys):
         ("table1", "--n-range", "2..2", "--mc-budget", "1"),
         ("gamma", "--beta", "multinacci:3", "--method", "series", "--k-exact", "-1"),
         ("gamma", "--beta", "golden", "--method", "series", "--mc-budget", "1"),
-        ("tree", "--beta", "golden", "--x", "1", "--depth", "3", "--node-cap", "-1"),
         ("sums", "--beta", "golden", "--n-max", "4", "--cap", "-1"),
         ("sums", "--beta", "golden", "--n-max", "-1"),
         ("automaton", "--beta", "golden", "--state-cap", "-1"),
         ("gamma", "--beta", "golden", "--method", "mc", "--seed", "-1"),
         ("gamma", "--beta", "golden", "--method", "series", "--seed", "-1"),
         ("table1", "--seed", "-1"),
+        # only the n = 2 row reads --seed and --mc-budget
+        ("table1", "--n-range", "3..4", "--mc-budget", "5"),
+        ("table1", "--n-range", "3..4", "--seed", "9"),
         ("simulate", *golden, "--seed", "-1"),
     ):
         code, out, err = run_cli(capsys, *argv)
@@ -269,6 +277,41 @@ def test_tree(capsys):
     assert len(lines) == 8
 
 
+def tree_nodes(capsys, spec, x, depth):
+    """The nodes column of `tree`, checked to list depths 0..depth."""
+    code, out, _ = run_cli(capsys, "tree", "--beta", spec, "--x", x, "--depth", str(depth))
+    assert code == 0
+    config, header, *rows = out.splitlines()
+    assert header == "depth,nodes"
+    assert json.loads(config.removeprefix("# config: ")) == {
+        "beta": spec, "depth": depth, "format": "csv", "m": 2, "x": x}
+    assert [int(r.split(",")[0]) for r in rows] == list(range(depth + 1))
+    return [int(r.split(",")[1]) for r in rows]
+
+
+def test_tree_zero_is_a_path(capsys):
+    assert tree_nodes(capsys, "golden", "0", 4) == [1, 1, 1, 1, 1]
+
+
+def test_tree_golden_one(capsys):
+    assert tree_nodes(capsys, "golden", "1", 2)[-1] == 3
+
+
+def test_tree_matches_brute_force(capsys):
+    b15 = numberfield.parse_beta("1.5", 2)
+    assert tree_nodes(capsys, "1.5", "1", 10) == [brute_prefix_count(1, n, b15)
+                                                  for n in range(11)]
+
+
+def test_tree_depth_is_bounded_by_the_state_cap_alone(capsys):
+    # 1,460,512 nodes over depths 0..60, while the sweep holds at most two
+    # merged states per level: a node total is no memory the sweep holds
+    golden = numberfield.parse_beta("golden", 2)
+    nodes = tree_nodes(capsys, "golden", "2/5", 60)
+    assert nodes == expansions.prefix_count_series(Fraction(2, 5), 60, golden)
+    assert sum(nodes) == 1_460_512
+
+
 def test_bound(capsys):
     code, out, _ = run_cli(capsys, "bound", "--beta", "1.4", "--m", "2",
                            "--x", "1", "--n-max", "12")
@@ -400,7 +443,7 @@ def test_table1_deterministic(tmp_path, capsys):
     out1 = tmp_path / "t1.csv"
     out2 = tmp_path / "t2.csv"
     for target in (out1, out2):
-        code, _o, _e = run_cli(capsys, "table1", "--n-range", "3..5",
+        code, _o, _e = run_cli(capsys, "table1", "--n-range", "2..5",
                                "--k-exact", "12", "--seed", "9", "--out", str(target))
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()

@@ -15,7 +15,6 @@ from betagrowth.expansions import (
     simulate_expansion,
     sparse_profile,
     switch_geometry,
-    tree_level_counts,
     verify_growth_bound,
 )
 from betagrowth.numberfield import parse_beta
@@ -76,33 +75,6 @@ def test_count_monotone_and_symmetric(golden, b15):
             assert all(a <= b for a, b in zip(series, series[1:]))
             mirrored = prefix_count_series(sys_.right_end - x, 10, sys_)
             assert series == mirrored
-
-
-# ---------------------------------------------------------------------------
-# branch tree
-# ---------------------------------------------------------------------------
-
-def test_tree_zero_is_a_path(golden):
-    assert tree_level_counts(0, 4, golden) == [1, 1, 1, 1, 1]
-
-
-def test_tree_golden_one(golden):
-    assert tree_level_counts(1, 2, golden)[-1] == 3
-
-
-def test_tree_matches_dp(b15):
-    counts = tree_level_counts(1, 10, b15)
-    assert counts == [brute_prefix_count(1, n, b15) for n in range(11)]
-
-
-def test_tree_node_cap(b13, golden):
-    with pytest.raises(CapExceededError, match=r"^101 branch-tree nodes at depth 8 exceed the cap 100$"):
-        tree_level_counts(1, 22, b13, node_cap=100)
-    # depths 0..7 hold at most 100 nodes; the root alone is never over the cap
-    assert sum(tree_level_counts(1, 7, b13, node_cap=100)) <= 100
-    assert tree_level_counts(1, 0, golden, node_cap=0) == [1]
-    with pytest.raises(CapExceededError, match=r"^2 branch-tree nodes at depth 1 exceed the cap 0$"):
-        tree_level_counts(1, 3, golden, node_cap=0)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +286,21 @@ def test_sparse_profile_checkpoints(golden):
     # frozen DP prefix counts of the truncated point (independent oracle in
     # test_count_matches_brute_force validates the DP itself)
     assert [r.prefix_count for r in rows] == [2, 8, 50]
+
+
+def test_sparse_profile_takes_any_number_of_blocks(golden):
+    # twelve blocks, n = 168: one prefix-count sweep and twelve block counts;
+    # x has the expansion 1 0^(2 m_1) 1 0^(2 m_2) ..., with its ones at p_k
+    m_seq = tuple(range(1, 13))
+    ones = [1]
+    for mk in m_seq:
+        ones.append(ones[-1] + 2 * mk + 1)
+    x = sum((golden.rho_powers[p] for p in ones[:-1]), golden.field.zero)
+    series = prefix_count_series(x, ones[-1] - 1, golden)
+    rows = sparse_profile(m_seq, golden)
+    assert [r.n for r in rows] == [p - 1 for p in ones[1:]]
+    assert [r.prefix_count for r in rows] == [series[r.n] for r in rows]
+    assert [r.block_product for r in rows] == [math.factorial(k) for k in m_seq]
 
 
 def test_sparse_profile_small(golden):
