@@ -205,7 +205,7 @@ def cmd_simulate(args) -> int:
     bits = rng.integers(0, 2, size=4 * args.n)
     digits = expansions.simulate_expansion(x, args.n, sys_, iter(int(b) for b in bits))
     # reconstruction error |x - sum digits beta^-k| <= tail
-    approx = sum(d * float(sys_.rho) ** (k + 1) for k, d in enumerate(digits))
+    approx = sum((d * float(sys_.rho) ** (k + 1) for k, d in enumerate(digits)), 0.0)
     sep = "" if sys_.m <= 10 else ","  # a digit above 9 needs a separator
     rows = [{"digits": sep.join(str(d) for d in digits),
              "reconstruction": repr(approx), "x_float": repr(float(sys_.element(x)))}]
@@ -459,14 +459,16 @@ def _selftest_checks():
     ).passed
     auto = netautomaton.build_automaton(golden)
     yield "golden automaton v_1 = 1", auto.v(0) == 1
+    # the walk's intervals against the coding of their midpoints, and the
+    # matrix counts against the lattice DP, which shares no code with them
     ok = True
     for n in range(1, 6):
-        for iv in netautomaton.net_intervals(golden, n):
-            mid = (iv.a + iv.b) / 2
-            word = netautomaton.coding_of_point(mid, n, auto)
-            if netautomaton.count_via_matrices(auto, word) != iv.multiplicity:
-                ok = False
-    yield "matrix counts match covering multiplicity (n<=5)", ok
+        for a, b, word in netautomaton.net_intervals(auto, n):
+            mid = (a + b) / 2
+            ok = ok and netautomaton.coding_of_point(mid, n, auto) == word and (
+                netautomaton.count_via_matrices(auto, word)
+                == expansions.count_prefixes(golden.right_end * mid, n, golden))
+    yield "net intervals: codings and matrix counts match prefix counts (n<=5)", ok
     chain = lyapunov.parry_chain(auto)
     yield "Parry rows sum to 1", bool(np.allclose(chain.matrix.sum(axis=1), 1, atol=1e-14))
     resid = float(np.abs(chain.stationary @ chain.matrix - chain.stationary).max())

@@ -17,6 +17,11 @@ ranks.  Field elements are built once, for the final states and edges,
 numbered in the canonical state order: the initial state first, the rest
 by (length, offsets, rank) compared as coefficient tuples.
 
+The automaton is the one construction of net intervals: each edge holds
+its child's ends u_lo, u_hi in the parent's normalized coordinates, so
+`net_intervals` lists the concrete level-n intervals with their coding
+words by walking the edges from the initial state.
+
 Transition matrices count digit extensions between covering slots; the
 row-vector product along a coding word recovers the covering multiplicity
 of the interval, which equals the prefix count of the rescaled point.
@@ -31,89 +36,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapExceededError, InvalidInputError, InvariantError
-from .expansions import DEFAULT_ATOM_CAP, INT64_MAX, Lattice
+from .expansions import INT64_MAX, Lattice
 from .numberfield import BetaSystem, FieldElement
 
 DEFAULT_STATE_CAP = 10_000
-DIRECT_LEVEL_CAP = 14
 
 Matrix = tuple[tuple[int, ...], ...]
-
-
-# ---------------------------------------------------------------------------
-# concrete net intervals
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NetInterval:
-    """A level-n net interval with one offset per covering word."""
-
-    level: int
-    a: FieldElement
-    b: FieldElement
-    offsets: tuple[FieldElement, ...]  # beta^n*(a - S_J(0)), one per word J
-
-    @property
-    def multiplicity(self) -> int:
-        return len(self.offsets)
-
-
-def _digit_starts(sys: BetaSystem) -> list[FieldElement]:
-    """S_a(0) = (a-1)(1-rho)/(m-1) for a = 1..m."""
-    one = sys.field.one
-    step = (one - sys.rho) / (sys.m - 1)
-    return [step * (a - 1) for a in range(1, sys.m + 1)]
-
-
-def net_intervals(sys: BetaSystem, n: int) -> list[NetInterval]:
-    """The ordered list of level-n net intervals with covering offsets.
-
-    S_J(0) = sum_j rho^(j-1) S_{eps_j}(0) = u t_J in the unit u =
-    (1-rho)/(m-1) * rho^(n-1), with t_J the level-n scaled digit sum of J.
-    In that unit J's cylinder is [t_J, t_J + R], R = (m-1)/(beta-1), and
-    [0, 1] is [0, beta^n R]: the net intervals lie between consecutive
-    distinct ends of the cylinders, which one exact rank sort orders.
-    """
-    if n > DIRECT_LEVEL_CAP:
-        raise CapExceededError(f"net interval level {n} exceeds cap {DIRECT_LEVEL_CAP}")
-    lattice = Lattice(sys)
-    level = lattice.start
-    for level in lattice.levels(n, DEFAULT_ATOM_CAP):
-        pass
-    keys, counts = level
-    # cylinder starts and ends as Python-int rows over one denominator
-    right = sys.right_end
-    den = math.lcm(lattice.lead ** n, right.den)
-    starts = keys.astype(object) * (den // lattice.lead ** n)
-    ends = starts + np.array(right.num, dtype=object) * (den // right.den)
-    rank = sys.field.rank_rows(np.concatenate((starts, ends)))
-    start_rank, end_rank = rank[:len(starts)], rank[len(starts):]
-    points = np.empty((int(rank.max()) + 1, lattice.degree), dtype=object)
-    points[start_rank], points[end_rank] = starts, ends
-    # cylinder c covers [p_k, p_k+1] when start_c <= p_k and end_c >= p_k+1;
-    # all cylinders have length R, so ends ascend with starts and the covers
-    # are one run of the starts in ascending order
-    order = np.argsort(start_rank, kind="stable")
-    kids = np.arange(len(points) - 1)
-    first = np.searchsorted(end_rank[order], kids + 1)
-    stop = np.searchsorted(start_rank[order], kids, side="right")
-    if (stop <= first).any():
-        raise InvariantError("net interval with empty covering list")
-    # the j-th cover of child k is order[first[k] + j]
-    runs = stop - first
-    kid = np.repeat(kids, runs)
-    cyl = order[np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs - first, runs)]
-    # offset (p_k - t_c) / R = (p_k - t_c)(beta - 1)/(m - 1), whose rows
-    # over lead * den * (m - 1) are times_beta(diff) - lead * diff
-    diff = points[kid] - starts[cyl]
-    rows = (lattice.times_beta(diff) - lattice.lead * diff).tolist()
-    off_den = lattice.lead * den * (sys.m - 1)
-    covers = [[] for _ in kids]
-    for k, c, row in zip(kid.tolist(), cyl.tolist(), rows):
-        covers[k].extend([FieldElement(sys.field, tuple(row), off_den)] * int(counts[c]))
-    unit = (sys.field.one - sys.rho) / (sys.m - 1) * sys.rho ** (n - 1)
-    bounds = [FieldElement(sys.field, tuple(p), den) * unit for p in points.tolist()]
-    return [NetInterval(n, bounds[k], bounds[k + 1], tuple(covers[k])) for k in kids.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +111,10 @@ class _Cylinders:
         self.m = sys.m
         self.lattice = Lattice(sys)
         self.d = self.lattice.degree
-        # the digit starts S_a(0) and rho, as integer rows over one denominator
-        fixed = _digit_starts(sys) + [sys.rho]
+        # the digit starts S_eps(0) = eps(1-rho)/(m-1), eps = 0..m-1, and rho,
+        # as integer rows over one denominator
+        step = (sys.field.one - sys.rho) / (sys.m - 1)
+        fixed = [step * eps for eps in range(sys.m)] + [sys.rho]
         self.den = math.lcm(*(e.den for e in fixed))
         self.fixed = [[c * (self.den // e.den) for c in e.num] for e in fixed]
         self.fixed_big = (max(abs(c) for row in self.fixed[:-1] for c in row)
@@ -456,6 +386,21 @@ def essential_class(auto: Automaton) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 # codings and matrix products
 # ---------------------------------------------------------------------------
+
+def net_intervals(auto: Automaton, n: int) -> list[tuple[FieldElement, FieldElement, list[int]]]:
+    """The level-n net intervals as (a, b, coding word), left to right,
+    walked down the automaton: the children of a level-k interval at a are
+    a + rho^k * [u_lo, u_hi] along its state's edges."""
+    if n < 0:
+        raise InvalidInputError("net interval level must be nonnegative")
+    field, rho = auto.sys.field, auto.sys.rho
+    level, scale = [(field.zero, field.one, [0])], field.one
+    for _ in range(n):
+        level = [(a + scale * u_lo, a + scale * u_hi, word + [j])
+                 for a, _b, word in level for j, u_lo, u_hi, _T in auto.children[word[-1]]]
+        scale = scale * rho
+    return level
+
 
 def coding_of_point(z, n: int, auto: Automaton) -> list[int]:
     """The level-n coding word (n+1 state indices) of the net intervals

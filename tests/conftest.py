@@ -21,15 +21,16 @@ per batch) and reads its covers off a dense child x cylinder table,
 against which the batched closure is compared row for row, state, bound,
 denominator and T alike; the net-interval reference
 sorts every word's cylinder in field elements, against which the
-rank-sorted rows are compared interval for interval.  The row merge is checked against
+automaton walk's intervals are compared end for end and its matrix
+counts cover for cover.  The row merge is checked against
 a dict of tuples, and the run-based grid-cell masses of the L^q estimate
 against the sort-and-bincount form they replaced, bit for bit.
 
 Some helpers here are thin readers of the library that only tests call:
 `distinct_sums_count` (the size of the last level of `Lattice.levels`,
 checked against `brute_distinct_sums`), `step_k_beta` (one step of
-K_beta on `switch_geometry`), `as_fraction` and `length_normalized` (a
-rational element and a net interval's scaled length), `atoms_items_exact`
+K_beta on `switch_geometry`), `as_fraction` (a rational element's
+exact value), `atoms_items_exact`
 and `refine_atoms` (exact atoms in value order, one more lattice step),
 `key_ints` and `key_value` (a level's keys as Python ints, limbs joined,
 and the exact value of one key) and `upper_dim_bound_check` (the
@@ -55,7 +56,7 @@ from betagrowth.errors import CapExceededError, HypothesisError, InvalidInputErr
 from betagrowth.expansions import (DEFAULT_SUM_CAP, Lattice, _coerce_point, _count_meets_bound,
                                    kappa, prefix_count_series, switch_geometry)
 from betagrowth.lyapunov import RENORM_EVERY, mc_chunk_len
-from betagrowth.netautomaton import Automaton, CharacteristicState, NetInterval
+from betagrowth.netautomaton import Automaton, CharacteristicState
 from betagrowth.numberfield import INT64_MAX, LIMB_BITS, BetaSystem, FieldElement, parse_beta
 
 # (criterion, ok, detail) tuples filled in by test_acceptance.py
@@ -208,11 +209,6 @@ def as_fraction(x: FieldElement) -> Fraction:
     return Fraction(x.num[0], x.den)
 
 
-def length_normalized(interval: NetInterval) -> FieldElement:
-    """beta^n * (b - a) of a level-n net interval."""
-    return (interval.b - interval.a) * interval.a.field.beta ** interval.level
-
-
 def key_ints(lattice: Lattice, keys: np.ndarray) -> list[list[int]]:
     """A level's keys as rows of Python ints, limbs joined."""
     if not lattice.limbs or keys.dtype == object:
@@ -305,10 +301,9 @@ def brute_value_count(target, length: int, sys: BetaSystem) -> int:
     return count
 
 
-def multiplicity_direct(sys: BetaSystem, interval) -> int:
+def multiplicity_direct(sys: BetaSystem, n: int, a: FieldElement, b: FieldElement) -> int:
     """#{words J of length n whose cylinder [S_J(0), S_J(0) + rho^n] covers
-    the net interval}, by enumerating all m^n words."""
-    n = interval.level
+    the level-n net interval [a, b]}, by enumerating all m^n words."""
     step = (sys.field.one - sys.rho) / (sys.m - 1)
     starts = [step * eps for eps in range(sys.m)]  # S_eps(0)
     pows = _rho_powers(sys, n)
@@ -317,9 +312,22 @@ def multiplicity_direct(sys: BetaSystem, interval) -> int:
         v = sys.field.zero
         for j, eps in enumerate(word):
             v = v + pows[j] * starts[eps]
-        if (interval.a - v).sign() >= 0 and (v + pows[n] - interval.b).sign() >= 0:
+        if (a - v).sign() >= 0 and (v + pows[n] - b).sign() >= 0:
             count += 1
     return count
+
+
+@dataclass(frozen=True)
+class NetInterval:
+    """A level-n net interval with one offset per covering word."""
+
+    a: FieldElement
+    b: FieldElement
+    offsets: tuple[FieldElement, ...]  # beta^n*(a - S_J(0)), one per word J
+
+    @property
+    def multiplicity(self) -> int:
+        return len(self.offsets)
 
 
 def field_net_intervals(sys: BetaSystem, n: int) -> list[NetInterval]:
@@ -340,7 +348,7 @@ def field_net_intervals(sys: BetaSystem, n: int) -> list[NetInterval]:
     for a, b in zip(ordered, ordered[1:]):
         offsets = [(a - v) * sys.beta ** n for v in by_start
                    if v <= a and b <= v + pows[n] for _ in range(starts[v])]
-        out.append(NetInterval(n, a, b, tuple(offsets)))
+        out.append(NetInterval(a, b, tuple(offsets)))
     return out
 
 

@@ -353,6 +353,10 @@ def test_simulate_digit_column(capsys):
                            "--x", "1", "--n", "6", "--seed", "1")
     assert code == 0
     assert out.splitlines()[-1].startswith('"10,5,2,6,5,9",')
+    # no digits: the reconstruction is the float 0.0, not the int 0
+    code, out, _ = run_cli(capsys, "simulate", "--beta", "golden", "--x", "1", "--n", "0")
+    assert code == 0
+    assert out.splitlines()[-1] == ",0.0,1.0"
 
 
 def test_automaton_json(capsys):

@@ -18,7 +18,7 @@ from betagrowth.netautomaton import (
 )
 from betagrowth.numberfield import NumberField, parse_beta
 from conftest import (brute_essential_class, cylinder_closure, field_automaton,
-                      field_net_intervals, is_admissible, length_normalized, multiplicity_direct,
+                      field_net_intervals, is_admissible, multiplicity_direct,
                       products_positive, state_key)
 
 
@@ -37,26 +37,27 @@ def tri_auto(tribonacci):
 # ---------------------------------------------------------------------------
 
 def test_net_intervals_binary(binary):
-    nis = net_intervals(binary, 2)
+    auto = build_automaton(binary)
+    nis = net_intervals(auto, 2)
     assert len(nis) == 4
-    assert all(iv.multiplicity == 1 for iv in nis)
-    assert [float(iv.a) for iv in nis] == [0.0, 0.25, 0.5, 0.75]
+    assert all(count_via_matrices(auto, word) == 1 for _a, _b, word in nis)
+    assert [float(a) for a, _b, _word in nis] == [0.0, 0.25, 0.5, 0.75]
 
 
-def test_net_intervals_golden_level1(golden):
-    nis = net_intervals(golden, 1)
+def test_net_intervals_golden_level1(golden, golden_auto):
+    nis = net_intervals(golden_auto, 1)
     rho = golden.rho
-    endpoints = [iv.a for iv in nis] + [nis[-1].b]
+    endpoints = [a for a, _b, _word in nis] + [nis[-1][1]]
     assert endpoints == [
         golden.field.zero,
         golden.field.one - rho,
         rho,
         golden.field.one,
     ]
-    assert [iv.multiplicity for iv in nis] == [1, 2, 1]
+    assert [count_via_matrices(golden_auto, word) for _a, _b, word in nis] == [1, 2, 1]
 
 
-def test_net_intervals_golden_level2_size(golden):
+def test_net_intervals_golden_level2_size(golden, golden_auto):
     # |F_2| = |P_2| - 1 with P_2 built by brute force
     rho = golden.rho
     starts = [golden.field.zero, golden.field.one - rho]
@@ -66,53 +67,59 @@ def test_net_intervals_golden_level2_size(golden):
             v = a + rho * b
             p2.add(v)
             p2.add(v + rho * rho)
-    assert len(net_intervals(golden, 2)) == len(p2) - 1
+    assert len(net_intervals(golden_auto, 2)) == len(p2) - 1
 
 
 @pytest.mark.parametrize("spec", ["golden", "multinacci:3"])
 def test_net_structure(spec):
     sys_ = parse_beta(spec, 2)
+    auto = build_automaton(sys_)
     prev = None
     for n in range(0, 6):
-        nis = net_intervals(sys_, n)
+        nis = net_intervals(auto, n)
         # union is [0,1], interiors disjoint
-        assert nis[0].a == sys_.field.zero
-        assert nis[-1].b == sys_.field.one
-        for a, b in zip(nis, nis[1:]):
-            assert a.b == b.a
+        assert nis[0][0] == sys_.field.zero
+        assert nis[-1][1] == sys_.field.one
+        for (_a, b, _w), (a, _b, _v) in zip(nis, nis[1:]):
+            assert b == a
         total = sys_.field.zero
-        for iv in nis:
-            total = total + (iv.b - iv.a)
+        for a, b, _word in nis:
+            total = total + (b - a)
         assert total == sys_.field.one
-        # each interval nested in exactly one parent
+        # each interval nested in exactly one parent, the one its word extends
         if prev is not None:
-            for iv in nis:
+            for a, b, word in nis:
                 parents = [
-                    p for p in prev
-                    if (iv.a - p.a).sign() >= 0 and (p.b - iv.b).sign() >= 0
+                    p_word for p_a, p_b, p_word in prev
+                    if (a - p_a).sign() >= 0 and (p_b - b).sign() >= 0
                 ]
-                assert len(parents) == 1
+                assert parents == [word[:-1]]
         prev = nis
-        # covering offsets stay within [0, 1 - normalized length]
-        for iv in nis:
-            ell = length_normalized(iv)
-            for off in iv.offsets:
+        # the state's length is beta^n (b - a), and its covering offsets stay
+        # within [0, 1 - length]
+        for a, b, word in nis:
+            state = auto.states[word[-1]]
+            assert state.length == (b - a) * sys_.beta ** n
+            for off in state.offsets:
                 assert off.sign() >= 0
-                assert (1 - ell - off).sign() >= 0
+                assert (1 - state.length - off).sign() >= 0
 
 
 @pytest.mark.parametrize("spec,m", [("golden", 2), ("golden", 3), ("multinacci:3", 2),
-                                    ("int:2", 2), ("int:2", 4), ("poly:-1,0,-1,1", 2),
-                                    ("1.5", 2), ("poly:-3,0,2", 3)])
+                                    ("int:2", 2), ("int:2", 4), ("poly:-1,0,-1,1", 2)])
 def test_net_intervals_match_field_reference(spec, m):
+    """The walk's intervals are the field oracle's, end for end; each is
+    the coding of its midpoint, and its matrix count and state offsets are
+    the oracle's covers."""
     sys_ = parse_beta(spec, m)
+    auto = build_automaton(sys_)
     for n in range(0, 8 if m == 2 else 5):
-        assert net_intervals(sys_, n) == field_net_intervals(sys_, n), n
-
-
-def test_net_level_cap(golden):
-    with pytest.raises(CapExceededError):
-        net_intervals(golden, 15)
+        walk, reference = net_intervals(auto, n), field_net_intervals(sys_, n)
+        assert [(a, b) for a, b, _word in walk] == [(iv.a, iv.b) for iv in reference], n
+        for (a, b, word), iv in zip(walk, reference):
+            assert coding_of_point((a + b) / 2, n, auto) == word
+            assert count_via_matrices(auto, word) == iv.multiplicity
+            assert set(auto.states[word[-1]].offsets) == set(iv.offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +368,8 @@ def test_empty_word_norm(golden_auto):
 def test_inadmissible_word_rejected(golden_auto):
     with pytest.raises(InvalidInputError):
         count_via_matrices(golden_auto, [1, 0])
+    with pytest.raises(InvalidInputError):
+        net_intervals(golden_auto, -1)
     bad = [0, golden_auto.size - 1]
     if not is_admissible(golden_auto, bad):
         with pytest.raises(InvalidInputError):
@@ -373,21 +382,18 @@ def test_oracle_equivalence(spec):
     sys_ = parse_beta(spec, 2)
     auto = build_automaton(sys_)
     for n in range(1, 7):
-        for iv in net_intervals(sys_, n):
-            mid = (iv.a + iv.b) / 2
-            word = coding_of_point(mid, n, auto)
+        for a, b, word in net_intervals(auto, n):
+            mid = (a + b) / 2
+            assert coding_of_point(mid, n, auto) == word
             by_matrix = count_via_matrices(auto, word)
-            assert by_matrix == iv.multiplicity
-            assert by_matrix == multiplicity_direct(sys_, iv)
+            assert by_matrix == multiplicity_direct(sys_, n, a, b)
             # rescaling identity: N_n((m-1) z/(beta-1)) = covering count
             assert by_matrix == count_prefixes(sys_.right_end * mid, n, sys_)
 
 
-def test_multiplicity_direct_golden_level1(golden):
-    nis = net_intervals(golden, 1)
-    assert multiplicity_direct(golden, nis[0]) == 1
-    assert multiplicity_direct(golden, nis[1]) == 2
-    assert multiplicity_direct(golden, nis[2]) == 1
+def test_multiplicity_direct_golden_level1(golden, golden_auto):
+    nis = net_intervals(golden_auto, 1)
+    assert [multiplicity_direct(golden, 1, a, b) for a, b, _word in nis] == [1, 2, 1]
 
 
 @pytest.mark.parametrize("spec,m", [("golden", 2), ("multinacci:3", 2), ("int:2", 4)])
