@@ -48,6 +48,9 @@ RUN_TABLE_FLOATS = 128 * DRAW_BLOCK
 MC_STDERR_FLOOR = 1e-12
 # last k of the Monte-Carlo middle segment of the n = 2 multinacci series
 SERIES_K_TAIL = 64
+# the last level whose series norms are exact in float64: a level-k norm is
+# at most the Fibonacci number F_(k+3), and F_78 <= 2^53 < F_79
+SERIES_K_EXACT_MAX = 75
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +226,15 @@ def _chunk_products(mats: np.ndarray, h: int) -> np.ndarray:
     return prods[:, 0]
 
 
+def _row_sums(vec: np.ndarray) -> np.ndarray:
+    """Each row's sum, its columns added left to right as a per-chain loop
+    over Python lists adds them (`vec.sum(axis=1)` may pair them otherwise)."""
+    total = vec[:, 0].copy()
+    for j in range(1, vec.shape[1]):
+        total += vec[:, j]
+    return total
+
+
 def check_mc_params(path_len: int = MC_PATH_LEN, n_chains: int = MC_CHAINS,
                     seed: int = 0) -> None:
     """Reject parameters `estimate_gamma_mc` cannot run with, before any
@@ -314,10 +326,10 @@ def estimate_gamma_mc(chain: ParryChain, auto: Automaton, path_len: int = MC_PAT
                 vec = np.einsum("cv,cvw->cw", vec, prod)
                 done = min(done + h, path_len)
                 if done % RENORM_EVERY == 0:
-                    total = sum(vec.T)
-                    logscale += [math.log(t) for t in total]
+                    total = _row_sums(vec)
+                    logscale += list(map(math.log, total.tolist()))
                     vec /= total[:, None]
-    logscale += [math.log(t) for t in sum(vec.T)]
+    logscale += list(map(math.log, _row_sums(vec).tolist()))
     arr = logscale / path_len
     mean = float(arr.mean())
     stderr = max(float(arr.std(ddof=1) / math.sqrt(n_chains)), MC_STDERR_FLOOR)
@@ -338,18 +350,26 @@ def _inner_log_sums(k_max: int) -> list[float]:
 
     Propagates the family of vectors w_J = M_J (1,1)^t; extending words on
     the left maps the family through w -> M_1 w and w -> M_2 w, and
-    ||M_J|| = (1,1) w_J.  Entries stay exact in int64 (they are bounded by
-    Fibonacci-type growth, ~phi^k).
+    ||M_J|| = (1,1) w_J.  The 2^k vectors of level k are held as the first
+    2^k entries of two float64 arrays, top and bot: level k writes the M_2
+    children (t, t + b) into the upper half and turns the lower half into
+    the M_1 children (t + b, b) in place.  A level-k entry is at most the
+    Fibonacci number F_(k+2) and a norm at most F_(k+3), so every value is
+    an exact integer for k <= SERIES_K_EXACT_MAX (DECISIONS.md, "The series
+    route in float64, in place").
     """
+    size = 1 << k_max
+    top, bot, sums = np.ones(size), np.ones(size), np.empty(size)
     out = []
-    w = np.array([[1], [1]], dtype=np.int64)  # columns are the vectors
-    out.append(float(np.log(w.sum(axis=0))[0]))  # k=0: identity, norm 2
-    for _k in range(1, k_max + 1):
-        top, bot = w[0], w[1]
-        w = np.concatenate(
-            [np.stack([top + bot, bot]), np.stack([top, top + bot])], axis=1
-        )
-        out.append(float(np.log(w.sum(axis=0, dtype=np.int64)).sum()))
+    for k in range(k_max + 1):
+        half, width = (1 << k) >> 1, 1 << k
+        if k:
+            t, b = top[:half], bot[:half]
+            top[half:width] = t
+            np.add(t, b, out=bot[half:width])
+            t += b
+        level = np.add(top[:width], bot[:width], out=sums[:width])
+        out.append(float(np.log(level, out=level).sum()))
     return out
 
 
@@ -359,18 +379,29 @@ def _mc_middle(beta_pow_n: float, k_lo: int, k_hi: int, budget: int,
 
     One family of random words is extended level by level; the per-path
     aggregate keeps the cross-level correlation inside the standard error.
+    A path's vector (top, bot) goes to (top + bot, bot) on bit 1 and to
+    (top, top + bot) on bit 0, by one multiply-add each on 0/1 floats; its
+    norm at level k is at most F_(k+3), exact in float64 for
+    k <= SERIES_K_EXACT_MAX.
     """
     rng = np.random.default_rng((seed, 0x5e1e))
     x = 2.0 / beta_pow_n
-    w = np.ones((budget, 2), dtype=np.int64)
+    top, bot = np.ones(budget), np.ones(budget)
+    moved, norms = np.empty(budget), np.empty(budget)
     agg = np.zeros(budget)
     for k in range(1, k_hi + 1):
-        bits = rng.integers(0, 2, size=budget)
-        top = w[:, 0].copy()
-        w[:, 0] = np.where(bits == 1, top + w[:, 1], top)
-        w[:, 1] = np.where(bits == 1, w[:, 1], top + w[:, 1])
+        bits = rng.integers(0, 2, size=budget).astype(float)
+        np.multiply(bits, bot, out=moved)
+        # bits becomes (1 - bits) * top, the old top's share of the new bot
+        np.subtract(1.0, bits, out=bits)
+        bits *= top
+        top += moved
+        bot += bits
         if k >= k_lo:
-            agg += (x ** k) * np.log(w.sum(axis=1))
+            np.add(top, bot, out=norms)
+            np.log(norms, out=norms)
+            norms *= x ** k
+            agg += norms
     mean = float(agg.mean())
     stderr = float(agg.std(ddof=1) / math.sqrt(budget))
     return mean, stderr
@@ -413,6 +444,9 @@ def gamma_series_table(systems: Sequence[BetaSystem], k_exact: int = 20,
     n_values = [multinacci_index(sys) for sys in systems]
     if k_exact < 0 or mc_budget < 2:
         raise InvalidInputError("k_exact must be >= 0 and mc_budget >= 2")
+    if k_exact > SERIES_K_EXACT_MAX:
+        raise InvalidInputError(f"k_exact must be at most {SERIES_K_EXACT_MAX}: beyond it "
+                                "the series norms pass 2^53 and are not exact in float64")
     if seed < 0:
         raise InvalidInputError("seed must be nonnegative")
     inner = _inner_log_sums(k_exact)

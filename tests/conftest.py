@@ -24,7 +24,11 @@ sorts every word's cylinder in field elements, against which the
 automaton walk's intervals are compared end for end and its matrix
 counts cover for cover.  The row merge is checked against
 a dict of tuples, and the run-based grid-cell masses of the L^q estimate
-against the sort-and-bincount form they replaced, bit for bit.
+against the sort-and-bincount form they replaced, bit for bit.  The
+multinacci series kernels are checked bit for bit against the forms they
+replaced: the inner log sums from int64 vectors built anew by stack and
+concatenate at every level, and the Monte-Carlo middle segment stepped by
+two `np.where` selections on an int64 (budget, 2) array.
 
 Some helpers here are thin readers of the library that only tests call:
 `distinct_sums_count` (the size of the last level of `Lattice.levels`,
@@ -750,3 +754,46 @@ def mc_word_walks(chain, auto, k: int) -> tuple[np.ndarray, np.ndarray]:
         products = step if products is None else products @ step
     return (state.reshape(len(cum_rows), n_words),
             products.reshape(len(cum_rows), n_words, dim, dim))
+
+
+def int64_inner_log_sums(k_max: int) -> list[float]:
+    """S_k = sum over words J in {1,2}^k of log||M_J||, exactly enumerated.
+
+    Propagates the family of vectors w_J = M_J (1,1)^t; extending words on
+    the left maps the family through w -> M_1 w and w -> M_2 w, and
+    ||M_J|| = (1,1) w_J.  Entries stay exact in int64 (they are bounded by
+    Fibonacci-type growth, ~phi^k).
+    """
+    out = []
+    w = np.array([[1], [1]], dtype=np.int64)  # columns are the vectors
+    out.append(float(np.log(w.sum(axis=0))[0]))  # k=0: identity, norm 2
+    for _k in range(1, k_max + 1):
+        top, bot = w[0], w[1]
+        w = np.concatenate(
+            [np.stack([top + bot, bot]), np.stack([top, top + bot])], axis=1
+        )
+        out.append(float(np.log(w.sum(axis=0, dtype=np.int64)).sum()))
+    return out
+
+
+def where_mc_middle(beta_pow_n: float, k_lo: int, k_hi: int, budget: int,
+                    seed: int) -> tuple[float, float]:
+    """Monte-Carlo estimate of sum_{k=k_lo..k_hi} x^k E[log||M_J||].
+
+    One family of random words is extended level by level; the per-path
+    aggregate keeps the cross-level correlation inside the standard error.
+    """
+    rng = np.random.default_rng((seed, 0x5e1e))
+    x = 2.0 / beta_pow_n
+    w = np.ones((budget, 2), dtype=np.int64)
+    agg = np.zeros(budget)
+    for k in range(1, k_hi + 1):
+        bits = rng.integers(0, 2, size=budget)
+        top = w[:, 0].copy()
+        w[:, 0] = np.where(bits == 1, top + w[:, 1], top)
+        w[:, 1] = np.where(bits == 1, w[:, 1], top + w[:, 1])
+        if k >= k_lo:
+            agg += (x ** k) * np.log(w.sum(axis=1))
+    mean = float(agg.mean())
+    stderr = float(agg.std(ddof=1) / math.sqrt(budget))
+    return mean, stderr

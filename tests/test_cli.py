@@ -560,6 +560,20 @@ def test_planted_large_rational_root_rejected():
     assert "is reducible (rational root)" in result.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("table1", "--k-exact", "76"),
+    ("gamma", "--beta", "multinacci:3", "--method", "series", "--k-exact", "76"),
+])
+def test_series_k_exact_beyond_float_exactness(argv):
+    # level 76 norms pass 2^53; the bound is checked before the 2^76-entry
+    # levels are allocated, so the process exits at once
+    result = _cli_subprocess(*argv)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.splitlines() == [
+        "error: k_exact must be at most 75: beyond it the series norms pass 2^53 "
+        "and are not exact in float64"]
+
+
 def test_prefix_count_sweep_hits_state_cap():
     # states grow about 1.5x a level at beta = 13/10: the sweep stops at the
     # first level over the 4,000,000-state cap instead of running out of memory

@@ -11,11 +11,13 @@ from betagrowth.errors import HypothesisError, InvalidInputError
 from betagrowth.lyapunov import (
     DRAW_BLOCK,
     MC_STDERR_FLOOR,
+    SERIES_K_EXACT_MAX,
     GammaEstimate,
     ParryChain,
     _chunk_products,
     _edge_arrays,
     _inner_log_sums,
+    _mc_middle,
     _rank_table,
     _run_tables,
     check_mc_params,
@@ -29,7 +31,8 @@ from betagrowth.lyapunov import (
 )
 from betagrowth.netautomaton import build_automaton
 from betagrowth.numberfield import multinacci, parse_beta
-from conftest import mc_cdf_rows, mc_chain_values, mc_word_walks
+from conftest import (int64_inner_log_sums, mc_cdf_rows, mc_chain_values, mc_word_walks,
+                      where_mc_middle)
 
 PAPER_GAMMA_OVER_LOG2 = {
     3: 0.102500, 4: 0.041560, 5: 0.018426, 6: 0.008590, 7: 0.004123,
@@ -380,6 +383,63 @@ def test_series_golden_hybrid():
     assert est.stderr > 0
     again = gamma_multinacci_series(2, k_exact=20, mc_budget=20_000, seed=0)
     assert est.value == again.value
+
+
+@settings(max_examples=20, deadline=None)
+@given(k=st.integers(0, 18))
+def test_inner_sums_equal_int64_enumeration(k):
+    # the in-place float64 levels hold the same integers in the same order
+    # as the int64 enumeration, so every log and every pairwise sum agrees
+    assert _inner_log_sums(k) == int64_inner_log_sums(k)
+
+
+# beta_n^n as the series route computes it, for n = 2..10
+BETA_POW_N = [float(multinacci(n).beta) ** n for n in range(2, 11)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), budget=st.integers(2, 3000),
+       k_pair=st.lists(st.integers(1, 64), min_size=2, max_size=2).map(sorted),
+       beta_pow_n=st.sampled_from(BETA_POW_N))
+def test_mc_middle_equals_where_steps(seed, budget, k_pair, beta_pow_n):
+    # the same random bits, the same integer norms and the same float steps
+    k_lo, k_hi = k_pair
+    assert (_mc_middle(beta_pow_n, k_lo, k_hi, budget, seed)
+            == where_mc_middle(beta_pow_n, k_lo, k_hi, budget, seed))
+
+
+def test_series_table_equals_oracle_kernels(monkeypatch):
+    systems = [multinacci(n) for n in range(2, 11)]
+    table = gamma_series_table(systems)
+    monkeypatch.setattr(lyapunov, "_inner_log_sums", int64_inner_log_sums)
+    monkeypatch.setattr(lyapunov, "_mc_middle", where_mc_middle)
+    assert table == gamma_series_table(systems)
+
+
+def test_series_k_exact_bound(monkeypatch):
+    # the largest level-k norm is F_(k+3), an exact float64 integer while
+    # F_(k+3) <= 2^53
+    fib = [0, 1]
+    while len(fib) < 80:
+        fib.append(fib[-1] + fib[-2])
+    vectors = [(1, 1)]
+    for k in range(13):
+        assert max(a + b for a, b in vectors) == fib[k + 3], k
+        vectors = [(a + b, b) for a, b in vectors] + [(a, a + b) for a, b in vectors]
+    assert fib[SERIES_K_EXACT_MAX + 3] <= 2 ** 53 < fib[SERIES_K_EXACT_MAX + 4]
+    levels = []
+
+    def no_enumeration(k_max):
+        levels.append(k_max)
+        return [0.0] * (k_max + 1)
+
+    # the bound itself is accepted; beyond it nothing is enumerated
+    monkeypatch.setattr(lyapunov, "_inner_log_sums", no_enumeration)
+    est = gamma_series_table([multinacci(3)], k_exact=SERIES_K_EXACT_MAX)[0]
+    assert levels == [SERIES_K_EXACT_MAX] and est.params["k_exact"] == SERIES_K_EXACT_MAX
+    with pytest.raises(InvalidInputError, match="at most 75"):
+        gamma_series_table([multinacci(3)], k_exact=SERIES_K_EXACT_MAX + 1)
+    assert levels == [SERIES_K_EXACT_MAX]
 
 
 def test_series_range():
