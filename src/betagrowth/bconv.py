@@ -11,7 +11,7 @@ that reach each state.
     sums with exact word counts) -- cheap for Pisot bases, capped otherwise;
     it backs the L^q moment estimator.
   * interval_mass and ball_mass_brackets keep only the states in the
-    prefix window of `Lattice.windowed`, so certified two-sided ball-mass
+    prefix window of `Lattice.window`, so certified two-sided ball-mass
     brackets at any depth come without enumerating the whole measure.
 """
 
@@ -145,8 +145,8 @@ def ball_mass_brackets(sys: BetaSystem, x, levels: Sequence[int],
     R beta^-L, x + r_n]).  The sweep keeps the prefix window of the ball of
     the smallest unfinished n, which contains those of all larger n (why no
     word is lost: DECISIONS.md).  At level L its states give the upper
-    count; one more step from level L - 1, windowed as `interval_mass`
-    windows the lower interval, gives the lower count.
+    count, and those within the level-L window of the lower interval, which
+    lies inside the ball's, give the lower count.
     """
     levels = _sorted_levels(levels, margin)
     x = _coerce_point(x, sys)
@@ -155,15 +155,12 @@ def ball_mass_brackets(sys: BetaSystem, x, levels: Sequence[int],
     brackets = {}
     for n in levels:
         r = sys.right_end * sys.rho_powers[n]
-        for nxt in lattice.windowed(states, k, n + margin, x - r, x + r):
-            prev, states, k = states, nxt, k + 1
-        upper = int(states[1].sum())
-        if k == 0:
-            lower = upper  # the empty word: its sum 0 lies in [x - R, x]
-        else:
-            tail = sys.right_end * sys.rho_powers[k]
-            shrunk = lattice.windowed(prev, k - 1, k, x - r + tail, x + r - tail)
-            lower = int(next(shrunk)[1].sum())
+        for states in lattice.windowed(states, k, n + margin, x - r, x + r):
+            pass
+        k = n + margin
+        tail = sys.right_end * sys.rho_powers[k]
+        inside = sys.field.rows_within(states[0], *lattice.window(k, x - r + tail, x + r - tail))
+        lower, upper = int(states[1][inside].sum()), int(states[1].sum())
         brackets[n] = (Fraction(lower, sys.m ** k), Fraction(upper, sys.m ** k))
     return brackets
 

@@ -371,7 +371,7 @@ def cmd_table1(args) -> int:
         raise InvalidInputError("n range must lie within 2..10")
     _require_golden_series(args, n_values)
     # unset, they take the library defaults; the config echoes the seed,
-    # unset or not
+    # unset or not, and the Monte-Carlo budget when it is set
     if args.seed is None:
         args.seed = 0
     mc = {} if args.mc_budget is None else {"mc_budget": args.mc_budget}
@@ -401,9 +401,7 @@ def cmd_table1(args) -> int:
                     % (internal, PAPER_TABLE1_D[3]),
                     file=sys.stderr,
                 )
-    cfg = _config(args, n_range=args.n_range, k_exact=args.k_exact)
-    cfg["m"] = 2
-    _emit(args, rows, TABLE1_COLUMNS, cfg)
+    _emit(args, rows, TABLE1_COLUMNS, _config(args, n_range=args.n_range, k_exact=args.k_exact, **mc))
     return 0
 
 

@@ -128,23 +128,21 @@ class Lattice:
         self.limbs = d == 1 and row[0] < LIMB_P_BOUND
         self.start = (np.zeros((1, d), dtype=np.int64), np.ones(1, dtype=np.int64))
 
-    def windowed(self, level: Level, k: int, n: int, a: FieldElement, b: FieldElement):
-        """Step level-k states up to level n, yielding each level's states;
-        a level of more than DEFAULT_ATOM_CAP states raises CapExceededError.
-
-        Only prefixes of expansions of points in [a, b] are kept: the digits
-        after a prefix add a tail in [0, R], R = (m-1)/(beta-1), so the
-        prefix window at level j is beta^j a - R <= t <= beta^j b.
-        """
-        # the window at level j, times lead^j as the keys are
-        grow, power = self.grow_powers.base, self.grow_powers[k]
-        lo = a * power
+    def window(self, k: int, a: FieldElement, b: FieldElement) -> tuple[FieldElement, FieldElement]:
+        """The prefix window beta^k a - R <= t <= beta^k b of [a, b] at level
+        k, in key units (times lead^k): the digits after a prefix add a tail
+        in [0, R], R = (m-1)/(beta-1)."""
+        # fewer field products: ints in degree one (beta * lead = p), R when monic
+        power = self.row[0] ** k if self.degree == 1 else self.grow_powers[k]
+        lo, tail = a * power, self.sys.right_end
         hi = lo if b is a else b * power
-        tail = self.sys.right_end * self.lead ** k
+        return lo - (tail if self.lead == 1 else tail * self.lead ** k), hi
+
+    def windowed(self, level: Level, k: int, n: int, a: FieldElement, b: FieldElement):
+        """Step level-k states to level n in the prefix `window` of [a, b],
+        yielding each level; a level over DEFAULT_ATOM_CAP states raises CapExceededError."""
         for j in range(k, n):
-            lo, tail = lo * grow, tail * self.lead
-            hi = lo if b is a else hi * grow
-            level = self.step(level, j, (lo - tail, hi))
+            level = self.step(level, j, self.window(j + 1, a, b))
             self.check_cap(len(level[1]), DEFAULT_ATOM_CAP, j + 1)
             yield level
 

@@ -51,6 +51,11 @@ SERIES_K_TAIL = 64
 # the last level whose series norms are exact in float64: a level-k norm is
 # at most the Fibonacci number F_(k+3), and F_78 <= 2^53 < F_79
 SERIES_K_EXACT_MAX = 75
+# the most bytes the series route's arrays may take, checked before they are
+# allocated: 24 per inner-sum vector (three float64 arrays, so k_exact <= 24)
+# and 56 per Monte-Carlo path (five float64 arrays and one level's int64 draw
+# with its float64 copy, so mc_budget <= 9,586,980)
+SERIES_BYTES_MAX = 512 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +364,8 @@ def _inner_log_sums(k_max: int) -> list[float]:
     route in float64, in place").
     """
     size = 1 << k_max
+    if 24 * size > SERIES_BYTES_MAX:
+        raise InvalidInputError(f"k_exact = {k_max} needs {24 * size} bytes, over the limit {SERIES_BYTES_MAX}")
     top, bot, sums = np.ones(size), np.ones(size), np.empty(size)
     out = []
     for k in range(k_max + 1):
@@ -384,6 +391,8 @@ def _mc_middle(beta_pow_n: float, k_lo: int, k_hi: int, budget: int,
     norm at level k is at most F_(k+3), exact in float64 for
     k <= SERIES_K_EXACT_MAX.
     """
+    if 56 * budget > SERIES_BYTES_MAX:
+        raise InvalidInputError(f"mc_budget = {budget} needs {56 * budget} bytes, over the limit {SERIES_BYTES_MAX}")
     rng = np.random.default_rng((seed, 0x5e1e))
     x = 2.0 / beta_pow_n
     top, bot = np.ones(budget), np.ones(budget)

@@ -10,7 +10,7 @@ interval evaluation of the value excludes zero.  The rows of an integer
 matrix go through `sign_rows` (or `rows_within`): one vector float
 evaluation screens them under a proven error bound, and the rows too close
 to zero for the screen take the scalar path.  `rank_rows` is the one
-ranking of integer rows, optionally in tagged groups: a float presort
+ranking of integer rows, in tagged groups: a float presort
 that one `sign_rows` call proves, with an exact comparison sort where the
 presort misorders.  In degree one a value is an integer over a
 denominator, and integer comparisons settle every matrix sign with no
@@ -387,7 +387,8 @@ class FieldElement:
         return FieldElement(self.field, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        # the type test first: isinstance against Fraction, an ABC, is slow to say no
+        if type(other) is not FieldElement and isinstance(other, (int, Fraction)):
             return FieldElement(self.field, tuple(a * other.numerator for a in self.num),
                                 self.den * other.denominator)
         o = self._coerce(other)
@@ -743,19 +744,16 @@ class NumberField:
             at_least[tied] = NumberField._at_least(rows[tied, :-1], rest)
         return at_least
 
-    def rank_rows(self, rows: np.ndarray, tags: np.ndarray | None = None) -> np.ndarray:
+    def rank_rows(self, rows: np.ndarray, tags: np.ndarray) -> np.ndarray:
         """Dense ranks of the values sum_i rows[r, i] beta^i of an integer
         matrix within each tag, numbered on through the tags in ascending
-        order, so each tag holds its own range of ranks (no tags: one tag):
-        within a tag equal values share a rank and rank order is value
-        order, exactly.  The rows are presorted by (tag, float value) and
-        every tag's presort is proven by one `sign_rows` call on the
-        differences of rows adjacent in it; a tag with a negative difference
-        is ranked by an exact comparison sort instead, in the first ranks
-        of its range (DECISIONS.md).  The differences must fit the rows'
-        dtype."""
-        if tags is None:
-            tags = np.zeros(len(rows), dtype=np.intp)
+        order, so each tag holds its own range of ranks: within a tag equal
+        values share a rank and rank order is value order, exactly.  The
+        rows are presorted by (tag, float value) and every tag's presort is
+        proven by one `sign_rows` call on the differences of rows adjacent
+        in it; a tag with a negative difference is ranked by an exact
+        comparison sort instead, in the first ranks of its range
+        (DECISIONS.md).  The differences must fit the rows' dtype."""
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan sort anywhere
             order = np.lexsort((self.float_rows(rows)[0], tags))
         ordered, tagged = rows[order], tags[order]

@@ -15,10 +15,10 @@ state for state; the automaton reference builds the coding automaton in
 field elements, one cylinder and one breakpoint at a time, against which
 the integer-row closure is compared state for state, with its essential
 class taken as the states every state reaches; the per-state cylinder
-reference ranks one state's integer rows at a time by an untagged
-`NumberField.rank_rows` call (the batched closure makes one tagged call
-per batch) and reads its covers off a dense child x cylinder table,
-against which the batched closure is compared row for row, state, bound,
+reference ranks one state's integer rows at a time by a
+`NumberField.rank_rows` call with one tag (the batched closure makes one
+call per batch, a tag per state) and reads its covers off a dense
+child x cylinder table, against which the batched closure is compared row for row, state, bound,
 denominator and T alike; the net-interval reference
 sorts every word's cylinder in field elements, against which the
 automaton walk's intervals are compared end for end and its matrix
@@ -54,6 +54,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from betagrowth.bconv import MeasureAtoms, ball_mass_brackets
 from betagrowth.errors import CapExceededError, HypothesisError, InvalidInputError, InvariantError
@@ -77,6 +78,10 @@ def pytest_terminal_summary(terminalreporter):
         if detail:
             line += f"  [{detail}]"
         terminalreporter.write_line(line)
+
+
+# the settings of the lattice and bracket properties
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
 
 @pytest.fixture(scope="session")
@@ -127,6 +132,21 @@ def comparison_sorts(monkeypatch) -> list:
 
     monkeypatch.setattr(functools, "cmp_to_key", counted)
     return sorts
+
+
+@pytest.fixture
+def no_large_arrays(monkeypatch) -> None:
+    """numpy's ones, empty and zeros fail the test when asked for more than
+    2^21 entries, so a test of a memory budget never allocates what the
+    budget must reject."""
+    for name in ("ones", "empty", "zeros"):
+
+        def guarded(shape, *args, _make=getattr(np, name), **kwargs):
+            if math.prod(np.atleast_1d(shape).tolist()) > 2 ** 21:
+                raise AssertionError(f"an array of shape {shape} past the test's guard")
+            return _make(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, guarded)
 
 
 def _divisors(n: int) -> list[int]:
@@ -513,7 +533,7 @@ def cylinder_children(cylinders, den: int, flat: tuple[int, ...]) -> list:
     # cylinder (slot ci, digit a) is row ci * m + a: S_a(0) - offset_ci
     starts = (fixed[None, :-1] - rows[1:, None]).reshape(-1, d)
     points = np.concatenate((np.zeros((1, d), dtype=dtype), rows[:1], starts, starts + fixed[-1]))
-    rank = cylinders.field.rank_rows(points)
+    rank = cylinders.field.rank_rows(points, np.zeros(len(points), dtype=np.intp))
     distinct = np.empty((int(rank.max()) + 1, d), dtype=dtype)
     distinct[rank] = points
     lo, hi = int(rank[0]), int(rank[1])

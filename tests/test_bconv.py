@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from betagrowth import expansions
 from betagrowth.bconv import (
@@ -17,8 +19,8 @@ from betagrowth.errors import CapExceededError, HypothesisError, InvalidInputErr
 from betagrowth.expansions import count_prefixes
 from betagrowth.numberfield import FieldElement, parse_beta
 
-from conftest import (atoms_items_exact, bincount_cell_masses, distinct_sums_count, refine_atoms,
-                      upper_dim_bound_check)
+from conftest import (PROPERTY_SETTINGS, atoms_items_exact, bincount_cell_masses,
+                      distinct_sums_count, refine_atoms, upper_dim_bound_check)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +115,14 @@ def test_ball_bracket_orders(golden):
     assert 0 < lo <= hi <= 1
 
 
+# each case is pinned as an example, at levels 0, 1, 2, 5 and 9; the draws
+# on its base are a point of I_beta (0 and R included), a margin and levels
+bracket_draws = st.tuples(
+    st.one_of(st.sampled_from(("0", "R")), st.fractions(0, 1, max_denominator=97)),
+    st.integers(0, 6),
+    st.lists(st.integers(0, 10), min_size=1, max_size=4, unique=True))
+
+
 @pytest.mark.parametrize("spec,m,x_text,margin", [
     ("golden", 2, "2/5", 0),
     ("golden", 2, "0", 6),
@@ -123,14 +133,23 @@ def test_ball_bracket_orders(golden):
     ("int:2", 2, "1/3", 2),
     ("poly:-3,0,2", 2, "1/2", 4),
 ])
-def test_ball_mass_brackets_match_interval_mass(spec, m, x_text, margin):
+@PROPERTY_SETTINGS
+@given(drawn=bracket_draws)
+@example(drawn=None)
+def test_ball_mass_brackets_match_interval_mass(spec, m, x_text, margin, drawn):
     # the one-sweep brackets equal mu_L of the ball shrunk on the right and
     # grown on the left by the tail R beta^-L, L = n + margin, exactly
     sys_ = parse_beta(spec, m)
-    x = sys_.element(Fraction(x_text))
-    levels = (0, 1, 2, 5, 9)
+    if drawn is None:
+        x, levels = sys_.element(Fraction(x_text)), [0, 1, 2, 5, 9]
+    else:
+        point, margin, levels = drawn
+        # R itself, or a fraction of a rational lower bound of R
+        right = Fraction(math.floor(float(sys_.right_end) * 1000), 1000)
+        x = sys_.right_end if point == "R" else sys_.element(Fraction(point) * right)
+        levels = sorted(levels)
     got = ball_mass_brackets(sys_, x, levels[::-1], margin)
-    assert list(got) == list(levels)
+    assert list(got) == levels
     for n in levels:
         r = sys_.right_end * sys_.rho ** n
         tail = sys_.right_end * sys_.rho ** (n + margin)

@@ -453,6 +453,19 @@ def test_table1_deterministic(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_table1_config_echoes_mc_budget(capsys):
+    # the budget changes the n = 2 row, so the config line says which one
+    # ran; unset, it is left out and a default run keeps its bytes
+    lines = []
+    for budget in ((), ("--mc-budget", "500"), ("--mc-budget", "600")):
+        code, out, _ = run_cli(capsys, "table1", "--n-range", "2..2", "--k-exact", "8", *budget)
+        assert code == 0
+        lines.append(out.splitlines()[0])
+    configs = [json.loads(line.removeprefix("# config: ")) for line in lines]
+    assert [c.get("mc_budget") for c in configs] == [None, 500, 600]
+    assert lines[1] != lines[2]
+
+
 def test_gamma_mc_deterministic(tmp_path, capsys):
     out1 = tmp_path / "g1.csv"
     out2 = tmp_path / "g2.csv"
@@ -572,6 +585,19 @@ def test_series_k_exact_beyond_float_exactness(argv):
     assert result.stderr.splitlines() == [
         "error: k_exact must be at most 75: beyond it the series norms pass 2^53 "
         "and are not exact in float64"]
+
+
+@pytest.mark.parametrize("argv,name", [
+    (("table1", "--k-exact", "25"), "k_exact = 25"),
+    (("gamma", "--beta", "golden", "--method", "series", "--k-exact", "4",
+      "--mc-budget", "9586981"), "mc_budget = 9586981"),
+])
+def test_series_arrays_past_byte_budget(capsys, no_large_arrays, argv, name):
+    # in process, under a guard that fails the test on any large array: the
+    # byte budget rejects the input before its arrays are allocated
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {name} needs ") and err.endswith(" bytes, over the limit 536870912\n")
 
 
 def test_prefix_count_sweep_hits_state_cap():

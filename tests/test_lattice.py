@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from betagrowth.bconv import ball_mass_brackets, interval_mass, level_atoms
@@ -25,12 +25,11 @@ from betagrowth.errors import CapExceededError, InvalidInputError
 from betagrowth.expansions import INT64_MAX, Lattice, _distinct_rows, prefix_count_series
 from betagrowth.numberfield import FieldElement, parse_beta
 
-from conftest import (atoms_items_exact, brute_distinct_sums, brute_prefix_count, dict_lattice_levels,
-                      dict_merge_rows, distinct_sums_count, key_ints)
+from conftest import (PROPERTY_SETTINGS, atoms_items_exact, brute_distinct_sums, brute_prefix_count,
+                      dict_lattice_levels, dict_merge_rows, distinct_sums_count, key_ints)
 
 SPECS = ("golden", "multinacci:3", "1.5", "poly:-3,0,2")
 KERNEL_SPECS = SPECS + ("13/10",)
-PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
 
 @pytest.fixture(scope="module")

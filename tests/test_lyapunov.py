@@ -11,6 +11,7 @@ from betagrowth.errors import HypothesisError, InvalidInputError
 from betagrowth.lyapunov import (
     DRAW_BLOCK,
     MC_STDERR_FLOOR,
+    SERIES_BYTES_MAX,
     SERIES_K_EXACT_MAX,
     GammaEstimate,
     ParryChain,
@@ -440,6 +441,23 @@ def test_series_k_exact_bound(monkeypatch):
     with pytest.raises(InvalidInputError, match="at most 75"):
         gamma_series_table([multinacci(3)], k_exact=SERIES_K_EXACT_MAX + 1)
     assert levels == [SERIES_K_EXACT_MAX]
+
+
+def test_series_arrays_within_byte_budget(no_large_arrays):
+    # the budget admits k_exact 24 and mc_budget 9,586,980, and rejects one
+    # more of each before anything is allocated
+    assert 3 * 8 * 2 ** 24 <= SERIES_BYTES_MAX < 3 * 8 * 2 ** 25
+    assert 7 * 8 * 9_586_980 <= SERIES_BYTES_MAX < 7 * 8 * 9_586_981
+    with pytest.raises(InvalidInputError,
+                       match=r"^k_exact = 25 needs 805306368 bytes, over the limit 536870912$"):
+        _inner_log_sums(25)
+    with pytest.raises(InvalidInputError,
+                       match=r"^mc_budget = 9586981 needs 536870936 bytes, over the limit 536870912$"):
+        _mc_middle(2.6, 21, 64, 9_586_981, 0)
+    # the guard itself: a small level passes it, a large one does not
+    assert len(_inner_log_sums(3)) == 4
+    with pytest.raises(AssertionError, match="past the test's guard"):
+        np.ones(2 ** 22)
 
 
 def test_series_range():

@@ -580,11 +580,16 @@ def _near_tie_rows(n_values) -> list[list[int]]:
     return [[fib[n + 1], -fib[n]] for n in n_values]
 
 
+def _rank_untagged(field, rows):
+    """`rank_rows` with every row in one tag."""
+    return field.rank_rows(rows, np.zeros(len(rows), dtype=np.intp))
+
+
 def test_rank_rows_near_ties_in_exact_order(golden):
     field = golden.field
     rows = _near_tie_rows(range(1, 41))
     rows = rows[::3] + rows[1::3] + rows[2::3] + [[0, 0], [1, 0], [-1, 0]]
-    ranks = field.rank_rows(np.array(rows, dtype=np.int64))
+    ranks = _rank_untagged(field, np.array(rows, dtype=np.int64))
     assert ranks.tolist() == _exact_ranks(field, rows)
     assert sorted(ranks.tolist()) == list(range(len(rows)))
 
@@ -594,7 +599,7 @@ def test_rank_rows_equal_rows_share_a_rank(golden):
     field = golden.field
     rows = _near_tie_rows(range(30, 41))
     rows = rows + rows[::-1] + rows[::2]
-    ranks = field.rank_rows(np.array(rows, dtype=np.int64)).tolist()
+    ranks = _rank_untagged(field, np.array(rows, dtype=np.int64)).tolist()
     assert ranks == _exact_ranks(field, rows)
     assert sorted(set(ranks)) == list(range(11))
     assert ranks[:11] == ranks[11:22][::-1]
@@ -607,7 +612,7 @@ def test_rank_rows_misordered_presort_falls_back(golden):
     presort = np.argsort(field.float_rows(rows)[0], kind="stable")
     exact = _exact_ranks(field, rows.tolist())
     assert [exact[i] for i in presort] != sorted(exact)  # the presort misorders
-    assert field.rank_rows(rows).tolist() == exact
+    assert _rank_untagged(field, rows).tolist() == exact
 
 
 def test_rank_rows_beyond_int64_and_float_range(golden):
@@ -619,7 +624,7 @@ def test_rank_rows_beyond_int64_and_float_range(golden):
             [0, 10 ** 400]]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ranks = field.rank_rows(np.array(rows, dtype=object))
+        ranks = _rank_untagged(field, np.array(rows, dtype=object))
     assert ranks.tolist() == _exact_ranks(field, rows)
 
 
@@ -633,7 +638,7 @@ def test_rank_rows_match_exact_order(fields, spec, data, bound):
                                        max_size=field.degree), min_size=1, max_size=12))
     tags = data.draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
     matrix = np.array(rows, dtype=object if bound > 2 ** 61 else np.int64)
-    assert field.rank_rows(matrix).tolist() == _exact_ranks(field, rows)
+    assert _rank_untagged(field, matrix).tolist() == _exact_ranks(field, rows)
     _check_tagged_ranks(field, rows, tags, field.rank_rows(matrix, np.array(tags)).tolist())
 
 

@@ -1,11 +1,13 @@
-"""Check every pooled `bound` and `count` task of the benchmark against
-`perfbench/reference.json`.
+"""Check every pooled `bound`, `count` and `dims` task of the benchmark
+against `perfbench/reference.json`.
 
     python tools/pooled_reference.py
 
 The `exact` workload draws 10 growth-bound points per base (1.3, 1.4 and
 1.5) and 10 prefix-count points per base (golden and tribonacci) from
-pools of 64 each; a seed sees only those.  This runs all 320 pooled tasks,
+pools of 64 each, and the `localdim` workload draws `dims` points from a
+golden pool of 128 and a tribonacci pool of 32; a seed sees only those.
+This runs all 481 pooled tasks, the fixed `dims` point included,
 each an in-process `betagrowth.cli.main` call judged by perfbench's own
 output check, and exits 1 naming the tasks whose output is wrong.
 """
@@ -22,7 +24,7 @@ import checks  # noqa: E402
 import run  # noqa: E402
 import workloads  # noqa: E402
 
-POOLED = ("bound", "count")
+POOLED = ("bound", "count", "dims")
 
 
 def main() -> int:
