@@ -1,18 +1,18 @@
 """Finite-level discretization of the Bernoulli convolution mu_{beta,m}.
 
 A level-n digit word contributes the sum sum_{k<=n} eps_k beta^-k.  Both
-mechanisms below run the lattice DP of `expansions.Lattice` on these sums
-scaled by beta^n: a state is a row c of an integer key matrix, standing
+mechanisms below run the lattice DP `expansions.Lattice.sweep` on these
+sums scaled by beta^n: a state is a row c of an integer key matrix, standing
 for (sum_i c_i beta^i) / lead^n with lead the leading coefficient of the
 minimal polynomial, and a count vector holds the exact number of words
 that reach each state.
 
-  * level_atoms enumerates the full level-n distribution (distinct digit
-    sums with exact word counts) -- cheap for Pisot bases, capped otherwise;
-    it backs the L^q moment estimator.
-  * interval_mass and ball_mass_brackets keep only the states in the
-    prefix window of `Lattice.window`, so certified two-sided ball-mass
-    brackets at any depth come without enumerating the whole measure.
+  * level_atoms, an unwindowed sweep, enumerates the full level-n
+    distribution (distinct digit sums with exact word counts) -- cheap for
+    Pisot bases, capped otherwise; it backs the L^q moment estimator.
+  * interval_mass and ball_mass_brackets sweep in the prefix window of
+    `Lattice.window`, so certified two-sided ball-mass brackets at any
+    depth come without enumerating the whole measure.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .expansions import DEFAULT_ATOM_CAP, Lattice, _coerce_point
+from .expansions import Lattice, _coerce_point
 from .numberfield import BetaSystem
 
 DEFAULT_MARGIN = 10
@@ -90,11 +90,11 @@ class MeasureAtoms:
         return self._cells[width]
 
 
-def level_atoms(sys: BetaSystem, n: int, cap: int = DEFAULT_ATOM_CAP) -> MeasureAtoms:
+def level_atoms(sys: BetaSystem, n: int) -> MeasureAtoms:
     """Exact level-n atoms of mu, merged by value."""
     lattice = Lattice(sys)
     level = lattice.start
-    for level in lattice.levels(n, cap):
+    for level in lattice.sweep(n):
         pass
     return MeasureAtoms(sys, n, *level)
 
@@ -119,7 +119,7 @@ def interval_mass(sys: BetaSystem, level: int, lo, hi) -> Fraction:
         return Fraction(0)  # the empty word's sum 0 is outside the level-0 window
     lattice = Lattice(sys)
     states = lattice.start
-    for states in lattice.windowed(states, 0, level, a, hi):
+    for states in lattice.sweep(level, a, hi):
         pass
     return Fraction(int(states[1].sum()), sys.m ** level)
 
@@ -155,7 +155,7 @@ def ball_mass_brackets(sys: BetaSystem, x, levels: Sequence[int],
     brackets = {}
     for n in levels:
         r = sys.right_end * sys.rho_powers[n]
-        for states in lattice.windowed(states, k, n + margin, x - r, x + r):
+        for states in lattice.sweep(n + margin, x - r, x + r, states, k):
             pass
         k = n + margin
         tail = sys.right_end * sys.rho_powers[k]

@@ -159,7 +159,7 @@ def cmd_bound(args) -> int:
 
 def cmd_sums(args) -> int:
     sys_ = _system(args)
-    rows = expansions.garsia_report(sys_, args.n_max, cap=args.cap)
+    rows = expansions.garsia_report(sys_, args.n_max)
     out = [
         {
             "n": r.n,
@@ -550,7 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sums", help="distinct power sums and Garsia gaps")
     _add_common(p)
     p.add_argument("--n-max", type=int, default=20)
-    p.add_argument("--cap", type=int, default=expansions.DEFAULT_SUM_CAP)
     p.set_defaults(fn=cmd_sums)
 
     p = sub.add_parser("sparse", help="sparse-expansion checkpoints (golden)")
@@ -617,6 +616,11 @@ _shared_parser = functools.cache(build_parser)
 
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
+    # exact counts and fractions may pass the interpreter's 4,300-digit
+    # int -> str limit; it is lifted while the command runs
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except BetaGrowthError as exc:
@@ -625,6 +629,9 @@ def main(argv=None) -> int:
     except MemoryError:  # an exhausted resource, as a cap is
         print("error: out of memory", file=sys.stderr)
         return CapExceededError.exit_code
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

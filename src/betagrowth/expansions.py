@@ -1,6 +1,6 @@
 """Counting and enumerating beta-expansion prefixes.
 
-The central object is a level-synchronous DP over digit sums: `Lattice`
+The central object is a level-synchronous DP over digit sums: `Lattice.sweep`
 steps a whole level of states t -> beta*t + eps in numpy, merges states of
 equal value with summed multiplicities and keeps those in one window.  With
 R = (m-1)/(beta-1), a scaled sum t after k digits is a prefix of an
@@ -26,11 +26,10 @@ import numpy as np
 from .errors import CapExceededError, HypothesisError, InvalidInputError, InvariantError
 from .numberfield import INT64_MAX, LIMB_BITS, LIMB_MASK, BetaSystem, FieldElement, Powers
 
-# the most states any one level of a windowed sweep may hold
+# the most states any one level of a `Lattice.sweep` may hold
 DEFAULT_ATOM_CAP = 4_000_000
 # p times a limb, plus a limb and a carry, must fit int64 (DECISIONS.md)
 LIMB_P_BOUND = 2 ** 30
-DEFAULT_SUM_CAP = 5_000_000
 GAP_BLOCK = 1024
 GOLDEN_COEFFS = (-1, -1, 1)
 
@@ -94,13 +93,14 @@ class Lattice:
     from then on.  Degree one with p < 2^30 (`limbs`) is the exception in
     windowed steps: a key is one row of int64 limbs, little-endian base
     2^LIMB_BITS digits, each in [0, 2^LIMB_BITS) but the last, and a limb
-    is added before a step that could overflow the last.  `levels` keeps
-    Python ints, whose values its readers use.
+    is added before a step that could overflow the last.  An unwindowed
+    `sweep` keeps Python ints, whose values its readers use.
 
     A base is collision-free when beta = p/q in lowest terms (q >= 1) and
     m <= p: then distinct words have distinct keys (DECISIONS.md), every
-    count is 1 and level k of `levels` holds exactly m^k states, so its
-    windowed steps skip the merge and `levels` checks the cap up front.
+    count is 1 and level k of an unwindowed `sweep` holds exactly m^k
+    states, so its windowed steps skip the merge and an unwindowed `sweep`
+    checks the cap up front.
     """
 
     def __init__(self, sys: BetaSystem):
@@ -137,14 +137,6 @@ class Lattice:
         lo, tail = a * power, self.sys.right_end
         hi = lo if b is a else b * power
         return lo - (tail if self.lead == 1 else tail * self.lead ** k), hi
-
-    def windowed(self, level: Level, k: int, n: int, a: FieldElement, b: FieldElement):
-        """Step level-k states to level n in the prefix `window` of [a, b],
-        yielding each level; a level over DEFAULT_ATOM_CAP states raises CapExceededError."""
-        for j in range(k, n):
-            level = self.step(level, j, self.window(j + 1, a, b))
-            self.check_cap(len(level[1]), DEFAULT_ATOM_CAP, j + 1)
-            yield level
 
     def step(self, level: Level, k: int, window=None) -> Level:
         """Level-k states -> level-(k+1) states under t -> beta*t + eps.
@@ -218,26 +210,28 @@ class Lattice:
             return rows * self.row[0]
         return rows @ self._matrix.astype(rows.dtype)
 
-    def levels(self, n: int, cap: int):
-        """Yield the unwindowed states of levels 1..n, starting from the empty word."""
+    def sweep(self, n: int, a: FieldElement | None = None, b: FieldElement | None = None,
+              level: Level | None = None, k: int = 0):
+        """Step the level-k states `level` (the empty word's by default) to
+        level n, yielding each level: in the prefix `window` of [a, b] when
+        a is given, unwindowed otherwise.  A level over DEFAULT_ATOM_CAP
+        states raises CapExceededError."""
         if n < 0:
             raise InvalidInputError("level must be nonnegative")
-        if cap < 0:
-            raise InvalidInputError("cap must be nonnegative")
-        if self.collision_free:
-            # level k holds m^k states: a level over the cap is known before any step
-            for k in range(1, n + 1):
-                self.check_cap(self.sys.m ** k, cap, k)
-        level = self.start
-        for k in range(n):
-            level = self.step(level, k)
-            self.check_cap(len(level[1]), cap, k + 1)
+        level = self.start if level is None else level
+        if a is None and self.collision_free:
+            # level j holds m^(j-k) states per level-k state, known before any step
+            for j in range(k + 1, n + 1):
+                self.check_cap(len(level[1]) * self.sys.m ** (j - k), j)
+        for j in range(k, n):
+            level = self.step(level, j, None if a is None else self.window(j + 1, a, b))
+            self.check_cap(len(level[1]), j + 1)
             yield level
 
     @staticmethod
-    def check_cap(states: int, cap: int, k: int) -> None:
-        if states > cap:
-            raise CapExceededError(f"{states} DP states at level {k} exceed the cap {cap}")
+    def check_cap(states: int, k: int) -> None:
+        if states > DEFAULT_ATOM_CAP:
+            raise CapExceededError(f"{states} DP states at level {k} exceed the cap {DEFAULT_ATOM_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +258,7 @@ def prefix_count_series(x, n_max: int, sys: BetaSystem) -> list[int]:
         raise InvalidInputError("prefix length must be nonnegative")
     x = _coerce_point(x, sys)
     lattice = Lattice(sys)
-    return [1] + [int(c.sum()) for _keys, c in lattice.windowed(lattice.start, 0, n_max, x, x)]
+    return [1] + [int(c.sum()) for _keys, c in lattice.sweep(n_max, x, x)]
 
 
 def count_prefixes(x, n: int, sys: BetaSystem) -> int:
@@ -335,7 +329,8 @@ def verify_growth_bound(sys: BetaSystem, x, n_max: int) -> GrowthBoundReport:
     counts = prefix_count_series(x, n_max, sys)
     rows = []
     for n in range(1, n_max + 1):
-        bound = 2.0 ** (float(kap) * n - 1)
+        exponent = float(kap) * n - 1  # past the float range the bound is inf; `ok` is exact
+        bound = 2.0 ** exponent if exponent < 1024 else math.inf
         rows.append(GrowthBoundRow(n, counts[n], bound, _count_meets_bound(counts[n], kap, n)))
     return GrowthBoundReport(kap, tuple(rows))
 
@@ -426,18 +421,18 @@ class GarsiaRow:
     min_gap_scaled: float
 
 
-def garsia_report(sys: BetaSystem, n_max: int, cap: int = DEFAULT_SUM_CAP) -> list[GarsiaRow]:
+def garsia_report(sys: BetaSystem, n_max: int) -> list[GarsiaRow]:
     """Distinct-sum counts and minimum normalized gaps for n = 1..n_max.
 
     The reported gap is beta^n * (smallest difference between distinct
     level-n sums); Garsia separation predicts a positive lower bound for
-    Pisot beta.  The minimum is certified.  In degree one the merged keys
-    of `levels` are integers in increasing order, so the gaps are the exact
-    differences of neighbours, each checked positive.  Otherwise the sums
-    are presorted by their float values (`NumberField.float_rows`), and
-    every gap whose float value lies within the proven error bounds of the
-    smallest one is compared exactly, so no gap left out can be smaller and
-    a misordered presort is detected.  Tied candidates share one difference
+    Pisot beta.  The minimum is certified.  In degree one the merged keys of
+    an unwindowed `sweep` are integers in increasing order, so the gaps are
+    the exact differences of neighbours, each checked positive.  Otherwise
+    the sums are presorted by their float values (`NumberField.float_rows`),
+    and every gap whose float value lies within the proven error bounds of
+    the smallest one is compared exactly, so no gap left out can be smaller
+    and a misordered presort is detected.  Tied candidates share one difference
     of two keys; the differences are merged by `_distinct_rows`, the
     lattice step's merge, so each distinct one is decided once (at golden
     n = 24, 75,024 candidates are one difference).
@@ -446,7 +441,7 @@ def garsia_report(sys: BetaSystem, n_max: int, cap: int = DEFAULT_SUM_CAP) -> li
     beta_f = float(sys.beta)
     lattice = Lattice(sys)
     field = sys.field
-    for n, (keys, _counts) in enumerate(lattice.levels(n_max, cap), start=1):
+    for n, (keys, _counts) in enumerate(lattice.sweep(n_max), start=1):
         size = len(keys)
         if size < 2:
             rows.append(GarsiaRow(n, size, size / beta_f ** n, math.inf))
@@ -458,7 +453,7 @@ def garsia_report(sys: BetaSystem, n_max: int, cap: int = DEFAULT_SUM_CAP) -> li
             gap = min(np.diff(keys[i:i + GAP_BLOCK + 1, 0]).min()
                       for i in range(0, size - 1, GAP_BLOCK))
             if gap <= 0:
-                raise InvariantError(f"level-{n} keys of `levels` out of order")
+                raise InvariantError(f"level-{n} keys of the unwindowed sweep out of order")
             best = FieldElement(field, (int(gap),), lattice.lead ** n)
             rows.append(GarsiaRow(n, size, size / beta_f ** n, float(best)))
             continue
@@ -513,7 +508,7 @@ def count_X_m(m_param: int, sys: BetaSystem) -> int:
         raise InvalidInputError("m_param must be >= 1")
     length = 2 * m_param
     lattice = Lattice(sys)
-    for keys, counts in lattice.windowed(lattice.start, 0, length, sys.rho, sys.rho):
+    for keys, counts in lattice.sweep(length, sys.rho, sys.rho):
         pass
     # golden is monic, so a key is the integer vector of its value
     return int(counts[(keys == (sys.beta ** (length - 1)).num).all(axis=1)].sum())

@@ -537,13 +537,6 @@ class NumberField:
             raise InvalidInputError("floats are not accepted; pass an exact rational")
         raise InvalidInputError(f"cannot coerce {value!r} into the field")
 
-    def from_coeffs(self, coeffs: Sequence[Rational]) -> FieldElement:
-        if len(coeffs) > self.degree:
-            raise InvalidInputError("coefficient vector longer than field degree")
-        vec = [Fraction(c) for c in coeffs] + [Fraction(0)] * (self.degree - len(coeffs))
-        den = math.lcm(*(c.denominator for c in vec))
-        return FieldElement(self, tuple(c.numerator * (den // c.denominator) for c in vec), den)
-
     # -- multiplication / inversion ------------------------------------------
 
     def _mul(self, a: Sequence[int], b: Sequence[int]) -> tuple[tuple[int, ...], int]:

@@ -31,14 +31,14 @@ concatenate at every level, and the Monte-Carlo middle segment stepped by
 two `np.where` selections on an int64 (budget, 2) array.
 
 Some helpers here are thin readers of the library that only tests call:
-`distinct_sums_count` (the size of the last level of `Lattice.levels`,
+`distinct_sums_count` (the size of the last level of `Lattice.sweep`,
 checked against `brute_distinct_sums`), `step_k_beta` (one step of
-K_beta on `switch_geometry`), `as_fraction` (a rational element's
-exact value), `atoms_items_exact`
-and `refine_atoms` (exact atoms in value order, one more lattice step),
-`key_ints` and `key_value` (a level's keys as Python ints, limbs joined,
-and the exact value of one key) and `upper_dim_bound_check` (the
-finite-level upper local-dimension chain).
+K_beta on `switch_geometry`), `field_element` (an element from its
+rational coefficients), `as_fraction` (a rational element's exact
+value), `atoms_items_exact` and `refine_atoms` (exact atoms in value
+order, one more lattice step), `key_ints` and `key_value` (a level's
+keys as Python ints, limbs joined, and the exact value of one key) and
+`upper_dim_bound_check` (the finite-level upper local-dimension chain).
 Two more read an automaton's edges: `is_admissible` (a word is a path from
 the root) and `products_positive` (every row product from the root stays
 entrywise >= 1).  `automaton_doc_text` is the `automaton` document as one
@@ -58,11 +58,12 @@ from hypothesis import settings
 
 from betagrowth.bconv import MeasureAtoms, ball_mass_brackets
 from betagrowth.errors import CapExceededError, HypothesisError, InvalidInputError, InvariantError
-from betagrowth.expansions import (DEFAULT_SUM_CAP, Lattice, _coerce_point, _count_meets_bound,
-                                   kappa, prefix_count_series, switch_geometry)
+from betagrowth.expansions import (Lattice, _coerce_point, _count_meets_bound, kappa,
+                                   prefix_count_series, switch_geometry)
 from betagrowth.lyapunov import RENORM_EVERY, mc_chunk_len
 from betagrowth.netautomaton import Automaton, CharacteristicState
-from betagrowth.numberfield import INT64_MAX, LIMB_BITS, BetaSystem, FieldElement, parse_beta
+from betagrowth.numberfield import (INT64_MAX, LIMB_BITS, BetaSystem, FieldElement, NumberField,
+                                    parse_beta)
 
 # (criterion, ok, detail) tuples filled in by test_acceptance.py
 ACCEPTANCE_LOG: list[tuple[str, bool, str]] = []
@@ -206,12 +207,13 @@ def brute_distinct_sums(n: int, sys: BetaSystem) -> int:
     return len(brute_distinct_sum_values(n, sys))
 
 
-def distinct_sums_count(n: int, sys: BetaSystem, cap: int = DEFAULT_SUM_CAP) -> int:
+def distinct_sums_count(n: int, sys: BetaSystem) -> int:
     """Number of distinct values of sum_{j<=n} eps_j beta^-j: the states of
-    level n of `Lattice.levels`, which raises CapExceededError past cap."""
+    level n of an unwindowed `Lattice.sweep`, which raises CapExceededError
+    past its cap."""
     if n < 1:
         raise InvalidInputError("n must be >= 1")
-    for keys, _counts in Lattice(sys).levels(n, cap):
+    for keys, _counts in Lattice(sys).sweep(n):
         pass
     return len(keys)
 
@@ -224,6 +226,16 @@ def step_k_beta(omega_head: int, x, sys: BetaSystem) -> tuple[bool, int, FieldEl
         return False, k, x * sys.beta - k
     digit = k if omega_head else k - 1
     return True, digit, x * sys.beta - digit
+
+
+def field_element(field: NumberField, coeffs) -> FieldElement:
+    """The element sum_i coeffs[i] beta^i of `field`, one rational
+    coefficient per degree."""
+    vec = [Fraction(c) for c in coeffs]
+    if len(vec) != field.degree:
+        raise InvalidInputError("need one coefficient per field degree")
+    den = math.lcm(*(c.denominator for c in vec))
+    return FieldElement(field, tuple(c.numerator * (den // c.denominator) for c in vec), den)
 
 
 def as_fraction(x: FieldElement) -> Fraction:

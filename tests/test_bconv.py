@@ -70,8 +70,10 @@ def test_atoms_values_sorted(golden):
 
 
 def test_atoms_cap(b13):
-    with pytest.raises(CapExceededError):
-        level_atoms(b13, 24, cap=5000)
+    # 13/10 has 2^k distinct level-k sums: the default cap stops level 24
+    # at level 22, before any step
+    with pytest.raises(CapExceededError, match="4194304 DP states at level 22 exceed"):
+        level_atoms(b13, 24)
 
 
 # ---------------------------------------------------------------------------

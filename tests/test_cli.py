@@ -30,6 +30,18 @@ def test_count(capsys):
     assert out.splitlines()[-1] == "2,1/1,3"
 
 
+def test_count_past_int_str_digit_limit(capsys, monkeypatch):
+    # an exact count may pass the interpreter's 4,300-digit int -> str
+    # limit: the command lifts it while it runs and restores it afterwards
+    monkeypatch.setattr(expansions, "count_prefixes", lambda _x, _n, _sys: 10 ** 5000)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, out, err = run_cli(capsys, "count", "--beta", "golden", "--x", "2/5", "--n", "50000")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "50000,2/5,1" + "0" * 5000
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+
+
 def test_count_json_rationals(capsys):
     code, out, _ = run_cli(capsys, "count", "--beta", "golden", "--m", "2",
                            "--x", "2/5", "--n", "3", "--format", "json")
@@ -107,7 +119,6 @@ def test_exit_code_bad_input(capsys):
         ("table1", "--n-range", "2..2", "--mc-budget", "1"),
         ("gamma", "--beta", "multinacci:3", "--method", "series", "--k-exact", "-1"),
         ("gamma", "--beta", "golden", "--method", "series", "--mc-budget", "1"),
-        ("sums", "--beta", "golden", "--n-max", "4", "--cap", "-1"),
         ("sums", "--beta", "golden", "--n-max", "-1"),
         ("automaton", "--beta", "golden", "--state-cap", "-1"),
         ("gamma", "--beta", "golden", "--method", "mc", "--seed", "-1"),
@@ -229,6 +240,18 @@ def test_tau_collision_free_cap_before_any_level(capsys, monkeypatch):
 
     monkeypatch.setattr("betagrowth.expansions.Lattice.step", no_step)
     code, out, err = run_cli(capsys, "tau", "--beta", "13/10")
+    assert (code, out) == (3, "")
+    assert err == "error: 4194304 DP states at level 22 exceed the cap 4000000\n"
+
+
+def test_sums_collision_free_cap_before_any_level(capsys, monkeypatch):
+    # sums has the cap of tau: the 2^22 level-22 sums of 13/10 stop it
+    # before the first step
+    def no_step(*_args, **_kwargs):
+        raise AssertionError("Lattice.step called")
+
+    monkeypatch.setattr("betagrowth.expansions.Lattice.step", no_step)
+    code, out, err = run_cli(capsys, "sums", "--beta", "13/10", "--n-max", "22")
     assert (code, out) == (3, "")
     assert err == "error: 4194304 DP states at level 22 exceed the cap 4000000\n"
 

@@ -107,6 +107,19 @@ def test_growth_bound_passes(b15, b14):
     assert report.passed
 
 
+def test_growth_bound_past_float_range(b15, monkeypatch):
+    # 2^(n/8 - 1) passes the float range at n = 8200: from there the float
+    # bound is inf, while `ok` stays the exact comparison
+    n_max = 20_000
+    counts = [2 ** (n // 8) for n in range(n_max + 1)]
+    counts[n_max] = 2 ** (n_max // 8 - 1) - 1
+    monkeypatch.setattr(expansions, "prefix_count_series", lambda _x, _n, _sys: counts)
+    rows = verify_growth_bound(b15, 1, n_max).rows
+    assert [r.bound for r in rows[:8199]] == [2.0 ** (n / 8 - 1) for n in range(1, 8200)]
+    assert all(r.bound == math.inf for r in rows[8199:])
+    assert all(r.ok for r in rows[:-1]) and not rows[-1].ok
+
+
 def test_growth_bound_requires_interior(b15):
     with pytest.raises(InvalidInputError):
         verify_growth_bound(b15, 0, 5)
@@ -195,8 +208,9 @@ def test_distinct_sums_match_brute_force(spec, m, n_max):
 
 
 def test_distinct_sums_cap(b13):
-    with pytest.raises(CapExceededError):
-        distinct_sums_count(24, b13, cap=1000)
+    # as for the atoms: 2^22 sums at level 22 pass the default cap before any step
+    with pytest.raises(CapExceededError, match="4194304 DP states at level 22 exceed"):
+        distinct_sums_count(24, b13)
 
 
 def test_garsia_report_golden(golden):

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from betagrowth import expansions
 from betagrowth.bconv import ball_mass_brackets, interval_mass, level_atoms
 from betagrowth.errors import CapExceededError, InvalidInputError
 from betagrowth.expansions import INT64_MAX, Lattice, _distinct_rows, prefix_count_series
@@ -110,8 +111,8 @@ def test_kernel_matches_dict_step(systems, spec, a, b, n):
     sys_ = systems[spec]
     lo, hi = sorted((_fraction_of_interval(sys_, *a), _fraction_of_interval(sys_, *b)))
     lattice = Lattice(sys_)
-    _assert_levels_match(lattice.levels(n, 10 ** 6), dict_lattice_levels(sys_, n))
-    windowed = lattice.windowed(lattice.start, 0, n, sys_.element(lo), sys_.element(hi))
+    _assert_levels_match(lattice.sweep(n), dict_lattice_levels(sys_, n))
+    windowed = lattice.sweep(n, sys_.element(lo), sys_.element(hi))
     _assert_levels_match(windowed, dict_lattice_levels(sys_, n, lo, hi))
 
 
@@ -121,7 +122,7 @@ def test_kernel_switches_counts_to_python_ints():
     x = Fraction(1, 2)
     lattice = Lattice(sys_)
     dtypes = _assert_levels_match(
-        lattice.windowed(lattice.start, 0, 42, sys_.element(x), sys_.element(x)),
+        lattice.sweep(42, sys_.element(x), sys_.element(x)),
         dict_lattice_levels(sys_, 42, x, x),
     )
     assert [c for _k, c in dtypes] == [np.int64] * 39 + [object] * 3
@@ -131,8 +132,7 @@ def test_kernel_switches_keys_to_python_ints():
     # keys of 13/10 grow like 13^k and pass 2^63 at level 17; the bound taken
     # before each step moves them to Python ints in the middle of the sweep
     sys_ = parse_beta("13/10", 2)
-    dtypes = _assert_levels_match(Lattice(sys_).levels(18, 10 ** 6),
-                                  dict_lattice_levels(sys_, 18))
+    dtypes = _assert_levels_match(Lattice(sys_).sweep(18), dict_lattice_levels(sys_, 18))
     key_dtypes = [k for k, _c in dtypes]
     assert key_dtypes[0] == np.int64 and key_dtypes[-1] == object
     assert key_dtypes == sorted(key_dtypes, key=lambda t: t == object)
@@ -210,14 +210,17 @@ def test_rational_keys_are_distinct_up_to_m_p(base, data):
     words = itertools.product(range(m), repeat=n)
     want = sorted(sum(e * p ** (n - j) * q ** j for j, e in enumerate(w, 1)) for w in words)
     assert len(set(want)) == m ** n
-    for keys, counts in lattice.windowed(lattice.start, 0, n, sys_.field.zero, sys_.right_end):
+    for keys, counts in lattice.sweep(n, sys_.field.zero, sys_.right_end):
         pass
     assert sorted(keys[:, 0].tolist()) == want and counts.tolist() == [1] * m ** n
-    *_, (keys, counts) = lattice.levels(n, m ** n)
-    assert keys[:, 0].tolist() == want and counts.tolist() == [1] * m ** n
-    # level n is known to hold m^n states before the first step
-    with pytest.raises(CapExceededError, match=f"{m ** n} DP states at level {n} exceed"):
-        next(lattice.levels(n, m ** n - 1))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expansions, "DEFAULT_ATOM_CAP", m ** n)
+        *_, (keys, counts) = lattice.sweep(n)
+        assert keys[:, 0].tolist() == want and counts.tolist() == [1] * m ** n
+        # level n is known to hold m^n states before the first step
+        patch.setattr(expansions, "DEFAULT_ATOM_CAP", m ** n - 1)
+        with pytest.raises(CapExceededError, match=f"{m ** n} DP states at level {n} exceed"):
+            next(lattice.sweep(n))
 
 
 @PROPERTY_SETTINGS
@@ -229,7 +232,7 @@ def test_rational_keys_merge_at_m_p_plus_1(base, n):
     sys_ = parse_beta(f"{p}/{q}", p + 1)
     lattice = Lattice(sys_)
     assert not lattice.collision_free
-    levels = list(lattice.levels(n, 10 ** 6))
+    levels = list(lattice.sweep(n))
     _assert_levels_match(levels, dict_lattice_levels(sys_, n))
     assert len(levels[1][1]) < (p + 1) ** 2 and levels[1][1].max() > 1
 
@@ -374,7 +377,7 @@ def test_windowed_13_10_keys_reach_three_limbs():
     sys_ = parse_beta("13/10", 2)
     lattice = Lattice(sys_)
     x = Fraction(1, 20)
-    levels = list(lattice.windowed(lattice.start, 0, 30, sys_.element(x), sys_.element(x)))
+    levels = list(lattice.sweep(30, sys_.element(x), sys_.element(x)))
     for (keys, counts), expected in zip(levels, dict_lattice_levels(sys_, 30, x, x), strict=True):
         got = dict(zip(map(tuple, key_ints(lattice, keys)), counts.tolist()))
         assert got == expected and len(counts) == len(expected)
@@ -387,11 +390,12 @@ def test_windowed_13_10_keys_reach_three_limbs():
 def test_windowed_degree_one_keys_stay_int64(spec, n, x, limbs):
     # the counterpart of test_kernel_switches_keys_to_python_ints: below
     # p = 2^30 a windowed degree-one sweep never holds dtype-object keys,
-    # though its keys pass 2^63; from p = 2^30 on it switches as `levels` does
+    # though its keys pass 2^63; from p = 2^30 on it switches as an
+    # unwindowed sweep does
     sys_ = parse_beta(spec, 2)
     lattice = Lattice(sys_)
     assert lattice.limbs is limbs
     x = sys_.element(x)
-    levels = list(lattice.windowed(lattice.start, 0, n, x, x))
+    levels = list(lattice.sweep(n, x, x))
     assert (object in [keys.dtype for keys, _c in levels]) is not limbs
     assert max(row[0] for row in key_ints(lattice, levels[-1][0])) > INT64_MAX

@@ -22,7 +22,7 @@ from betagrowth.numberfield import (
     multinacci,
     parse_beta,
 )
-from conftest import as_fraction, brute_has_rational_root
+from conftest import as_fraction, brute_has_rational_root, field_element
 
 # beta values printed in the multinacci table (6 decimals)
 MULTINACCI_BETA = {
@@ -94,7 +94,7 @@ def test_sign_int_coeffs_beyond_float_range(golden):
 
 def test_sign_never_uses_floats_for_zero(golden):
     # an element with all-zero coefficients short-circuits
-    z = golden.field.from_coeffs([0, 0])
+    z = field_element(golden.field, [0, 0])
     assert z.is_zero() and z.sign() == 0
 
 
@@ -105,7 +105,7 @@ def test_sign_total_order_against_high_precision(golden):
     for _ in range(200):
         c0 = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 997))
         c1 = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 997))
-        e = golden.field.from_coeffs([c0, c1])
+        e = field_element(golden.field, [c0, c1])
         v = mpmath.mpf(c0.numerator) / c0.denominator + mpmath.mpf(c1.numerator) / c1.denominator * b
         expected = 0 if v == 0 else (1 if v > 0 else -1)
         assert e.sign() == expected
@@ -114,8 +114,8 @@ def test_sign_total_order_against_high_precision(golden):
 def test_comparison_trichotomy(golden):
     rng = random.Random(7)
     for _ in range(60):
-        a = golden.field.from_coeffs([rng.randint(-50, 50), rng.randint(-50, 50)])
-        b = golden.field.from_coeffs([rng.randint(-50, 50), rng.randint(-50, 50)])
+        a = field_element(golden.field, [rng.randint(-50, 50), rng.randint(-50, 50)])
+        b = field_element(golden.field, [rng.randint(-50, 50), rng.randint(-50, 50)])
         assert (a < b) + (a == b) + (a > b) == 1
 
 
@@ -385,8 +385,8 @@ fractions_ = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
 
 
 def _element(field, data):
-    return field.from_coeffs(data.draw(st.lists(fractions_, min_size=field.degree,
-                                                max_size=field.degree)))
+    return field_element(field, data.draw(st.lists(fractions_, min_size=field.degree,
+                                                   max_size=field.degree)))
 
 
 def _is_canonical(e) -> bool:
@@ -452,7 +452,7 @@ def test_sign_near_zero_falls_back_to_bisection(golden, monkeypatch, n):
     while len(fib) < n + 2:
         fib.append(fib[-1] + fib[-2])
     field = golden.field
-    e = field.from_coeffs([fib[n + 1], -fib[n]])
+    e = field_element(field, [fib[n + 1], -fib[n]])
     exact = []
     sign_of = field.sign_of
     monkeypatch.setattr(field, "sign_of", lambda coeffs: exact.append(coeffs) or sign_of(coeffs))
