@@ -11,7 +11,7 @@ that reach each state.
     distribution (distinct digit sums with exact word counts) -- cheap for
     Pisot bases, capped otherwise; it backs the L^q moment estimator.
   * interval_mass and ball_mass_brackets sweep in the prefix window of
-    `Lattice.window`, so certified two-sided ball-mass brackets at any
+    `Lattice.inside`, so certified two-sided ball-mass brackets at any
     depth come without enumerating the whole measure.
 """
 
@@ -159,7 +159,7 @@ def ball_mass_brackets(sys: BetaSystem, x, levels: Sequence[int],
             pass
         k = n + margin
         tail = sys.right_end * sys.rho_powers[k]
-        inside = sys.field.rows_within(states[0], *lattice.window(k, x - r + tail, x + r - tail))
+        inside = lattice.inside(states[0], k, x - r + tail, x + r - tail)
         lower, upper = int(states[1][inside].sum()), int(states[1].sum())
         brackets[n] = (Fraction(lower, sys.m ** k), Fraction(upper, sys.m ** k))
     return brackets

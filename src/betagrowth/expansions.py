@@ -8,10 +8,12 @@ expansion of a point of [a, b] exactly when beta^k a - R <= t <= beta^k b;
 N_n(x) is the window of [x, x].  Merging keeps the reachable state set
 constant-size for Pisot bases (Garsia separation); for rational ones the
 window bounds it, and when m <= p for beta = p/q no two words share a
-state, so a windowed step skips the merge; its keys stay int64, as limbs.
-Membership uses `NumberField.rows_within`: a vector float screen with a
-proven error bound and an exact fallback, or exact integer comparisons of
-limbs in degree one.
+state, so a windowed step skips the merge; its keys stay int64, as limbs,
+a format only this module reads or writes.  `Lattice.inside` is the one
+window test: `NumberField.sign_rows` (a vector float screen with a proven
+error bound and an exact fallback) from degree two on, exact integer
+comparisons of limbs in degree one.  The random map K_beta of `simulate`
+takes its digits off the same inequality, one digit at a time.
 """
 
 from __future__ import annotations
@@ -24,13 +26,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapExceededError, HypothesisError, InvalidInputError, InvariantError
-from .numberfield import INT64_MAX, LIMB_BITS, LIMB_MASK, BetaSystem, FieldElement, Powers
+from .numberfield import INT64_MAX, BetaSystem, FieldElement, Powers
 
 # the most states any one level of a `Lattice.sweep` may hold
 DEFAULT_ATOM_CAP = 4_000_000
 # p times a limb, plus a limb and a carry, must fit int64 (DECISIONS.md)
 LIMB_P_BOUND = 2 ** 30
 GAP_BLOCK = 1024
+# degree-one key rows of windowed sweeps are int64 limbs in base 2^LIMB_BITS
+LIMB_BITS = 32
+LIMB_MASK = (1 << LIMB_BITS) - 1
 GOLDEN_COEFFS = (-1, -1, 1)
 
 
@@ -77,6 +82,27 @@ def _limbs(value: int, width: int) -> list[int]:
     the last one taking what is left."""
     shift = LIMB_BITS * (width - 1)
     return [value >> (LIMB_BITS * i) & LIMB_MASK for i in range(width - 1)] + [value >> shift]
+
+
+def _at_least(rows: np.ndarray, bound: int) -> np.ndarray:
+    """Whether each degree-one row's integer is at least the bound.  Rows
+    are one column of Python ints, or int64 limbs (`Lattice.step`), last
+    limb first; a bound whose last limb leaves int64 settles every row,
+    so no int64 column meets a Python int outside int64, which numpy 1.x
+    would compare in floats."""
+    if rows.dtype == object:
+        return rows[:, 0] >= bound
+    width = rows.shape[1]
+    top = bound >> (LIMB_BITS * (width - 1))
+    if not -INT64_MAX - 1 <= top <= INT64_MAX:
+        return np.full(len(rows), top < 0)
+    at_least = rows[:, -1] >= top
+    if width > 1:
+        # rows whose last limb equals the bound's are decided by the rest
+        tied = (rows[:, -1] == top).nonzero()[0]
+        rest = bound - (top << (LIMB_BITS * (width - 1)))
+        at_least[tied] = _at_least(rows[tied, :-1], rest)
+    return at_least
 
 
 class Lattice:
@@ -128,28 +154,36 @@ class Lattice:
         self.limbs = d == 1 and row[0] < LIMB_P_BOUND
         self.start = (np.zeros((1, d), dtype=np.int64), np.ones(1, dtype=np.int64))
 
-    def window(self, k: int, a: FieldElement, b: FieldElement) -> tuple[FieldElement, FieldElement]:
-        """The prefix window beta^k a - R <= t <= beta^k b of [a, b] at level
-        k, in key units (times lead^k): the digits after a prefix add a tail
-        in [0, R], R = (m-1)/(beta-1)."""
+    def inside(self, keys: np.ndarray, k: int, a: FieldElement, b: FieldElement) -> np.ndarray:
+        """Whether each level-k key lies in the prefix window of [a, b]:
+        beta^k a - R <= t <= beta^k b for its scaled sum t, since the digits
+        after a prefix add a tail in [0, R], R = (m-1)/(beta-1).  The test
+        runs in key units (times lead^k): `NumberField.sign_rows` from degree
+        two on; in degree one a key's integer c is in [lo, hi] exactly when
+        ceil(lo) <= c <= floor(hi), on Python-int or limb rows."""
         # fewer field products: ints in degree one (beta * lead = p), R when monic
         power = self.row[0] ** k if self.degree == 1 else self.grow_powers[k]
         lo, tail = a * power, self.sys.right_end
         hi = lo if b is a else b * power
-        return lo - (tail if self.lead == 1 else tail * self.lead ** k), hi
+        lo = lo - (tail if self.lead == 1 else tail * self.lead ** k)
+        if self.degree > 1:
+            lo_sign, hi_sign = self.sys.field.sign_rows(keys, lo, hi)
+            return (lo_sign >= 0) & (hi_sign <= 0)
+        return _at_least(keys, -(-lo.num[0] // lo.den)) & ~_at_least(keys, hi.num[0] // hi.den + 1)
 
-    def step(self, level: Level, k: int, window=None) -> Level:
+    def step(self, level: Level, k: int, a: FieldElement | None = None,
+             b: FieldElement | None = None) -> Level:
         """Level-k states -> level-(k+1) states under t -> beta*t + eps.
 
-        Counts of merged states add up.  A window (lo, hi) of field elements
-        keeps the states whose keys' values sum_i c_i beta^i lie in it.  A
-        windowed step of a collision-free base has no equal rows to merge
-        and returns them unsorted; an unwindowed step always returns its
-        rows merged, in the order of `_distinct_rows`.
+        Counts of merged states add up.  Given a, the step keeps the states
+        `inside` the prefix window of [a, b] at level k+1.  A windowed step
+        of a collision-free base has no equal rows to merge and returns them
+        unsorted; an unwindowed step always returns its rows merged, in the
+        order of `_distinct_rows`.
         """
         keys, counts = level
         m, scale = self.sys.m, self.lead ** (k + 1)
-        limbs = self.limbs and window is not None and keys.dtype != object
+        limbs = self.limbs and a is not None and keys.dtype != object
         if limbs:
             keys = self._widened(keys, scale)
         elif keys.dtype != object:
@@ -177,8 +211,8 @@ class Lattice:
                 keys[:, i + 1] += keys[:, i] >> LIMB_BITS
                 keys[:, i] &= LIMB_MASK
         counts = np.concatenate((counts,) * m)
-        if window is not None:
-            inside = self.sys.field.rows_within(keys, *window).nonzero()[0]
+        if a is not None:
+            inside = self.inside(keys, k + 1, a, b).nonzero()[0]
             # np.take gathers rows about ten times faster than keys[inside]
             keys, counts = np.take(keys, inside, axis=0), counts[inside]
             if self.collision_free:
@@ -213,8 +247,8 @@ class Lattice:
     def sweep(self, n: int, a: FieldElement | None = None, b: FieldElement | None = None,
               level: Level | None = None, k: int = 0):
         """Step the level-k states `level` (the empty word's by default) to
-        level n, yielding each level: in the prefix `window` of [a, b] when
-        a is given, unwindowed otherwise.  A level over DEFAULT_ATOM_CAP
+        level n, yielding each level: `inside` the prefix window of [a, b]
+        when a is given, unwindowed otherwise.  A level over DEFAULT_ATOM_CAP
         states raises CapExceededError."""
         if n < 0:
             raise InvalidInputError("level must be nonnegative")
@@ -224,7 +258,7 @@ class Lattice:
             for j in range(k + 1, n + 1):
                 self.check_cap(len(level[1]) * self.sys.m ** (j - k), j)
         for j in range(k, n):
-            level = self.step(level, j, None if a is None else self.window(j + 1, a, b))
+            level = self.step(level, j, a, b)
             self.check_cap(len(level[1]), j + 1)
             yield level
 
@@ -336,76 +370,36 @@ def verify_growth_bound(sys: BetaSystem, x, n_max: int) -> GrowthBoundReport:
 
 
 # ---------------------------------------------------------------------------
-# switch regions and the random transformation K_beta
+# the random transformation K_beta
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SwitchGeometry:
-    """Switch intervals S_k (closed) and the equality regions between them."""
+def simulate_expansion(x, n: int, sys: BetaSystem, coin_bits: Iterable[int]) -> list[int]:
+    """Digits emitted by n iterations of K_beta driven by the given coin bits.
 
-    sys: BetaSystem
-    floor_beta: int
-    switch: tuple[tuple[FieldElement, FieldElement], ...]  # S_k, k = 1..floor(beta)
-
-    def classify(self, x: FieldElement) -> tuple[str, int]:
-        """('switch', k) when x in S_k; otherwise ('equal', k) with the
-        forced digit k.  Boundary points of S_k count as switch points."""
-        x = _coerce_point(x, self.sys)
-        for k, (lo, hi) in enumerate(self.switch, start=1):
-            if (x - lo).sign() >= 0 and (hi - x).sign() >= 0:
-                return ("switch", k)
-        # equality region: digit k for x between S_k and S_{k+1}
-        if not self.switch:
-            # integer base: plain digit cells [k/beta, (k+1)/beta)
-            k = 0
-            while k + 1 < self.sys.m and (x * self.sys.beta - (k + 1)).sign() >= 0:
-                k += 1
-            return ("equal", k)
-        for k, (lo, _hi) in enumerate(self.switch, start=1):
-            if (x - lo).sign() < 0:
-                return ("equal", k - 1)
-        return ("equal", self.floor_beta)
-
-
-def switch_geometry(sys: BetaSystem) -> SwitchGeometry:
-    """Exact switch/equality intervals of the random transformation K_beta.
-
-    Requires the K_beta digit convention m = floor(beta) + 1 for non-integer
-    beta.  An integer base (with m = beta) has no switch region at all.
+    K_beta keeps the digits e with beta x - e in I_beta: the prefix window
+    of [x, x], one digit at a time.  Two digits k-1 and k fit exactly on
+    the switch region S_k = [k/beta, (R + k - 1)/beta], where a coin bit
+    picks k and its absence k-1.  No third fits: R = floor(beta)/(beta-1)
+    < 2 for floor(beta) >= 2, and m = 2 otherwise.  On an integer base two
+    digits fit only at a cell boundary k/beta, which takes the larger with
+    no coin.  K_beta needs m = floor(beta) + 1 digits, or m = beta on an
+    integer base.
     """
-    fb = sys.beta_floor()
-    if sys.is_integer_base():
+    fb, integer = sys.beta_floor(), sys.is_integer_base()
+    if integer:
         if sys.m != fb:
             raise InvalidInputError("integer base requires m = beta in K_beta mode")
-        return SwitchGeometry(sys, fb, ())
-    if sys.m != fb + 1:
+    elif sys.m != fb + 1:
         raise InvalidInputError("K_beta requires m = floor(beta) + 1")
-    one = sys.field.one
-    base = sys.field.rational(fb) / (sys.beta * (sys.beta - one))
-    intervals = []
-    for k in range(1, fb + 1):
-        lo = sys.field.rational(k) / sys.beta
-        hi = base + sys.field.rational(k - 1) / sys.beta
-        if (hi - lo).sign() < 0:
-            raise InvalidInputError("empty switch interval; is beta < m - 1?")
-        intervals.append((lo, hi))
-    return SwitchGeometry(sys, fb, tuple(intervals))
-
-
-def simulate_expansion(x, n: int, sys: BetaSystem, coin_bits: Iterable[int]) -> list[int]:
-    """Digits emitted by n iterations of K_beta driven by the given coin bits."""
-    geom = switch_geometry(sys)
     bits = iter(coin_bits)
     digits = []
     cur = _coerce_point(x, sys)
     for _ in range(n):
-        kind, k = geom.classify(cur)
-        if kind == "equal":
-            digit = k
-        else:
-            digit = k if next(bits) else k - 1
+        scaled = cur * sys.beta
+        fits = [e for e in range(sys.m) if sys.in_interval(scaled - e)]
+        digit = fits[0] if len(fits) > 1 and not integer and not next(bits) else fits[-1]
         digits.append(digit)
-        cur = cur * sys.beta - digit
+        cur = scaled - digit
     return digits
 
 

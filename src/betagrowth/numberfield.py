@@ -7,17 +7,17 @@ exact integer checks.  A scalar sign (`sign_int_coeffs`, behind
 `FieldElement.sign` and the comparisons) is exact bisection with no float:
 `sign_of` refines an isolating interval of the root in integers until an
 interval evaluation of the value excludes zero.  The rows of an integer
-matrix go through `sign_rows` (or `rows_within`): one vector float
+matrix go through `sign_rows`, in every degree: one vector float
 evaluation screens them under a proven error bound, and the rows too close
-to zero for the screen take the scalar path.  `rank_rows` is the one
-ranking of integer rows, in tagged groups: a float presort
-that one `sign_rows` call proves, with an exact comparison sort where the
-presort misorders.  In degree one a value is an integer over a
-denominator, and integer comparisons settle every matrix sign with no
-screen.  Sturm chains of primitive pseudo-remainders isolate beta and any
-rational root (one routine, `_isolate`) and decide Pisot status by a
-Routh-Hurwitz count.  Fractions appear only at the edges: rational input,
-output and bracket endpoints.
+to zero for the screen take the scalar path.  A row is read as the
+coefficients of 1, beta, ..., beta^(d-1); how the lattice DP stores its
+keys is not known here.  `rank_rows` is the one ranking of integer rows,
+in tagged groups: a float presort that one `sign_rows` call proves, with
+an exact comparison sort where the presort misorders.  Sturm chains of
+primitive pseudo-remainders isolate beta and any rational root (one
+routine, `_isolate`) and decide Pisot status by a Routh-Hurwitz count.
+Fractions appear only at the edges: rational input, output and bracket
+endpoints.
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ from .errors import InvalidInputError, InvariantError
 
 MAX_DEGREE = 10
 INT64_MAX = 2 ** 63 - 1
-# degree-one key rows of windowed sweeps are int64 limbs in base 2^LIMB_BITS
-LIMB_BITS = 32
-LIMB_MASK = (1 << LIMB_BITS) - 1
 
 # Primes of the factor-degree irreducibility certificate.
 _CERT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
@@ -684,17 +681,8 @@ class NumberField:
         (shifts, rows), for each shift given.  This is the one float
         screen: a row farther from the shift than both float error bounds
         together is settled (proof: DECISIONS.md), the rest go to the exact
-        bisection of `sign_int_coeffs`.
-
-        In degree one a row's value is its integer c and a shift is N/D,
-        D > 0, so c - N/D > 0 exactly when c > floor(N/D) and < 0 exactly
-        when c < ceil(N/D): two integer comparisons, with no screen."""
-        if self.degree == 1:
-            signs = np.empty((len(shifts), len(rows)), dtype=np.int8)
-            for sign, s in zip(signs, shifts):
-                sign[:] = self._at_least(rows, s.num[0] // s.den + 1)
-                sign -= ~self._at_least(rows, -(-s.num[0] // s.den))
-            return signs
+        bisection of `sign_int_coeffs`.  In degree one too: beta^0 = 1, and
+        `sign_of` decides a degree-one value at its first evaluation."""
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan stay unsettled
             val, err = self.float_rows(rows)
             bounds = np.array([self._float_value(s.num, s.den) for s in shifts])
@@ -705,37 +693,6 @@ class NumberField:
             s, row = shifts[j], rows[r].tolist()  # Python ints: den * c must not wrap
             signs[j, r] = self.sign_int_coeffs([s.den * c - b for c, b in zip(row, s.num)])
         return signs
-
-    def rows_within(self, rows: np.ndarray, lo: FieldElement, hi: FieldElement) -> np.ndarray:
-        """Whether lo <= sum_i rows[r, i] beta^i <= hi, exactly, row by row.
-        In degree one an integer c is at least lo exactly when c >= ceil(lo),
-        and at most hi exactly when c < floor(hi) + 1: two comparisons."""
-        if self.degree == 1:
-            low, high = -(-lo.num[0] // lo.den), hi.num[0] // hi.den
-            return self._at_least(rows, low) & ~self._at_least(rows, high + 1)
-        lo_sign, hi_sign = self.sign_rows(rows, lo, hi)
-        return (lo_sign >= 0) & (hi_sign <= 0)
-
-    @staticmethod
-    def _at_least(rows: np.ndarray, bound: int) -> np.ndarray:
-        """Whether each degree-one row's integer is at least the bound.  Rows
-        are one column of Python ints, or int64 limbs (`Lattice.step`), last
-        limb first; a bound whose last limb leaves int64 settles every row,
-        so no int64 column meets a Python int outside int64, which numpy 1.x
-        would compare in floats."""
-        if rows.dtype == object:
-            return rows[:, 0] >= bound
-        width = rows.shape[1]
-        top = bound >> (LIMB_BITS * (width - 1))
-        if not -INT64_MAX - 1 <= top <= INT64_MAX:
-            return np.full(len(rows), top < 0)
-        at_least = rows[:, -1] >= top
-        if width > 1:
-            # rows whose last limb equals the bound's are decided by the rest
-            tied = (rows[:, -1] == top).nonzero()[0]
-            rest = bound - (top << (LIMB_BITS * (width - 1)))
-            at_least[tied] = NumberField._at_least(rows[tied, :-1], rest)
-        return at_least
 
     def rank_rows(self, rows: np.ndarray, tags: np.ndarray) -> np.ndarray:
         """Dense ranks of the values sum_i rows[r, i] beta^i of an integer

@@ -28,17 +28,20 @@ against the sort-and-bincount form they replaced, bit for bit.  The
 multinacci series kernels are checked bit for bit against the forms they
 replaced: the inner log sums from int64 vectors built anew by stack and
 concatenate at every level, and the Monte-Carlo middle segment stepped by
-two `np.where` selections on an int64 (budget, 2) array.
+two `np.where` selections on an int64 (budget, 2) array.  The K_beta
+oracle `step_k_beta` takes one step from the switch regions S_k written
+out as intervals, against which `simulate_expansion`'s digit-by-digit
+window test is compared digit for digit.
 
 Some helpers here are thin readers of the library that only tests call:
 `distinct_sums_count` (the size of the last level of `Lattice.sweep`,
-checked against `brute_distinct_sums`), `step_k_beta` (one step of
-K_beta on `switch_geometry`), `field_element` (an element from its
+checked against `brute_distinct_sums`), `field_element` (an element from its
 rational coefficients), `as_fraction` (a rational element's exact
 value), `atoms_items_exact` and `refine_atoms` (exact atoms in value
 order, one more lattice step), `key_ints` and `key_value` (a level's
 keys as Python ints, limbs joined, and the exact value of one key) and
 `upper_dim_bound_check` (the finite-level upper local-dimension chain).
+`pisot_family` draws a Pisot base of Brauer's family with its m.
 Two more read an automaton's edges: `is_admissible` (a word is a path from
 the root) and `products_positive` (every row product from the root stays
 entrywise >= 1).  `automaton_doc_text` is the `automaton` document as one
@@ -55,15 +58,15 @@ from itertools import product
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from betagrowth.bconv import MeasureAtoms, ball_mass_brackets
 from betagrowth.errors import CapExceededError, HypothesisError, InvalidInputError, InvariantError
-from betagrowth.expansions import (Lattice, _coerce_point, _count_meets_bound, kappa,
-                                   prefix_count_series, switch_geometry)
+from betagrowth.expansions import (LIMB_BITS, Lattice, _coerce_point, _count_meets_bound, kappa,
+                                   prefix_count_series)
 from betagrowth.lyapunov import RENORM_EVERY, mc_chunk_len
 from betagrowth.netautomaton import Automaton, CharacteristicState
-from betagrowth.numberfield import (INT64_MAX, LIMB_BITS, BetaSystem, FieldElement, NumberField,
-                                    parse_beta)
+from betagrowth.numberfield import INT64_MAX, BetaSystem, FieldElement, NumberField, parse_beta
 
 # (criterion, ok, detail) tuples filled in by test_acceptance.py
 ACCEPTANCE_LOG: list[tuple[str, bool, str]] = []
@@ -83,6 +86,15 @@ def pytest_terminal_summary(terminalreporter):
 
 # the settings of the lattice and bracket properties
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
+
+# Pisot bases drawn by hypothesis: x^d - a_1 x^(d-1) - ... - a_d with
+# 3 >= a_1 >= ... >= a_d >= 1 and d <= 4 (beta = a_1 >= 2 for d = 1) has one
+# root above 1 and the others inside the unit circle (Brauer 1951), and
+# a_1 < beta < a_1 + 1 for d >= 2, since p(a_1) < 0 < p(a_1 + 1); m is
+# floor(beta) + 1 = a_1 + 1.  Every such automaton has at most 283 states.
+pisot_family = st.lists(st.integers(1, 3), min_size=1, max_size=4).map(
+    lambda a: sorted(a, reverse=True)).filter(lambda a: a != [1]).map(
+    lambda a: parse_beta("poly:" + ",".join(str(-c) for c in reversed(a)) + ",1", a[0] + 1))
 
 
 @pytest.fixture(scope="session")
@@ -219,13 +231,27 @@ def distinct_sums_count(n: int, sys: BetaSystem) -> int:
 
 
 def step_k_beta(omega_head: int, x, sys: BetaSystem) -> tuple[bool, int, FieldElement]:
-    """One step of K_beta: (coin consumed?, emitted digit, beta*x - digit)."""
-    x = sys.element(x)
-    kind, k = switch_geometry(sys).classify(x)
-    if kind == "equal":
-        return False, k, x * sys.beta - k
-    digit = k if omega_head else k - 1
-    return True, digit, x * sys.beta - digit
+    """One step of K_beta: (coin consumed?, emitted digit, beta*x - digit).
+
+    With f = floor(beta) and m = f + 1, the switch regions are the closed
+    intervals S_k = [k/beta, f/(beta(beta-1)) + (k-1)/beta], k = 1..f
+    (Dajani and Kraaikamp): on S_k the coin picks k (omega_head = 1) or
+    k-1; between S_k and S_(k+1) the digit is k.  An integer base (m =
+    beta) has no switch region: the digit is min(floor(beta x), m - 1).
+    """
+    x, beta = sys.element(x), sys.beta
+    if sys.degree == 1 and beta.den == 1:
+        digit = max(k for k in range(sys.m) if x * beta >= k)
+        return False, digit, x * beta - digit
+    # beta x against beta S_k = [k, f/(beta-1) + k - 1]
+    f = max(k for k in range(1, sys.m) if beta >= k)
+    top = sys.field.rational(f) / (beta - 1)
+    for k in range(1, f + 1):
+        if k <= x * beta <= top + (k - 1):
+            digit = k if omega_head else k - 1
+            return True, digit, x * beta - digit
+    digit = sum(x * beta >= k for k in range(1, f + 1))
+    return False, digit, x * beta - digit
 
 
 def field_element(field: NumberField, coeffs) -> FieldElement:

@@ -382,6 +382,66 @@ def test_simulate_digit_column(capsys):
     assert out.splitlines()[-1] == ",0.0,1.0"
 
 
+# (exit code, sha256 of stdout, stderr) of `simulate --beta --m --x --n --seed`,
+# recorded at 89e6a0f, where K_beta classified each point against switch
+# intervals derived by hand: reading the digits off the prefix window must
+# keep every digit and every coin.  The points include the cell boundaries
+# j/beta of int:2 and int:3, the switch-region ends 2/5, 8/15, 4/5 and 14/15
+# of 2.5 and golden's x = 1, the upper end of S_1; the last two are the m
+# errors.
+EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
+SIMULATE_STDOUT = {
+    ("golden", "2", "2/5", "40", "5"):
+        (0, "dda45d3868cf6ba225a7d6dc7fedae8197fe042f35eaddcd64ffb3ac489f7c15", ""),
+    ("golden", "2", "1", "30", "3"):
+        (0, "99edb4f17f9adfde3ca93d0049e3cc8d375fd3d84a674f5dec5959f989a68280", ""),
+    ("golden", "2", "0", "10", "0"):
+        (0, "ee2a86edb84bb6f7a6bfedf9196537b7023717336463bf4ff4f4f21210fd64cf", ""),
+    ("2.5", "3", "7/10", "40", "2"):
+        (0, "99d75cb200faaa028539076514571889e06bef184d1f378af013012e4f03afb6", ""),
+    ("int:2", "2", "1/2", "20", "1"):
+        (0, "4c3229af9acb05c2607e994530d660adc15ee9294535519be7eec0e4066e4153", ""),
+    ("int:3", "3", "1/3", "20", "4"):
+        (0, "cc6f348250ced9326aa88157fe2b80df1c7b32945db3bf587e423049fdcabe13", ""),
+    ("int:3", "3", "2/3", "20", "4"):
+        (0, "78801d29d25485f06790d839c6cbfae30f5921ccc3efae52aec9a517d4898357", ""),
+    ("int:2", "2", "1", "10", "0"):
+        (0, "9ba5d7ea6c0bedc813b5502484f7d56a32b5c7350be3766df7053c9409406013", ""),
+    ("int:3", "3", "1", "10", "0"):
+        (0, "481ac5b846380aa298cdd91cb137f53a92c5e9fe2763170e94ac17d84f6364d1", ""),
+    ("2.5", "3", "2/5", "20", "3"):
+        (0, "8e6fe848f32c33d91ad3909c45b44eea66d491fc4d48c33acf72a2d1e9511cdc", ""),
+    ("2.5", "3", "8/15", "20", "3"):
+        (0, "487f499109f84344ecea73dd80e990d88de2253522b2c8ed7c3d72e0ea199fcf", ""),
+    ("2.5", "3", "4/5", "20", "3"):
+        (0, "e90c3aea2447aa3ff1bb830298c6f16ce95b60fae691c7047bd6516b123c8027", ""),
+    ("2.5", "3", "14/15", "20", "3"):
+        (0, "2122ec7f7a774581b2435283083c1b9e50882547ac1a2ef940dbbfbfd67cf2cc", ""),
+    ("1.5", "2", "1/2", "40", "7"):
+        (0, "b86eef680d276b65013c78bcb4e524558d3899caca4dee1c14f9861789d7882c", ""),
+    ("13/10", "2", "1/3", "40", "9"):
+        (0, "8c378c6b0fbcf598dcc4d266da42259ca2562f2808419751a3606717674418c1", ""),
+    ("multinacci:3", "2", "3/5", "40", "11"):
+        (0, "c9a5781be8d862812f72e0f7ffc568da0c43f597777851a7cf82f0dcdf13edcb", ""),
+    ("poly:-1,-1,0,1", "2", "1/2", "40", "6"):
+        (0, "3eb76b20704830f761563f2508b6aa86b590ed76635f706e0552c085485ae66a", ""),
+    ("10.5", "11", "1", "20", "1"):
+        (0, "38a93c02cd8a574adb6176176554826997c16908a2b2189a97cbde316e14adaa", ""),
+    ("golden", "3", "2/5", "10", "0"):
+        (2, EMPTY_SHA256, "error: K_beta requires m = floor(beta) + 1\n"),
+    ("int:2", "3", "1/2", "10", "0"):
+        (2, EMPTY_SHA256, "error: integer base requires m = beta in K_beta mode\n"),
+}
+
+
+@pytest.mark.parametrize("spec, m, x, n, seed", SIMULATE_STDOUT)
+def test_simulate_stdout_frozen(capsys, spec, m, x, n, seed):
+    code, out, err = run_cli(capsys, "simulate", "--beta", spec, "--m", m, "--x", x,
+                             "--n", n, "--seed", seed)
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest, err) == SIMULATE_STDOUT[spec, m, x, n, seed]
+
+
 def test_automaton_json(capsys):
     code, out, _ = run_cli(capsys, "automaton", "--beta", "golden", "--m", "2")
     assert code == 0

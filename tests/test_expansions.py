@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from betagrowth import expansions
 from betagrowth.errors import CapExceededError, HypothesisError, InvalidInputError
@@ -14,12 +16,12 @@ from betagrowth.expansions import (
     prefix_count_series,
     simulate_expansion,
     sparse_profile,
-    switch_geometry,
     verify_growth_bound,
 )
 from betagrowth.numberfield import parse_beta
 
 from conftest import (
+    PROPERTY_SETTINGS,
     brute_distinct_sum_values,
     brute_distinct_sums,
     brute_prefix_count,
@@ -128,38 +130,8 @@ def test_growth_bound_requires_interior(b15):
 
 
 # ---------------------------------------------------------------------------
-# switch geometry and K_beta
+# K_beta
 # ---------------------------------------------------------------------------
-
-def test_switch_golden(golden):
-    geom = switch_geometry(golden)
-    assert len(geom.switch) == 1
-    lo, hi = geom.switch[0]
-    assert lo == golden.field.one / golden.beta
-    assert hi == golden.field.one / (golden.beta * (golden.beta - 1))
-
-
-def test_switch_integer_base_empty(binary):
-    geom = switch_geometry(binary)
-    assert geom.switch == ()
-    assert geom.classify(binary.element(Fraction(1, 3)))[0] == "equal"
-
-
-def test_switch_beta_25_m3():
-    sys_ = parse_beta("2.5", 3)
-    geom = switch_geometry(sys_)
-    assert len(geom.switch) == 2
-    # S_k = [k/beta, floor(beta)/(beta(beta-1)) + (k-1)/beta] with floor = 2
-    base = sys_.field.rational(2) / (sys_.beta * (sys_.beta - 1))
-    for k, (lo, hi) in enumerate(geom.switch, start=1):
-        assert lo == sys_.field.rational(k) / sys_.beta
-        assert hi == base + sys_.field.rational(k - 1) / sys_.beta
-
-
-def test_switch_requires_kbeta_digits(golden):
-    with pytest.raises(InvalidInputError):
-        switch_geometry(parse_beta("golden", 3))
-
 
 def test_step_k_beta_golden(golden):
     x = golden.element(Fraction(3, 10))
@@ -173,6 +145,45 @@ def test_step_k_beta_golden(golden):
     consumed, digit, nxt = step_k_beta(0, one, golden)
     assert (consumed, digit) == (True, 0)
     assert nxt == golden.beta
+
+
+# K_beta bases with their digit counts m = floor(beta) + 1, or m = beta
+K_BETA_BASES = (("golden", 2), ("2.5", 3), ("int:2", 2), ("int:3", 3), ("1.5", 2), ("13/10", 2),
+                ("multinacci:3", 2), ("poly:-1,-1,0,1", 2), ("10.5", 11))
+
+
+@pytest.fixture(scope="module")
+def k_beta_systems():
+    return {base: parse_beta(*base) for base in K_BETA_BASES}
+
+
+@PROPERTY_SETTINGS
+@given(base=st.sampled_from(K_BETA_BASES), data=st.data(), n=st.integers(0, 12))
+@example(base=("golden", 2), data=None, n=6)
+@example(base=("int:2", 2), data=None, n=6)
+def test_simulate_matches_k_beta_oracle(k_beta_systems, base, data, n):
+    # every digit and every coin against the switch regions of `step_k_beta`,
+    # from their ends k/beta and (R + k - 1)/beta, 0, R and points between
+    sys_ = k_beta_systems[base]
+    beta, field = sys_.beta, sys_.field
+    ends = [field.rational(k) / beta for k in range(sys_.m)]
+    ends += [(sys_.right_end + k - 1) / beta for k in range(1, sys_.m)] + [sys_.right_end]
+    if data is None:
+        x, bits = ends[1], [1, 0] * n
+    else:
+        den = data.draw(st.integers(1, 997), label="den")
+        between = st.integers(0, den).map(lambda num: sys_.right_end * Fraction(num, den))
+        x = data.draw(st.one_of(st.sampled_from(ends), between), label="x")
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="coins")
+    coins = iter(bits)
+    digits = simulate_expansion(x, n, sys_, coins)
+    want, used, cur = [], 0, x
+    for _ in range(n):
+        consumed, digit, cur = step_k_beta(bits[used], cur, sys_)
+        want.append(digit)
+        used += consumed
+    assert digits == want
+    assert len(list(coins)) == len(bits) - used  # one coin per switch-region step
 
 
 def test_simulate_reconstructs(golden):

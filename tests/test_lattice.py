@@ -8,7 +8,9 @@ a leading coefficient of 2).  13/10 and golden with m = 3 run far enough
 that the kernel switches from int64 to Python-int arrays mid-sweep.
 Random rational bases p/q check the collision-free lemma (DECISIONS.md):
 distinct keys for m <= p, merges at m = p + 1, windowed counts against
-the dict step either way, and the exact degree-one sign and window tests.
+the dict step either way, and the degree-one sign screen and limb
+comparisons.  `Lattice.inside`, the one prefix-window test, is checked
+against exact field comparisons of each key, on limb, int64 and object rows.
 """
 
 import itertools
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 from betagrowth import expansions
 from betagrowth.bconv import ball_mass_brackets, interval_mass, level_atoms
 from betagrowth.errors import CapExceededError, InvalidInputError
-from betagrowth.expansions import INT64_MAX, Lattice, _distinct_rows, prefix_count_series
+from betagrowth.expansions import INT64_MAX, Lattice, _at_least, _distinct_rows, prefix_count_series
 from betagrowth.numberfield import FieldElement, parse_beta
 
 from conftest import (PROPERTY_SETTINGS, atoms_items_exact, brute_distinct_sums, brute_prefix_count,
@@ -268,9 +270,9 @@ def test_rational_windowed_counts_match_dict_step(base, data, x):
 @example(base=(3, 2), data=None, wide=False)
 @example(base=(3, 2), data=None, wide=True)
 def test_degree_one_sign_rows_match_sign_int_coeffs(base, data, wide):
-    # the window test of rational lattices: shifts on a row, between rows
-    # and past +-2^63, where a float comparison of an int64 row cannot tell
-    # 2^63 - 1 from 2^63 - 1/2; `rows_within` for each pair of shifts
+    # the float screen in degree one and the limb comparisons of `_at_least`:
+    # shifts on a row, between rows and past +-2^63, where a float comparison
+    # of an int64 row cannot tell 2^63 - 1 from 2^63 - 1/2
     p, q = base
     field = parse_beta(f"{p}/{q}", p).field
     lo, hi = (-2 ** 70, 2 ** 70) if wide else (-INT64_MAX - 1, INT64_MAX)
@@ -293,9 +295,10 @@ def test_degree_one_sign_rows_match_sign_int_coeffs(base, data, wide):
     for s, value, got in zip(shifts, values, signs.tolist()):
         exact = [field.sign_int_coeffs([s.den * c - s.num[0]]) for c in rows]
         assert got == exact == [(c > value) - (c < value) for c in rows]
-    for (low, a), (high, b) in itertools.product(zip(shifts, values), repeat=2):
-        within = field.rows_within(matrix, low, high)
-        assert within.tolist() == [a <= c <= b for c in rows]
+    for value in values:
+        # c >= value exactly when c >= ceil(value), c <= value when c < floor(value) + 1
+        assert _at_least(matrix, math.ceil(value)).tolist() == [c >= value for c in rows]
+        assert (~_at_least(matrix, math.floor(value) + 1)).tolist() == [c <= value for c in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +317,16 @@ def _width(big: int) -> int:
     while big >> (32 * (width - 1)) > INT64_MAX:
         width += 1
     return width
+
+
+def _window_points(sys_, k: int, ends):
+    """Points a and b, anywhere on the line, whose level-k prefix window is
+    ends = (lo, hi) in key units: lo = (beta lead)^k a - R lead^k and
+    hi = (beta lead)^k b."""
+    lead = sys_.minpoly.coeffs[-1]
+    power = (sys_.beta * lead) ** k
+    lo, hi = (sys_.element(e) for e in ends)
+    return (lo + sys_.right_end * lead ** k) / power, hi / power
 
 
 # p = 2^30 - 35, near the largest p kept on limbs, with beta close to 1
@@ -350,8 +363,7 @@ def test_limb_step_matches_python_ints(base, data):
     assert lattice.limbs
     keys = _limb_rows(values, _width(max(values)) + extra)
     counts = np.arange(1, len(values) + 1, dtype=np.int64)
-    lo, hi = (sys_.element(v) for v in ends)
-    new_keys, new_counts = lattice.step((keys, counts), k, (lo, hi))
+    new_keys, new_counts = lattice.step((keys, counts), k, *_window_points(sys_, k + 1, ends))
     want: dict = {}
     for c, count in zip(values, counts.tolist()):
         for e in range(m):
@@ -364,11 +376,54 @@ def test_limb_step_matches_python_ints(base, data):
     # every limb below the last is in [0, 2^32)
     assert ((new_keys[:, :-1] >= 0) & (new_keys[:, :-1] < 2 ** 32)).all()
     # the window test on the limb rows themselves
-    field = sys_.field
-    within = field.rows_within(keys, lo, hi).tolist()
+    within = lattice.inside(keys, k, *_window_points(sys_, k, ends)).tolist()
     assert within == [ends[0] <= c <= ends[1] for c in values]
-    signs = field.sign_rows(keys, lo, hi).tolist()
-    assert signs == [[(c > e) - (c < e) for c in values] for e in ends]
+
+
+INSIDE_SPECS = ("13/10", "1.5", "golden", "poly:-3,0,2")
+# key-unit bounds at and past +-2^63, and past the last of three limbs
+HUGE_ENDS = (INT64_MAX, INT64_MAX + 1, -INT64_MAX - 1, -INT64_MAX - 2, 2 ** 64 + 1,
+             INT64_MAX << 32, (INT64_MAX + 1) << 64, 2 ** 200, -2 ** 200)
+
+
+@PROPERTY_SETTINGS
+@given(spec=st.sampled_from(INSIDE_SPECS), data=st.data())
+@example(spec="13/10", data=None)
+def test_inside_matches_field_comparisons(systems, spec, data):
+    # Lattice.inside against beta^k a - R <= t <= beta^k b in field elements,
+    # t = key / lead^k: degree-one rows as int64 limbs of width 1 to 3 or as
+    # Python ints, higher degrees as int64 or Python ints, with window ends
+    # on a key, next to one, between keys (thirds) and at and past +-2^63
+    sys_ = systems[spec]
+    lattice, d = Lattice(sys_), sys_.degree
+    if data is None:
+        k, width, values = 20, 3, [0, 1, INT64_MAX, INT64_MAX << 64, 2 ** 127 - 1]
+        rows, ends = _limb_rows(values, width), (INT64_MAX, (INT64_MAX + 1) << 64)
+        keys = [[v] for v in values]
+    else:
+        k = data.draw(st.integers(0, 30), label="k")
+        width = data.draw(st.integers(1, 3), label="width") if d == 1 else 0
+        entry = (st.integers(0, 2 ** (32 * (width - 1) + 63) - 1) if width
+                 else st.integers(-2 ** 70, 2 ** 70) | st.integers(-2 ** 40, 2 ** 40))
+        keys = data.draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=1, max_size=8),
+                         label="keys")
+        if width and data.draw(st.booleans(), label="limbs"):
+            rows = _limb_rows([key[0] for key in keys], width)
+        else:
+            fits = all(abs(c) <= 2 ** 40 for key in keys for c in key)
+            rows = np.array(keys, dtype=np.int64 if fits and width == 0 else object)
+        near = st.sampled_from(keys).flatmap(lambda key: st.integers(-2, 2).map(
+            lambda delta: FieldElement(sys_.field, (3 * key[0] + delta, *(3 * c for c in key[1:])),
+                                       3)))
+        end = st.one_of(near, st.sampled_from(HUGE_ENDS).map(sys_.element))
+        ends = data.draw(st.tuples(end, end), label="ends")
+    a, b = _window_points(sys_, k, ends)
+    tail, power = sys_.right_end, sys_.beta ** k
+    want = []
+    for key in keys:
+        t = FieldElement(sys_.field, tuple(key), lattice.lead ** k)
+        want.append(power * a - tail <= t <= power * b)
+    assert lattice.inside(rows, k, a, b).tolist() == want
 
 
 def test_windowed_13_10_keys_reach_three_limbs():

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from betagrowth import netautomaton
 from betagrowth.errors import CapExceededError, InvalidInputError, InvariantError
@@ -16,9 +18,9 @@ from betagrowth.netautomaton import (
     essential_class,
     net_intervals,
 )
-from betagrowth.numberfield import NumberField, parse_beta
-from conftest import (brute_essential_class, cylinder_closure, field_automaton,
-                      field_net_intervals, is_admissible, multiplicity_direct,
+from betagrowth.numberfield import NumberField, is_pisot, parse_beta
+from conftest import (PROPERTY_SETTINGS, brute_essential_class, cylinder_closure, field_automaton,
+                      field_net_intervals, is_admissible, multiplicity_direct, pisot_family,
                       products_positive, state_key)
 
 
@@ -389,6 +391,20 @@ def test_oracle_equivalence(spec):
             assert by_matrix == multiplicity_direct(sys_, n, a, b)
             # rescaling identity: N_n((m-1) z/(beta-1)) = covering count
             assert by_matrix == count_prefixes(sys_.right_end * mid, n, sys_)
+
+
+@PROPERTY_SETTINGS
+@given(sys_=pisot_family, num=st.integers(1, 9972))
+def test_pisot_family_matrix_counts_match_prefix_counts(sys_, num):
+    # criterion 5 on drawn bases.  z = num/9973 is no net partition point:
+    # those are v (beta - 1)/(m - 1) and that plus beta^-n, v in
+    # Z[beta, 1/beta], so a rational one has a denominator dividing
+    # a_d^k (m - 1), and a_d and m - 1 = a_1 are at most 3
+    assert is_pisot(sys_.minpoly) and sys_.beta_floor() == sys_.m - 1
+    auto = build_automaton(sys_, state_cap=1000)
+    z = Fraction(num, 9973)
+    word = coding_of_point(z, 8, auto)
+    assert count_via_matrices(auto, word) == count_prefixes(sys_.right_end * z, 8, sys_)
 
 
 def test_multiplicity_direct_golden_level1(golden, golden_auto):
