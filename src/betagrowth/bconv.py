@@ -9,10 +9,10 @@ that reach each state.
 
   * level_atoms, an unwindowed sweep, enumerates the full level-n
     distribution (distinct digit sums with exact word counts) -- cheap for
-    Pisot bases, capped otherwise; it backs the L^q moment estimator.
+    Pisot bases, capped otherwise; sorted floats back the L^q estimator.
   * interval_mass and ball_mass_brackets sweep in the prefix window of
-    `Lattice.inside`, so certified two-sided ball-mass brackets at any
-    depth come without enumerating the whole measure.
+    `Lattice.inside`, level 0 included, so certified two-sided ball-mass
+    brackets at any depth come without enumerating the whole measure.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ class MeasureAtoms:
     """Level-n distribution of sum_{k<=n} eps_k beta^-k under uniform digits.
 
     Stored as level-n lattice keys (value * beta^n) with exact word counts;
-    weights are counts / m^n.
+    weights are counts / m^n.  `values` and `weights`, their floats, are
+    sorted by value when the atoms are built.
     """
 
     sys: BetaSystem
@@ -49,7 +50,11 @@ class MeasureAtoms:
     counts: np.ndarray
 
     def __post_init__(self):
-        self._sorted_cache = None
+        lead = self.sys.minpoly.coeffs[-1]
+        vals = self.sys.field.float_rows(self.keys)[0] / float(lead ** self.level)
+        order = np.argsort(vals, kind="stable")
+        self.values = vals[order] * float(self.sys.rho) ** self.level
+        self.weights = self.counts[order].astype(float) / float(self.sys.m) ** self.level
         self._cells = {}
 
     @property
@@ -59,22 +64,6 @@ class MeasureAtoms:
     def total_weight(self) -> Fraction:
         return Fraction(int(self.counts.sum()), self.sys.m ** self.level)
 
-    def _sorted(self):
-        if self._sorted_cache is None:
-            lead = self.sys.minpoly.coeffs[-1]
-            vals = self.sys.field.float_rows(self.keys)[0] / float(lead ** self.level)
-            order = np.argsort(vals, kind="stable")
-            values = vals[order] * float(self.sys.rho) ** self.level
-            weights = self.counts[order].astype(float) / float(self.sys.m) ** self.level
-            self._sorted_cache = (values, weights)
-        return self._sorted_cache
-
-    def values_float(self) -> np.ndarray:
-        return self._sorted()[0]
-
-    def weights_float(self) -> np.ndarray:
-        return self._sorted()[1]
-
     def cell_masses(self, width: float) -> np.ndarray:
         """Masses of the grid cells [j*width, (j+1)*width) that hold an atom,
         in increasing j, kept per width for every q of a tau table.  The
@@ -82,11 +71,11 @@ class MeasureAtoms:
         numbers are the labels a sort of the cells would give; bincount then
         adds each cell's weights in the same order (DECISIONS.md)."""
         if width not in self._cells:
-            cells = np.floor(self.values_float() / width)
+            cells = np.floor(self.values / width)
             starts = np.flatnonzero(cells[1:] != cells[:-1]) + 1
             runs = np.diff(starts, prepend=0, append=len(cells))
             labels = np.repeat(np.arange(len(runs)), runs)
-            self._cells[width] = np.bincount(labels, weights=self.weights_float())
+            self._cells[width] = np.bincount(labels, weights=self.weights)
         return self._cells[width]
 
 
@@ -107,21 +96,20 @@ def interval_mass(sys: BetaSystem, level: int, lo, hi) -> Fraction:
     """mu_level([lo, hi]) exactly: the fraction of length-level digit words
     whose value lies in the closed interval.
 
-    With R = (m-1)/(beta-1), these are the words whose prefixes pass the
-    prefix window of [lo + R beta^-level, hi], so the live state count is
-    proportional to the window width at the current scale.
+    With R = (m-1)/(beta-1), these are the words whose prefixes, the empty
+    one included, pass the prefix window of [lo + R beta^-level, hi], so the
+    live state count is proportional to the window width at the current scale.
     """
     if level < 0:
         raise InvalidInputError("level must be nonnegative")
     a = sys.element(lo) + sys.right_end * sys.rho_powers[level]
     hi = sys.element(hi)
-    if hi.sign() < 0 or (a - sys.right_end).sign() > 0:
-        return Fraction(0)  # the empty word's sum 0 is outside the level-0 window
     lattice = Lattice(sys)
     states = lattice.start
     for states in lattice.sweep(level, a, hi):
         pass
-    return Fraction(int(states[1].sum()), sys.m ** level)
+    inside = lattice.inside(states[0], level, a, hi)
+    return Fraction(int(states[1][inside].sum()), sys.m ** level)
 
 
 def _sorted_levels(levels: Sequence[int], margin: int, min_count: int = 0) -> list[int]:

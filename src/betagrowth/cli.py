@@ -392,13 +392,12 @@ def cmd_table1(args) -> int:
             }
         )
         if n == 3:
-            internal = (math.log(2) - est.value) / math.log(float(sys_n.beta))
-            if abs(internal - PAPER_TABLE1_D[3]) > 5e-5 and abs(internal - 1.020876) < 5e-5:
+            if abs(dim.value - PAPER_TABLE1_D[3]) > 5e-5 and abs(dim.value - 1.020876) < 5e-5:
                 print(
                     "# note: n=3 computed D = %.6f; the printed value %.6f "
                     "is inconsistent with D = (log2 - gamma)/log beta and is "
                     "flagged as a suspected misprint (digit transposition)."
-                    % (internal, PAPER_TABLE1_D[3]),
+                    % (dim.value, PAPER_TABLE1_D[3]),
                     file=sys.stderr,
                 )
     _emit(args, rows, TABLE1_COLUMNS, _config(args, n_range=args.n_range, k_exact=args.k_exact, **mc))

@@ -19,7 +19,7 @@ class InvalidInputError(BetaGrowthError):
 
 
 class CapExceededError(BetaGrowthError):
-    """A configured resource cap (states, nodes, atoms) was hit."""
+    """A resource cap was hit: DP states per lattice level, or automaton states."""
 
     exit_code = 3
 

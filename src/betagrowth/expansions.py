@@ -50,25 +50,23 @@ def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(order, starts) for the distinct rows of a nonempty integer matrix:
     keys[order] puts equal rows next to each other, and starts indexes the
     first row of each group.  The sort key reads a row in the mixed radix of
-    the column spans (DECISIONS.md): int64 offsets from the column minima
-    when the product of the spans fits, else the Python-int rows.  An int64
-    matrix is read through a copy of its transpose; reductions along axis 0
-    step through it d entries at a time and cost many times more.
+    the column spans (DECISIONS.md), one column too: int64 offsets from the
+    column minima when the product of the spans fits, else the Python-int
+    rows.  An int64 matrix is read through a copy of its transpose;
+    reductions along axis 0 step through it d entries at a time and cost
+    many times more.
     """
-    if keys.shape[1] == 1 and keys.dtype != object:
-        packed = keys[:, 0]
-    else:
-        cols = keys.T if keys.dtype == object else keys.T.copy()
-        lows = cols.min(axis=1)
-        spans = [hi - lo + 1 for lo, hi in zip(lows.tolist(), cols.max(axis=1).tolist())]
-        if math.prod(spans) <= INT64_MAX:
-            cols = (cols - lows[:, None]).astype(np.int64, copy=False)
-        elif keys.dtype != object:
-            cols = cols.astype(object)
-        packed, radix = cols[0], 1
-        for col, span in zip(cols[1:], spans):
-            radix *= span
-            packed = packed + col * radix
+    cols = keys.T if keys.dtype == object else keys.T.copy()
+    lows = cols.min(axis=1)
+    spans = [hi - lo + 1 for lo, hi in zip(lows.tolist(), cols.max(axis=1).tolist())]
+    if math.prod(spans) <= INT64_MAX:
+        cols = (cols - lows[:, None]).astype(np.int64, copy=False)
+    elif keys.dtype != object:
+        cols = cols.astype(object)
+    packed, radix = cols[0], 1
+    for col, span in zip(cols[1:], spans):
+        radix *= span
+        packed = packed + col * radix
     order = np.argsort(packed, kind="stable")
     packed = packed[order]
     new = np.empty(len(packed), dtype=bool)
@@ -105,6 +103,16 @@ def _at_least(rows: np.ndarray, bound: int) -> np.ndarray:
     return at_least
 
 
+def check_int64_coefficients(sys: BetaSystem) -> None:
+    """Reject a coefficient outside int64: the step's dtype bound keeps int64
+    products in range only when the step matrix's entries are int64."""
+    big, bound = max(map(abs, sys.minpoly.coeffs)), int(np.iinfo(np.int64).max)
+    if big > bound:
+        raise InvalidInputError(
+            f"{sys.spec}: minimal polynomial coefficient {big} exceeds the int64 bound "
+            f"2^63 - 1 = {bound} of the lattice steps")
+
+
 class Lattice:
     """Digit sums scaled by beta^k, as integer vectors: the one DP state format.
 
@@ -135,13 +143,7 @@ class Lattice:
         self.lead = coeffs[-1]
         self.row = row = [-c for c in coeffs[:-1]]  # lead*beta^d = sum row_i beta^i
         self.degree = d = len(row)
-        # the step's dtype bound keeps int64 products in range only when the
-        # matrix entries themselves are int64
-        big, bound = max(self.lead, *map(abs, row)), int(np.iinfo(np.int64).max)
-        if big > bound:
-            raise InvalidInputError(
-                f"{sys.spec}: minimal polynomial coefficient {big} exceeds the int64 bound "
-                f"2^63 - 1 = {bound} of the lattice steps")
+        check_int64_coefficients(sys)
         # c @ matrix is the key of lead * beta * (value of c)
         self._matrix = np.vstack([self.lead * np.eye(d - 1, d, 1, dtype=np.int64), row])
         # no entry of times_beta(rows) exceeds growth * max|rows| in size
@@ -355,7 +357,7 @@ class GrowthBoundReport:
 
 def verify_growth_bound(sys: BetaSystem, x, n_max: int) -> GrowthBoundReport:
     """Check N_n(x) >= 2^(kappa*n - 1) for 1 <= n <= n_max, exactly."""
-    Lattice(sys)  # rejects an int64-overflowing coefficient before kappa's long power loop
+    check_int64_coefficients(sys)  # before kappa's long power loop
     kap = kappa(sys)
     x = _coerce_point(x, sys)
     if x.sign() <= 0 or (sys.right_end - x).sign() <= 0:

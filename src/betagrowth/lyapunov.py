@@ -6,9 +6,9 @@ Routes:
     row-vector product through the transition matrices.  All chains walk
     in lockstep in a single process: a block of path steps by one table
     lookup per k steps on the ranks of the uniforms, then one numpy multiply
-    per chunk of steps, by the chunk's k-step products (tabled with the
-    lookup) multiplied exactly in a pairwise tree (a chunk is one step where
-    the tree would cost more).
+    per chunk of steps, by the chunk's k-step products (one product lookup
+    per table entry) multiplied exactly in a pairwise tree (a chunk is one
+    step where the tree would cost more).
   * Multinacci series: the closed-form series for gamma_n over products of
     the two unimodular digit matrices, enumerated exactly up to a cutoff
     with an analytic geometric tail bound (and a Monte-Carlo middle segment
@@ -178,22 +178,22 @@ def _run_tables(cdf: np.ndarray, nxt: np.ndarray, mats: np.ndarray,
     step most significant: a uniform u < 1 = K[-1] has a rank below |K|, so
     `_rank_table`'s last column is never read.  jump[s, w] is the state the
     k steps of w reach from state s, and prods[s, w] the exact product of
-    their edge matrices, first step on the left.  The one-step tables are
-    jump = nxt[first] and the matrices mats[first], and each squaring doubles
-    k: jump[jump], and prods[s, w1] @ prods[jump[s, w1], w2] as a (w1, w2)
-    table.  At k = 1 no states x ranks copy of the edge stack is made: pick
-    is `first` and prods is mats itself, so the product is mats[pick[s, w]];
-    above it pick is None.
+    their edge matrices, first step on the left, at prods[pick[s, w]].  The
+    one-step tables are jump = nxt[first] and pick = `first`, with prods
+    mats itself, so no states x ranks copy of the edge stack is made.  Each
+    squaring doubles k: jump[jump], and table[s, w1] @ table[jump[s, w1], w2]
+    as a (w1, w2) table, for table = prods[pick]; the new prods is that
+    table, flat, and pick numbers its entries.
     """
     K, first = _rank_table(cdf)
     first = first[:, :-1] + cdf.shape[1] * np.arange(len(cdf))[:, None]
     dim = mats.shape[1]
     k, jump, pick, prods = 1, nxt[first], first, mats
     while 2 * k <= k_max and jump.size * jump.shape[1] * dim * dim <= RUN_TABLE_FLOATS:
-        table = prods if pick is None else prods[pick]
-        prods = (table[:, :, None] @ table[jump]).reshape(len(jump), -1, dim, dim)
+        table = prods[pick]
+        prods = (table[:, :, None] @ table[jump]).reshape(-1, dim, dim)
         jump = jump[jump].reshape(len(jump), -1)
-        pick = None
+        pick = np.arange(len(prods)).reshape(jump.shape)
         k *= 2
     return K, k, jump, pick, prods
 
@@ -291,9 +291,7 @@ def estimate_gamma_mc(chain: ParryChain, auto: Automaton, path_len: int = MC_PAT
     after = np.concatenate((jump.ravel(), np.arange(n_states)))
     after *= n_words
     del jump
-    # table entry e's product is prods[e], or at k = 1 the matrix of edge pick[e]
-    prods = prods.reshape(-1, dim, dim)
-    pick = None if pick is None else pick.ravel()
+    pick = pick.ravel()
     rngs = [np.random.default_rng((seed, c)) for c in range(n_chains)]
     start_cdf = np.cumsum(chain.stationary)
     start_cdf[-1] = 1.0
@@ -322,7 +320,7 @@ def estimate_gamma_mc(chain: ParryChain, auto: Automaton, path_len: int = MC_PAT
             cur = words[r] = after[cur] + words[r]
         for at in range(0, len(words), span):
             entries = words[at:at + span]
-            runs = prods[entries if pick is None else pick[entries]]
+            runs = prods[pick[entries]]
             # identities pad the path's last chunk to h steps
             pad = -len(runs) % per_chunk
             if pad:

@@ -8,16 +8,16 @@ exact integer checks.  A scalar sign (`sign_int_coeffs`, behind
 `sign_of` refines an isolating interval of the root in integers until an
 interval evaluation of the value excludes zero.  The rows of an integer
 matrix go through `sign_rows`, in every degree: one vector float
-evaluation screens them under a proven error bound, and the rows too close
-to zero for the screen take the scalar path.  A row is read as the
-coefficients of 1, beta, ..., beta^(d-1); how the lattice DP stores its
-keys is not known here.  `rank_rows` is the one ranking of integer rows,
-in tagged groups: a float presort that one `sign_rows` call proves, with
-an exact comparison sort where the presort misorders.  Sturm chains of
-primitive pseudo-remainders isolate beta and any rational root (one
-routine, `_isolate`) and decide Pisot status by a Routh-Hurwitz count.
-Fractions appear only at the edges: rational input, output and bracket
-endpoints.
+evaluation, on beta's float powers rounded once per field, screens them
+under a proven error bound; rows too close to zero take the scalar path.
+A row is read as the coefficients of 1, beta, ..., beta^(d-1); how the
+lattice DP stores its keys is not known here.  `rank_rows` is the one
+ranking of integer rows, in tagged groups: a float presort that one
+`sign_rows` call proves, with an exact comparison sort where the presort
+misorders.  Sturm chains of primitive pseudo-remainders isolate beta and
+any rational root (one routine, `_isolate`) and decide Pisot status by a
+Routh-Hurwitz count.  Fractions appear only at the edges: rational input,
+output and bracket endpoints.
 """
 
 from __future__ import annotations
@@ -494,8 +494,8 @@ class Powers:
 class NumberField:
     """Q[x]/(p) together with an isolating interval for the designated root.
 
-    The isolating interval is refined lazily by bisection; refinement is the
-    only mutable state.
+    The isolating interval is refined lazily by bisection; it and the float
+    powers of beta, rounded once, are the only mutable state.
     """
 
     def __init__(self, minpoly: MinimalPolynomial, bracket: tuple[Fraction, Fraction]):
@@ -605,7 +605,6 @@ class NumberField:
                 raise InvariantError("bisection midpoint is a root; polynomial not irreducible?")
             lo, hi = (mid, hi) if (v < 0) == rising else (lo, mid)
         self._a, self._b, self._q = lo, hi, q
-        self._float_powers = None
 
     def refine_to(self, width: Fraction) -> tuple[Fraction, Fraction]:
         # the fewest halvings t with (b - a) / (q 2^t) <= width
@@ -628,6 +627,8 @@ class NumberField:
             self._bisect(1)
 
     def beta_float_powers(self) -> tuple[float, ...]:
+        """1, beta, ..., beta^(d-1) in floats, rounded once per field from the
+        midpoint of the first bracket of width <= 10^-30."""
         if self._float_powers is None:
             self.refine_to(Fraction(1, 10 ** 30))
             n, q = self._a + self._b, 2 * self._q  # the midpoint n/q

@@ -65,7 +65,7 @@ def test_atoms_refinement_consistency(golden, b15):
 
 
 def test_atoms_values_sorted(golden):
-    vals = level_atoms(golden, 8).values_float()
+    vals = level_atoms(golden, 8).values
     assert (np.diff(vals) > 0).all()
 
 
@@ -104,6 +104,24 @@ def test_interval_mass_huge_denominator(golden):
     direct = sum(w for v, w in atoms_items_exact(level_atoms(golden, 5))
                  if (v - lo).sign() >= 0 and (1 - v).sign() >= 0)
     assert interval_mass(golden, 5, lo, 1) == direct
+
+
+@pytest.mark.parametrize("spec", ["golden", "1.5", "int:2", "poly:-3,0,2"])
+def test_interval_mass_level_zero_and_disjoint_windows(spec):
+    # level 0 holds the empty word, of value 0: mass 1 when the window holds
+    # 0, an end included, and 0 when it does not
+    sys_ = parse_beta(spec, 2)
+    right = sys_.right_end
+    for lo, hi, want in [(-1, 1, 1), (0, 1, 1), (-1, 0, 1), (0, 0, 1),
+                         (Fraction(1, 10), 1, 0), (-1, Fraction(-1, 10), 0), (right, right + 1, 0)]:
+        assert interval_mass(sys_, 0, lo, hi) == want, (lo, hi)
+    for n in (1, 2, 5):
+        # windows disjoint from I_beta hold no word; one that touches its
+        # left end holds the zero word alone, and words of value R do not exist
+        assert interval_mass(sys_, n, -1, Fraction(-1, 10)) == 0
+        assert interval_mass(sys_, n, right + Fraction(1, 10), right + 1) == 0
+        assert interval_mass(sys_, n, right, right + 1) == 0
+        assert interval_mass(sys_, n, -1, 0) == Fraction(1, 2 ** n)
 
 
 def test_interval_mass_lebesgue(binary):
@@ -297,7 +315,7 @@ def test_tau_rejects_bad_q(golden):
 def test_cell_masses_match_bincount(spec, m, atom_level, used):
     sys_ = parse_beta(spec, m)
     atoms = level_atoms(sys_, atom_level)
-    values, weights = atoms.values_float(), atoms.weights_float()
+    values, weights = atoms.values, atoms.weights
     for n in used:
         width = 2 * float(sys_.beta) ** -n
         got = atoms.cell_masses(width)

@@ -1,6 +1,7 @@
 """Property tests for the lattice DP kernel against the brute-force oracles
 and against the dict form of its step (`conftest.dict_lattice_step`), and
-for its row merge against a dict of tuples (`conftest.dict_merge_rows`).
+for its row merge against a dict of tuples (`conftest.dict_merge_rows`)
+and its order against `np.lexsort`, one packing for every width.
 
 The bases cover degree one (1.5 and 13/10) and higher degrees, monic
 (golden, tribonacci) and non-monic (poly:-3,0,2, whose root sqrt(3/2) has
@@ -182,6 +183,33 @@ def test_distinct_rows_match_dict_merge(case):
         assert dict(groups) == want and len(groups) == len(want)
         # the groups come in the order of the rows read from the last column
         assert [row for row, _count in groups] == sorted(want, key=lambda row: row[::-1])
+
+
+@st.composite
+def key_matrices(draw):
+    """An int64 or object matrix of 1 to 4 columns and 1 to 30 rows drawn
+    from a pool of at most 6, so rows repeat; entries small, near the int64
+    ends (column spans past 2^63) or, in object matrices, past int64."""
+    d = draw(st.integers(1, 4))
+    dtype = draw(st.sampled_from((np.int64, object)))
+    bounds = (5, 2 ** 40, INT64_MAX) + ((2 ** 100,) if dtype is object else ())
+    bound = draw(st.sampled_from(bounds))
+    entries = st.integers(-bound - (bound == INT64_MAX), bound)
+    pool = draw(st.lists(st.tuples(*[entries] * d), min_size=1, max_size=6))
+    return np.array(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30)), dtype=dtype)
+
+
+@PROPERTY_SETTINGS
+@given(keys=key_matrices())
+@example(keys=np.array([[-2 ** 63], [INT64_MAX], [0], [-2 ** 63]], dtype=np.int64))
+@example(keys=np.array([[3], [-1], [3], [-1], [0]], dtype=np.int64))
+def test_distinct_rows_order_is_lexsort(keys):
+    # one packing for every width: the order is the stable sort of the rows
+    # read from the last column, and starts mark the first row of each run
+    order, starts = _distinct_rows(keys)
+    assert order.tolist() == np.lexsort(keys.T).tolist()
+    rows = keys[order].tolist()
+    assert starts.tolist() == [i for i in range(len(rows)) if i == 0 or rows[i] != rows[i - 1]]
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,8 @@ from betagrowth.lyapunov import (
 )
 from betagrowth.netautomaton import build_automaton
 from betagrowth.numberfield import multinacci, parse_beta
-from conftest import (int64_inner_log_sums, mc_cdf_rows, mc_chain_values, mc_word_walks,
-                      where_mc_middle)
+from conftest import (PROPERTY_SETTINGS, int64_inner_log_sums, mc_cdf_rows, mc_chain_values,
+                      mc_word_walks, pisot_family, where_mc_middle)
 
 PAPER_GAMMA_OVER_LOG2 = {
     3: 0.102500, 4: 0.041560, 5: 0.018426, 6: 0.008590, 7: 0.004123,
@@ -67,13 +67,9 @@ def test_parry_stationary(tri_chain):
     assert (chain.stationary > 0).all()
 
 
-@pytest.mark.parametrize("spec,m", [("golden", 2), ("golden", 3), ("multinacci:3", 2),
-                                    ("poly:-1,-1,0,1", 2)])
-def test_parry_rows_sum_to_one_exactly(spec, m):
+def _assert_parry_rows_exact(sys_, auto):
     # P_ij = rho l_j / l_i sums to 1 over a row exactly when the children
     # lengths of each essential state i sum to beta l_i
-    sys_ = parse_beta(spec, m)
-    auto = build_automaton(sys_)
     chain = parry_chain(auto)
     assert sorted(auto.essential) == list(chain.states)
     for i in chain.states:
@@ -82,6 +78,20 @@ def test_parry_rows_sum_to_one_exactly(spec, m):
             assert j in auto.essential
             total = total + auto.ell(j)
         assert total == sys_.beta * auto.ell(i)
+
+
+@pytest.mark.parametrize("spec,m", [("golden", 2), ("golden", 3), ("multinacci:3", 2),
+                                    ("poly:-1,-1,0,1", 2)])
+def test_parry_rows_sum_to_one_exactly(spec, m):
+    sys_ = parse_beta(spec, m)
+    _assert_parry_rows_exact(sys_, build_automaton(sys_))
+
+
+@PROPERTY_SETTINGS
+@given(sys_=pisot_family)
+def test_parry_rows_sum_to_one_exactly_on_pisot_family(sys_):
+    # every automaton of the family has at most 283 states
+    _assert_parry_rows_exact(sys_, build_automaton(sys_, state_cap=1000))
 
 
 def test_parry_binary(binary):
@@ -268,10 +278,11 @@ def test_run_tables_entry_by_entry(spec, m, k_max, k):
     if k == 1:
         # no states x ranks copy of the edge stack
         assert prods is mats
-        prods = prods[pick]
     else:
-        assert pick is None
-    assert np.array_equal(prods, products.astype(float))
+        # above k = 1 each entry has its own row of prods
+        assert (pick.ravel() == np.arange(len(prods))).all()
+    assert pick.shape == jump.shape
+    assert np.array_equal(prods[pick], products.astype(float))
 
 
 def test_mc_seed_determinism(tri_chain):

@@ -248,6 +248,19 @@ def test_layer_pass_matches_per_state_oracle(spec, m):
     assert batched[2] is None
 
 
+@PROPERTY_SETTINGS
+@given(sys_=pisot_family)
+def test_pisot_family_closure_and_essential_class(sys_):
+    # the batched closure against the per-state oracle, and the essential
+    # class against brute force, on drawn Pisot bases; every automaton of
+    # the family has at most 283 states, so the cap is never reached
+    batched = _closure(netautomaton._close, sys_, state_cap=1000)
+    assert batched == _closure(cylinder_closure, sys_, state_cap=1000)
+    assert batched[2] is None
+    auto = build_automaton(sys_, state_cap=1000)
+    assert auto.essential == brute_essential_class(auto)
+
+
 def test_layer_pass_capped_mixed_rows(monkeypatch):
     # 13/10 is not Pisot: the first 300 states of its capped closure, with
     # the int64 room cut so that its early batches run on int64 rows and its

@@ -537,6 +537,17 @@ def test_refine_to_matches_rational_bisection(spec):
         assert field.bracket() == (lo, hi)
 
 
+@pytest.mark.parametrize("spec", ["golden", "multinacci:3", "poly:-3,0,2"])
+def test_beta_float_powers_rounded_once(spec):
+    # a later bisection narrows the bracket but keeps the floats already used
+    sys_ = parse_beta(spec, 2)
+    field = NumberField(sys_.minpoly, sys_.root_interval)
+    powers = field.beta_float_powers()
+    lo, hi = field.bracket()
+    assert field.refine_to((hi - lo) / 2) != (lo, hi)
+    assert field.beta_float_powers() is powers
+
+
 def test_sign_rows_beyond_float_range(golden):
     # terms past 1e308 overflow to inf, and rows past float range cannot be
     # converted at all: both are left to the exact path, without warnings
