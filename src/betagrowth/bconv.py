@@ -105,11 +105,12 @@ def interval_mass(sys: BetaSystem, level: int, lo, hi) -> Fraction:
     a = sys.element(lo) + sys.right_end * sys.rho_powers[level]
     hi = sys.element(hi)
     lattice = Lattice(sys)
-    states = lattice.start
-    for states in lattice.sweep(level, a, hi):
+    keys, counts = lattice.start
+    inside = lattice.inside(keys, lattice.window(0, a, hi))
+    states = keys[inside], counts[inside]
+    for states in lattice.sweep(level, a, hi, states):
         pass
-    inside = lattice.inside(states[0], level, a, hi)
-    return Fraction(int(states[1][inside].sum()), sys.m ** level)
+    return Fraction(int(states[1].sum()), sys.m ** level)
 
 
 def _sorted_levels(levels: Sequence[int], margin: int, min_count: int = 0) -> list[int]:
@@ -147,7 +148,7 @@ def ball_mass_brackets(sys: BetaSystem, x, levels: Sequence[int],
             pass
         k = n + margin
         tail = sys.right_end * sys.rho_powers[k]
-        inside = lattice.inside(states[0], k, x - r + tail, x + r - tail)
+        inside = lattice.inside(states[0], lattice.window(k, x - r + tail, x + r - tail))
         lower, upper = int(states[1][inside].sum()), int(states[1].sum())
         brackets[n] = (Fraction(lower, sys.m ** k), Fraction(upper, sys.m ** k))
     return brackets

@@ -9,11 +9,15 @@ N_n(x) is the window of [x, x].  Merging keeps the reachable state set
 constant-size for Pisot bases (Garsia separation); for rational ones the
 window bounds it, and when m <= p for beta = p/q no two words share a
 state, so a windowed step skips the merge; its keys stay int64, as limbs,
-a format only this module reads or writes.  `Lattice.inside` is the one
-window test: `NumberField.sign_rows` (a vector float screen with a proven
-error bound and an exact fallback) from degree two on, exact integer
-comparisons of limbs in degree one.  The random map K_beta of `simulate`
-takes its digits off the same inequality, one digit at a time.
+a format only this module reads or writes.  `Lattice.window` derives a
+window where a sweep starts, and the sweep carries its two ends from
+level to level in integers, by the step's own map.  `Lattice.inside` is
+the one window test: `NumberField.compare_rows` (the vector float screen,
+with a proven error bound and an exact fallback) from degree two on,
+exact integer comparisons of limbs in degree one.  The random map K_beta
+of `simulate` takes its digits off the same inequality, one digit at a
+time.  `kappa` reads its floor of a logarithm off proven float bounds and
+compares exact powers of beta only where those bounds hold an integer.
 """
 
 from __future__ import annotations
@@ -30,6 +34,10 @@ from .numberfield import INT64_MAX, BetaSystem, FieldElement, Powers
 
 # the most states any one level of a `Lattice.sweep` may hold
 DEFAULT_ATOM_CAP = 4_000_000
+# the largest power of beta that `kappa` compares exactly
+KAPPA_EXACT_POWER = 2 ** 20
+# the relative widening of each float step of `_log_bounds` (DECISIONS.md)
+LOG_SLACK = 2.0 ** -48
 # p times a limb, plus a limb and a carry, must fit int64 (DECISIONS.md)
 LIMB_P_BOUND = 2 ** 30
 GAP_BLOCK = 1024
@@ -44,6 +52,7 @@ GOLDEN_COEFFS = (-1, -1, 1)
 # ---------------------------------------------------------------------------
 
 Level = tuple[np.ndarray, np.ndarray]  # (keys, counts): distinct key rows, word counts
+Window = tuple[np.ndarray, int]  # (ends, den): rows lo and hi of a prefix window, over den
 
 
 def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -57,18 +66,20 @@ def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     many times more.
     """
     cols = keys.T if keys.dtype == object else keys.T.copy()
-    lows = cols.min(axis=1)
-    spans = [hi - lo + 1 for lo, hi in zip(lows.tolist(), cols.max(axis=1).tolist())]
+    lows = np.minimum.reduce(cols, axis=1)
+    spans = [hi - lo + 1 for lo, hi in zip(lows.tolist(), np.maximum.reduce(cols, axis=1).tolist())]
     if math.prod(spans) <= INT64_MAX:
-        cols = (cols - lows[:, None]).astype(np.int64, copy=False)
+        cols = cols - lows[:, None]
+        if keys.dtype == object:
+            cols = cols.astype(np.int64)
     elif keys.dtype != object:
         cols = cols.astype(object)
     packed, radix = cols[0], 1
-    for col, span in zip(cols[1:], spans):
-        radix *= span
-        packed = packed + col * radix
-    order = np.argsort(packed, kind="stable")
-    packed = packed[order]
+    for i in range(1, len(spans)):
+        radix *= spans[i - 1]
+        packed = packed + cols[i] * radix
+    order = packed.argsort(kind="stable")
+    packed = packed.take(order)
     new = np.empty(len(packed), dtype=bool)
     new[0] = True
     np.not_equal(packed[1:], packed[:-1], out=new[1:])
@@ -144,11 +155,12 @@ class Lattice:
         self.row = row = [-c for c in coeffs[:-1]]  # lead*beta^d = sum row_i beta^i
         self.degree = d = len(row)
         check_int64_coefficients(sys)
-        # c @ matrix is the key of lead * beta * (value of c)
+        # c @ matrix is the key of lead * beta * (value of c), in c's dtype
         self._matrix = np.vstack([self.lead * np.eye(d - 1, d, 1, dtype=np.int64), row])
+        self._object_matrix = self._matrix.astype(object)
         # no entry of times_beta(rows) exceeds growth * max|rows| in size
         self.growth = self.lead + max(map(abs, row))
-        # (beta * lead) ** k scales the window at level k
+        # (beta * lead) ** k scales a window derived at level k
         self.grow_powers = Powers(sys.beta * self.lead)
         # degree one: row = [p] for beta = p/q, so no step ever merges two words
         self.collision_free = d == 1 and sys.m <= row[0]
@@ -156,42 +168,60 @@ class Lattice:
         self.limbs = d == 1 and row[0] < LIMB_P_BOUND
         self.start = (np.zeros((1, d), dtype=np.int64), np.ones(1, dtype=np.int64))
 
-    def inside(self, keys: np.ndarray, k: int, a: FieldElement, b: FieldElement) -> np.ndarray:
-        """Whether each level-k key lies in the prefix window of [a, b]:
-        beta^k a - R <= t <= beta^k b for its scaled sum t, since the digits
-        after a prefix add a tail in [0, R], R = (m-1)/(beta-1).  The test
-        runs in key units (times lead^k): `NumberField.sign_rows` from degree
-        two on; in degree one a key's integer c is in [lo, hi] exactly when
-        ceil(lo) <= c <= floor(hi), on Python-int or limb rows."""
-        # fewer field products: ints in degree one (beta * lead = p), R when monic
-        power = self.row[0] ** k if self.degree == 1 else self.grow_powers[k]
-        lo, tail = a * power, self.sys.right_end
-        hi = lo if b is a else b * power
-        lo = lo - (tail if self.lead == 1 else tail * self.lead ** k)
-        if self.degree > 1:
-            lo_sign, hi_sign = self.sys.field.sign_rows(keys, lo, hi)
-            return (lo_sign >= 0) & (hi_sign <= 0)
-        return _at_least(keys, -(-lo.num[0] // lo.den)) & ~_at_least(keys, hi.num[0] // hi.den + 1)
+    def window(self, k: int, a: FieldElement, b: FieldElement) -> Window:
+        """The prefix window of [a, b] at level k: beta^k a - R <= t <= beta^k b
+        for the scaled sums t it keeps, since the digits after a prefix add a
+        tail in [0, R], R = (m-1)/(beta-1).  In key units (times lead^k) its
+        ends are (beta lead)^k a - R lead^k and (beta lead)^k b, returned as
+        the rows lo and hi of an object matrix over one denominator.  A sweep
+        derives its window here where it starts and carries it from there
+        (`next_window`)."""
+        power = self.grow_powers[k]
+        ends = (a * power - self.sys.right_end * self.lead ** k, b * power)
+        den = math.lcm(*(end.den for end in ends))
+        rows = [[c * (den // end.den) for c in end.num] for end in ends]
+        return np.array(rows, dtype=object), den
 
-    def step(self, level: Level, k: int, a: FieldElement | None = None,
-             b: FieldElement | None = None) -> Level:
+    def next_window(self, window: Window, k: int) -> Window:
+        """The level-(k+1) window from the level-k one, in integers and over
+        the same denominator: its ends step like the digit-0 and digit-(m-1)
+        children of a key, hi to lead beta hi and lo to lead beta lo +
+        (m-1) lead^(k+1), since R (beta - 1) = m - 1 (DECISIONS.md)."""
+        ends, den = window
+        ends = self.times_beta(ends)
+        ends[0, 0] += (self.sys.m - 1) * self.lead ** (k + 1) * den
+        return ends, den
+
+    def inside(self, keys: np.ndarray, window: Window) -> np.ndarray:
+        """Whether each key of the window's level lies in it, ends included:
+        `NumberField.compare_rows` from degree two on; in degree one a key's
+        integer c is in [lo, hi] exactly when ceil(lo) <= c <= floor(hi), on
+        Python-int or limb rows."""
+        ends, den = window
+        lo, hi = ends.tolist()
+        if self.degree > 1:
+            (_, below), (above, _) = self.sys.field.compare_rows(keys, (lo, den), (hi, den))
+            return ~(below | above)
+        return _at_least(keys, -(-lo[0] // den)) & ~_at_least(keys, hi[0] // den + 1)
+
+    def step(self, level: Level, k: int, window: Window | None = None) -> Level:
         """Level-k states -> level-(k+1) states under t -> beta*t + eps.
 
-        Counts of merged states add up.  Given a, the step keeps the states
-        `inside` the prefix window of [a, b] at level k+1.  A windowed step
-        of a collision-free base has no equal rows to merge and returns them
+        Counts of merged states add up.  Given the level-(k+1) window, the
+        step keeps the states `inside` it.  A windowed step of a
+        collision-free base has no equal rows to merge and returns them
         unsorted; an unwindowed step always returns its rows merged, in the
         order of `_distinct_rows`.
         """
         keys, counts = level
         m, scale = self.sys.m, self.lead ** (k + 1)
-        limbs = self.limbs and a is not None and keys.dtype != object
+        limbs = self.limbs and window is not None and keys.dtype != object
         if limbs:
             keys = self._widened(keys, scale)
         elif keys.dtype != object:
             # a new entry is a sum of at most two products plus a digit term,
             # so |entry| <= max|key| * (lead + max|row|) + (m-1) * lead^(k+1)
-            big = int(np.abs(keys).max(initial=0))
+            big = int(np.maximum.reduce(np.abs(keys), axis=None, initial=0))
             if big * self.growth + (m - 1) * scale > INT64_MAX:
                 keys = keys.astype(object)
         # no count exceeds the m^(k+1) words of length k+1
@@ -212,17 +242,19 @@ class Lattice:
             for i in range(width - 1):
                 keys[:, i + 1] += keys[:, i] >> LIMB_BITS
                 keys[:, i] &= LIMB_MASK
-        counts = np.concatenate((counts,) * m)
-        if a is not None:
-            inside = self.inside(keys, k + 1, a, b).nonzero()[0]
-            # np.take gathers rows about ten times faster than keys[inside]
-            keys, counts = np.take(keys, inside, axis=0), counts[inside]
+        # row i of every digit block has the count of row i of the level, so
+        # counts are gathered with indices taken modulo the level's size
+        if window is not None:
+            inside = self.inside(keys, window).nonzero()[0]
+            # take gathers rows about ten times faster than keys[inside]
+            keys, counts = keys.take(inside, axis=0), counts.take(inside, mode="wrap")
             if self.collision_free:
                 return keys, counts
-        if len(counts) <= 1:
+        if len(keys) <= 1:
             return keys, counts
         order, starts = _distinct_rows(keys)
-        return np.take(keys, order[starts], axis=0), np.add.reduceat(counts[order], starts)
+        return keys.take(order[starts], axis=0), np.add.reduceat(counts.take(order, mode="wrap"),
+                                                                 starts)
 
     def _widened(self, keys: np.ndarray, scale: int) -> np.ndarray:
         """Limb keys, a new last limb split off until the next step fits.
@@ -244,14 +276,15 @@ class Lattice:
         one that is p times each entry, limbs too (`step` carries them)."""
         if self.degree == 1:
             return rows * self.row[0]
-        return rows @ self._matrix.astype(rows.dtype)
+        return rows @ (self._object_matrix if rows.dtype == object else self._matrix)
 
     def sweep(self, n: int, a: FieldElement | None = None, b: FieldElement | None = None,
               level: Level | None = None, k: int = 0):
         """Step the level-k states `level` (the empty word's by default) to
         level n, yielding each level: `inside` the prefix window of [a, b]
-        when a is given, unwindowed otherwise.  A level over DEFAULT_ATOM_CAP
-        states raises CapExceededError."""
+        when a is given, derived at level k and carried by `next_window`,
+        unwindowed otherwise.  A level over DEFAULT_ATOM_CAP states raises
+        CapExceededError."""
         if n < 0:
             raise InvalidInputError("level must be nonnegative")
         level = self.start if level is None else level
@@ -259,8 +292,11 @@ class Lattice:
             # level j holds m^(j-k) states per level-k state, known before any step
             for j in range(k + 1, n + 1):
                 self.check_cap(len(level[1]) * self.sys.m ** (j - k), j)
+        window = None if a is None else self.window(k, a, b)
         for j in range(k, n):
-            level = self.step(level, j, a, b)
+            if window is not None:
+                window = self.next_window(window, j)
+            level = self.step(level, j, window)
             self.check_cap(len(level[1]), j + 1)
             yield level
 
@@ -311,7 +347,9 @@ def kappa(sys: BetaSystem) -> Fraction:
 
     kappa = (1/2) / (floor(log_beta(1/delta)) + 1) with
     delta = (1+beta-beta^2)/(beta^2-1) for beta > sqrt(2), else beta-1.
-    The floor is computed exactly by comparing powers of beta with 1/delta.
+    The floor t is read off float bounds of the logarithm (`_log_bounds`);
+    only where they hold an integer do exact powers of beta decide it,
+    compared with 1/delta by `_power_at_most`.
     """
     beta = sys.beta
     one = sys.field.one
@@ -321,12 +359,47 @@ def kappa(sys: BetaSystem) -> Fraction:
         ratio = (beta * beta - one) / (one + beta - beta * beta)
     else:
         ratio = one / (beta - one)
-    t = 0
-    power = beta
-    while (ratio - power).sign() >= 0:  # beta^(t+1) <= ratio
-        t += 1
-        power = power * beta
+    lo, hi = _log_bounds(sys, ratio)
+    t = math.floor(lo)  # beta^t <= ratio
+    if hi >= t + 1:
+        if not hi <= KAPPA_EXACT_POWER:
+            raise InvalidInputError(
+                f"kappa: log_beta(1/delta) lies in [{lo:.6g}, {hi:.6g}], which floats do not "
+                f"narrow to one integer, past the exact powers of beta up to {KAPPA_EXACT_POWER}")
+        above = math.floor(hi) + 1  # ratio < beta^above
+        while above - t > 1:
+            mid = (t + above) // 2
+            if _power_at_most(beta, mid, ratio):
+                t = mid
+            else:
+                above = mid
     return Fraction(1, 2 * (t + 1))
+
+
+def _log_bounds(sys: BetaSystem, ratio: FieldElement) -> tuple[float, float]:
+    """Floats lo <= log(ratio) / log(beta) <= hi for ratio > 1 (DECISIONS.md):
+    beta - 1 and ratio each widened to the ends of their `float_value`
+    bounds, then libm's log1p and log, the quotient, and every rounding on
+    the way widened by LOG_SLACK; (0, inf) where the floats bound nothing."""
+    ends = []
+    for x in (sys.beta - 1, ratio):
+        val, err = sys.field.float_value(x.num, x.den)
+        ends += [val - err, val + err]
+    eps_lo, eps_hi, ratio_lo, ratio_hi = ends
+    if not (eps_lo > 0 and ratio_lo > 1 and ratio_hi < math.inf):
+        return 0.0, math.inf
+    down, up = 1 - LOG_SLACK, 1 + LOG_SLACK
+    lo = math.log(ratio_lo) * down / (math.log1p(eps_hi) * up) * down
+    hi = math.log(ratio_hi) * up / (math.log1p(eps_lo) * down) * up
+    return lo, hi
+
+
+def _power_at_most(beta: FieldElement, n: int, ratio: FieldElement) -> bool:
+    """beta^n <= ratio, exactly; in degree one beta = p/q and ratio = a/b are
+    positive, so it is p^n b <= a q^n, in Python ints with no gcd."""
+    if beta.field.degree == 1:
+        return beta.num[0] ** n * ratio.den <= ratio.num[0] * beta.den ** n
+    return (ratio - beta ** n).sign() >= 0
 
 
 def _count_meets_bound(count: int, kap: Fraction, n: int) -> bool:
@@ -357,7 +430,7 @@ class GrowthBoundReport:
 
 def verify_growth_bound(sys: BetaSystem, x, n_max: int) -> GrowthBoundReport:
     """Check N_n(x) >= 2^(kappa*n - 1) for 1 <= n <= n_max, exactly."""
-    check_int64_coefficients(sys)  # before kappa's long power loop
+    check_int64_coefficients(sys)  # an oversized base fails on its coefficients, not in kappa
     kap = kappa(sys)
     x = _coerce_point(x, sys)
     if x.sign() <= 0 or (sys.right_end - x).sign() <= 0:

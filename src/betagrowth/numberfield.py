@@ -7,21 +7,24 @@ exact integer checks.  A scalar sign (`sign_int_coeffs`, behind
 `FieldElement.sign` and the comparisons) is exact bisection with no float:
 `sign_of` refines an isolating interval of the root in integers until an
 interval evaluation of the value excludes zero.  The rows of an integer
-matrix go through `sign_rows`, in every degree: one vector float
-evaluation, on beta's float powers rounded once per field, screens them
-under a proven error bound; rows too close to zero take the scalar path.
-A row is read as the coefficients of 1, beta, ..., beta^(d-1); how the
-lattice DP stores its keys is not known here.  `rank_rows` is the one
-ranking of integer rows, in tagged groups: a float presort that one
-`sign_rows` call proves, with an exact comparison sort where the presort
-misorders.  Sturm chains of primitive pseudo-remainders isolate beta and
-any rational root (one routine, `_isolate`) and decide Pisot status by a
-Routh-Hurwitz count.  Fractions appear only at the edges: rational input,
-output and bracket endpoints.
+matrix go through `compare_rows`, in every degree, for which rows lie
+above and which below each shift: one vector float evaluation, on beta's
+float powers rounded once per field, screens them under a proven error
+bound; rows too close to a shift take the scalar path.  `sign_rows`
+reads its answer as signs.  A shift is an integer vector over a positive
+denominator, in lowest terms or not.  A row is read as the coefficients
+of 1, beta, ..., beta^(d-1); how the lattice DP stores its keys is not
+known here.  `rank_rows` is the one ranking of integer rows, in tagged
+groups: a float presort that one `sign_rows` call proves, with an exact
+comparison sort where the presort misorders.  Sturm chains of primitive
+pseudo-remainders isolate beta and any rational root (one routine,
+`_isolate`) and decide Pisot status by a Routh-Hurwitz count.  Fractions
+appear only at the edges: rational input, output and bracket endpoints.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -507,6 +510,7 @@ class NumberField:
         self._q = math.lcm(bracket[0].denominator, bracket[1].denominator)
         self._a, self._b = (int(t * self._q) for t in bracket)
         self._float_powers: tuple[float, ...] | None = None
+        self._float_power_row: np.ndarray | None = None  # the same powers, for float_rows
         zeros = (0,) * self.degree
         self.zero = FieldElement(self, zeros)
         self.one = FieldElement(self, (1,) + zeros[1:])
@@ -633,6 +637,7 @@ class NumberField:
             self.refine_to(Fraction(1, 10 ** 30))
             n, q = self._a + self._b, 2 * self._q  # the midpoint n/q
             self._float_powers = tuple(n ** k / q ** k for k in range(self.degree))
+            self._float_power_row = np.array(self._float_powers)
         return self._float_powers
 
     def float_error(self, mag):
@@ -640,7 +645,7 @@ class NumberField:
         `beta_float_powers` and one final rounding, given mag = sum(|c_k| beta^k)."""
         return mag * ((self.degree + 4) * 4e-16)
 
-    def _float_value(self, num: Sequence[int], den: int) -> tuple[float, float]:
+    def float_value(self, num: Sequence[int], den: int) -> tuple[float, float]:
         """Float value of (sum_k num_k beta^k) / den, the terms added left to
         right, and its error bound; (nan, inf) beyond float range."""
         val = mag = 0.0
@@ -663,13 +668,14 @@ class NumberField:
 
     def float_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Float values of sum_i rows[r, i] beta^i over the rows of an integer
-        matrix, terms added left to right as in `_float_value`, and their
+        matrix, terms added left to right as in `float_value`, and their
         error bounds (`float_error`); nan and inf beyond float range."""
         try:
             terms = rows.astype(float)
         except OverflowError:
             return np.full(len(rows), math.nan), np.full(len(rows), math.inf)
-        terms *= self.beta_float_powers()
+        self.beta_float_powers()  # rounds the powers once, as a row too
+        terms *= self._float_power_row
         mags = np.abs(terms)
         val, mag = terms[:, 0], mags[:, 0]
         for i in range(1, self.degree):
@@ -677,22 +683,45 @@ class NumberField:
             mag = mag + mags[:, i]
         return val, self.float_error(mag)
 
+    def compare_rows(self, rows: np.ndarray,
+                     *shifts: tuple[Sequence[int], int]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """For each shift (num, den), den > 0, the bool pair (above, below):
+        which values sum_i rows[r, i] beta^i of an integer matrix lie above
+        (sum_i num_i beta^i) / den and which below it, exactly; a row equal
+        to the shift is in neither.  This is the one float screen: with d
+        the float difference of a row's value and the shift's, a row is
+        settled above when fl(d - s_err) > err and below when
+        fl(-d - s_err) > err, err and s_err the two error bounds (proof:
+        DECISIONS.md); the rest go to the exact bisection of
+        `sign_int_coeffs`.  In degree one too: beta^0 = 1, and `sign_of`
+        decides a degree-one value at its first evaluation."""
+        pairs, floats = [], [self.float_value(num, den) for num, den in shifts]
+        # inf and nan settle nothing, and only Python-int rows or a shift
+        # beyond float range meet them: for int64 rows and coefficients,
+        # |c| beta^i < 2^63 (2^63 + 1)^9 < 2^1024
+        quiet = rows.dtype == object or any(s_err == math.inf for _val, s_err in floats)
+        with np.errstate(over="ignore", invalid="ignore") if quiet else contextlib.nullcontext():
+            val, err = self.float_rows(rows)
+            for (num, den), (s_val, s_err) in zip(shifts, floats):
+                diff = val - s_val
+                # -s_err - diff is -diff - s_err, rounded once the same way
+                above, below = diff - s_err > err, -s_err - diff > err
+                # a row settles on one side at most, so equal flags leave it open
+                for r in (above == below).nonzero()[0].tolist():
+                    row = rows[r].tolist()  # Python ints: den * c must not wrap
+                    sign = self.sign_int_coeffs([den * c - b for c, b in zip(row, num)])
+                    above[r], below[r] = sign > 0, sign < 0
+                pairs.append((above, below))
+        return pairs
+
     def sign_rows(self, rows: np.ndarray, *shifts: FieldElement) -> np.ndarray:
         """Exact signs of sum_i rows[r, i] beta^i - shift, int8 of shape
-        (shifts, rows), for each shift given.  This is the one float
-        screen: a row farther from the shift than both float error bounds
-        together is settled (proof: DECISIONS.md), the rest go to the exact
-        bisection of `sign_int_coeffs`.  In degree one too: beta^0 = 1, and
-        `sign_of` decides a degree-one value at its first evaluation."""
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan stay unsettled
-            val, err = self.float_rows(rows)
-            bounds = np.array([self._float_value(s.num, s.den) for s in shifts])
-            diff = val - bounds[:, :1]
-            signs = (diff > 0).view(np.int8) - (diff < 0)
-            unsettled = ~(np.subtract(np.abs(diff, out=diff), bounds[:, 1:], out=diff) > err)
-        for j, r in zip(*np.nonzero(unsettled)):
-            s, row = shifts[j], rows[r].tolist()  # Python ints: den * c must not wrap
-            signs[j, r] = self.sign_int_coeffs([s.den * c - b for c, b in zip(row, s.num)])
+        (shifts, rows), for each shift given: `compare_rows`, the one float
+        screen, as signs."""
+        pairs = self.compare_rows(rows, *((s.num, s.den) for s in shifts))
+        signs = np.empty((len(shifts), len(rows)), dtype=np.int8)
+        for sign, (above, below) in zip(signs, pairs):
+            np.subtract(above.view(np.int8), below.view(np.int8), out=sign)
         return signs
 
     def rank_rows(self, rows: np.ndarray, tags: np.ndarray) -> np.ndarray:

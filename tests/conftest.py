@@ -31,7 +31,11 @@ concatenate at every level, and the Monte-Carlo middle segment stepped by
 two `np.where` selections on an int64 (budget, 2) array.  The K_beta
 oracle `step_k_beta` takes one step from the switch regions S_k written
 out as intervals, against which `simulate_expansion`'s digit-by-digit
-window test is compared digit for digit.
+window test is compared digit for digit.  `screen_sign_rows` is the float
+screen in its first form, fl(|d| - s_err) > err, against which
+`NumberField.compare_rows` is compared row for row, settled rows and
+exact fallbacks alike, and `kappa_walk` counts the powers of beta one
+exact product at a time, against which `expansions.kappa` is compared.
 
 Some helpers here are thin readers of the library that only tests call:
 `distinct_sums_count` (the size of the last level of `Lattice.sweep`,
@@ -465,6 +469,39 @@ def dict_lattice_levels(sys: BetaSystem, n: int, a=None, b=None) -> list[dict]:
             states = dict_lattice_step(sys, states, k, lo - sys.right_end, hi)
         levels.append(states)
     return levels
+
+
+def screen_sign_rows(field: NumberField, rows: np.ndarray, *shifts: FieldElement) -> np.ndarray:
+    """`NumberField.sign_rows` as its screen was first written, the oracle of
+    `compare_rows`: a row is settled when fl(|fl(val - s_val)| - s_err) > err
+    and takes the sign of val - s_val; the rest go to `sign_int_coeffs`,
+    shift by shift and rows in order, as in the screen it oracles."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan stay unsettled
+        val, err = field.float_rows(rows)
+        bounds = np.array([field.float_value(s.num, s.den) for s in shifts])
+        diff = val - bounds[:, :1]
+        signs = (diff > 0).view(np.int8) - (diff < 0)
+        unsettled = ~(np.subtract(np.abs(diff, out=diff), bounds[:, 1:], out=diff) > err)
+    for j, r in zip(*np.nonzero(unsettled)):
+        s, row = shifts[j], rows[r].tolist()  # Python ints: den * c must not wrap
+        signs[j, r] = field.sign_int_coeffs([s.den * c - b for c, b in zip(row, s.num)])
+    return signs
+
+
+def kappa_walk(sys: BetaSystem) -> Fraction:
+    """kappa by the walk that `expansions.kappa` replaced, its oracle: t
+    counts the powers beta, beta^2, ... up to 1/delta, one exact product and
+    one exact sign at a time."""
+    beta, one = sys.beta, sys.field.one
+    if (beta * beta - 2).sign() > 0:
+        ratio = (beta * beta - one) / (one + beta - beta * beta)
+    else:
+        ratio = one / (beta - one)
+    t, power = 0, beta
+    while (ratio - power).sign() >= 0:  # beta^(t+1) <= ratio
+        t += 1
+        power = power * beta
+    return Fraction(1, 2 * (t + 1))
 
 
 def dict_merge_rows(rows, counts) -> dict:

@@ -27,6 +27,7 @@ from conftest import (
     brute_prefix_count,
     brute_value_count,
     distinct_sums_count,
+    kappa_walk,
     step_k_beta,
 )
 
@@ -97,6 +98,70 @@ def test_kappa_rejects_golden_and_larger(golden):
         kappa(golden)
     with pytest.raises(HypothesisError):
         kappa(parse_beta("int:2", 2))
+
+
+# trinomials x^n - x^k - 1 (most irreducible) with a root in (1, golden)
+trinomial_specs = st.tuples(st.integers(3, 10), st.integers(1, 9)).filter(
+    lambda nk: nk[1] < nk[0]).map(
+    lambda nk: "poly:-1," + ",".join("-1" if i == nk[1] else "0" for i in range(1, nk[0])) + ",1")
+# p/q in (1, golden), q <= 60, so the walk of the oracle stays short
+rational_specs = st.tuples(st.integers(2, 97), st.integers(2, 60)).filter(
+    lambda pq: pq[1] < pq[0] < 1.618 * pq[1]).map(lambda pq: f"{pq[0]}/{pq[1]}")
+
+
+@PROPERTY_SETTINGS
+@given(spec=st.one_of(rational_specs, trinomial_specs))
+def test_kappa_matches_power_walk(spec):
+    # the floor read off float bounds of the logarithm, with exact powers
+    # only where they hold an integer, against the walk over every power
+    try:
+        sys_ = parse_beta(spec, 2)
+    except InvalidInputError:  # a reducible trinomial
+        return
+    assert kappa(sys_) == kappa_walk(sys_)
+
+
+def test_kappa_exact_powers_decide_an_integer_logarithm(monkeypatch):
+    # x^4 - x^3 - 1: beta^3 (beta - 1) = 1, so log_beta(1/delta) is exactly 3
+    # and the float bounds hold it: one exact comparison decides t = 3
+    sys_ = parse_beta("poly:-1,0,0,-1,1", 2)
+    ratio = sys_.field.one / (sys_.beta - 1)
+    assert ratio == sys_.beta ** 3
+    lo, hi = expansions._log_bounds(sys_, ratio)
+    assert lo < 3 <= hi < 4
+    compared = []
+    power_at_most = expansions._power_at_most
+    monkeypatch.setattr(expansions, "_power_at_most",
+                        lambda beta, n, r: compared.append(n) or power_at_most(beta, n, r))
+    assert kappa(sys_) == kappa_walk(sys_) == Fraction(1, 8)
+    assert compared == [3]
+
+
+@PROPERTY_SETTINGS
+@given(pq=st.tuples(st.integers(2, 1000), st.integers(1, 1000)).filter(lambda t: t[1] < t[0]),
+       ab=st.tuples(st.integers(1, 10 ** 30), st.integers(1, 10 ** 30)), n=st.integers(0, 200))
+def test_power_at_most_in_integers(pq, ab, n):
+    # degree one: p^n b <= a q^n in Python ints is beta^n <= a/b
+    p, q = pq
+    sys_ = parse_beta(f"{p}/{q}", max(2, -(-p // q)))
+    ratio = sys_.element(Fraction(*ab))
+    beta = sys_.beta
+    want = Fraction(beta.num[0], beta.den) ** n <= Fraction(ratio.num[0], ratio.den)
+    assert expansions._power_at_most(beta, n, ratio) is want
+
+
+def test_kappa_near_one():
+    # 1.0001: t = 92,108 from the floats alone, where the walk of the
+    # oracle makes 92,108 exact products of rationals growing to 1.2 M bits
+    sys_ = parse_beta("1.0001", 2)
+    assert kappa(sys_) == Fraction(1, 2 * 92_109)
+    ratio = sys_.field.one / (sys_.beta - 1)
+    assert expansions._power_at_most(sys_.beta, 92_108, ratio)
+    assert not expansions._power_at_most(sys_.beta, 92_109, ratio)
+    # beta - 1 = 1/(2^63 + 28): the floats bound log_beta(1/delta) only to
+    # within about 10^7, and no exact power of that size is tried
+    with pytest.raises(InvalidInputError, match="exact powers of beta up to"):
+        kappa(parse_beta("9223372036854775837/9223372036854775836", 2))
 
 
 def test_growth_bound_passes(b15, b14):

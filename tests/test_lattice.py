@@ -11,7 +11,9 @@ Random rational bases p/q check the collision-free lemma (DECISIONS.md):
 distinct keys for m <= p, merges at m = p + 1, windowed counts against
 the dict step either way, and the degree-one sign screen and limb
 comparisons.  `Lattice.inside`, the one prefix-window test, is checked
-against exact field comparisons of each key, on limb, int64 and object rows.
+against exact field comparisons of each key, on limb, int64 and object rows,
+and the window a sweep carries in integers against the one derived from
+its points at every level, restarts included.
 """
 
 import itertools
@@ -30,7 +32,8 @@ from betagrowth.expansions import INT64_MAX, Lattice, _at_least, _distinct_rows,
 from betagrowth.numberfield import FieldElement, parse_beta
 
 from conftest import (PROPERTY_SETTINGS, atoms_items_exact, brute_distinct_sums, brute_prefix_count,
-                      dict_lattice_levels, dict_merge_rows, distinct_sums_count, key_ints)
+                      dict_lattice_levels, dict_merge_rows, distinct_sums_count, key_ints,
+                      pisot_family)
 
 SPECS = ("golden", "multinacci:3", "1.5", "poly:-3,0,2")
 KERNEL_SPECS = SPECS + ("13/10",)
@@ -391,7 +394,8 @@ def test_limb_step_matches_python_ints(base, data):
     assert lattice.limbs
     keys = _limb_rows(values, _width(max(values)) + extra)
     counts = np.arange(1, len(values) + 1, dtype=np.int64)
-    new_keys, new_counts = lattice.step((keys, counts), k, *_window_points(sys_, k + 1, ends))
+    window = lattice.window(k + 1, *_window_points(sys_, k + 1, ends))
+    new_keys, new_counts = lattice.step((keys, counts), k, window)
     want: dict = {}
     for c, count in zip(values, counts.tolist()):
         for e in range(m):
@@ -404,7 +408,7 @@ def test_limb_step_matches_python_ints(base, data):
     # every limb below the last is in [0, 2^32)
     assert ((new_keys[:, :-1] >= 0) & (new_keys[:, :-1] < 2 ** 32)).all()
     # the window test on the limb rows themselves
-    within = lattice.inside(keys, k, *_window_points(sys_, k, ends)).tolist()
+    within = lattice.inside(keys, lattice.window(k, *_window_points(sys_, k, ends))).tolist()
     assert within == [ends[0] <= c <= ends[1] for c in values]
 
 
@@ -451,7 +455,53 @@ def test_inside_matches_field_comparisons(systems, spec, data):
     for key in keys:
         t = FieldElement(sys_.field, tuple(key), lattice.lead ** k)
         want.append(power * a - tail <= t <= power * b)
-    assert lattice.inside(rows, k, a, b).tolist() == want
+    assert lattice.inside(rows, lattice.window(k, a, b)).tolist() == want
+
+
+WINDOW_SPECS = ("golden", "poly:-3,0,2", "13/10", "3/2")
+
+
+@PROPERTY_SETTINGS
+@given(sys_=st.one_of(st.sampled_from(WINDOW_SPECS).map(lambda spec: parse_beta(spec, 2)),
+                      pisot_family),
+       a=points, b=points, k=st.integers(0, 5), steps=st.integers(1, 6))
+def test_carried_window_matches_derived(sys_, a, b, k, steps):
+    # the window a sweep carries from level k, stepped in integers like the
+    # digit-0 and digit-(m-1) children, against the one derived at each
+    # level from [a, b] in field elements; k > 0 restarts a sweep as
+    # ball_mass_brackets does, on states kept under a wider window
+    lo, hi = sorted((_fraction_of_interval(sys_, *a), _fraction_of_interval(sys_, *b)))
+    lo, hi = sys_.element(lo), sys_.element(hi)
+    lattice, field = Lattice(sys_), sys_.field
+    level = lattice.start
+    for level in lattice.sweep(k, field.zero, sys_.right_end):
+        pass
+    carried, step = [], Lattice.step
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Lattice, "step", lambda self, states, j, window=None:
+                      carried.append((j + 1, window)) or step(self, states, j, window))
+        for _ in lattice.sweep(k + steps, lo, hi, level, k):
+            pass
+    assert [j for j, _window in carried] == list(range(k + 1, k + steps + 1))
+    for j, (ends, den) in carried:
+        want, want_den = lattice.window(j, lo, hi)
+        assert ([FieldElement(field, tuple(end), den) for end in ends.tolist()]
+                == [FieldElement(field, tuple(end), want_den) for end in want.tolist()])
+
+
+def test_point_sweep_products_do_not_grow_with_depth():
+    # the window's ends step in integers: a golden point sweep makes its
+    # field products where it derives the window, none per level
+    sys_ = parse_beta("golden", 2)
+    x = Fraction(2, 5)
+    counts = []
+    for n in (10, 40):
+        calls, mul = [], FieldElement.__mul__
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(FieldElement, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+            prefix_count_series(x, n, sys_)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_windowed_13_10_keys_reach_three_limbs():

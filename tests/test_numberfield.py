@@ -22,7 +22,7 @@ from betagrowth.numberfield import (
     multinacci,
     parse_beta,
 )
-from conftest import as_fraction, brute_has_rational_root, field_element
+from conftest import as_fraction, brute_has_rational_root, field_element, screen_sign_rows
 
 # beta values printed in the multinacci table (6 decimals)
 MULTINACCI_BETA = {
@@ -559,6 +559,65 @@ def test_sign_rows_beyond_float_range(golden):
             warnings.simplefilter("error")
             signs = field.sign_rows(np.array(rows, dtype=object), *shifts)
         assert signs.tolist() == [[_row_sign(field, r, s) for r in rows] for s in shifts]
+
+
+def _recorded(field, fn, *args):
+    """fn(*args) and the integer vectors it sends to `sign_int_coeffs`, in order."""
+    calls, scalar = [], field.sign_int_coeffs
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(field, "sign_int_coeffs",
+                      lambda coeffs: calls.append(list(coeffs)) or scalar(coeffs))
+        return fn(*args), calls
+
+
+def _fibonacci_rows(n_max: int) -> list[list[int]]:
+    """Golden rows F_(n+1) - F_n beta = (-1/beta)^n, tiny against their
+    coefficients, for n = 1..n_max."""
+    fib = [0, 1]
+    while len(fib) < n_max + 2:
+        fib.append(fib[-1] + fib[-2])
+    return [[fib[n + 1], -fib[n]] for n in range(1, n_max + 1)]
+
+
+# entry bounds: small, near the int64 bound, past it, near the float bound
+# (terms that overflow once multiplied by beta) and past it (rows that
+# cannot be converted)
+SCREEN_BOUNDS = (50, 2 ** 62, 10 ** 30, 17 * 10 ** 307, 2 ** 1100)
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=st.sampled_from(PROPERTY_SPECS), data=st.data(), bound=st.sampled_from(SCREEN_BOUNDS))
+@example(spec="golden", data=None, bound=2 ** 62)
+def test_screen_settles_the_rows_of_its_first_form(fields, spec, data, bound):
+    # the screen's restated test, fl(d - s_err) > err above and
+    # fl(-d - s_err) > err below, against `screen_sign_rows`, its first
+    # form: the same signs from the same settled rows, so the same integer
+    # vectors go to the exact path in the same order
+    field = fields[spec]
+    if data is None:  # golden rows near zero, as rows and as shifts
+        rows = _fibonacci_rows(40)
+        shifts = [field.zero, FieldElement(field, tuple(rows[-1]))]
+    else:
+        entries = st.integers(-bound, bound)
+        rows = data.draw(st.lists(st.lists(entries, min_size=field.degree, max_size=field.degree),
+                                  min_size=1, max_size=6), label="rows")
+        # zero, a row's value (unsettled: d = 0), that value plus 1/7, random shifts
+        shifts = [field.zero, FieldElement(field, tuple(rows[0])),
+                  FieldElement(field, tuple(7 * c + (i == 0) for i, c in enumerate(rows[0])), 7)]
+        shifts += [_element(field, data) for _ in range(data.draw(st.integers(0, 2)))]
+        if spec == "golden" and data.draw(st.booleans(), label="near zero"):
+            rows += _fibonacci_rows(40)[data.draw(st.integers(0, 39), label="from"):]
+    matrix = np.array(rows, dtype=object if bound > 2 ** 62 else np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, got_calls = _recorded(field, field.sign_rows, matrix, *shifts)
+        pairs = field.compare_rows(matrix, *((s.num, s.den) for s in shifts))
+    want, want_calls = _recorded(field, screen_sign_rows, field, matrix, *shifts)
+    assert got.tolist() == want.tolist() and got_calls == want_calls
+    if data is None:  # the rows past n = 34 reach the exact path against either shift
+        assert got_calls[:6] == rows[34:]
+    assert [(above.tolist(), below.tolist()) for above, below in pairs] == \
+        [((sign > 0).tolist(), (sign < 0).tolist()) for sign in want]
 
 
 # ---------------------------------------------------------------------------
