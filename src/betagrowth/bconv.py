@@ -82,10 +82,10 @@ class MeasureAtoms:
 def level_atoms(sys: BetaSystem, n: int) -> MeasureAtoms:
     """Exact level-n atoms of mu, merged by value."""
     lattice = Lattice(sys)
-    level = lattice.start
-    for level in lattice.sweep(n):
+    keys, counts = lattice.start
+    for keys, counts in lattice.sweep(n):
         pass
-    return MeasureAtoms(sys, n, *level)
+    return MeasureAtoms(sys, n, lattice.joined(keys), counts)
 
 
 # ---------------------------------------------------------------------------

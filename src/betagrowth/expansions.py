@@ -8,8 +8,11 @@ expansion of a point of [a, b] exactly when beta^k a - R <= t <= beta^k b;
 N_n(x) is the window of [x, x].  Merging keeps the reachable state set
 constant-size for Pisot bases (Garsia separation); for rational ones the
 window bounds it, and when m <= p for beta = p/q no two words share a
-state, so a windowed step skips the merge; its keys stay int64, as limbs,
-a format only this module reads or writes.  `Lattice.window` derives a
+state, so a windowed step skips the merge.  Degree-one keys stay int64,
+windowed or not, as limbs, a format only this module reads or writes:
+the merge packs limb rows in stages of dense ranks, `garsia_report` takes
+its gaps from them and `Lattice.joined` turns them into Python ints for
+the atoms.  `Lattice.window` derives a
 window where a sweep starts, and the sweep carries its two ends from
 level to level in integers, by the step's own map.  `Lattice.inside` is
 the one window test: `NumberField.compare_rows` (the vector float screen,
@@ -41,7 +44,7 @@ LOG_SLACK = 2.0 ** -48
 # p times a limb, plus a limb and a carry, must fit int64 (DECISIONS.md)
 LIMB_P_BOUND = 2 ** 30
 GAP_BLOCK = 1024
-# degree-one key rows of windowed sweeps are int64 limbs in base 2^LIMB_BITS
+# degree-one key rows are int64 limbs in base 2^LIMB_BITS
 LIMB_BITS = 32
 LIMB_MASK = (1 << LIMB_BITS) - 1
 GOLDEN_COEFFS = (-1, -1, 1)
@@ -58,32 +61,66 @@ Window = tuple[np.ndarray, int]  # (ends, den): rows lo and hi of a prefix windo
 def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(order, starts) for the distinct rows of a nonempty integer matrix:
     keys[order] puts equal rows next to each other, and starts indexes the
-    first row of each group.  The sort key reads a row in the mixed radix of
-    the column spans (DECISIONS.md), one column too: int64 offsets from the
-    column minima when the product of the spans fits, else the Python-int
-    rows.  An int64 matrix is read through a copy of its transpose;
-    reductions along axis 0 step through it d entries at a time and cost
-    many times more.
+    first row of each group.  The order is the stable sort of the rows read
+    from the last column.  The sort key reads a row in the mixed radix of
+    the column spans (DECISIONS.md), one column too, as int64 offsets from
+    the column minima: in one stage when the product of the spans fits,
+    else in stages (`_staged_key`).  Python-int rows are packed when the
+    input is dtype object and the spans do not fit, or when a column or a
+    stage would leave int64.  An int64 matrix is read through a copy of
+    its transpose; reductions along axis 0 step through it d entries at a
+    time and cost many times more.
     """
     cols = keys.T if keys.dtype == object else keys.T.copy()
     lows = np.minimum.reduce(cols, axis=1)
     spans = [hi - lo + 1 for lo, hi in zip(lows.tolist(), np.maximum.reduce(cols, axis=1).tolist())]
-    if math.prod(spans) <= INT64_MAX:
+    packed = None
+    if math.prod(spans) <= INT64_MAX or keys.dtype != object and max(spans) <= INT64_MAX:
+        # one matrix at a time stays alive through the sorts
         cols = cols - lows[:, None]
         if keys.dtype == object:
             cols = cols.astype(np.int64)
-    elif keys.dtype != object:
+        packed = _staged_key(cols, spans)
+    if packed is None:
+        # Python ints read the rows in the same radix
         cols = cols.astype(object)
-    packed, radix = cols[0], 1
-    for i in range(1, len(spans)):
-        radix *= spans[i - 1]
-        packed = packed + cols[i] * radix
+        packed = cols[-1]
+        for i in range(len(spans) - 2, -1, -1):
+            packed = packed * spans[i] + cols[i]
+    order, new = _sorted_runs(packed)
+    return order, new.nonzero()[0]
+
+
+def _sorted_runs(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable argsort of a nonempty key vector, and which places of the
+    sorted keys start a run of equal keys."""
     order = packed.argsort(kind="stable")
     packed = packed.take(order)
     new = np.empty(len(packed), dtype=bool)
     new[0] = True
     np.not_equal(packed[1:], packed[:-1], out=new[1:])
-    return order, new.nonzero()[0]
+    return order, new
+
+
+def _staged_key(cols: np.ndarray, spans: list[int]) -> np.ndarray | None:
+    """An int64 key whose stable argsort is that of the rows of the offset
+    columns cols (each in [0, span)) read from the last column, or None
+    when a stage would leave int64.  The columns are packed from the last
+    down, key * span + column, while the key's range times the next span
+    fits; then the key is replaced by its dense rank among the distinct
+    keys, which orders the rows alike in fewer values (DECISIONS.md)."""
+    packed, size = cols[-1], spans[-1]
+    for i in range(len(spans) - 2, -1, -1):
+        if size * spans[i] > INT64_MAX:
+            order, new = _sorted_runs(packed)
+            ranks = new.cumsum() - 1
+            packed = np.empty_like(packed)
+            packed[order] = ranks
+            size = int(ranks[-1]) + 1
+            if size * spans[i] > INT64_MAX:
+                return None
+        packed, size = packed * spans[i] + cols[i], size * spans[i]
+    return packed
 
 
 def _limbs(value: int, width: int) -> list[int]:
@@ -135,11 +172,11 @@ class Lattice:
     holds each vector once, as a row of one key matrix, with a count
     vector.  Both are int64 while an a-priori bound taken before each step
     shows that the step cannot overflow, and Python ints (dtype object)
-    from then on.  Degree one with p < 2^30 (`limbs`) is the exception in
-    windowed steps: a key is one row of int64 limbs, little-endian base
+    from then on.  Degree one with p < 2^30 (`limbs`) is the exception,
+    windowed or not: a key is one row of int64 limbs, little-endian base
     2^LIMB_BITS digits, each in [0, 2^LIMB_BITS) but the last, and a limb
-    is added before a step that could overflow the last.  An unwindowed
-    `sweep` keeps Python ints, whose values its readers use.
+    is added before a step that could overflow the last.  `joined` turns
+    limb rows back into Python ints.
 
     A base is collision-free when beta = p/q in lowest terms (q >= 1) and
     m <= p: then distinct words have distinct keys (DECISIONS.md), every
@@ -164,7 +201,7 @@ class Lattice:
         self.grow_powers = Powers(sys.beta * self.lead)
         # degree one: row = [p] for beta = p/q, so no step ever merges two words
         self.collision_free = d == 1 and sys.m <= row[0]
-        # degree one with p < 2^30: windowed keys stay int64, as limbs
+        # degree one with p < 2^30: keys stay int64, as limbs
         self.limbs = d == 1 and row[0] < LIMB_P_BOUND
         self.start = (np.zeros((1, d), dtype=np.int64), np.ones(1, dtype=np.int64))
 
@@ -208,14 +245,15 @@ class Lattice:
         """Level-k states -> level-(k+1) states under t -> beta*t + eps.
 
         Counts of merged states add up.  Given the level-(k+1) window, the
-        step keeps the states `inside` it.  A windowed step of a
-        collision-free base has no equal rows to merge and returns them
-        unsorted; an unwindowed step always returns its rows merged, in the
-        order of `_distinct_rows`.
+        step keeps the states `inside` it.  Keys on limbs stay on limbs,
+        with or without a window.  A windowed step of a collision-free base
+        has no equal rows to merge and returns them unsorted; an unwindowed
+        step always returns its rows merged, in the order of
+        `_distinct_rows`, which is increasing value in degree one.
         """
         keys, counts = level
         m, scale = self.sys.m, self.lead ** (k + 1)
-        limbs = self.limbs and window is not None and keys.dtype != object
+        limbs = self.limbs and keys.dtype != object
         if limbs:
             keys = self._widened(keys, scale)
         elif keys.dtype != object:
@@ -253,6 +291,8 @@ class Lattice:
         if len(keys) <= 1:
             return keys, counts
         order, starts = _distinct_rows(keys)
+        if len(starts) == len(order):  # no two rows merge, as on a collision-free base
+            return keys.take(order, axis=0), counts.take(order, mode="wrap")
         return keys.take(order[starts], axis=0), np.add.reduceat(counts.take(order, mode="wrap"),
                                                                  starts)
 
@@ -260,15 +300,29 @@ class Lattice:
         """Limb keys, a new last limb split off until the next step fits.
         Degree-one keys are nonnegative and below (top + 1) 2^shift, so the
         last limb of p c + e scale is at most (p (top + 1) 2^shift + (m-1)
-        scale) >> shift; the limbs below stay under (p + 2) 2^LIMB_BITS."""
+        scale) >> shift; the limbs below stay under (p + 2) 2^LIMB_BITS.
+        Once top is 0 and the digit term is below 2^shift the bound is p,
+        which no further split shrinks: InvariantError if that does not fit."""
         while True:
             shift = LIMB_BITS * (keys.shape[1] - 1)
             top = int(keys[:, -1].max(initial=0))
             grown = (self.row[0] * (top + 1) << shift) + (self.sys.m - 1) * scale
             if grown >> shift <= INT64_MAX:
                 return keys
+            if grown >> shift == self.row[0]:
+                raise InvariantError(f"no split of a limb fits a step of p = {self.row[0]} in int64")
             last = keys[:, -1:]
             keys = np.concatenate((keys[:, :-1], last & LIMB_MASK, last >> LIMB_BITS), axis=1)
+
+    def joined(self, keys: np.ndarray) -> np.ndarray:
+        """A level's keys with more than one limb as a one-column object
+        matrix of Python ints, limbs joined; other keys as they are."""
+        if not self.limbs or keys.dtype == object or keys.shape[1] == 1:
+            return keys
+        joined = keys[:, -1].astype(object)
+        for i in reversed(range(keys.shape[1] - 1)):
+            joined = (joined << LIMB_BITS) + keys[:, i].astype(object)
+        return joined[:, None]
 
     def times_beta(self, rows: np.ndarray) -> np.ndarray:
         """Integer rows of lead * beta times the value of each row, in the
@@ -496,8 +550,9 @@ def garsia_report(sys: BetaSystem, n_max: int) -> list[GarsiaRow]:
     The reported gap is beta^n * (smallest difference between distinct
     level-n sums); Garsia separation predicts a positive lower bound for
     Pisot beta.  The minimum is certified.  In degree one the merged keys of
-    an unwindowed `sweep` are integers in increasing order, so the gaps are
-    the exact differences of neighbours, each checked positive.  Otherwise
+    an unwindowed `sweep` are integers in increasing order, as limbs or
+    Python ints, so the least gap is the least exact difference of
+    neighbours (`_least_gap`), checked positive.  Otherwise
     the sums are presorted by their float values (`NumberField.float_rows`),
     and every gap whose float value lies within the proven error bounds of
     the smallest one is compared exactly, so no gap left out can be smaller
@@ -516,14 +571,10 @@ def garsia_report(sys: BetaSystem, n_max: int) -> list[GarsiaRow]:
             rows.append(GarsiaRow(n, size, size / beta_f ** n, math.inf))
             continue
         if lattice.degree == 1:
-            # increasing nonnegative keys: exact gaps in the keys' dtype, a
-            # block at a time, since a level of Python-int differences at
-            # once leaves the heap fragmented (DECISIONS.md)
-            gap = min(np.diff(keys[i:i + GAP_BLOCK + 1, 0]).min()
-                      for i in range(0, size - 1, GAP_BLOCK))
+            gap = _least_gap(keys)
             if gap <= 0:
                 raise InvariantError(f"level-{n} keys of the unwindowed sweep out of order")
-            best = FieldElement(field, (int(gap),), lattice.lead ** n)
+            best = FieldElement(field, (gap,), lattice.lead ** n)
             rows.append(GarsiaRow(n, size, size / beta_f ** n, float(best)))
             continue
         # gaps of the keys: the sums scaled by lead^n beta^n
@@ -551,6 +602,26 @@ def garsia_report(sys: BetaSystem, n_max: int) -> list[GarsiaRow]:
         best = min(FieldElement(field, tuple(d), lattice.lead ** n) for d in diffs.tolist())
         rows.append(GarsiaRow(n, size, size / beta_f ** n, float(best)))
     return rows
+
+
+def _least_gap(keys: np.ndarray) -> int:
+    """The least difference of neighbouring rows of a level of increasing
+    degree-one keys, exactly.  Python-int rows are differenced a block at a
+    time, since a level of Python-int differences at once leaves the heap
+    fragmented.  Limb rows are differenced limb by limb and the borrows
+    carried up as in `Lattice.step`, all in int64, which gives each gap's
+    limbs, the last one signed; the least gap is the least row read from
+    its last limb (bounds: DECISIONS.md)."""
+    if keys.dtype == object:
+        return min(np.diff(keys[i:i + GAP_BLOCK + 1, 0]).min()
+                   for i in range(0, len(keys) - 1, GAP_BLOCK))
+    gaps, width = np.diff(keys, axis=0), keys.shape[1]
+    for i in range(width - 1):
+        gaps[:, i + 1] += gaps[:, i] >> LIMB_BITS
+        gaps[:, i] &= LIMB_MASK
+    for i in reversed(range(width)):
+        gaps = gaps[gaps[:, i] == gaps[:, i].min()]
+    return sum(limb << (LIMB_BITS * i) for i, limb in enumerate(gaps[0].tolist()))
 
 
 # ---------------------------------------------------------------------------

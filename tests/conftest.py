@@ -66,7 +66,7 @@ from hypothesis import strategies as st
 
 from betagrowth.bconv import MeasureAtoms, ball_mass_brackets
 from betagrowth.errors import CapExceededError, HypothesisError, InvalidInputError, InvariantError
-from betagrowth.expansions import (LIMB_BITS, Lattice, _coerce_point, _count_meets_bound, kappa,
+from betagrowth.expansions import (Lattice, _coerce_point, _count_meets_bound, kappa,
                                    prefix_count_series)
 from betagrowth.lyapunov import RENORM_EVERY, mc_chunk_len
 from betagrowth.netautomaton import Automaton, CharacteristicState
@@ -277,9 +277,7 @@ def as_fraction(x: FieldElement) -> Fraction:
 
 def key_ints(lattice: Lattice, keys: np.ndarray) -> list[list[int]]:
     """A level's keys as rows of Python ints, limbs joined."""
-    if not lattice.limbs or keys.dtype == object:
-        return keys.tolist()
-    return [[sum(v << (LIMB_BITS * i) for i, v in enumerate(row))] for row in keys.tolist()]
+    return lattice.joined(keys).tolist()
 
 
 def key_value(lattice: Lattice, key, k: int) -> FieldElement:

@@ -323,6 +323,20 @@ def test_cell_masses_match_bincount(spec, m, atom_level, used):
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), n
 
 
+def test_limb_atoms_match_python_int_atoms(monkeypatch):
+    # level 18 of 13/10 holds two-limb keys, which `level_atoms` joins: the
+    # atoms are bit for bit those built on Python-int keys
+    sys_ = parse_beta("13/10", 2)
+    atoms = level_atoms(sys_, 18)
+    monkeypatch.setattr(expansions, "LIMB_P_BOUND", 0)
+    want = level_atoms(sys_, 18)
+    assert atoms.keys.dtype == want.keys.dtype == object
+    assert atoms.keys.tolist() == want.keys.tolist()
+    assert atoms.counts.tolist() == want.counts.tolist()
+    for got, ref in ((atoms.values, want.values), (atoms.weights, want.weights)):
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # upper bound check
 # ---------------------------------------------------------------------------

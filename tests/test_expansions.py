@@ -338,15 +338,20 @@ def test_garsia_report_frozen(spec, counts, gaps):
         c / float(sys_.beta) ** n for n, c in enumerate(counts, start=1)]
 
 
-@pytest.mark.parametrize("spec", ["golden", "13/10"])
-def test_garsia_report_python_int_rows(spec, monkeypatch):
-    # with less room in int64, keys or only their differences become Python
-    # ints at some level; the deduplicated gaps and the report must not move
+@pytest.mark.parametrize("spec, n", [pytest.param("golden", 14, id="golden"),
+                                     pytest.param("13/10", 14, id="13/10"),
+                                     pytest.param("13/10", 18, id="13/10-n18")])
+def test_garsia_report_python_int_rows(spec, n, monkeypatch):
+    # with limbs off and less room in int64, keys or only their differences
+    # become Python ints at some level; the deduplicated gaps and the report
+    # must not move.  13/10 keys pass 2^63 at level 17, where the limb
+    # report meets the Python-int one at full room too
     sys_ = parse_beta(spec, 2)
-    want = garsia_report(sys_, 14)
-    for room in (2 ** 4, 0):
+    want = garsia_report(sys_, n)
+    monkeypatch.setattr(expansions, "LIMB_P_BOUND", 0)
+    for room in (expansions.INT64_MAX, 2 ** 4, 0):
         monkeypatch.setattr(expansions, "INT64_MAX", room)
-        assert garsia_report(sys_, 14) == want
+        assert garsia_report(sys_, n) == want
 
 
 # ---------------------------------------------------------------------------

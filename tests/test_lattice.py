@@ -5,8 +5,10 @@ and its order against `np.lexsort`, one packing for every width.
 
 The bases cover degree one (1.5 and 13/10) and higher degrees, monic
 (golden, tribonacci) and non-monic (poly:-3,0,2, whose root sqrt(3/2) has
-a leading coefficient of 2).  13/10 and golden with m = 3 run far enough
-that the kernel switches from int64 to Python-int arrays mid-sweep.
+a leading coefficient of 2).  Golden with m = 3 runs far enough that its
+counts switch from int64 to Python ints mid-sweep, and a base with
+p >= 2^30 that its keys do; 13/10 keeps its keys int64, as limbs, windowed
+or not.
 Random rational bases p/q check the collision-free lemma (DECISIONS.md):
 distinct keys for m <= p, merges at m = p + 1, windowed counts against
 the dict step either way, and the degree-one sign screen and limb
@@ -27,7 +29,7 @@ from hypothesis import strategies as st
 
 from betagrowth import expansions
 from betagrowth.bconv import ball_mass_brackets, interval_mass, level_atoms
-from betagrowth.errors import CapExceededError, InvalidInputError
+from betagrowth.errors import CapExceededError, InvalidInputError, InvariantError
 from betagrowth.expansions import INT64_MAX, Lattice, _at_least, _distinct_rows, prefix_count_series
 from betagrowth.numberfield import FieldElement, parse_beta
 
@@ -94,16 +96,17 @@ def test_interval_mass_matches_atoms(systems, spec, a, b, n):
     assert interval_mass(sys_, n, lo, hi) == direct
 
 
-def _as_dict(level) -> dict:
+def _as_dict(lattice, level) -> dict:
     keys, counts = level
-    return dict(zip(map(tuple, keys.tolist()), counts.tolist()))
+    return dict(zip(map(tuple, key_ints(lattice, keys)), counts.tolist()))
 
 
-def _assert_levels_match(kernel_levels, dict_levels) -> list:
-    """Compare level by level; return the (key, count) dtypes the kernel used."""
+def _assert_levels_match(lattice, kernel_levels, dict_levels) -> list:
+    """Compare level by level, limbs joined; return the (key, count) dtypes
+    the kernel used."""
     dtypes = []
     for level, expected in zip(kernel_levels, dict_levels, strict=True):
-        assert sorted(_as_dict(level).items()) == sorted(expected.items())
+        assert sorted(_as_dict(lattice, level).items()) == sorted(expected.items())
         keys, counts = level
         assert len(counts) == len(expected)  # each key once
         dtypes.append((keys.dtype, counts.dtype))
@@ -117,9 +120,9 @@ def test_kernel_matches_dict_step(systems, spec, a, b, n):
     sys_ = systems[spec]
     lo, hi = sorted((_fraction_of_interval(sys_, *a), _fraction_of_interval(sys_, *b)))
     lattice = Lattice(sys_)
-    _assert_levels_match(lattice.sweep(n), dict_lattice_levels(sys_, n))
+    _assert_levels_match(lattice, lattice.sweep(n), dict_lattice_levels(sys_, n))
     windowed = lattice.sweep(n, sys_.element(lo), sys_.element(hi))
-    _assert_levels_match(windowed, dict_lattice_levels(sys_, n, lo, hi))
+    _assert_levels_match(lattice, windowed, dict_lattice_levels(sys_, n, lo, hi))
 
 
 def test_kernel_switches_counts_to_python_ints():
@@ -128,20 +131,35 @@ def test_kernel_switches_counts_to_python_ints():
     x = Fraction(1, 2)
     lattice = Lattice(sys_)
     dtypes = _assert_levels_match(
-        lattice.sweep(42, sys_.element(x), sys_.element(x)),
+        lattice, lattice.sweep(42, sys_.element(x), sys_.element(x)),
         dict_lattice_levels(sys_, 42, x, x),
     )
     assert [c for _k, c in dtypes] == [np.int64] * 39 + [object] * 3
 
 
 def test_kernel_switches_keys_to_python_ints():
-    # keys of 13/10 grow like 13^k and pass 2^63 at level 17; the bound taken
-    # before each step moves them to Python ints in the middle of the sweep
-    sys_ = parse_beta("13/10", 2)
-    dtypes = _assert_levels_match(Lattice(sys_).sweep(18), dict_lattice_levels(sys_, 18))
+    # keys of p/q with p >= 2^30 are not kept on limbs; they grow like p^k
+    # and pass 2^63 at level 3, and the bound taken before each step moves
+    # them to Python ints in the middle of the sweep
+    sys_ = parse_beta("2147483659/2147483648", 2)
+    lattice = Lattice(sys_)
+    assert not lattice.limbs
+    dtypes = _assert_levels_match(lattice, lattice.sweep(6), dict_lattice_levels(sys_, 6))
     key_dtypes = [k for k, _c in dtypes]
     assert key_dtypes[0] == np.int64 and key_dtypes[-1] == object
     assert key_dtypes == sorted(key_dtypes, key=lambda t: t == object)
+
+
+def test_unwindowed_13_10_keys_stay_int64():
+    # keys of 13/10 pass 2^63 at level 17 and reach two limbs; the
+    # unwindowed sweep keeps them int64, in value order, to level 20
+    sys_ = parse_beta("13/10", 2)
+    lattice = Lattice(sys_)
+    levels = list(lattice.sweep(20))
+    for (keys, counts), expected in zip(levels, dict_lattice_levels(sys_, 20), strict=True):
+        assert keys.dtype == np.int64 and set(counts.tolist()) == set(expected.values()) == {1}
+        assert [key for key, in key_ints(lattice, keys)] == sorted(key for key, in expected)
+    assert levels[-1][0].shape[1] == 2
 
 
 @st.composite
@@ -206,9 +224,15 @@ def key_matrices(draw):
 @given(keys=key_matrices())
 @example(keys=np.array([[-2 ** 63], [INT64_MAX], [0], [-2 ** 63]], dtype=np.int64))
 @example(keys=np.array([[3], [-1], [3], [-1], [0]], dtype=np.int64))
+# spans past int64 together: the last column's dense rank, packed with the rest
+@example(keys=np.array([[7, 2 ** 40, -2 ** 40], [0, -2 ** 40, 2 ** 40], [7, 2 ** 40, -2 ** 40],
+                        [3, 0, 2 ** 40]], dtype=np.int64))
+# three ranks times a span of 2^62 + 1 pass int64: Python ints
+@example(keys=np.array([[2 ** 62, 0], [0, 1], [2 ** 62, 2], [1, 0], [0, 1]], dtype=np.int64))
 def test_distinct_rows_order_is_lexsort(keys):
-    # one packing for every width: the order is the stable sort of the rows
-    # read from the last column, and starts mark the first row of each run
+    # one packing for every width, in stages where the spans pass int64: the
+    # order is the stable sort of the rows read from the last column, and
+    # starts mark the first row of each run
     order, starts = _distinct_rows(keys)
     assert order.tolist() == np.lexsort(keys.T).tolist()
     rows = keys[order].tolist()
@@ -266,7 +290,7 @@ def test_rational_keys_merge_at_m_p_plus_1(base, n):
     lattice = Lattice(sys_)
     assert not lattice.collision_free
     levels = list(lattice.sweep(n))
-    _assert_levels_match(levels, dict_lattice_levels(sys_, n))
+    _assert_levels_match(lattice, levels, dict_lattice_levels(sys_, n))
     assert len(levels[1][1]) < (p + 1) ** 2 and levels[1][1].max() > 1
 
 
@@ -333,7 +357,7 @@ def test_degree_one_sign_rows_match_sign_int_coeffs(base, data, wide):
 
 
 # ---------------------------------------------------------------------------
-# degree-one windowed keys as int64 limbs
+# degree-one keys as int64 limbs
 # ---------------------------------------------------------------------------
 
 def _limb_rows(values: list[int], width: int) -> np.ndarray:
@@ -410,6 +434,30 @@ def test_limb_step_matches_python_ints(base, data):
     # the window test on the limb rows themselves
     within = lattice.inside(keys, lattice.window(k, *_window_points(sys_, k, ends))).tolist()
     assert within == [ends[0] <= c <= ends[1] for c in values]
+
+
+@PROPERTY_SETTINGS
+@given(values=st.lists(st.integers(0, 2 ** 150), min_size=2, max_size=12, unique=True),
+       extra=st.integers(0, 1))
+@example(values=[2 ** 64 - 1, 2 ** 64, 2 ** 127 - 1, 2 ** 127], extra=0)
+def test_least_gap_matches_python_ints(values, extra):
+    # the least neighbour difference of increasing keys, on limb rows of up
+    # to five limbs (borrows across several limbs) and on Python ints; in
+    # decreasing order every gap is negative and the least is minus the largest
+    values = sorted(values)
+    gaps = [b - a for a, b in zip(values, values[1:])]
+    rows = _limb_rows(values, _width(values[-1]) + extra)
+    assert expansions._least_gap(rows) == min(gaps)
+    assert expansions._least_gap(rows[::-1].copy()) == -max(gaps)
+    assert expansions._least_gap(np.array([[v] for v in values], dtype=object)) == min(gaps)
+
+
+def test_widened_raises_when_a_split_cannot_shrink_the_last_limb(monkeypatch):
+    # with no room at all a zero last limb cannot be split any smaller
+    lattice = Lattice(parse_beta("13/10", 2))
+    monkeypatch.setattr(expansions, "INT64_MAX", 0)
+    with pytest.raises(InvariantError, match="no split of a limb fits"):
+        next(lattice.sweep(1))
 
 
 INSIDE_SPECS = ("13/10", "1.5", "golden", "poly:-3,0,2")
