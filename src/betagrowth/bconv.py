@@ -83,7 +83,7 @@ def level_atoms(sys: BetaSystem, n: int) -> MeasureAtoms:
     """Exact level-n atoms of mu, merged by value."""
     lattice = Lattice(sys)
     keys, counts = lattice.start
-    for keys, counts in lattice.sweep(n):
+    for (keys, counts), _window in lattice.sweep(n):
         pass
     return MeasureAtoms(sys, n, lattice.joined(keys), counts)
 
@@ -106,9 +106,10 @@ def interval_mass(sys: BetaSystem, level: int, lo, hi) -> Fraction:
     hi = sys.element(hi)
     lattice = Lattice(sys)
     keys, counts = lattice.start
-    inside = lattice.inside(keys, lattice.window(0, a, hi))
+    window = lattice.window(0, a, hi)
+    inside = lattice.inside(keys, window)
     states = keys[inside], counts[inside]
-    for states in lattice.sweep(level, a, hi, states):
+    for states, _window in lattice.sweep(level, window, states):
         pass
     return Fraction(int(states[1].sum()), sys.m ** level)
 
@@ -134,21 +135,28 @@ def ball_mass_brackets(sys: BetaSystem, x, levels: Sequence[int],
     R beta^-L, x + r_n]).  The sweep keeps the prefix window of the ball of
     the smallest unfinished n, which contains those of all larger n (why no
     word is lost: DECISIONS.md).  At level L its states give the upper
-    count, and those within the level-L window of the lower interval, which
-    lies inside the ball's, give the lower count.
+    count, and those within the window of the lower interval, the carried
+    window narrowed by R lead^L (`Lattice.narrowed`), the lower count.  The
+    next ball n' restarts from the carried window narrowed by
+    W (1 - rho^(n'-n)) lead^L, W = R beta^margin; the first starts as if a
+    ball -margin had been read at level 0, so `Lattice.window` runs once.
     """
     levels = _sorted_levels(levels, margin)
     x = _coerce_point(x, sys)
     lattice = Lattice(sys)
-    states, k = lattice.start, 0
+    outer = sys.right_end * lattice.grow_powers[margin] / lattice.lead ** margin
+    shifts = {}  # the restart shift by gap n' - n, each made once
+    window, states, k = lattice.window(0, x - outer, x + outer), lattice.start, 0
     brackets = {}
     for n in levels:
-        r = sys.right_end * sys.rho_powers[n]
-        for states in lattice.sweep(n + margin, x - r, x + r, states, k):
+        gap = n + margin - k
+        if gap not in shifts:
+            shifts[gap] = outer - outer * sys.rho_powers[gap]
+        window = lattice.narrowed(window, k, shifts[gap])
+        for states, window in lattice.sweep(n + margin, window, states, k):
             pass
         k = n + margin
-        tail = sys.right_end * sys.rho_powers[k]
-        inside = lattice.inside(states[0], lattice.window(k, x - r + tail, x + r - tail))
+        inside = lattice.inside(states[0], lattice.narrowed(window, k, sys.right_end))
         lower, upper = int(states[1][inside].sum()), int(states[1].sum())
         brackets[n] = (Fraction(lower, sys.m ** k), Fraction(upper, sys.m ** k))
     return brackets

@@ -14,7 +14,8 @@ the merge packs limb rows in stages of dense ranks, `garsia_report` takes
 its gaps from them and `Lattice.joined` turns them into Python ints for
 the atoms.  `Lattice.window` derives a
 window where a sweep starts, and the sweep carries its two ends from
-level to level in integers, by the step's own map.  `Lattice.inside` is
+level to level in integers, by the step's own map; `Lattice.narrowed`
+shifts a carried window to that of a smaller interval.  `Lattice.inside` is
 the one window test: `NumberField.compare_rows` (the vector float screen,
 with a proven error bound and an exact fallback) from degree two on,
 exact integer comparisons of limbs in degree one.  The random map K_beta
@@ -211,8 +212,8 @@ class Lattice:
         tail in [0, R], R = (m-1)/(beta-1).  In key units (times lead^k) its
         ends are (beta lead)^k a - R lead^k and (beta lead)^k b, returned as
         the rows lo and hi of an object matrix over one denominator.  A sweep
-        derives its window here where it starts and carries it from there
-        (`next_window`)."""
+        carries a window from level to level (`next_window`), and
+        `narrowed` shifts it to the window of a smaller interval."""
         power = self.grow_powers[k]
         ends = (a * power - self.sys.right_end * self.lead ** k, b * power)
         den = math.lcm(*(end.den for end in ends))
@@ -228,6 +229,16 @@ class Lattice:
         ends = self.times_beta(ends)
         ends[0, 0] += (self.sys.m - 1) * self.lead ** (k + 1) * den
         return ends, den
+
+    def narrowed(self, window: Window, k: int, delta: FieldElement) -> Window:
+        """The level-k window with both ends moved inward by delta lead^k in
+        key units, over the lcm of the denominators: the window of
+        [a + s, b - s] from that of [a, b] when delta = s beta^k
+        (DECISIONS.md, "Ball brackets")."""
+        ends, den = window
+        lcm = math.lcm(den, delta.den)
+        shift = [c * self.lead ** k * (lcm // delta.den) for c in delta.num]
+        return ends * (lcm // den) + np.array([shift, [-c for c in shift]], dtype=object), lcm
 
     def inside(self, keys: np.ndarray, window: Window) -> np.ndarray:
         """Whether each key of the window's level lies in it, ends included:
@@ -332,27 +343,25 @@ class Lattice:
             return rows * self.row[0]
         return rows @ (self._object_matrix if rows.dtype == object else self._matrix)
 
-    def sweep(self, n: int, a: FieldElement | None = None, b: FieldElement | None = None,
-              level: Level | None = None, k: int = 0):
+    def sweep(self, n: int, window: Window | None = None, level: Level | None = None, k: int = 0):
         """Step the level-k states `level` (the empty word's by default) to
-        level n, yielding each level: `inside` the prefix window of [a, b]
-        when a is given, derived at level k and carried by `next_window`,
-        unwindowed otherwise.  A level over DEFAULT_ATOM_CAP states raises
-        CapExceededError."""
+        level n, yielding each level with its window: the states `inside`
+        the window carried by `next_window` from the level-k `window` when
+        one is given, unwindowed (window None) otherwise.  A level over
+        DEFAULT_ATOM_CAP states raises CapExceededError."""
         if n < 0:
             raise InvalidInputError("level must be nonnegative")
         level = self.start if level is None else level
-        if a is None and self.collision_free:
+        if window is None and self.collision_free:
             # level j holds m^(j-k) states per level-k state, known before any step
             for j in range(k + 1, n + 1):
                 self.check_cap(len(level[1]) * self.sys.m ** (j - k), j)
-        window = None if a is None else self.window(k, a, b)
         for j in range(k, n):
             if window is not None:
                 window = self.next_window(window, j)
             level = self.step(level, j, window)
             self.check_cap(len(level[1]), j + 1)
-            yield level
+            yield level, window
 
     @staticmethod
     def check_cap(states: int, k: int) -> None:
@@ -384,7 +393,8 @@ def prefix_count_series(x, n_max: int, sys: BetaSystem) -> list[int]:
         raise InvalidInputError("prefix length must be nonnegative")
     x = _coerce_point(x, sys)
     lattice = Lattice(sys)
-    return [1] + [int(c.sum()) for _keys, c in lattice.sweep(n_max, x, x)]
+    sweep = lattice.sweep(n_max, lattice.window(0, x, x))
+    return [1] + [int(c.sum()) for (_keys, c), _window in sweep]
 
 
 def count_prefixes(x, n: int, sys: BetaSystem) -> int:
@@ -565,7 +575,7 @@ def garsia_report(sys: BetaSystem, n_max: int) -> list[GarsiaRow]:
     beta_f = float(sys.beta)
     lattice = Lattice(sys)
     field = sys.field
-    for n, (keys, _counts) in enumerate(lattice.sweep(n_max), start=1):
+    for n, ((keys, _counts), _window) in enumerate(lattice.sweep(n_max), start=1):
         size = len(keys)
         if size < 2:
             rows.append(GarsiaRow(n, size, size / beta_f ** n, math.inf))
@@ -648,7 +658,7 @@ def count_X_m(m_param: int, sys: BetaSystem) -> int:
         raise InvalidInputError("m_param must be >= 1")
     length = 2 * m_param
     lattice = Lattice(sys)
-    for keys, counts in lattice.sweep(length, sys.rho, sys.rho):
+    for (keys, counts), _window in lattice.sweep(length, lattice.window(0, sys.rho, sys.rho)):
         pass
     # golden is monic, so a key is the integer vector of its value
     return int(counts[(keys == (sys.beta ** (length - 1)).num).all(axis=1)].sum())

@@ -45,6 +45,8 @@ value), `atoms_items_exact` and `refine_atoms` (exact atoms in value
 order, one more lattice step), `key_ints` and `key_value` (a level's
 keys as Python ints, limbs joined, and the exact value of one key) and
 `upper_dim_bound_check` (the finite-level upper local-dimension chain).
+`derived_ball_brackets` is `ball_mass_brackets` with every window derived
+from its interval, the oracle of the windows that one shifts.
 `pisot_family` draws a Pisot base of Brauer's family with its m.
 Two more read an automaton's edges: `is_admissible` (a word is a path from
 the root) and `products_positive` (every row product from the root stays
@@ -229,7 +231,7 @@ def distinct_sums_count(n: int, sys: BetaSystem) -> int:
     past its cap."""
     if n < 1:
         raise InvalidInputError("n must be >= 1")
-    for keys, _counts in Lattice(sys).sweep(n):
+    for (keys, _counts), _window in Lattice(sys).sweep(n):
         pass
     return len(keys)
 
@@ -348,6 +350,28 @@ def upper_dim_bound_check(sys: BetaSystem, x, n_max: int, margin: int = 5) -> Up
                                   lower >= Fraction(count, 2 ** n), slope))
     limit = (1 - float(kap)) * math.log(2) / log_beta
     return UpperBoundReport(kap, limit, float(x), tuple(rows))
+
+
+def derived_ball_brackets(sys: BetaSystem, x, levels, margin: int) -> dict:
+    """`bconv.ball_mass_brackets` with every window derived from its
+    interval in field elements: `Lattice.window` of the ball of radius
+    r_n = R beta^-n where the sweep restarts, at the level k the last ball
+    was read at, and again for the lower bracket at L = n + margin, of the
+    ball shrunk by R beta^-L on both sides."""
+    x = sys.element(x)
+    lattice = Lattice(sys)
+    states, k = lattice.start, 0
+    brackets = {}
+    for n in sorted(set(levels)):
+        r = sys.right_end * sys.rho ** n
+        for states, _window in lattice.sweep(n + margin, lattice.window(k, x - r, x + r), states, k):
+            pass
+        k = n + margin
+        tail = sys.right_end * sys.rho ** k
+        inside = lattice.inside(states[0], lattice.window(k, x - r + tail, x + r - tail))
+        brackets[n] = tuple(Fraction(int(counts.sum()), sys.m ** k)
+                            for counts in (states[1][inside], states[1]))
+    return brackets
 
 
 def brute_value_count(target, length: int, sys: BetaSystem) -> int:

@@ -16,11 +16,12 @@ from betagrowth.bconv import (
     lq_spectrum_table,
 )
 from betagrowth.errors import CapExceededError, HypothesisError, InvalidInputError
-from betagrowth.expansions import count_prefixes
+from betagrowth.expansions import Lattice, count_prefixes
 from betagrowth.numberfield import FieldElement, parse_beta
 
 from conftest import (PROPERTY_SETTINGS, atoms_items_exact, bincount_cell_masses,
-                      distinct_sums_count, refine_atoms, upper_dim_bound_check)
+                      derived_ball_brackets, distinct_sums_count, pisot_family, refine_atoms,
+                      upper_dim_bound_check)
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +176,45 @@ def test_ball_mass_brackets_match_interval_mass(spec, m, x_text, margin, drawn):
         tail = sys_.right_end * sys_.rho ** (n + margin)
         assert got[n] == (interval_mass(sys_, n + margin, x - r, x + r - tail),
                           interval_mass(sys_, n + margin, x - r - tail, x + r))
+
+
+SHIFT_SPECS = (("golden", 2), ("multinacci:3", 2), ("poly:-1,-1,0,1", 2), ("poly:-3,0,2", 2),
+               ("13/10", 2), ("3/2", 3))
+
+
+@PROPERTY_SETTINGS
+@given(sys_=st.one_of(st.sampled_from(SHIFT_SPECS).map(lambda spec: parse_beta(*spec)),
+                      pisot_family),
+       point=st.one_of(st.sampled_from(("0", "R")), st.fractions(0, 1, max_denominator=97)),
+       margin=st.integers(0, 3),
+       levels=st.lists(st.integers(0, 10), min_size=1, max_size=4, unique=True))
+@example(sys_=parse_beta("golden", 2), point="1/3", margin=4, levels=[3, 9, 10, 30])
+@example(sys_=parse_beta("poly:-3,0,2", 2), point="R", margin=0, levels=[0, 7])
+def test_ball_mass_brackets_match_derived_windows(sys_, point, margin, levels):
+    # every window after the first a shift of the carried one, against the
+    # windows derived from each ball by `Lattice.window`: levels further
+    # apart than the margin restart at a negative exponent k - n', and
+    # margin 0 reads ball n at level n, ball 0 at level 0
+    right = Fraction(math.floor(float(sys_.right_end) * 1000), 1000)
+    x = sys_.right_end if point == "R" else sys_.element(Fraction(point) * right)
+    assert ball_mass_brackets(sys_, x, levels, margin) == derived_ball_brackets(
+        sys_, x, levels, margin)
+
+
+def test_ball_mass_brackets_derive_one_window():
+    # Lattice.window runs once per point, and the field products do not
+    # grow with the number of levels: every other window is a shift by one
+    # of a few elements, each made once
+    windows, products, counts = [], [], []
+    window, mul = Lattice.window, FieldElement.__mul__
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Lattice, "window", lambda self, *args: windows.append(1) or window(self, *args))
+        patch.setattr(FieldElement, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+        for top in (10, 30):
+            windows.clear(), products.clear()
+            ball_mass_brackets(parse_beta("golden", 2), Fraction(2, 5), range(1, top + 1), 10)
+            counts.append((len(windows), len(products)))
+    assert counts[0] == counts[1] and counts[0][0] == 1, counts
 
 
 def test_windowed_counts_check_atom_cap(b13, monkeypatch):

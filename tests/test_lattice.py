@@ -15,7 +15,7 @@ the dict step either way, and the degree-one sign screen and limb
 comparisons.  `Lattice.inside`, the one prefix-window test, is checked
 against exact field comparisons of each key, on limb, int64 and object rows,
 and the window a sweep carries in integers against the one derived from
-its points at every level, restarts included.
+its points at every level, restarts by `Lattice.narrowed` included.
 """
 
 import itertools
@@ -96,6 +96,14 @@ def test_interval_mass_matches_atoms(systems, spec, a, b, n):
     assert interval_mass(sys_, n, lo, hi) == direct
 
 
+def _swept(lattice, n, a=None, b=None) -> list:
+    """Levels 1..n of a sweep from the empty word, windowed to [a, b] when
+    a is given."""
+    sys_ = lattice.sys
+    window = None if a is None else lattice.window(0, sys_.element(a), sys_.element(b))
+    return [level for level, _window in lattice.sweep(n, window)]
+
+
 def _as_dict(lattice, level) -> dict:
     keys, counts = level
     return dict(zip(map(tuple, key_ints(lattice, keys)), counts.tolist()))
@@ -120,8 +128,8 @@ def test_kernel_matches_dict_step(systems, spec, a, b, n):
     sys_ = systems[spec]
     lo, hi = sorted((_fraction_of_interval(sys_, *a), _fraction_of_interval(sys_, *b)))
     lattice = Lattice(sys_)
-    _assert_levels_match(lattice, lattice.sweep(n), dict_lattice_levels(sys_, n))
-    windowed = lattice.sweep(n, sys_.element(lo), sys_.element(hi))
+    _assert_levels_match(lattice, _swept(lattice, n), dict_lattice_levels(sys_, n))
+    windowed = _swept(lattice, n, lo, hi)
     _assert_levels_match(lattice, windowed, dict_lattice_levels(sys_, n, lo, hi))
 
 
@@ -131,7 +139,7 @@ def test_kernel_switches_counts_to_python_ints():
     x = Fraction(1, 2)
     lattice = Lattice(sys_)
     dtypes = _assert_levels_match(
-        lattice, lattice.sweep(42, sys_.element(x), sys_.element(x)),
+        lattice, _swept(lattice, 42, x, x),
         dict_lattice_levels(sys_, 42, x, x),
     )
     assert [c for _k, c in dtypes] == [np.int64] * 39 + [object] * 3
@@ -144,21 +152,49 @@ def test_kernel_switches_keys_to_python_ints():
     sys_ = parse_beta("2147483659/2147483648", 2)
     lattice = Lattice(sys_)
     assert not lattice.limbs
-    dtypes = _assert_levels_match(lattice, lattice.sweep(6), dict_lattice_levels(sys_, 6))
+    dtypes = _assert_levels_match(lattice, _swept(lattice, 6), dict_lattice_levels(sys_, 6))
     key_dtypes = [k for k, _c in dtypes]
     assert key_dtypes[0] == np.int64 and key_dtypes[-1] == object
     assert key_dtypes == sorted(key_dtypes, key=lambda t: t == object)
 
 
+def test_step_bound_counts_the_digit_term():
+    # keys just under the edge of an unwindowed step's int64 bound: B growth
+    # fits int64 but p B + q^2 does not, so only the digit term
+    # (m-1) lead^(k+1) of the bound sends the step to Python ints.  Stepped
+    # in int64 the digit would wrap; the step must give p c + e q^2 exactly,
+    # as the same step on object keys does
+    p, q = 2147483659, 2147483648
+    sys_ = parse_beta(f"{p}/{q}", 2)
+    lattice = Lattice(sys_)
+    assert not lattice.limbs and lattice.growth == p + q
+    big = INT64_MAX // lattice.growth
+    assert big * lattice.growth <= INT64_MAX < p * big + q ** 2
+    keys, counts = np.array([[big], [big - 1]], dtype=np.int64), np.array([1, 2], dtype=np.int64)
+    got = lattice.step((keys, counts), 1)
+    want = lattice.step((keys.astype(object), counts), 1)
+    assert key_ints(lattice, got[0]) == key_ints(lattice, want[0]) == [
+        [p * c + e * q ** 2] for c, e in ((big - 1, 0), (big, 0), (big - 1, 1), (big, 1))]
+    assert got[1].tolist() == want[1].tolist() == [2, 1, 2, 1]
+
+
 def test_unwindowed_13_10_keys_stay_int64():
     # keys of 13/10 pass 2^63 at level 17 and reach two limbs; the
-    # unwindowed sweep keeps them int64, in value order, to level 20
+    # unwindowed sweep keeps them int64, in value order, to level 20.  The
+    # base is collision-free, so level k + 1 holds the keys p c + e q^(k+1)
+    # of the level-k keys c, each once: distinct at level 20, and so at
+    # every level before, since two words with one key keep it when the
+    # same digit is appended
     sys_ = parse_beta("13/10", 2)
     lattice = Lattice(sys_)
-    levels = list(lattice.sweep(20))
-    for (keys, counts), expected in zip(levels, dict_lattice_levels(sys_, 20), strict=True):
-        assert keys.dtype == np.int64 and set(counts.tolist()) == set(expected.values()) == {1}
-        assert [key for key, in key_ints(lattice, keys)] == sorted(key for key, in expected)
+    levels = _swept(lattice, 20)
+    want = [0]
+    for k, (keys, counts) in enumerate(levels):
+        # two increasing runs, which sorted merges in one pass
+        want = sorted([13 * c for c in want] + [13 * c + 10 ** (k + 1) for c in want])
+        assert keys.dtype == np.int64 and set(counts.tolist()) == {1}
+        assert lattice.joined(keys)[:, 0].tolist() == want
+    assert len(set(want)) == len(want) == 2 ** 20
     assert levels[-1][0].shape[1] == 2
 
 
@@ -267,12 +303,11 @@ def test_rational_keys_are_distinct_up_to_m_p(base, data):
     words = itertools.product(range(m), repeat=n)
     want = sorted(sum(e * p ** (n - j) * q ** j for j, e in enumerate(w, 1)) for w in words)
     assert len(set(want)) == m ** n
-    for keys, counts in lattice.sweep(n, sys_.field.zero, sys_.right_end):
-        pass
+    *_, (keys, counts) = _swept(lattice, n, 0, sys_.right_end)
     assert sorted(keys[:, 0].tolist()) == want and counts.tolist() == [1] * m ** n
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(expansions, "DEFAULT_ATOM_CAP", m ** n)
-        *_, (keys, counts) = lattice.sweep(n)
+        *_, (keys, counts) = _swept(lattice, n)
         assert keys[:, 0].tolist() == want and counts.tolist() == [1] * m ** n
         # level n is known to hold m^n states before the first step
         patch.setattr(expansions, "DEFAULT_ATOM_CAP", m ** n - 1)
@@ -289,7 +324,7 @@ def test_rational_keys_merge_at_m_p_plus_1(base, n):
     sys_ = parse_beta(f"{p}/{q}", p + 1)
     lattice = Lattice(sys_)
     assert not lattice.collision_free
-    levels = list(lattice.sweep(n))
+    levels = _swept(lattice, n)
     _assert_levels_match(lattice, levels, dict_lattice_levels(sys_, n))
     assert len(levels[1][1]) < (p + 1) ** 2 and levels[1][1].max() > 1
 
@@ -509,32 +544,44 @@ def test_inside_matches_field_comparisons(systems, spec, data):
 WINDOW_SPECS = ("golden", "poly:-3,0,2", "13/10", "3/2")
 
 
+def _window_values(lattice, window) -> list:
+    """The ends of a window as field elements."""
+    ends, den = window
+    return [FieldElement(lattice.sys.field, tuple(end), den) for end in ends.tolist()]
+
+
 @PROPERTY_SETTINGS
 @given(sys_=st.one_of(st.sampled_from(WINDOW_SPECS).map(lambda spec: parse_beta(spec, 2)),
                       pisot_family),
-       a=points, b=points, k=st.integers(0, 5), steps=st.integers(1, 6))
-def test_carried_window_matches_derived(sys_, a, b, k, steps):
-    # the window a sweep carries from level k, stepped in integers like the
-    # digit-0 and digit-(m-1) children, against the one derived at each
-    # level from [a, b] in field elements; k > 0 restarts a sweep as
-    # ball_mass_brackets does, on states kept under a wider window
+       a=points, b=points, s=points, k=st.integers(0, 5), steps=st.integers(1, 6))
+def test_carried_window_matches_derived(sys_, a, b, s, k, steps):
+    # the window a sweep carries, stepped in integers like the digit-0 and
+    # digit-(m-1) children, against the one derived at each level from its
+    # interval in field elements.  k > 0 restarts a sweep as
+    # ball_mass_brackets does: the window of [lo - s, hi + s] carried to
+    # level k and narrowed by s beta^k lead^k is that of [lo, hi], and the
+    # restarted sweep steps with it, carried on, over states kept under the
+    # wider one
     lo, hi = sorted((_fraction_of_interval(sys_, *a), _fraction_of_interval(sys_, *b)))
-    lo, hi = sys_.element(lo), sys_.element(hi)
-    lattice, field = Lattice(sys_), sys_.field
+    lo, hi, s = sys_.element(lo), sys_.element(hi), sys_.element(_fraction_of_interval(sys_, *s))
+    lattice = Lattice(sys_)
     level = lattice.start
-    for level in lattice.sweep(k, field.zero, sys_.right_end):
-        pass
+    window = wide = lattice.window(0, lo - s, hi + s)
+    for j, (level, window) in enumerate(lattice.sweep(k, wide), start=1):
+        assert _window_values(lattice, window) == _window_values(
+            lattice, lattice.window(j, lo - s, hi + s))
+    window = lattice.narrowed(window, k, s * sys_.beta ** k)
+    assert _window_values(lattice, window) == _window_values(lattice, lattice.window(k, lo, hi))
     carried, step = [], Lattice.step
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Lattice, "step", lambda self, states, j, window=None:
                       carried.append((j + 1, window)) or step(self, states, j, window))
-        for _ in lattice.sweep(k + steps, lo, hi, level, k):
-            pass
+        yielded = [window for _level, window in lattice.sweep(k + steps, window, level, k)]
+    # the sweep yields the very window each step pruned with
     assert [j for j, _window in carried] == list(range(k + 1, k + steps + 1))
-    for j, (ends, den) in carried:
-        want, want_den = lattice.window(j, lo, hi)
-        assert ([FieldElement(field, tuple(end), den) for end in ends.tolist()]
-                == [FieldElement(field, tuple(end), want_den) for end in want.tolist()])
+    assert all(window is got for (_j, window), got in zip(carried, yielded, strict=True))
+    for j, window in carried:
+        assert _window_values(lattice, window) == _window_values(lattice, lattice.window(j, lo, hi))
 
 
 def test_point_sweep_products_do_not_grow_with_depth():
@@ -558,7 +605,7 @@ def test_windowed_13_10_keys_reach_three_limbs():
     sys_ = parse_beta("13/10", 2)
     lattice = Lattice(sys_)
     x = Fraction(1, 20)
-    levels = list(lattice.sweep(30, sys_.element(x), sys_.element(x)))
+    levels = _swept(lattice, 30, x, x)
     for (keys, counts), expected in zip(levels, dict_lattice_levels(sys_, 30, x, x), strict=True):
         got = dict(zip(map(tuple, key_ints(lattice, keys)), counts.tolist()))
         assert got == expected and len(counts) == len(expected)
@@ -577,6 +624,6 @@ def test_windowed_degree_one_keys_stay_int64(spec, n, x, limbs):
     lattice = Lattice(sys_)
     assert lattice.limbs is limbs
     x = sys_.element(x)
-    levels = list(lattice.sweep(n, x, x))
+    levels = _swept(lattice, n, x, x)
     assert (object in [keys.dtype for keys, _c in levels]) is not limbs
     assert max(row[0] for row in key_ints(lattice, levels[-1][0])) > INT64_MAX
