@@ -4,11 +4,13 @@ Routes:
   * Kingman Monte-Carlo: sample the Parry chain on the essential class of
     the coding automaton and average the log-norm growth of the running
     row-vector product through the transition matrices.  All chains walk
-    in lockstep in a single process: a block of path steps by one table
-    lookup per k steps on the ranks of the uniforms, then one numpy multiply
-    per chunk of steps, by the chunk's k-step products (one product lookup
-    per table entry) multiplied exactly in a pairwise tree (a chunk is one
-    step where the tree would cost more).
+    in lockstep in a single process: a block of path steps by table lookups
+    on words of k steps (the ranks of the uniforms), walked in segments
+    whose starts a speculative walk from every state resolves, then one
+    numpy multiply per chunk of steps, by the chunk's k-step products (one
+    product lookup per table entry) multiplied exactly in a pairwise tree
+    (a chunk is one step where the tree would cost more), and the logs of
+    a block's renormalisations taken together.
   * Multinacci series: the closed-form series for gamma_n over products of
     the two unimodular digit matrices, enumerated exactly up to a cutoff
     with an analytic geometric tail bound (and a Monte-Carlo middle segment
@@ -26,7 +28,7 @@ import numpy as np
 
 from .errors import HypothesisError, InvalidInputError, InvariantError
 from .netautomaton import Automaton
-from .numberfield import BetaSystem, multinacci, multinacci_polynomial
+from .numberfield import BetaSystem, multinacci
 
 RENORM_EVERY = 32
 # estimate_gamma_mc defaults, also for check_mc_params
@@ -52,7 +54,7 @@ SERIES_K_TAIL = 64
 # at most the Fibonacci number F_(k+3), and F_78 <= 2^53 < F_79
 SERIES_K_EXACT_MAX = 75
 # the most bytes the series route's arrays may take, checked before they are
-# allocated: 24 per inner-sum vector (three float64 arrays, so k_exact <= 24)
+# allocated: 16 per inner-sum vector (two float64 arrays, so k_exact <= 25)
 # and 56 per Monte-Carlo path (five float64 arrays and one level's int64 draw
 # with its float64 copy, so mc_budget <= 9,586,980)
 SERIES_BYTES_MAX = 512 * 2 ** 20
@@ -240,6 +242,80 @@ def _row_sums(vec: np.ndarray) -> np.ndarray:
     return total
 
 
+def _add_logs(logscale: np.ndarray, totals: list[np.ndarray]) -> np.ndarray:
+    """logscale plus the log of each of the renormalisation totals, added in
+    step order: logs by math.log and one running sum down the rows, as a
+    per-chain loop adds them one step at a time."""
+    logs = np.fromiter(map(math.log, np.concatenate(totals).tolist()), float)
+    rows = np.concatenate((logscale, logs)).reshape(-1, len(logscale))
+    return np.add.accumulate(rows, axis=0)[-1]
+
+
+def mc_walk_segments(n_rows: int, n_states: int, n_chains: int) -> int:
+    """Segments B that `_walk` splits a block of n_rows words into: the
+    largest power of two with 4 B^2 <= n_rows, if its speculative lanes pay
+    for the lookups it saves, and 1 otherwise.
+
+    One lookup per row takes n_rows numpy steps.  B segments take n_rows / B
+    speculative steps of about two lookups each, n_rows / B lookups of the
+    walk proper and B resolve steps, so per row they save about 1 - 3/B of
+    a lookup; 4 B^2 <= n_rows keeps the resolve small beside that.  The
+    speculation moves n_states * n_chains lanes per row, and a lookup costs
+    about as much as NUMPY_CALL_MADDS / 64 lanes (DECISIONS.md, "the walk
+    in segments"), which gives the test below.  A smaller B saves less, so
+    none is tried; B = 2 never passes.
+    """
+    b = 1
+    while 16 * b * b <= n_rows:
+        b *= 2
+    return b if 64 * n_states * n_chains * b <= NUMPY_CALL_MADDS * (b - 3) else 1
+
+
+def _walk(after: np.ndarray, words: np.ndarray, cur: np.ndarray, n_states: int,
+          n_words: int) -> np.ndarray:
+    """Walk every chain through a block of words, in place: row r of words
+    (one word per chain) becomes the table entry the chain takes it from,
+    `after[entry] + word`, and the last row's entries are returned.
+
+    The rows are split into B = `mc_walk_segments` segments of L rows, after
+    n_rows mod B leading rows walked one at a time.  Each of the first B - 1
+    segments is walked from every state at once, as n_states * (B - 1) *
+    n_chains lanes, which gives its last entry from each start state; B - 1
+    lookups then chain those maps from the known start into the entry each
+    segment starts from, and all B segments are walked again together,
+    L lookups on B * n_chains lanes, writing their entries.  A chain starts
+    state s from entry n_states * n_words + s.  B = 1 is one lookup per row.
+    """
+    n_rows, n_chains = words.shape
+    b = mc_walk_segments(n_rows, n_states, n_chains)
+    head = n_rows % b
+    for row in words[:head]:
+        row += after[cur]
+        cur = row
+    segments = words[head:].reshape(b, -1, n_chains)
+    # row j of every segment, contiguous: a copy for B > 1, and for B = 1
+    # the words themselves
+    rows = np.ascontiguousarray(segments.swapaxes(0, 1))
+    starts = np.empty((b, n_chains), dtype=np.intp)
+    starts[0] = cur
+    if b > 1:
+        ends = np.broadcast_to((n_states * n_words + np.arange(n_states))[:, None, None],
+                               (n_states, b - 1, n_chains))
+        for row in rows[:, :-1]:
+            ends = after[ends]
+            ends += row
+        chains = np.arange(n_chains)
+        for i in range(b - 1):
+            starts[i + 1] = ends[after[starts[i]] // n_words, i, chains]
+    cur = starts
+    for row in rows:
+        row += after[cur]
+        cur = row
+    if b > 1:
+        segments[...] = rows.swapaxes(0, 1)
+    return cur[-1]
+
+
 def check_mc_params(path_len: int = MC_PATH_LEN, n_chains: int = MC_CHAINS,
                     seed: int = 0) -> None:
     """Reject parameters `estimate_gamma_mc` cannot run with, before any
@@ -261,14 +337,18 @@ def estimate_gamma_mc(chain: ParryChain, auto: Automaton, path_len: int = MC_PAT
     averages the accumulated log growth per step (relative to the starting
     vector).  All chains advance together, a block of DRAW_BLOCK steps at a
     time.  The ranks of a block's uniforms (`_rank_table`) are packed k to a
-    word, and the block's paths are walked one table lookup per word; each
+    word, and the block's paths are walked by table lookups on words, in
+    segments walked together from starts found by a speculative walk
+    (`_walk`), each word's entry the same as one lookup per word gives; each
     word's k edge matrices come multiplied exactly from a second table
     (`_run_tables`, k a power of two dividing both h and path_len).  Then, a
     slice of the block at a time, the h/k products of every run of
     h = `mc_chunk_len` steps are multiplied into one exact integer product
     (`_chunk_products`), and every vector is multiplied by its chunk's
-    product.  Chain c draws its uniforms from the generator seeded with
-    (seed, c), so the result is fully determined by the master seed.
+    product.  The block's renormalisation totals are logged together and
+    added in step order (`_add_logs`).  Chain c draws its uniforms from the
+    generator seeded with (seed, c), so the result is fully determined by
+    the master seed.
     """
     check_mc_params(path_len, n_chains, seed)
     omega = chain.states
@@ -280,6 +360,7 @@ def estimate_gamma_mc(chain: ParryChain, auto: Automaton, path_len: int = MC_PAT
     n_ranks, (n_states, n_words), per_chunk = len(K), jump.shape, h // k
     # a word's ranks, first step most significant
     packing = n_ranks ** np.arange(k - 1, -1, -1)
+    rank_dtype = np.min_scalar_type(n_ranks)
     # a slice of whole chunks whose gathered products take no more memory
     # than a block of uniforms (one chunk at the least)
     span = max(1, DRAW_BLOCK // (per_chunk * dim * dim)) * per_chunk
@@ -309,15 +390,16 @@ def estimate_gamma_mc(chain: ParryChain, auto: Automaton, path_len: int = MC_PAT
     for start in range(0, path_len, DRAW_BLOCK):
         u = np.stack([rng.random(min(DRAW_BLOCK, path_len - start)) for rng in rngs], axis=1)
         # the rank of u, searchsorted(K, u, side="right"), counted by
-        # comparisons: u < 1 = K[-1], so K[-1] never counts
-        ranks = np.zeros(u.shape, dtype=np.intp)
+        # comparisons: u < 1 = K[-1], so K[-1] never counts, and a rank is
+        # below |K| (in the smallest unsigned dtype that holds that)
+        ranks = np.zeros(u.shape, dtype=rank_dtype)
         for below in K[:-1]:
             ranks += u >= below
         del u
         # each word is overwritten by its table entry, in place
         words = packing @ ranks.reshape(-1, k, n_chains)
-        for r in range(len(words)):
-            cur = words[r] = after[cur] + words[r]
+        cur = _walk(after, words, cur, n_states, n_words)
+        totals = []
         for at in range(0, len(words), span):
             entries = words[at:at + span]
             runs = prods[pick[entries]]
@@ -329,10 +411,11 @@ def estimate_gamma_mc(chain: ParryChain, auto: Automaton, path_len: int = MC_PAT
                 vec = np.einsum("cv,cvw->cw", vec, prod)
                 done = min(done + h, path_len)
                 if done % RENORM_EVERY == 0:
-                    total = _row_sums(vec)
-                    logscale += list(map(math.log, total.tolist()))
-                    vec /= total[:, None]
-    logscale += list(map(math.log, _row_sums(vec).tolist()))
+                    totals.append(_row_sums(vec))
+                    vec /= totals[-1][:, None]
+        if done == path_len:
+            totals.append(_row_sums(vec))
+        logscale = _add_logs(logscale, totals)
     arr = logscale / path_len
     mean = float(arr.mean())
     stderr = max(float(arr.std(ddof=1) / math.sqrt(n_chains)), MC_STDERR_FLOOR)
@@ -354,17 +437,21 @@ def _inner_log_sums(k_max: int) -> list[float]:
     Propagates the family of vectors w_J = M_J (1,1)^t; extending words on
     the left maps the family through w -> M_1 w and w -> M_2 w, and
     ||M_J|| = (1,1) w_J.  The 2^k vectors of level k are held as the first
-    2^k entries of two float64 arrays, top and bot: level k writes the M_2
-    children (t, t + b) into the upper half and turns the lower half into
-    the M_1 children (t + b, b) in place.  A level-k entry is at most the
+    2^k entries of two float64 arrays of 2^k_max entries, top and bot:
+    level k writes the M_2 children (t, t + b) into the upper half and turns
+    the lower half into the M_1 children (t + b, b) in place.  Its norms go
+    into the next 2^k entries of top, which the next level overwrites, and
+    at the last level into top's own entries.  A level-k entry is at most the
     Fibonacci number F_(k+2) and a norm at most F_(k+3), so every value is
     an exact integer for k <= SERIES_K_EXACT_MAX (DECISIONS.md, "The series
     route in float64, in place").
     """
     size = 1 << k_max
-    if 24 * size > SERIES_BYTES_MAX:
-        raise InvalidInputError(f"k_exact = {k_max} needs {24 * size} bytes, over the limit {SERIES_BYTES_MAX}")
-    top, bot, sums = np.ones(size), np.ones(size), np.empty(size)
+    if 16 * size > SERIES_BYTES_MAX:
+        raise InvalidInputError(f"k_exact = {k_max} needs {16 * size} bytes, over the limit {SERIES_BYTES_MAX}")
+    # every entry is written before it is read
+    top, bot = np.empty(size), np.empty(size)
+    top[0] = bot[0] = 1.0
     out = []
     for k in range(k_max + 1):
         half, width = (1 << k) >> 1, 1 << k
@@ -373,7 +460,8 @@ def _inner_log_sums(k_max: int) -> list[float]:
             top[half:width] = t
             np.add(t, b, out=bot[half:width])
             t += b
-        level = np.add(top[:width], bot[:width], out=sums[:width])
+        level = top[width:2 * width] if k < k_max else top
+        np.add(top[:width], bot[:width], out=level)
         out.append(float(np.log(level, out=level).sum()))
     return out
 
@@ -437,7 +525,7 @@ def multinacci_index(sys: BetaSystem) -> int:
     """n when sys is the n-th multinacci base with m = 2, the series route's
     domain; InvalidInputError otherwise."""
     n = sys.minpoly.degree
-    if n < 2 or sys.minpoly != multinacci_polynomial(n):
+    if n < 2 or sys.minpoly.coeffs != (-1,) * n + (1,):
         raise InvalidInputError("series route applies to multinacci bases")
     if sys.m != 2:
         raise InvalidInputError("series route requires m = 2")

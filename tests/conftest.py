@@ -9,7 +9,9 @@ oracles.  The Monte-Carlo reference walks one Parry chain at a time with
 plain Python lists, against which the lockstep numpy walk is compared
 exactly, and its word reference walks every k-step word from every state
 by one searchsorted per step, against which the walk's k-step tables are
-compared entry for entry; the lattice reference steps the prefix-sum DP
+compared entry for entry, and its block reference takes one table lookup
+per word in Python ints, against which the walk in segments is compared
+entry for entry; the lattice reference steps the prefix-sum DP
 one state at a time on a dict, against which the array kernel is compared
 state for state; the automaton reference builds the coding automaton in
 field elements, one cylinder and one breakpoint at a time, against which
@@ -871,6 +873,19 @@ def mc_word_walks(chain, auto, k: int) -> tuple[np.ndarray, np.ndarray]:
         products = step if products is None else products @ step
     return (state.reshape(len(cum_rows), n_words),
             products.reshape(len(cum_rows), n_words, dim, dim))
+
+
+def walk_one_lookup_per_word(after: np.ndarray, words: np.ndarray,
+                             cur: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The table entries of a block of words, one lookup per word in Python
+    ints: a chain in entry e takes word w into entry after[e] + w.  Returns
+    every row's entries and the last row's (cur itself for no rows)."""
+    after = after.tolist()
+    cur, entries = cur.tolist(), []
+    for row in words.tolist():
+        cur = [after[e] + w for e, w in zip(cur, row)]
+        entries.append(cur)
+    return np.array(entries, dtype=np.intp).reshape(words.shape), np.array(cur)
 
 
 def int64_inner_log_sums(k_max: int) -> list[float]:

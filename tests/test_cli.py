@@ -671,7 +671,7 @@ def test_series_k_exact_beyond_float_exactness(argv):
 
 
 @pytest.mark.parametrize("argv,name", [
-    (("table1", "--k-exact", "25"), "k_exact = 25"),
+    (("table1", "--k-exact", "26"), "k_exact = 26"),
     (("gamma", "--beta", "golden", "--method", "series", "--k-exact", "4",
       "--mc-budget", "9586981"), "mc_budget = 9586981"),
 ])

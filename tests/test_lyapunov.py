@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from betagrowth.lyapunov import (
     _mc_middle,
     _rank_table,
     _run_tables,
+    _walk,
     check_mc_params,
     dimension,
     estimate_gamma_mc,
@@ -28,12 +31,13 @@ from betagrowth.lyapunov import (
     gamma_multinacci_series,
     gamma_series_table,
     mc_chunk_len,
+    mc_walk_segments,
     parry_chain,
 )
 from betagrowth.netautomaton import build_automaton
 from betagrowth.numberfield import multinacci, parse_beta
 from conftest import (PROPERTY_SETTINGS, int64_inner_log_sums, mc_cdf_rows, mc_chain_values,
-                      mc_word_walks, pisot_family, where_mc_middle)
+                      mc_word_walks, pisot_family, walk_one_lookup_per_word, where_mc_middle)
 
 PAPER_GAMMA_OVER_LOG2 = {
     3: 0.102500, 4: 0.041560, 5: 0.018426, 6: 0.008590, 7: 0.004123,
@@ -285,6 +289,49 @@ def test_run_tables_entry_by_entry(spec, m, k_max, k):
     assert np.array_equal(prods[pick], products.astype(float))
 
 
+@settings(max_examples=60, deadline=None)
+@given(n_states=st.integers(1, 12), n_words=st.integers(1, 20), n_chains=st.integers(1, 6),
+       n_rows=st.integers(1, 1100), segments=st.none() | st.integers(1, 40),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_walk_in_segments_equals_one_lookup_per_word(n_states, n_words, n_chains, n_rows,
+                                                     segments, seed):
+    # a random flat table of `estimate_gamma_mc`'s form: entry s * n_words + w
+    # holds the offset of a random state's row, and one more entry per state
+    # that state's own offset; segments is the rule's B (None) or a forced one
+    rng = np.random.default_rng(seed)
+    after = n_words * np.concatenate((rng.integers(0, n_states, n_states * n_words),
+                                      np.arange(n_states)))
+    words = rng.integers(0, n_words, (n_rows, n_chains))
+    cur = rng.integers(0, len(after), n_chains)
+    want_entries, want_cur = walk_one_lookup_per_word(after, words, cur)
+    rule = mc_walk_segments if segments is None else lambda *args: min(segments, n_rows)
+    with mock.patch.object(lyapunov, "mc_walk_segments", rule):
+        got_cur = _walk(after, words, cur, n_states, n_words)
+    assert (words == want_entries).all()
+    assert (got_cur == want_cur).all()
+
+
+def test_mc_walk_segments():
+    # the benchmark's bases, a block of DRAW_BLOCK steps in words of k steps:
+    # multinacci:3 (9 states, k = 4, 16 chains), int:2 with m = 4 and m = 2
+    # (2 states, k = 8 and 16, 8 chains)
+    assert mc_walk_segments(DRAW_BLOCK // 4, 9, 16) == 16
+    assert mc_walk_segments(DRAW_BLOCK // 8, 2, 8) == 8
+    assert mc_walk_segments(DRAW_BLOCK // 16, 2, 8) == 8
+    # the largest power of two with 4 B^2 <= n_rows; B = 2 never pays
+    assert [mc_walk_segments(n, 1, 2) for n in (1, 3, 63, 64, 255, 256, 1024, 4096)] == [
+        1, 1, 1, 4, 4, 8, 16, 32]
+    # one segment once the speculative lanes cost more than the lookups they
+    # save: at B = 16, 64 * 208 * 16 = 13 * NUMPY_CALL_MADDS
+    assert mc_walk_segments(1024, 208, 1) == 16
+    assert mc_walk_segments(1024, 209, 1) == 1
+    # poly:-1,0,-1,1 (46 states, k = 2) at 8 chains, and the plastic number
+    # (1,207 states) at any chain count
+    assert mc_walk_segments(DRAW_BLOCK // 2, 46, 8) == 1
+    for n_chains in (2, 8, 32):
+        assert mc_walk_segments(DRAW_BLOCK, 1207, n_chains) == 1
+
+
 def test_mc_seed_determinism(tri_chain):
     auto, chain = tri_chain
     a = estimate_gamma_mc(chain, auto, path_len=5000, n_chains=4, seed=99)
@@ -397,12 +444,24 @@ def test_series_golden_hybrid():
     assert est.value == again.value
 
 
-@settings(max_examples=20, deadline=None)
-@given(k=st.integers(0, 18))
-def test_inner_sums_equal_int64_enumeration(k):
+def test_inner_sums_equal_int64_enumeration():
     # the in-place float64 levels hold the same integers in the same order
-    # as the int64 enumeration, so every log and every pairwise sum agrees
-    assert _inner_log_sums(k) == int64_inner_log_sums(k)
+    # as the int64 levels built anew, so every log and every pairwise sum
+    # agrees; each k_max puts its last level in place and the others in
+    # the upper half of top
+    for k in range(19):
+        assert _inner_log_sums(k) == int64_inner_log_sums(k), k
+
+
+def test_inner_sums_within_two_arrays():
+    # top and bot, 16 bytes per level-16 vector: no third array
+    tracemalloc.start()
+    try:
+        _inner_log_sums(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 16 * 2 ** 16 <= peak <= 16 * 2 ** 16 + 2 ** 16
 
 
 # beta_n^n as the series route computes it, for n = 2..10
@@ -455,13 +514,13 @@ def test_series_k_exact_bound(monkeypatch):
 
 
 def test_series_arrays_within_byte_budget(no_large_arrays):
-    # the budget admits k_exact 24 and mc_budget 9,586,980, and rejects one
+    # the budget admits k_exact 25 and mc_budget 9,586,980, and rejects one
     # more of each before anything is allocated
-    assert 3 * 8 * 2 ** 24 <= SERIES_BYTES_MAX < 3 * 8 * 2 ** 25
+    assert 2 * 8 * 2 ** 25 <= SERIES_BYTES_MAX < 2 * 8 * 2 ** 26
     assert 7 * 8 * 9_586_980 <= SERIES_BYTES_MAX < 7 * 8 * 9_586_981
     with pytest.raises(InvalidInputError,
-                       match=r"^k_exact = 25 needs 805306368 bytes, over the limit 536870912$"):
-        _inner_log_sums(25)
+                       match=r"^k_exact = 26 needs 1073741824 bytes, over the limit 536870912$"):
+        _inner_log_sums(26)
     with pytest.raises(InvalidInputError,
                        match=r"^mc_budget = 9586981 needs 536870936 bytes, over the limit 536870912$"):
         _mc_middle(2.6, 21, 64, 9_586_981, 0)

@@ -97,6 +97,19 @@ MUTANTS = (
            "digit = fits[0] if len(fits) > 1 and not integer and not next(bits) else fits[-1]",
            "digit = fits[0] if len(fits) > 1 and not next(bits) else fits[-1]",
            ("tests/test_expansions.py::test_simulate_matches_k_beta_oracle",)),
+    Mutant("segment starts resolved one segment off", "lyapunov.py",
+           "starts[i + 1] = ends[after[starts[i]] // n_words, i, chains]",
+           "starts[i + 1] = ends[after[starts[i]] // n_words, i - 1, chains]",
+           ("tests/test_lyapunov.py::test_walk_in_segments_equals_one_lookup_per_word",
+            "tests/test_lyapunov.py::test_mc_equals_per_chain_loop")),
+    Mutant("a block's logs summed by np.sum before logscale is added", "lyapunov.py",
+           "return np.add.accumulate(rows, axis=0)[-1]",
+           "return rows[0] + np.sum(rows[1:], axis=0)",
+           ("tests/test_lyapunov.py::test_mc_matches_per_chain_reference",)),
+    Mutant("the series norms written over the live lower half", "lyapunov.py",
+           "level = top[width:2 * width] if k < k_max else top",
+           "level = top[width - 1:2 * width - 1] if k < k_max else top",
+           ("tests/test_lyapunov.py::test_inner_sums_equal_int64_enumeration",)),
 )
 
 
