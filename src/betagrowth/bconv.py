@@ -53,8 +53,8 @@ class MeasureAtoms:
         lead = self.sys.minpoly.coeffs[-1]
         vals = self.sys.field.float_rows(self.keys)[0] / float(lead ** self.level)
         order = np.argsort(vals, kind="stable")
-        self.values = vals[order] * float(self.sys.rho) ** self.level
-        self.weights = self.counts[order].astype(float) / float(self.sys.m) ** self.level
+        self.values = vals.take(order) * float(self.sys.rho) ** self.level
+        self.weights = self.counts.take(order).astype(float) / float(self.sys.m) ** self.level
         self._cells = {}
 
     @property

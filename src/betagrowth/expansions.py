@@ -68,11 +68,13 @@ def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the column minima: in one stage when the product of the spans fits,
     else in stages (`_staged_key`).  Python-int rows are packed when the
     input is dtype object and the spans do not fit, or when a column or a
-    stage would leave int64.  An int64 matrix is read through a copy of
-    its transpose; reductions along axis 0 step through it d entries at a
-    time and cost many times more.
+    stage would leave int64.  An int64 matrix is read through its
+    transpose made contiguous, which copies nothing for a matrix stored by
+    column (`Lattice.step`'s limb levels); reductions along axis 0 of a
+    row-major matrix step through it d entries at a time and cost many
+    times more.
     """
-    cols = keys.T if keys.dtype == object else keys.T.copy()
+    cols = keys.T if keys.dtype == object else np.ascontiguousarray(keys.T)
     lows = np.minimum.reduce(cols, axis=1)
     spans = [hi - lo + 1 for lo, hi in zip(lows.tolist(), np.maximum.reduce(cols, axis=1).tolist())]
     packed = None
@@ -131,12 +133,31 @@ def _limbs(value: int, width: int) -> list[int]:
     return [value >> (LIMB_BITS * i) & LIMB_MASK for i in range(width - 1)] + [value >> shift]
 
 
+def _rows_taken(keys: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """keys.take(idx, axis=0), in the layout of keys: a matrix stored by
+    column, as `Lattice.step`'s limb levels are, is gathered through its
+    transpose, column by column; a row take of it runs about four times
+    slower (DECISIONS.md, "Long-axis passes")."""
+    if keys.flags.f_contiguous and not keys.flags.c_contiguous:
+        return keys.T.take(idx, axis=1).T
+    return keys.take(idx, axis=0)
+
+
+def _carry(limbs: np.ndarray) -> None:
+    """Carry each limb's excess into the next, in place, the limbs indexed
+    by the first axis: every limb below the last is back in [0, 2^LIMB_BITS)
+    and the value is unchanged, negative excesses included."""
+    for i in range(len(limbs) - 1):
+        limbs[i + 1] += limbs[i] >> LIMB_BITS
+        limbs[i] &= LIMB_MASK
+
+
 def _at_least(rows: np.ndarray, bound: int) -> np.ndarray:
     """Whether each degree-one row's integer is at least the bound.  Rows
     are one column of Python ints, or int64 limbs (`Lattice.step`), last
-    limb first; a bound whose last limb leaves int64 settles every row,
-    so no int64 column meets a Python int outside int64, which numpy 1.x
-    would compare in floats."""
+    limb first, stored by row or by column; a bound whose last limb leaves
+    int64 settles every row, so no int64 column meets a Python int outside
+    int64, which numpy 1.x would compare in floats."""
     if rows.dtype == object:
         return rows[:, 0] >= bound
     width = rows.shape[1]
@@ -148,7 +169,7 @@ def _at_least(rows: np.ndarray, bound: int) -> np.ndarray:
         # rows whose last limb equals the bound's are decided by the rest
         tied = (rows[:, -1] == top).nonzero()[0]
         rest = bound - (top << (LIMB_BITS * (width - 1)))
-        at_least[tied] = _at_least(rows[tied, :-1], rest)
+        at_least[tied] = _at_least(_rows_taken(rows[:, :-1], tied), rest)
     return at_least
 
 
@@ -176,8 +197,10 @@ class Lattice:
     from then on.  Degree one with p < 2^30 (`limbs`) is the exception,
     windowed or not: a key is one row of int64 limbs, little-endian base
     2^LIMB_BITS digits, each in [0, 2^LIMB_BITS) but the last, and a limb
-    is added before a step that could overflow the last.  `joined` turns
-    limb rows back into Python ints.
+    is added before a step that could overflow the last.  A stepped limb
+    level is stored by column, so each limb is one contiguous column
+    (DECISIONS.md, "Long-axis passes").  `joined` turns limb rows back into
+    Python ints.
 
     A base is collision-free when beta = p/q in lowest terms (q >= 1) and
     m <= p: then distinct words have distinct keys (DECISIONS.md), every
@@ -264,48 +287,54 @@ class Lattice:
         """
         keys, counts = level
         m, scale = self.sys.m, self.lead ** (k + 1)
-        limbs = self.limbs and keys.dtype != object
-        if limbs:
-            keys = self._widened(keys, scale)
-        elif keys.dtype != object:
-            # a new entry is a sum of at most two products plus a digit term,
-            # so |entry| <= max|key| * (lead + max|row|) + (m-1) * lead^(k+1)
-            big = int(np.maximum.reduce(np.abs(keys), axis=None, initial=0))
-            if big * self.growth + (m - 1) * scale > INT64_MAX:
-                keys = keys.astype(object)
         # no count exceeds the m^(k+1) words of length k+1
         if counts.dtype != object and m ** (k + 1) > INT64_MAX:
             counts = counts.astype(object)
-        # the rows of digit 0, then those of digit 1, ...: digit e adds
-        # e * lead^(k+1) to column 0 of the e-th copy, or its limbs to the limbs
-        keys = self.times_beta(keys)
-        rows, width = len(keys), keys.shape[1]
-        keys = np.concatenate((keys,) * m)
-        for e in range(1, m):
-            for i, digit in enumerate(_limbs(e * scale, width) if limbs else [e * scale]):
-                if digit:
-                    keys[e * rows:(e + 1) * rows, i] += digit
-        if limbs:
-            # carry each limb's excess into the next: every limb below the
-            # last is back in [0, 2^LIMB_BITS)
-            for i in range(width - 1):
-                keys[:, i + 1] += keys[:, i] >> LIMB_BITS
-                keys[:, i] &= LIMB_MASK
+        if self.limbs and keys.dtype != object:
+            keys = self._limb_children(keys, scale)
+        else:
+            if keys.dtype != object:
+                # a new entry is a sum of at most two products plus a digit
+                # term, so |entry| <= max|key| * (lead + max|row|) + (m-1) * lead^(k+1)
+                big = int(np.maximum.reduce(np.abs(keys), axis=None, initial=0))
+                if big * self.growth + (m - 1) * scale > INT64_MAX:
+                    keys = keys.astype(object)
+            # the rows of digit 0, then those of digit 1, ...: digit e adds
+            # e * lead^(k+1) to column 0 of the e-th copy
+            keys = np.concatenate((self.times_beta(keys),) * m)
+            rows = len(keys) // m
+            for e in range(1, m):
+                keys[e * rows:(e + 1) * rows, 0] += e * scale
         # row i of every digit block has the count of row i of the level, so
         # counts are gathered with indices taken modulo the level's size
         if window is not None:
             inside = self.inside(keys, window).nonzero()[0]
             # take gathers rows about ten times faster than keys[inside]
-            keys, counts = keys.take(inside, axis=0), counts.take(inside, mode="wrap")
+            keys, counts = _rows_taken(keys, inside), counts.take(inside, mode="wrap")
             if self.collision_free:
                 return keys, counts
         if len(keys) <= 1:
             return keys, counts
         order, starts = _distinct_rows(keys)
         if len(starts) == len(order):  # no two rows merge, as on a collision-free base
-            return keys.take(order, axis=0), counts.take(order, mode="wrap")
-        return keys.take(order[starts], axis=0), np.add.reduceat(counts.take(order, mode="wrap"),
+            return _rows_taken(keys, order), counts.take(order, mode="wrap")
+        return _rows_taken(keys, order[starts]), np.add.reduceat(counts.take(order, mode="wrap"),
                                                                  starts)
+
+    def _limb_children(self, keys: np.ndarray, scale: int) -> np.ndarray:
+        """The limb keys p c + e scale of every key c, the rows of digit 0
+        first, stored by column: the transpose of one (limbs, m, rows) block
+        in which the multiply, the digit limbs and the carry each run along
+        contiguous rows (DECISIONS.md, "Long-axis passes")."""
+        cols = self._widened(keys, scale).T
+        width, m = len(cols), self.sys.m
+        block = np.empty((width, m, cols.shape[1]), dtype=np.int64)
+        np.multiply(cols, self.row[0], out=block[:, 0])
+        for e in range(1, m):
+            digit = np.array(_limbs(e * scale, width), dtype=np.int64)
+            np.add(block[:, 0], digit[:, None], out=block[:, e])
+        _carry(block)
+        return block.reshape(width, -1).T
 
     def _widened(self, keys: np.ndarray, scale: int) -> np.ndarray:
         """Limb keys, a new last limb split off until the next step fits.
@@ -313,7 +342,8 @@ class Lattice:
         last limb of p c + e scale is at most (p (top + 1) 2^shift + (m-1)
         scale) >> shift; the limbs below stay under (p + 2) 2^LIMB_BITS.
         Once top is 0 and the digit term is below 2^shift the bound is p,
-        which no further split shrinks: InvariantError if that does not fit."""
+        which no further split shrinks: InvariantError if that does not fit.
+        A split key is returned stored by column."""
         while True:
             shift = LIMB_BITS * (keys.shape[1] - 1)
             top = int(keys[:, -1].max(initial=0))
@@ -322,8 +352,8 @@ class Lattice:
                 return keys
             if grown >> shift == self.row[0]:
                 raise InvariantError(f"no split of a limb fits a step of p = {self.row[0]} in int64")
-            last = keys[:, -1:]
-            keys = np.concatenate((keys[:, :-1], last & LIMB_MASK, last >> LIMB_BITS), axis=1)
+            last = keys[:, -1]
+            keys = np.vstack((keys.T[:-1], last & LIMB_MASK, last >> LIMB_BITS)).T
 
     def joined(self, keys: np.ndarray) -> np.ndarray:
         """A level's keys with more than one limb as a one-column object
@@ -338,7 +368,8 @@ class Lattice:
     def times_beta(self, rows: np.ndarray) -> np.ndarray:
         """Integer rows of lead * beta times the value of each row, in the
         rows' dtype: a sum of at most two products per entry.  In degree
-        one that is p times each entry, limbs too (`step` carries them)."""
+        one that is p times each entry; limb keys are multiplied by
+        `_limb_children`, which carries them."""
         if self.degree == 1:
             return rows * self.row[0]
         return rows @ (self._object_matrix if rows.dtype == object else self._matrix)
@@ -590,23 +621,23 @@ def garsia_report(sys: BetaSystem, n_max: int) -> list[GarsiaRow]:
         # gaps of the keys: the sums scaled by lead^n beta^n
         vals, errs = field.float_rows(keys)
         order = np.argsort(vals, kind="stable")
-        gaps = np.diff(vals[order])
+        gaps = np.diff(vals.take(order))
         # every true gap lies within slack of its float value: float_error is
         # over three times the evaluation error, which leaves room for the
         # rounding of the subtraction
-        errs = errs[order]
+        errs = errs.take(order)
         slack = errs[1:] + errs[:-1]
         cands = np.flatnonzero(gaps - slack <= (gaps + slack).min())
         # the step's bound covers the keys, and their differences fit int64
         # only when twice the largest candidate key does
-        lows = np.take(keys, order[cands], axis=0)
-        highs = np.take(keys, order[cands + 1], axis=0)
+        lows = _rows_taken(keys, order.take(cands))
+        highs = _rows_taken(keys, order.take(cands + 1))
         if keys.dtype != object and 2 * max(int(np.abs(lows).max()),
                                             int(np.abs(highs).max())) > INT64_MAX:
             lows, highs = lows.astype(object), highs.astype(object)
         diffs = highs - lows
         rank, starts = _distinct_rows(diffs)
-        diffs = np.take(diffs, rank[starts], axis=0)
+        diffs = _rows_taken(diffs, rank.take(starts))
         if (field.sign_rows(diffs, field.zero) <= 0).any():
             raise InvariantError(f"float presort put a larger level-{n} sum first")
         best = min(FieldElement(field, tuple(d), lattice.lead ** n) for d in diffs.tolist())
@@ -625,13 +656,12 @@ def _least_gap(keys: np.ndarray) -> int:
     if keys.dtype == object:
         return min(np.diff(keys[i:i + GAP_BLOCK + 1, 0]).min()
                    for i in range(0, len(keys) - 1, GAP_BLOCK))
-    gaps, width = np.diff(keys, axis=0), keys.shape[1]
-    for i in range(width - 1):
-        gaps[:, i + 1] += gaps[:, i] >> LIMB_BITS
-        gaps[:, i] &= LIMB_MASK
-    for i in reversed(range(width)):
-        gaps = gaps[gaps[:, i] == gaps[:, i].min()]
-    return sum(limb << (LIMB_BITS * i) for i, limb in enumerate(gaps[0].tolist()))
+    # one limb per row of the transpose, stored by row or by column
+    gaps = np.diff(keys.T, axis=1)
+    _carry(gaps)
+    for limb in reversed(range(len(gaps))):
+        gaps = gaps[:, gaps[limb] == gaps[limb].min()]
+    return sum(limb << (LIMB_BITS * i) for i, limb in enumerate(gaps[:, 0].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -192,9 +192,9 @@ def _run_tables(cdf: np.ndarray, nxt: np.ndarray, mats: np.ndarray,
     dim = mats.shape[1]
     k, jump, pick, prods = 1, nxt[first], first, mats
     while 2 * k <= k_max and jump.size * jump.shape[1] * dim * dim <= RUN_TABLE_FLOATS:
-        table = prods[pick]
-        prods = (table[:, :, None] @ table[jump]).reshape(-1, dim, dim)
-        jump = jump[jump].reshape(len(jump), -1)
+        table = prods.take(pick, axis=0)
+        prods = (table[:, :, None] @ table.take(jump, axis=0)).reshape(-1, dim, dim)
+        jump = jump.take(jump, axis=0).reshape(len(jump), -1)
         pick = np.arange(len(prods)).reshape(jump.shape)
         k *= 2
     return K, k, jump, pick, prods
@@ -402,7 +402,7 @@ def estimate_gamma_mc(chain: ParryChain, auto: Automaton, path_len: int = MC_PAT
         totals = []
         for at in range(0, len(words), span):
             entries = words[at:at + span]
-            runs = prods[pick[entries]]
+            runs = prods.take(pick.take(entries), axis=0)
             # identities pad the path's last chunk to h steps
             pad = -len(runs) % per_chunk
             if pad:

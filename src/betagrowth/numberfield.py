@@ -669,13 +669,16 @@ class NumberField:
     def float_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Float values of sum_i rows[r, i] beta^i over the rows of an integer
         matrix, terms added left to right as in `float_value`, and their
-        error bounds (`float_error`); nan and inf beyond float range."""
+        error bounds (`float_error`); nan and inf beyond float range.  The
+        products are formed in one pass into a column-major matrix, so the
+        pass and the column sums run along the rows (DECISIONS.md, "Long-axis
+        passes"); each entry is cast to float, as by astype, and multiplied
+        once, so the bits are those of a row-major pass."""
+        self.beta_float_powers()  # rounds the powers once, as a row too
         try:
-            terms = rows.astype(float)
+            terms = np.multiply(rows, self._float_power_row, order="F", dtype=float, casting="unsafe")
         except OverflowError:
             return np.full(len(rows), math.nan), np.full(len(rows), math.inf)
-        self.beta_float_powers()  # rounds the powers once, as a row too
-        terms *= self._float_power_row
         mags = np.abs(terms)
         val, mag = terms[:, 0], mags[:, 0]
         for i in range(1, self.degree):

@@ -36,7 +36,9 @@ out as intervals, against which `simulate_expansion`'s digit-by-digit
 window test is compared digit for digit.  `screen_sign_rows` is the float
 screen in its first form, fl(|d| - s_err) > err, against which
 `NumberField.compare_rows` is compared row for row, settled rows and
-exact fallbacks alike, and `kappa_walk` counts the powers of beta one
+exact fallbacks alike; `row_major_float_rows` is `NumberField.float_rows`
+as a row-major pass, against which its column-major pass is compared bit
+for bit; and `kappa_walk` counts the powers of beta one
 exact product at a time, against which `expansions.kappa` is compared.
 
 Some helpers here are thin readers of the library that only tests call:
@@ -493,6 +495,23 @@ def dict_lattice_levels(sys: BetaSystem, n: int, a=None, b=None) -> list[dict]:
             states = dict_lattice_step(sys, states, k, lo - sys.right_end, hi)
         levels.append(states)
     return levels
+
+
+def row_major_float_rows(field: NumberField, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`NumberField.float_rows` as a row-major pass, the oracle of its
+    column-major one: the whole matrix cast to float, multiplied by the
+    row of powers in place, and its columns added left to right."""
+    try:
+        terms = rows.astype(float)
+    except OverflowError:
+        return np.full(len(rows), math.nan), np.full(len(rows), math.inf)
+    terms *= np.array(field.beta_float_powers())
+    mags = np.abs(terms)
+    val, mag = terms[:, 0], mags[:, 0]
+    for i in range(1, field.degree):
+        val = val + terms[:, i]
+        mag = mag + mags[:, i]
+    return val, field.float_error(mag)
 
 
 def screen_sign_rows(field: NumberField, rows: np.ndarray, *shifts: FieldElement) -> np.ndarray:

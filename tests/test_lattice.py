@@ -275,6 +275,16 @@ def test_distinct_rows_order_is_lexsort(keys):
     assert starts.tolist() == [i for i in range(len(rows)) if i == 0 or rows[i] != rows[i - 1]]
 
 
+def test_staged_key_packs_dense_ranks():
+    # a last column of span 2^62 times a first one of span 2^62 - 1 passes
+    # int64, so the last column is replaced by its dense ranks 0 and 1; two
+    # ranks times 2^62 - 1 fit int64 (ranks from 1 would not)
+    span = 2 ** 62 - 1
+    cols = np.array([[0, span - 1, 1, 0], [0, span, 0, span]], dtype=np.int64)
+    packed = expansions._staged_key(cols, [span, span + 1])
+    assert packed is not None and packed.tolist() == [0, 2 * span - 1, 1, span]
+
+
 # ---------------------------------------------------------------------------
 # rational bases: distinct words have distinct keys when m <= p
 # ---------------------------------------------------------------------------
@@ -451,24 +461,26 @@ def test_limb_step_matches_python_ints(base, data):
     sys_ = parse_beta(f"{p}/{q}", m)
     lattice = Lattice(sys_)
     assert lattice.limbs
-    keys = _limb_rows(values, _width(max(values)) + extra)
     counts = np.arange(1, len(values) + 1, dtype=np.int64)
     window = lattice.window(k + 1, *_window_points(sys_, k + 1, ends))
-    new_keys, new_counts = lattice.step((keys, counts), k, window)
     want: dict = {}
     for c, count in zip(values, counts.tolist()):
         for e in range(m):
             v = p * c + e * q ** (k + 1)
             if ends[0] <= v <= ends[1]:
                 want[v] = want.get(v, 0) + count
-    got = key_ints(lattice, new_keys)
-    assert dict(zip((row[0] for row in got), new_counts.tolist())) == want
-    assert len(got) == len(want) and new_keys.dtype == np.int64
-    # every limb below the last is in [0, 2^32)
-    assert ((new_keys[:, :-1] >= 0) & (new_keys[:, :-1] < 2 ** 32)).all()
-    # the window test on the limb rows themselves
-    within = lattice.inside(keys, lattice.window(k, *_window_points(sys_, k, ends))).tolist()
-    assert within == [ends[0] <= c <= ends[1] for c in values]
+    rows = _limb_rows(values, _width(max(values)) + extra)
+    # limb keys stored by row, and by column as the step returns them
+    for keys in (rows, np.asfortranarray(rows)):
+        new_keys, new_counts = lattice.step((keys, counts), k, window)
+        got = key_ints(lattice, new_keys)
+        assert dict(zip((row[0] for row in got), new_counts.tolist())) == want
+        assert len(got) == len(want) and new_keys.dtype == np.int64
+        # every limb below the last is in [0, 2^32)
+        assert ((new_keys[:, :-1] >= 0) & (new_keys[:, :-1] < 2 ** 32)).all()
+        # the window test on the limb rows themselves
+        within = lattice.inside(keys, lattice.window(k, *_window_points(sys_, k, ends))).tolist()
+        assert within == [ends[0] <= c <= ends[1] for c in values]
 
 
 @PROPERTY_SETTINGS
@@ -482,9 +494,20 @@ def test_least_gap_matches_python_ints(values, extra):
     values = sorted(values)
     gaps = [b - a for a, b in zip(values, values[1:])]
     rows = _limb_rows(values, _width(values[-1]) + extra)
-    assert expansions._least_gap(rows) == min(gaps)
-    assert expansions._least_gap(rows[::-1].copy()) == -max(gaps)
+    for order in "CF":  # limbs stored by row and by column
+        assert expansions._least_gap(np.asarray(rows, order=order)) == min(gaps)
+        assert expansions._least_gap(np.asarray(rows[::-1], order=order)) == -max(gaps)
     assert expansions._least_gap(np.array([[v] for v in values], dtype=object)) == min(gaps)
+
+
+def test_windowed_limb_levels_are_stored_by_column():
+    # a windowed 13/10 sweep passes 2^63 at level 18 and holds two-limb keys
+    # from there to level 24; every level is the transpose of a row-major
+    # block, so its limbs are contiguous columns
+    sys_ = parse_beta("13/10", 2)
+    levels = _swept(Lattice(sys_), 24, 1, 1)
+    assert all(keys.T.flags.c_contiguous for keys, _counts in levels)
+    assert levels[-1][0].shape[1] == 2
 
 
 def test_widened_raises_when_a_split_cannot_shrink_the_last_limb(monkeypatch):

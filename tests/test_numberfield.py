@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from betagrowth.errors import InvalidInputError
 from betagrowth.numberfield import (
+    INT64_MAX,
     FieldElement,
     MinimalPolynomial,
     NumberField,
@@ -22,7 +23,8 @@ from betagrowth.numberfield import (
     multinacci,
     parse_beta,
 )
-from conftest import as_fraction, brute_has_rational_root, field_element, screen_sign_rows
+from conftest import (as_fraction, brute_has_rational_root, field_element, pisot_family,
+                      row_major_float_rows, screen_sign_rows)
 
 # beta values printed in the multinacci table (6 decimals)
 MULTINACCI_BETA = {
@@ -683,6 +685,54 @@ def test_rank_rows_misordered_presort_falls_back(golden):
     exact = _exact_ranks(field, rows.tolist())
     assert [exact[i] for i in presort] != sorted(exact)  # the presort misorders
     assert _rank_untagged(field, rows).tolist() == exact
+
+
+# float_rows entries: small, near +-2^62 and at the int64 ends; past int64;
+# near and past the float range, where products and sums reach inf and nan
+FLOAT_ROW_ENTRIES = {
+    np.int64: st.one_of(st.integers(-2 ** 40, 2 ** 40),
+                        st.integers(2 ** 62 - 2 ** 12, 2 ** 62 + 2 ** 12),
+                        st.integers(-2 ** 62 - 2 ** 12, -2 ** 62 + 2 ** 12),
+                        st.sampled_from((INT64_MAX, -INT64_MAX - 1))),
+    "past int64": st.integers(-2 ** 200, 2 ** 200),
+    "past float": st.one_of(st.integers(-2 ** 1030, 2 ** 1030),
+                            st.sampled_from((2 ** 1023, -2 ** 1023, 2 ** 1024 - 2 ** 970))),
+}
+
+
+def _float_rows_match_row_major(field, rows):
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = field.float_rows(rows), row_major_float_rows(field, rows)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.float64 and g.shape == w.shape == (len(rows),)
+        assert g.tobytes() == w.tobytes()  # nan, inf and -0.0 included
+
+
+@settings(max_examples=150, deadline=None)
+@given(sys_=st.one_of(st.sampled_from(PROPERTY_SPECS).map(lambda spec: parse_beta(spec, 3)),
+                      pisot_family),
+       kind=st.sampled_from(list(FLOAT_ROW_ENTRIES)), data=st.data())
+def test_float_rows_match_row_major_pass(sys_, kind, data):
+    # the column-major pass gives the bits of the row-major one: values and
+    # error bounds, on degrees 1 to 4, int64 and Python-int rows, 0 rows on
+    field = sys_.field
+    entries = st.lists(FLOAT_ROW_ENTRIES[kind], min_size=field.degree, max_size=field.degree)
+    rows = data.draw(st.lists(entries, max_size=8), label="rows")
+    dtype = np.int64 if kind is np.int64 else object
+    _float_rows_match_row_major(field, np.array(rows, dtype=dtype).reshape(-1, field.degree))
+
+
+@pytest.mark.parametrize("spec, rows", [
+    # the terms added right to left round this sum the other way
+    ("multinacci:3", [[-3447570584521229372, -2436469898645588932, 4099701046519126179]]),
+    ("golden", []),
+    ("poly:-1,-1,0,-1,2", [[1, -1, INT64_MAX, -INT64_MAX - 1]]),
+    ("golden", [[2 ** 1100, 1], [1, 2]]),
+])
+def test_float_rows_match_row_major_pass_at(spec, rows):
+    field = parse_beta(spec, 3).field
+    dtype = object if any(abs(c) > INT64_MAX for row in rows for c in row) else np.int64
+    _float_rows_match_row_major(field, np.array(rows, dtype=dtype).reshape(-1, field.degree))
 
 
 def test_rank_rows_beyond_int64_and_float_range(golden):

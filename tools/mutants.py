@@ -93,6 +93,19 @@ MUTANTS = (
            "packed, size = packed * spans[i] + cols[i], size * spans[i]",
            "packed, size = packed * spans[i] - cols[i], size * spans[i]",
            ("tests/test_lattice.py::test_distinct_rows_order_is_lexsort",)),
+    Mutant("the limb carry without its mask", "expansions.py",
+           "        limbs[i] &= LIMB_MASK\n",
+           "",
+           ("tests/test_lattice.py::test_limb_step_matches_python_ints",
+            "tests/test_lattice.py::test_least_gap_matches_python_ints")),
+    Mutant("_staged_key's dense ranks counted from 1", "expansions.py",
+           "ranks = new.cumsum() - 1",
+           "ranks = new.cumsum()",
+           ("tests/test_lattice.py::test_staged_key_packs_dense_ranks",)),
+    Mutant("float_rows adding its terms right to left", "numberfield.py",
+           "val, mag = terms[:, 0], mags[:, 0]\n        for i in range(1, self.degree):",
+           "val, mag = terms[:, -1], mags[:, -1]\n        for i in range(self.degree - 2, -1, -1):",
+           ("tests/test_numberfield.py::test_float_rows_match_row_major_pass_at",)),
     Mutant("a coin on integer bases", "expansions.py",
            "digit = fits[0] if len(fits) > 1 and not integer and not next(bits) else fits[-1]",
            "digit = fits[0] if len(fits) > 1 and not next(bits) else fits[-1]",
