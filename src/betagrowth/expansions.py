@@ -12,10 +12,12 @@ state, so a windowed step skips the merge.  Degree-one keys stay int64,
 windowed or not, as limbs, a format only this module reads or writes:
 the merge packs limb rows in stages of dense ranks, `garsia_report` takes
 its gaps from them and `Lattice.joined` turns them into Python ints for
-the atoms.  `Lattice.window` derives a
-window where a sweep starts, and the sweep carries its two ends from
-level to level in integers, by the step's own map; `Lattice.narrowed`
-shifts a carried window to that of a smaller interval.  `Lattice.inside` is
+the atoms.  Every level is stored by column, one contiguous column per
+coefficient or limb, its children built in one block by `Lattice.step`.
+`Lattice.window` derives a window where a sweep starts, and the sweep
+carries its two ends from level to level in integers, by the step's own
+map; `Lattice.narrowed` shifts a carried window to that of a smaller
+interval.  `Lattice.inside` is
 the one window test: `NumberField.compare_rows` (the vector float screen,
 with a proven error bound and an exact fallback) from degree two on,
 exact integer comparisons of limbs in degree one.  The random map K_beta
@@ -65,27 +67,29 @@ def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first row of each group.  The order is the stable sort of the rows read
     from the last column.  The sort key reads a row in the mixed radix of
     the column spans (DECISIONS.md), one column too, as int64 offsets from
-    the column minima: in one stage when the product of the spans fits,
-    else in stages (`_staged_key`).  Python-int rows are packed when the
-    input is dtype object and the spans do not fit, or when a column or a
-    stage would leave int64.  An int64 matrix is read through its
+    the column minima, each column's minimum subtracted as the column is
+    packed into one key vector: in one stage when the product of the spans
+    fits, else in stages (`_staged_key`).  Python-int rows are packed when
+    the input is dtype object and the spans do not fit, or when a column or
+    a stage would leave int64.  An int64 matrix is read through its
     transpose made contiguous, which copies nothing for a matrix stored by
-    column (`Lattice.step`'s limb levels); reductions along axis 0 of a
-    row-major matrix step through it d entries at a time and cost many
+    column, as every level of `Lattice.step` is; reductions along axis 0 of
+    a row-major matrix step through it d entries at a time and cost many
     times more.
     """
     cols = keys.T if keys.dtype == object else np.ascontiguousarray(keys.T)
-    lows = np.minimum.reduce(cols, axis=1)
-    spans = [hi - lo + 1 for lo, hi in zip(lows.tolist(), np.maximum.reduce(cols, axis=1).tolist())]
+    lows = np.minimum.reduce(cols, axis=1).tolist()
+    spans = [hi - lo + 1 for lo, hi in zip(lows, np.maximum.reduce(cols, axis=1).tolist())]
     packed = None
     if math.prod(spans) <= INT64_MAX or keys.dtype != object and max(spans) <= INT64_MAX:
-        # one matrix at a time stays alive through the sorts
-        cols = cols - lows[:, None]
         if keys.dtype == object:
-            cols = cols.astype(np.int64)
-        packed = _staged_key(cols, spans)
+            # Python-int columns are read as their offsets, which fit int64
+            cols = (cols - np.array(lows, dtype=object)[:, None]).astype(np.int64)
+            lows = [0] * len(lows)
+        packed = _staged_key(cols, lows, spans)
     if packed is None:
-        # Python ints read the rows in the same radix
+        # Python ints read the rows in the same radix; the minima shift
+        # every key by one constant, so they are left out
         cols = cols.astype(object)
         packed = cols[-1]
         for i in range(len(spans) - 2, -1, -1):
@@ -105,24 +109,33 @@ def _sorted_runs(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, new
 
 
-def _staged_key(cols: np.ndarray, spans: list[int]) -> np.ndarray | None:
-    """An int64 key whose stable argsort is that of the rows of the offset
-    columns cols (each in [0, span)) read from the last column, or None
-    when a stage would leave int64.  The columns are packed from the last
-    down, key * span + column, while the key's range times the next span
-    fits; then the key is replaced by its dense rank among the distinct
-    keys, which orders the rows alike in fewer values (DECISIONS.md)."""
-    packed, size = cols[-1], spans[-1]
+def _staged_key(cols: np.ndarray, lows: list[int], spans: list[int]) -> np.ndarray | None:
+    """An int64 key whose stable argsort is that of the rows of the int64
+    columns cols read from the last column, or None when a stage would
+    leave int64.  Column i is read as its offset from lows[i], in
+    [0, spans[i]).  The columns are packed from the last down, key * span +
+    offset, in one key vector updated in place, while the key's range
+    times the next span fits; then the key is replaced by its dense rank
+    among the distinct keys, which orders the rows alike in fewer values.
+    Each column and its minimum are added in the order that keeps every
+    partial sum in int64 (DECISIONS.md)."""
+    packed, size = cols[-1] - lows[-1], spans[-1]
     for i in range(len(spans) - 2, -1, -1):
         if size * spans[i] > INT64_MAX:
             order, new = _sorted_runs(packed)
             ranks = new.cumsum() - 1
-            packed = np.empty_like(packed)
             packed[order] = ranks
             size = int(ranks[-1]) + 1
             if size * spans[i] > INT64_MAX:
                 return None
-        packed, size = packed * spans[i] + cols[i], size * spans[i]
+        packed *= spans[i]
+        if lows[i] < 0:
+            packed += cols[i]
+            packed -= lows[i]
+        else:
+            packed -= lows[i]
+            packed += cols[i]
+        size *= spans[i]
     return packed
 
 
@@ -135,9 +148,9 @@ def _limbs(value: int, width: int) -> list[int]:
 
 def _rows_taken(keys: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """keys.take(idx, axis=0), in the layout of keys: a matrix stored by
-    column, as `Lattice.step`'s limb levels are, is gathered through its
-    transpose, column by column; a row take of it runs about four times
-    slower (DECISIONS.md, "Long-axis passes")."""
+    column, as every level of `Lattice.step` is, is gathered through its
+    transpose, column by column, and stays stored by column; a row take of
+    it runs about four times slower (DECISIONS.md, "Long-axis passes")."""
     if keys.flags.f_contiguous and not keys.flags.c_contiguous:
         return keys.T.take(idx, axis=1).T
     return keys.take(idx, axis=0)
@@ -197,10 +210,10 @@ class Lattice:
     from then on.  Degree one with p < 2^30 (`limbs`) is the exception,
     windowed or not: a key is one row of int64 limbs, little-endian base
     2^LIMB_BITS digits, each in [0, 2^LIMB_BITS) but the last, and a limb
-    is added before a step that could overflow the last.  A stepped limb
-    level is stored by column, so each limb is one contiguous column
-    (DECISIONS.md, "Long-axis passes").  `joined` turns limb rows back into
-    Python ints.
+    is added before a step that could overflow the last.  `joined` turns
+    limb rows back into Python ints.  Every stepped level, whatever its
+    keys, is stored by column, so each coefficient or limb is one
+    contiguous column (DECISIONS.md, "Long-axis passes").
 
     A base is collision-free when beta = p/q in lowest terms (q >= 1) and
     m <= p: then distinct words have distinct keys (DECISIONS.md), every
@@ -228,6 +241,11 @@ class Lattice:
         # degree one with p < 2^30: keys stay int64, as limbs
         self.limbs = d == 1 and row[0] < LIMB_P_BOUND
         self.start = (np.zeros((1, d), dtype=np.int64), np.ones(1, dtype=np.int64))
+        # e in the first coefficient of column e: `_digits` scales it
+        self._digit_units = np.zeros((d, sys.m, 1), dtype=np.int64)
+        self._digit_units[0, :, 0] = range(sys.m)
+        # (scale, width, dtype) and the last digit column made for them
+        self._digit_column = (None, None)
 
     def window(self, k: int, a: FieldElement, b: FieldElement) -> Window:
         """The prefix window of [a, b] at level k: beta^k a - R <= t <= beta^k b
@@ -290,21 +308,7 @@ class Lattice:
         # no count exceeds the m^(k+1) words of length k+1
         if counts.dtype != object and m ** (k + 1) > INT64_MAX:
             counts = counts.astype(object)
-        if self.limbs and keys.dtype != object:
-            keys = self._limb_children(keys, scale)
-        else:
-            if keys.dtype != object:
-                # a new entry is a sum of at most two products plus a digit
-                # term, so |entry| <= max|key| * (lead + max|row|) + (m-1) * lead^(k+1)
-                big = int(np.maximum.reduce(np.abs(keys), axis=None, initial=0))
-                if big * self.growth + (m - 1) * scale > INT64_MAX:
-                    keys = keys.astype(object)
-            # the rows of digit 0, then those of digit 1, ...: digit e adds
-            # e * lead^(k+1) to column 0 of the e-th copy
-            keys = np.concatenate((self.times_beta(keys),) * m)
-            rows = len(keys) // m
-            for e in range(1, m):
-                keys[e * rows:(e + 1) * rows, 0] += e * scale
+        keys = self._children(keys, scale)
         # row i of every digit block has the count of row i of the level, so
         # counts are gathered with indices taken modulo the level's size
         if window is not None:
@@ -321,20 +325,48 @@ class Lattice:
         return _rows_taken(keys, order[starts]), np.add.reduceat(counts.take(order, mode="wrap"),
                                                                  starts)
 
-    def _limb_children(self, keys: np.ndarray, scale: int) -> np.ndarray:
-        """The limb keys p c + e scale of every key c, the rows of digit 0
-        first, stored by column: the transpose of one (limbs, m, rows) block
-        in which the multiply, the digit limbs and the carry each run along
-        contiguous rows (DECISIONS.md, "Long-axis passes")."""
-        cols = self._widened(keys, scale).T
-        width, m = len(cols), self.sys.m
-        block = np.empty((width, m, cols.shape[1]), dtype=np.int64)
-        np.multiply(cols, self.row[0], out=block[:, 0])
-        for e in range(1, m):
-            digit = np.array(_limbs(e * scale, width), dtype=np.int64)
-            np.add(block[:, 0], digit[:, None], out=block[:, e])
-        _carry(block)
-        return block.reshape(width, -1).T
+    def _children(self, keys: np.ndarray, scale: int) -> np.ndarray:
+        """The keys of lead beta t + e of every key t of a level, e = 0..m-1,
+        the rows of digit 0 first, stored by column: the transpose of one
+        (width, m, rows) block, the product broadcast against the digit
+        column of `_digits` in one add, so the product, the digit terms and
+        the limb carry each run along contiguous rows (DECISIONS.md,
+        "Long-axis passes").  Limb keys are `_widened` first and carried
+        after; int64 keys turn into Python ints when a bound taken first
+        says the step could overflow."""
+        limbs = self.limbs and keys.dtype != object
+        if limbs:
+            keys = self._widened(keys, scale)
+        elif keys.dtype != object:
+            # a new entry is a sum of at most two products plus a digit
+            # term, so |entry| <= max|key| * (lead + max|row|) + (m-1) * lead^(k+1)
+            big = int(np.maximum.reduce(np.abs(keys), axis=None, initial=0))
+            if big * self.growth + (self.sys.m - 1) * scale > INT64_MAX:
+                keys = keys.astype(object)
+        cols = keys.T
+        if limbs:
+            product = cols * self.row[0]
+        else:
+            product = (self._object_matrix if keys.dtype == object else self._matrix).T @ cols
+        block = np.add(product[:, None], self._digits(scale, len(cols), keys.dtype))
+        if limbs:
+            _carry(block)
+        return block.reshape(len(cols), -1).T
+
+    def _digits(self, scale: int, width: int, dtype: np.dtype) -> np.ndarray:
+        """The (width, m, 1) column of the digit terms e scale, e = 0..m-1, as
+        keys: e scale in the first coefficient, or as width limbs.  The last
+        column made is kept, so a monic base (scale 1) makes it once."""
+        if self._digit_column[0] != (scale, width, dtype):
+            if dtype == object:
+                column = self._digit_units.astype(object) * scale
+            elif width == self.degree:
+                column = self._digit_units * scale
+            else:  # keys of two limbs or more
+                terms = [[0] * width] + [_limbs(e * scale, width) for e in range(1, self.sys.m)]
+                column = np.array(terms, dtype=np.int64).T[:, :, None]
+            self._digit_column = (scale, width, dtype), column
+        return self._digit_column[1]
 
     def _widened(self, keys: np.ndarray, scale: int) -> np.ndarray:
         """Limb keys, a new last limb split off until the next step fits.
@@ -368,8 +400,9 @@ class Lattice:
     def times_beta(self, rows: np.ndarray) -> np.ndarray:
         """Integer rows of lead * beta times the value of each row, in the
         rows' dtype: a sum of at most two products per entry.  In degree
-        one that is p times each entry; limb keys are multiplied by
-        `_limb_children`, which carries them."""
+        one that is p times each entry.  The window's ends and the
+        automaton's rows step by it; a level's keys step in `_children`,
+        which carries limbs."""
         if self.degree == 1:
             return rows * self.row[0]
         return rows @ (self._object_matrix if rows.dtype == object else self._matrix)

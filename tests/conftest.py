@@ -38,8 +38,11 @@ screen in its first form, fl(|d| - s_err) > err, against which
 `NumberField.compare_rows` is compared row for row, settled rows and
 exact fallbacks alike; `row_major_float_rows` is `NumberField.float_rows`
 as a row-major pass, against which its column-major pass is compared bit
-for bit; and `kappa_walk` counts the powers of beta one
-exact product at a time, against which `expansions.kappa` is compared.
+for bit; `kappa_walk` counts the powers of beta one exact product at a
+time, against which `expansions.kappa` is compared; and `row_major_step` is `Lattice.step` with row-major levels, m concatenated
+copies of `times_beta` and a digit added to column 0 of each, against
+which the step's one children block stored by column is compared level for
+level, keys, counts and row order alike.
 
 Some helpers here are thin readers of the library that only tests call:
 `distinct_sums_count` (the size of the last level of `Lattice.sweep`,
@@ -72,8 +75,8 @@ from hypothesis import strategies as st
 
 from betagrowth.bconv import MeasureAtoms, ball_mass_brackets
 from betagrowth.errors import CapExceededError, HypothesisError, InvalidInputError, InvariantError
-from betagrowth.expansions import (Lattice, _coerce_point, _count_meets_bound, kappa,
-                                   prefix_count_series)
+from betagrowth.expansions import (Lattice, _coerce_point, _count_meets_bound, _distinct_rows,
+                                   kappa, prefix_count_series)
 from betagrowth.lyapunov import RENORM_EVERY, mc_chunk_len
 from betagrowth.netautomaton import Automaton, CharacteristicState
 from betagrowth.numberfield import INT64_MAX, BetaSystem, FieldElement, NumberField, parse_beta
@@ -495,6 +498,39 @@ def dict_lattice_levels(sys: BetaSystem, n: int, a=None, b=None) -> list[dict]:
             states = dict_lattice_step(sys, states, k, lo - sys.right_end, hi)
         levels.append(states)
     return levels
+
+
+def row_major_step(lattice: Lattice, level, k: int, window=None):
+    """`Lattice.step` as it was written with row-major levels, the oracle of
+    its one children block: int64 keys stay int64 while max|key| (lead +
+    max|row|) + (m-1) lead^(k+1) fits, m copies of `times_beta` are
+    concatenated, and digit e adds e lead^(k+1) to column 0 of copy e.  Limb
+    keys are joined into Python ints first.  The window test and the merge
+    are the library's, so keys, counts and row order must match."""
+    keys, counts = level
+    m, scale = lattice.sys.m, lattice.lead ** (k + 1)
+    if counts.dtype != object and m ** (k + 1) > INT64_MAX:
+        counts = counts.astype(object)
+    if lattice.limbs and keys.dtype != object:
+        keys = lattice.joined(keys).astype(object)
+        keys = np.ascontiguousarray(keys)
+    elif keys.dtype != object:
+        big = int(np.abs(keys).max(initial=0))
+        if big * lattice.growth + (m - 1) * scale > INT64_MAX:
+            keys = keys.astype(object)
+    keys = np.concatenate((lattice.times_beta(np.ascontiguousarray(keys)),) * m)
+    rows = len(keys) // m
+    for e in range(1, m):
+        keys[e * rows:(e + 1) * rows, 0] += e * scale
+    if window is not None:
+        inside = lattice.inside(keys, window).nonzero()[0]
+        keys, counts = keys[inside], counts.take(inside, mode="wrap")
+        if lattice.collision_free:
+            return keys, counts
+    if len(keys) <= 1:
+        return keys, counts
+    order, starts = _distinct_rows(keys)
+    return keys[order[starts]], np.add.reduceat(counts.take(order, mode="wrap"), starts)
 
 
 def row_major_float_rows(field: NumberField, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -35,7 +35,7 @@ from betagrowth.numberfield import FieldElement, parse_beta
 
 from conftest import (PROPERTY_SETTINGS, atoms_items_exact, brute_distinct_sums, brute_prefix_count,
                       dict_lattice_levels, dict_merge_rows, distinct_sums_count, key_ints,
-                      pisot_family)
+                      pisot_family, row_major_step)
 
 SPECS = ("golden", "multinacci:3", "1.5", "poly:-3,0,2")
 KERNEL_SPECS = SPECS + ("13/10",)
@@ -275,13 +275,62 @@ def test_distinct_rows_order_is_lexsort(keys):
     assert starts.tolist() == [i for i in range(len(rows)) if i == 0 or rows[i] != rows[i - 1]]
 
 
+def _python_packed(rows: list, lows: list[int], spans: list[int]) -> list[int]:
+    """Each row read in the mixed radix of the spans from its last column,
+    as offsets from the lows, in Python ints."""
+    packed = []
+    for row in rows:
+        key = 0
+        for c, lo, span in zip(row[::-1], lows[::-1], spans[::-1]):
+            key = key * span + c - lo
+        packed.append(key)
+    return packed
+
+
+# (lows, spans): a span product of exactly 2^63 - 1 = 7 * 1317624576693539401
+# and one past it (2^63 = 8 * 2^60), minima near -2^62 and +2^62 in either
+# column, and three columns whose product is 2^63 - 1 = 7^2 * 188232082384791343
+EDGE_PACKINGS = [
+    ([-2 ** 62, 2 ** 62 - 3], [1317624576693539401, 7]),
+    ([2 ** 62, -2 ** 62 + 5], [7, 1317624576693539401]),
+    ([-2 ** 62 + 1, 2 ** 62], [2 ** 60, 8]),
+    ([2 ** 62 - 1, -2 ** 62], [8, 2 ** 60]),
+    ([-2 ** 62, 2 ** 62 - 9, -2 ** 62 + 2], [7, 188232082384791343, 7]),
+    ([2 ** 62 - 9, -2 ** 62, 2 ** 62 - 9], [7, 188232082384791343, 8]),
+]
+
+
+@pytest.mark.parametrize("lows, spans", EDGE_PACKINGS)
+def test_packing_at_the_int64_edge(lows, spans):
+    # every column takes its minimum and its maximum, so the spans are
+    # exact; the offsets are folded into the packing column by column, so a
+    # partial key that left int64 would wrap and reorder the rows.  Where
+    # the spans multiply to at most 2^63 - 1 the key is the Python-int one
+    # exactly; past it the packing is staged.  Either way the order is the
+    # stable sort of the Python-int keys
+    d = len(spans)
+    picks = [[0] * d, [s - 1 for s in spans], [s // 2 for s in spans], [0] * (d - 1) + [spans[-1] - 1],
+             [spans[0] - 1] + [0] * (d - 1), [1] * d, [s - 1 for s in spans], [0] * d]
+    rows = [[lo + c for lo, c in zip(lows, pick)] for pick in picks]
+    keys = np.asfortranarray(np.array(rows, dtype=np.int64))
+    assert keys.T.flags.c_contiguous and min(keys.min(), -keys.max()) < -2 ** 61
+    want = _python_packed(rows, lows, spans)
+    if math.prod(spans) <= INT64_MAX:
+        packed = expansions._staged_key(np.ascontiguousarray(keys.T), lows, spans)
+        assert packed.tolist() == want
+    order, starts = _distinct_rows(keys)
+    assert order.tolist() == sorted(range(len(rows)), key=want.__getitem__)
+    ordered = [want[i] for i in order.tolist()]
+    assert starts.tolist() == [i for i in range(len(rows)) if i == 0 or ordered[i] != ordered[i - 1]]
+
+
 def test_staged_key_packs_dense_ranks():
     # a last column of span 2^62 times a first one of span 2^62 - 1 passes
     # int64, so the last column is replaced by its dense ranks 0 and 1; two
     # ranks times 2^62 - 1 fit int64 (ranks from 1 would not)
     span = 2 ** 62 - 1
     cols = np.array([[0, span - 1, 1, 0], [0, span, 0, span]], dtype=np.int64)
-    packed = expansions._staged_key(cols, [span, span + 1])
+    packed = expansions._staged_key(cols, [0, 0], [span, span + 1])
     assert packed is not None and packed.tolist() == [0, 2 * span - 1, 1, span]
 
 
@@ -501,13 +550,74 @@ def test_least_gap_matches_python_ints(values, extra):
 
 
 def test_windowed_limb_levels_are_stored_by_column():
-    # a windowed 13/10 sweep passes 2^63 at level 18 and holds two-limb keys
-    # from there to level 24; every level is the transpose of a row-major
-    # block, so its limbs are contiguous columns
-    sys_ = parse_beta("13/10", 2)
-    levels = _swept(Lattice(sys_), 24, 1, 1)
-    assert all(keys.T.flags.c_contiguous for keys, _counts in levels)
-    assert levels[-1][0].shape[1] == 2
+    # every level of every key kind is the transpose of a row-major block,
+    # so each coefficient or limb is a contiguous column: a windowed 13/10
+    # sweep passes 2^63 at level 18 and holds two-limb keys from there to
+    # level 24; unwindowed 13/10 keys reach two limbs at level 17; golden
+    # and tribonacci keys are int64, windowed or not; and the keys of a base
+    # with p >= 2^30 pass to Python ints at level 3
+    cases = [("13/10", 24, 1), ("13/10", 17, None), ("golden", 30, Fraction(2, 5)),
+             ("golden", 16, None), ("multinacci:3", 20, Fraction(2, 5)), ("multinacci:3", 12, None),
+             ("2147483659/2147483648", 6, None)]
+    dtypes = set()
+    for spec, n, x in cases:
+        levels = _swept(Lattice(parse_beta(spec, 2)), n, x, x)
+        assert all(keys.T.flags.c_contiguous for keys, _counts in levels), spec
+        dtypes |= {keys.dtype for keys, _counts in levels}
+        if spec == "13/10":
+            assert levels[-1][0].shape[1] == 2
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+
+# (spec, m, unwindowed levels, levels windowed to an interval, to a point):
+# monic and not, degree one (limbs, 3/2 and 13/10, whose point sweep reaches
+# two limbs at level 18) to four, digits 0..m-1 for m = 2 and 3.
+# poly:-3,0,2 has lead 2, so every level has a new scale and `_digits` makes
+# a new column; 2147483659/2147483648 passes from int64 to Python-int keys
+# at level 3
+ORACLE_CASES = [("golden", 2, 14, 16, 30), ("golden", 3, 9, 10, 20), ("multinacci:3", 2, 12, 12, 20),
+                ("poly:-1,-1,0,1", 2, 18, 20, 30), ("poly:-3,0,2", 3, 7, 8, 12),
+                ("13/10", 2, 11, 12, 24), ("3/2", 2, 10, 12, 24), ("2147483659/2147483648", 2, 6, 6, 6)]
+
+
+def _steps_match_row_major(sys_, levels: tuple[int, int, int], lo, hi) -> int:
+    """Run an unwindowed sweep, sweeps windowed to [lo, hi] and to [lo, lo]
+    and the ball brackets of lo, and check that every step they take gives
+    the level of `row_major_step` from the same input, in the same row
+    order; return the number of steps checked."""
+    steps = []
+    step = Lattice.step
+    unwindowed, interval, point = levels
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Lattice, "step", lambda self, level, k, window=None:
+                      steps.append((self, level, k, window, step(self, level, k, window))) or steps[-1][-1])
+        _swept(Lattice(sys_), unwindowed)
+        _swept(Lattice(sys_), interval, lo, hi)
+        _swept(Lattice(sys_), point, lo, lo)
+        ball_mass_brackets(sys_, lo, [2, 5, 6], 4)
+    for lattice, level, k, window, (keys, counts) in steps:
+        want_keys, want_counts = row_major_step(lattice, level, k, window)
+        assert key_ints(lattice, keys) == key_ints(lattice, want_keys), (k, window is None)
+        assert counts.tolist() == want_counts.tolist()
+        assert keys.dtype == want_keys.dtype or lattice.limbs
+    return len(steps)
+
+
+@PROPERTY_SETTINGS
+@given(case=st.sampled_from(ORACLE_CASES), a=points, b=points)
+@example(case=ORACLE_CASES[0], a=(2, 10), b=(3, 10))
+def test_step_matches_row_major_oracle(case, a, b):
+    spec, m, *levels = case
+    sys_ = parse_beta(spec, m)
+    lo, hi = sorted((_fraction_of_interval(sys_, *a), _fraction_of_interval(sys_, *b)))
+    assert _steps_match_row_major(sys_, levels, lo, hi) > sum(levels)
+
+
+@PROPERTY_SETTINGS
+@given(sys_=pisot_family, a=points, b=points)
+def test_pisot_family_steps_match_row_major_oracle(sys_, a, b):
+    lo, hi = sorted((_fraction_of_interval(sys_, *a), _fraction_of_interval(sys_, *b)))
+    _steps_match_row_major(sys_, (6, 8, 12), lo, hi)
 
 
 def test_widened_raises_when_a_split_cannot_shrink_the_last_limb(monkeypatch):

@@ -90,8 +90,8 @@ MUTANTS = (
            "at_least = rows[:, -1] > top",
            ("tests/test_lattice.py::test_degree_one_sign_rows_match_sign_int_coeffs",)),
     Mutant("one column's packing negated in _distinct_rows", "expansions.py",
-           "packed, size = packed * spans[i] + cols[i], size * spans[i]",
-           "packed, size = packed * spans[i] - cols[i], size * spans[i]",
+           "            packed += cols[i]\n            packed -= lows[i]\n",
+           "            packed -= cols[i]\n            packed += lows[i]\n",
            ("tests/test_lattice.py::test_distinct_rows_order_is_lexsort",)),
     Mutant("the limb carry without its mask", "expansions.py",
            "        limbs[i] &= LIMB_MASK\n",
@@ -106,6 +106,18 @@ MUTANTS = (
            "val, mag = terms[:, 0], mags[:, 0]\n        for i in range(1, self.degree):",
            "val, mag = terms[:, -1], mags[:, -1]\n        for i in range(self.degree - 2, -1, -1):",
            ("tests/test_numberfield.py::test_float_rows_match_row_major_pass_at",)),
+    Mutant("the digit added to the last coefficient", "expansions.py",
+           "self._digit_units[0, :, 0] = range(sys.m)",
+           "self._digit_units[-1, :, 0] = range(sys.m)",
+           ("tests/test_lattice.py::test_step_matches_row_major_oracle",)),
+    Mutant("the children's product by the untransposed matrix", "expansions.py",
+           "product = (self._object_matrix if keys.dtype == object else self._matrix).T @ cols",
+           "product = (self._object_matrix if keys.dtype == object else self._matrix) @ cols",
+           ("tests/test_lattice.py::test_step_matches_row_major_oracle",)),
+    Mutant("one column's offset dropped from the packing", "expansions.py",
+           "            packed += cols[i]\n            packed -= lows[i]\n",
+           "            packed += cols[i]\n",
+           ("tests/test_lattice.py::test_packing_at_the_int64_edge",)),
     Mutant("a coin on integer bases", "expansions.py",
            "digit = fits[0] if len(fits) > 1 and not integer and not next(bits) else fits[-1]",
            "digit = fits[0] if len(fits) > 1 and not next(bits) else fits[-1]",
