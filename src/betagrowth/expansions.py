@@ -118,7 +118,15 @@ def _staged_key(cols: np.ndarray, lows: list[int], spans: list[int]) -> np.ndarr
     times the next span fits; then the key is replaced by its dense rank
     among the distinct keys, which orders the rows alike in fewer values.
     Each column and its minimum are added in the order that keeps every
-    partial sum in int64 (DECISIONS.md)."""
+    partial sum in int64 (DECISIONS.md).  When the columns themselves
+    packed keep every partial key in int64 (`_unshifted_fits`), the
+    minima are left out: they shift every key by one constant."""
+    if _unshifted_fits(lows, spans):
+        packed = cols[-1]
+        for i in range(len(spans) - 2, -1, -1):
+            packed = packed * spans[i]
+            packed += cols[i]
+        return packed
     packed, size = cols[-1] - lows[-1], spans[-1]
     for i in range(len(spans) - 2, -1, -1):
         if size * spans[i] > INT64_MAX:
@@ -137,6 +145,18 @@ def _staged_key(cols: np.ndarray, lows: list[int], spans: list[int]) -> np.ndarr
             packed += cols[i]
         size *= spans[i]
     return packed
+
+
+def _unshifted_fits(lows: list[int], spans: list[int]) -> bool:
+    """Whether packing the columns from the last down, key * span +
+    column, keeps the key and every partial sum in int64: the range of
+    the key, from the column minima and spans, in Python ints."""
+    lo, hi = lows[-1], lows[-1] + spans[-1] - 1
+    for low, span in zip(lows[-2::-1], spans[-2::-1]):
+        if min(lo * span, lo * span + low) < -INT64_MAX or max(hi * span, (hi + 1) * span + low - 1) > INT64_MAX:
+            return False
+        lo, hi = lo * span + low, (hi + 1) * span + low - 1
+    return True
 
 
 def _limbs(value: int, width: int) -> list[int]:
@@ -241,9 +261,9 @@ class Lattice:
         # degree one with p < 2^30: keys stay int64, as limbs
         self.limbs = d == 1 and row[0] < LIMB_P_BOUND
         self.start = (np.zeros((1, d), dtype=np.int64), np.ones(1, dtype=np.int64))
-        # e in the first coefficient of column e: `_digits` scales it
-        self._digit_units = np.zeros((d, sys.m, 1), dtype=np.int64)
-        self._digit_units[0, :, 0] = range(sys.m)
+        # e in the first coefficient of column e - 1: `_digits` scales it
+        self._digit_units = np.zeros((d, sys.m - 1, 1), dtype=np.int64)
+        self._digit_units[0, :, 0] = range(1, sys.m)
         # (scale, width, dtype) and the last digit column made for them
         self._digit_column = (None, None)
 
@@ -328,33 +348,37 @@ class Lattice:
     def _children(self, keys: np.ndarray, scale: int) -> np.ndarray:
         """The keys of lead beta t + e of every key t of a level, e = 0..m-1,
         the rows of digit 0 first, stored by column: the transpose of one
-        (width, m, rows) block, the product broadcast against the digit
-        column of `_digits` in one add, so the product, the digit terms and
-        the limb carry each run along contiguous rows (DECISIONS.md,
-        "Long-axis passes").  Limb keys are `_widened` first and carried
-        after; int64 keys turn into Python ints when a bound taken first
-        says the step could overflow."""
+        preallocated (width, m, rows) block in which the product, the digit
+        terms of `_digits` (one broadcast add) and the limb carry each run
+        along contiguous rows (DECISIONS.md, "Long-axis passes").  Limb keys
+        are `_widened` first and carried after; int64 keys turn into Python
+        ints when a bound taken first says the step could overflow."""
+        m = self.sys.m
         limbs = self.limbs and keys.dtype != object
         if limbs:
             keys = self._widened(keys, scale)
         elif keys.dtype != object:
             # a new entry is a sum of at most two products plus a digit
             # term, so |entry| <= max|key| * (lead + max|row|) + (m-1) * lead^(k+1)
-            big = int(np.maximum.reduce(np.abs(keys), axis=None, initial=0))
-            if big * self.growth + (self.sys.m - 1) * scale > INT64_MAX:
+            big = max(int(np.maximum.reduce(keys, axis=None, initial=0)),
+                      -int(np.minimum.reduce(keys, axis=None, initial=0)))
+            if big * self.growth + (m - 1) * scale > INT64_MAX:
                 keys = keys.astype(object)
         cols = keys.T
+        width = len(cols)
+        block = np.empty((width, m, cols.shape[1]), dtype=keys.dtype)
         if limbs:
-            product = cols * self.row[0]
+            np.multiply(cols, self.row[0], out=block[:, 0])
         else:
-            product = (self._object_matrix if keys.dtype == object else self._matrix).T @ cols
-        block = np.add(product[:, None], self._digits(scale, len(cols), keys.dtype))
+            matrix = self._object_matrix if keys.dtype == object else self._matrix
+            np.matmul(matrix.T, cols, out=block[:, 0])
+        np.add(block[:, :1], self._digits(scale, width, keys.dtype), out=block[:, 1:])
         if limbs:
             _carry(block)
-        return block.reshape(len(cols), -1).T
+        return block.reshape(width, -1).T
 
     def _digits(self, scale: int, width: int, dtype: np.dtype) -> np.ndarray:
-        """The (width, m, 1) column of the digit terms e scale, e = 0..m-1, as
+        """The (width, m-1, 1) column of the digit terms e scale, e = 1..m-1, as
         keys: e scale in the first coefficient, or as width limbs.  The last
         column made is kept, so a monic base (scale 1) makes it once."""
         if self._digit_column[0] != (scale, width, dtype):
@@ -363,7 +387,7 @@ class Lattice:
             elif width == self.degree:
                 column = self._digit_units * scale
             else:  # keys of two limbs or more
-                terms = [[0] * width] + [_limbs(e * scale, width) for e in range(1, self.sys.m)]
+                terms = [_limbs(e * scale, width) for e in range(1, self.sys.m)]
                 column = np.array(terms, dtype=np.int64).T[:, :, None]
             self._digit_column = (scale, width, dtype), column
         return self._digit_column[1]

@@ -107,12 +107,12 @@ MUTANTS = (
            "val, mag = terms[:, -1], mags[:, -1]\n        for i in range(self.degree - 2, -1, -1):",
            ("tests/test_numberfield.py::test_float_rows_match_row_major_pass_at",)),
     Mutant("the digit added to the last coefficient", "expansions.py",
-           "self._digit_units[0, :, 0] = range(sys.m)",
-           "self._digit_units[-1, :, 0] = range(sys.m)",
+           "self._digit_units[0, :, 0] = range(1, sys.m)",
+           "self._digit_units[-1, :, 0] = range(1, sys.m)",
            ("tests/test_lattice.py::test_step_matches_row_major_oracle",)),
     Mutant("the children's product by the untransposed matrix", "expansions.py",
-           "product = (self._object_matrix if keys.dtype == object else self._matrix).T @ cols",
-           "product = (self._object_matrix if keys.dtype == object else self._matrix) @ cols",
+           "np.matmul(matrix.T, cols, out=block[:, 0])",
+           "np.matmul(matrix, cols, out=block[:, 0])",
            ("tests/test_lattice.py::test_step_matches_row_major_oracle",)),
     Mutant("one column's offset dropped from the packing", "expansions.py",
            "            packed += cols[i]\n            packed -= lows[i]\n",
