@@ -66,10 +66,10 @@ def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keys[order] puts equal rows next to each other, and starts indexes the
     first row of each group.  The order is the stable sort of the rows read
     from the last column.  The sort key reads a row in the mixed radix of
-    the column spans (DECISIONS.md), one column too, as int64 offsets from
-    the column minima, each column's minimum subtracted as the column is
-    packed into one key vector: in one stage when the product of the spans
-    fits, else in stages (`_staged_key`).  Python-int rows are packed when
+    the column spans (DECISIONS.md), one column too, packed into one int64
+    key vector, each column's minimum subtracted as it is packed where the
+    columns themselves would leave int64: in one stage when the product of
+    the spans fits, else in stages (`_staged_key`).  Python-int rows are packed when
     the input is dtype object and the spans do not fit, or when a column or
     a stage would leave int64.  An int64 matrix is read through its
     transpose made contiguous, which copies nothing for a matrix stored by
@@ -153,9 +153,10 @@ def _unshifted_fits(lows: list[int], spans: list[int]) -> bool:
     the key, from the column minima and spans, in Python ints."""
     lo, hi = lows[-1], lows[-1] + spans[-1] - 1
     for low, span in zip(lows[-2::-1], spans[-2::-1]):
-        if min(lo * span, lo * span + low) < -INT64_MAX or max(hi * span, (hi + 1) * span + low - 1) > INT64_MAX:
+        product, total = (lo * span, hi * span), (lo * span + low, (hi + 1) * span + low - 1)
+        if min(*product, *total) < -INT64_MAX or max(*product, *total) > INT64_MAX:
             return False
-        lo, hi = lo * span + low, (hi + 1) * span + low - 1
+        lo, hi = total
     return True
 
 

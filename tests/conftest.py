@@ -39,10 +39,11 @@ screen in its first form, fl(|d| - s_err) > err, against which
 exact fallbacks alike; `row_major_float_rows` is `NumberField.float_rows`
 as a row-major pass, against which its column-major pass is compared bit
 for bit; `kappa_walk` counts the powers of beta one exact product at a
-time, against which `expansions.kappa` is compared; and `row_major_step` is `Lattice.step` with row-major levels, m concatenated
-copies of `times_beta` and a digit added to column 0 of each, against
-which the step's one children block stored by column is compared level for
-level, keys, counts and row order alike.
+time, against which `expansions.kappa` is compared; and `row_major_step`
+is `Lattice.step` with row-major levels, m concatenated copies of
+`times_beta` and a digit added to column 0 of each, against which the
+step's one children block stored by column is compared level for level,
+keys, counts and row order alike.
 
 Some helpers here are thin readers of the library that only tests call:
 `distinct_sums_count` (the size of the last level of `Lattice.sweep`,
@@ -513,7 +514,6 @@ def row_major_step(lattice: Lattice, level, k: int, window=None):
         counts = counts.astype(object)
     if lattice.limbs and keys.dtype != object:
         keys = lattice.joined(keys).astype(object)
-        keys = np.ascontiguousarray(keys)
     elif keys.dtype != object:
         big = int(np.abs(keys).max(initial=0))
         if big * lattice.growth + (m - 1) * scale > INT64_MAX:

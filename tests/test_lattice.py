@@ -587,10 +587,14 @@ def _steps_match_row_major(sys_, levels: tuple[int, int, int], lo, hi) -> int:
     order; return the number of steps checked."""
     steps = []
     step = Lattice.step
+
+    def recorded(self, level, k, window=None):
+        steps.append((self, level, k, window, step(self, level, k, window)))
+        return steps[-1][-1]
+
     unwindowed, interval, point = levels
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Lattice, "step", lambda self, level, k, window=None:
-                      steps.append((self, level, k, window, step(self, level, k, window))) or steps[-1][-1])
+        patch.setattr(Lattice, "step", recorded)
         _swept(Lattice(sys_), unwindowed)
         _swept(Lattice(sys_), interval, lo, hi)
         _swept(Lattice(sys_), point, lo, lo)
