@@ -106,7 +106,7 @@ def interval_mass(sys: BetaSystem, level: int, lo, hi) -> Fraction:
     hi = sys.element(hi)
     lattice = Lattice(sys)
     keys, counts = lattice.start
-    window = lattice.window(0, a, hi)
+    window = lattice.window(a, hi)
     inside = lattice.inside(keys, window)
     states = keys[inside], counts[inside]
     for states, _window in lattice.sweep(level, window, states):
@@ -144,9 +144,9 @@ def ball_mass_brackets(sys: BetaSystem, x, levels: Sequence[int],
     levels = _sorted_levels(levels, margin)
     x = _coerce_point(x, sys)
     lattice = Lattice(sys)
-    outer = sys.right_end * lattice.grow_powers[margin] / lattice.lead ** margin
+    outer = sys.right_end * sys.beta ** margin
     shifts = {}  # the restart shift by gap n' - n, each made once
-    window, states, k = lattice.window(0, x - outer, x + outer), lattice.start, 0
+    window, states, k = lattice.window(x - outer, x + outer), lattice.start, 0
     brackets = {}
     for n in levels:
         gap = n + margin - k

@@ -14,13 +14,13 @@ the merge packs limb rows in stages of dense ranks, `garsia_report` takes
 its gaps from them and `Lattice.joined` turns them into Python ints for
 the atoms.  Every level is stored by column, one contiguous column per
 coefficient or limb, its children built in one block by `Lattice.step`.
-`Lattice.window` derives a window where a sweep starts, and the sweep
-carries its two ends from level to level in integers, by the step's own
-map; `Lattice.narrowed` shifts a carried window to that of a smaller
-interval.  `Lattice.inside` is
-the one window test: `NumberField.compare_rows` (the vector float screen,
-with a proven error bound and an exact fallback) from degree two on,
-exact integer comparisons of limbs in degree one.  The random map K_beta
+`Lattice.window` derives the level-0 window a sweep starts from, and the
+sweep carries its two ends from level to level in integers, by the step's
+own map; `Lattice.narrowed` shifts a carried window to that of a smaller
+interval.  `Lattice.inside` is the one window test:
+`NumberField.compare_rows` (the vector float screen, with a proven error
+bound and an exact fallback) from degree two on, exact integer
+comparisons of limbs in degree one.  The random map K_beta
 of `simulate` takes its digits off the same inequality, one digit at a
 time.  `kappa` reads its floor of a logarithm off proven float bounds and
 compares exact powers of beta only where those bounds hold an integer.
@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CapExceededError, HypothesisError, InvalidInputError, InvariantError
-from .numberfield import INT64_MAX, BetaSystem, FieldElement, Powers
+from .numberfield import INT64_MAX, BetaSystem, FieldElement
 
 # the most states any one level of a `Lattice.sweep` may hold
 DEFAULT_ATOM_CAP = 4_000_000
@@ -66,12 +66,11 @@ def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keys[order] puts equal rows next to each other, and starts indexes the
     first row of each group.  The order is the stable sort of the rows read
     from the last column.  The sort key reads a row in the mixed radix of
-    the column spans (DECISIONS.md), one column too, packed into one int64
-    key vector, each column's minimum subtracted as it is packed where the
-    columns themselves would leave int64: in one stage when the product of
-    the spans fits, else in stages (`_staged_key`).  Python-int rows are packed when
-    the input is dtype object and the spans do not fit, or when a column or
-    a stage would leave int64.  An int64 matrix is read through its
+    the column spans (DECISIONS.md), one column too.  The packing is picked
+    by dtype: an int64 matrix is packed into one int64 key vector by
+    `_staged_key`, in stages where the key would leave int64, and a
+    Python-int matrix as Python ints, as is an int64 one when a column or a
+    stage would leave int64.  An int64 matrix is read through its
     transpose made contiguous, which copies nothing for a matrix stored by
     column, as every level of `Lattice.step` is; reductions along axis 0 of
     a row-major matrix step through it d entries at a time and cost many
@@ -80,13 +79,7 @@ def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cols = keys.T if keys.dtype == object else np.ascontiguousarray(keys.T)
     lows = np.minimum.reduce(cols, axis=1).tolist()
     spans = [hi - lo + 1 for lo, hi in zip(lows, np.maximum.reduce(cols, axis=1).tolist())]
-    packed = None
-    if math.prod(spans) <= INT64_MAX or keys.dtype != object and max(spans) <= INT64_MAX:
-        if keys.dtype == object:
-            # Python-int columns are read as their offsets, which fit int64
-            cols = (cols - np.array(lows, dtype=object)[:, None]).astype(np.int64)
-            lows = [0] * len(lows)
-        packed = _staged_key(cols, lows, spans)
+    packed = None if keys.dtype == object else _staged_key(cols, lows, spans)
     if packed is None:
         # Python ints read the rows in the same radix; the minima shift
         # every key by one constant, so they are left out
@@ -111,16 +104,19 @@ def _sorted_runs(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _staged_key(cols: np.ndarray, lows: list[int], spans: list[int]) -> np.ndarray | None:
     """An int64 key whose stable argsort is that of the rows of the int64
-    columns cols read from the last column, or None when a stage would
-    leave int64.  Column i is read as its offset from lows[i], in
-    [0, spans[i]).  The columns are packed from the last down, key * span +
-    offset, in one key vector updated in place, while the key's range
-    times the next span fits; then the key is replaced by its dense rank
-    among the distinct keys, which orders the rows alike in fewer values.
+    columns cols read from the last column, or None when a column's
+    offsets or a stage would leave int64.  Column i is read as its offset
+    from lows[i], in [0, spans[i]).  The columns are packed from the last
+    down, key * span + offset, in one key vector updated in place, while
+    the key's range times the next span fits; then the key is replaced by
+    its dense rank among the distinct keys, which orders the rows alike in
+    fewer values.
     Each column and its minimum are added in the order that keeps every
     partial sum in int64 (DECISIONS.md).  When the columns themselves
     packed keep every partial key in int64 (`_unshifted_fits`), the
     minima are left out: they shift every key by one constant."""
+    if max(spans) > INT64_MAX:
+        return None
     if _unshifted_fits(lows, spans):
         packed = cols[-1]
         for i in range(len(spans) - 2, -1, -1):
@@ -255,8 +251,6 @@ class Lattice:
         self._object_matrix = self._matrix.astype(object)
         # no entry of times_beta(rows) exceeds growth * max|rows| in size
         self.growth = self.lead + max(map(abs, row))
-        # (beta * lead) ** k scales a window derived at level k
-        self.grow_powers = Powers(sys.beta * self.lead)
         # degree one: row = [p] for beta = p/q, so no step ever merges two words
         self.collision_free = d == 1 and sys.m <= row[0]
         # degree one with p < 2^30: keys stay int64, as limbs
@@ -268,16 +262,14 @@ class Lattice:
         # (scale, width, dtype) and the last digit column made for them
         self._digit_column = (None, None)
 
-    def window(self, k: int, a: FieldElement, b: FieldElement) -> Window:
-        """The prefix window of [a, b] at level k: beta^k a - R <= t <= beta^k b
-        for the scaled sums t it keeps, since the digits after a prefix add a
-        tail in [0, R], R = (m-1)/(beta-1).  In key units (times lead^k) its
-        ends are (beta lead)^k a - R lead^k and (beta lead)^k b, returned as
+    def window(self, a: FieldElement, b: FieldElement) -> Window:
+        """The prefix window of [a, b] at level 0: a - R <= t <= b for the
+        scaled sums t it keeps, since the digits after a prefix add a tail in
+        [0, R], R = (m-1)/(beta-1).  Its ends a - R and b are returned as
         the rows lo and hi of an object matrix over one denominator.  A sweep
         carries a window from level to level (`next_window`), and
         `narrowed` shifts it to the window of a smaller interval."""
-        power = self.grow_powers[k]
-        ends = (a * power - self.sys.right_end * self.lead ** k, b * power)
+        ends = (a - self.sys.right_end, b)
         den = math.lcm(*(end.den for end in ends))
         rows = [[c * (den // end.den) for c in end.num] for end in ends]
         return np.array(rows, dtype=object), den
@@ -482,7 +474,7 @@ def prefix_count_series(x, n_max: int, sys: BetaSystem) -> list[int]:
         raise InvalidInputError("prefix length must be nonnegative")
     x = _coerce_point(x, sys)
     lattice = Lattice(sys)
-    sweep = lattice.sweep(n_max, lattice.window(0, x, x))
+    sweep = lattice.sweep(n_max, lattice.window(x, x))
     return [1] + [int(c.sum()) for (_keys, c), _window in sweep]
 
 
@@ -696,7 +688,8 @@ def garsia_report(sys: BetaSystem, n_max: int) -> list[GarsiaRow]:
         diffs = highs - lows
         rank, starts = _distinct_rows(diffs)
         diffs = _rows_taken(diffs, rank.take(starts))
-        if (field.sign_rows(diffs, field.zero) <= 0).any():
+        [(above, _below)] = field.compare_rows(diffs, (field.zero.num, 1))
+        if not above.all():
             raise InvariantError(f"float presort put a larger level-{n} sum first")
         best = min(FieldElement(field, tuple(d), lattice.lead ** n) for d in diffs.tolist())
         rows.append(GarsiaRow(n, size, size / beta_f ** n, float(best)))
@@ -746,7 +739,7 @@ def count_X_m(m_param: int, sys: BetaSystem) -> int:
         raise InvalidInputError("m_param must be >= 1")
     length = 2 * m_param
     lattice = Lattice(sys)
-    for (keys, counts), _window in lattice.sweep(length, lattice.window(0, sys.rho, sys.rho)):
+    for (keys, counts), _window in lattice.sweep(length, lattice.window(sys.rho, sys.rho)):
         pass
     # golden is monic, so a key is the integer vector of its value
     return int(counts[(keys == (sys.beta ** (length - 1)).num).all(axis=1)].sum())

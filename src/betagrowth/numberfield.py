@@ -10,12 +10,12 @@ interval evaluation of the value excludes zero.  The rows of an integer
 matrix go through `compare_rows`, in every degree, for which rows lie
 above and which below each shift: one vector float evaluation, on beta's
 float powers rounded once per field, screens them under a proven error
-bound; rows too close to a shift take the scalar path.  `sign_rows`
-reads its answer as signs.  A shift is an integer vector over a positive
-denominator, in lowest terms or not.  A row is read as the coefficients
-of 1, beta, ..., beta^(d-1); how the lattice DP stores its keys is not
-known here.  `rank_rows` is the one ranking of integer rows, in tagged
-groups: a float presort that one `sign_rows` call proves, with an exact
+bound; rows too close to a shift take the scalar path.  A shift is an
+integer vector over a positive denominator, in lowest terms or not.  A
+row is read as the coefficients of 1, beta, ..., beta^(d-1); how the
+lattice DP stores its keys is not known here.  `rank_rows` is the one
+ranking of integer rows, in tagged groups: a float presort that one
+`compare_rows` call against zero proves, with an exact
 comparison sort where the presort misorders.  Sturm chains of primitive
 pseudo-remainders isolate beta and any rational root (one routine,
 `_isolate`) and decide Pisot status by a Routh-Hurwitz count.  Fractions
@@ -717,23 +717,13 @@ class NumberField:
                 pairs.append((above, below))
         return pairs
 
-    def sign_rows(self, rows: np.ndarray, *shifts: FieldElement) -> np.ndarray:
-        """Exact signs of sum_i rows[r, i] beta^i - shift, int8 of shape
-        (shifts, rows), for each shift given: `compare_rows`, the one float
-        screen, as signs."""
-        pairs = self.compare_rows(rows, *((s.num, s.den) for s in shifts))
-        signs = np.empty((len(shifts), len(rows)), dtype=np.int8)
-        for sign, (above, below) in zip(signs, pairs):
-            np.subtract(above.view(np.int8), below.view(np.int8), out=sign)
-        return signs
-
     def rank_rows(self, rows: np.ndarray, tags: np.ndarray) -> np.ndarray:
         """Dense ranks of the values sum_i rows[r, i] beta^i of an integer
         matrix within each tag, numbered on through the tags in ascending
         order, so each tag holds its own range of ranks: within a tag equal
         values share a rank and rank order is value order, exactly.  The
         rows are presorted by (tag, float value) and every tag's presort is
-        proven by one `sign_rows` call on the differences of rows adjacent
+        proven by one `compare_rows` call on the differences of rows adjacent
         in it; a tag with a negative difference is ranked by an exact
         comparison sort instead, in the first ranks of its range
         (DECISIONS.md).  The differences must fit the rows' dtype."""
@@ -744,7 +734,7 @@ class NumberField:
         same = tagged[1:] == tagged[:-1]
         new = ~same | (steps != 0).any(axis=1)  # equal rows are equal values
         check = np.flatnonzero(same & new)
-        negative = self.sign_rows(steps[check], self.zero)[0] < 0
+        [(_above, negative)] = self.compare_rows(steps[check], (self.zero.num, 1))
         rank = np.empty(len(rows), dtype=np.intp)
         rank[order] = np.concatenate(([0], np.cumsum(new)))
 

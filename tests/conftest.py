@@ -53,8 +53,10 @@ value), `atoms_items_exact` and `refine_atoms` (exact atoms in value
 order, one more lattice step), `key_ints` and `key_value` (a level's
 keys as Python ints, limbs joined, and the exact value of one key) and
 `upper_dim_bound_check` (the finite-level upper local-dimension chain).
-`derived_ball_brackets` is `ball_mass_brackets` with every window derived
-from its interval, the oracle of the windows that one shifts.
+`derived_window` is the prefix window of an interval derived at any level
+k in field elements, the oracle of the windows a sweep carries from level
+0 and `Lattice.narrowed` shifts, and `derived_ball_brackets` is
+`ball_mass_brackets` with every window derived from its interval by it.
 `pisot_family` draws a Pisot base of Brauer's family with its m.
 Two more read an automaton's edges: `is_admissible` (a word is a path from
 the root) and `products_positive` (every row product from the root stays
@@ -360,9 +362,24 @@ def upper_dim_bound_check(sys: BetaSystem, x, n_max: int, margin: int = 5) -> Up
     return UpperBoundReport(kap, limit, float(x), tuple(rows))
 
 
+def derived_window(lattice: Lattice, k: int, a: FieldElement, b: FieldElement):
+    """The prefix window of [a, b] at level k, derived in field elements:
+    beta^k a - R <= t <= beta^k b for the scaled sums t it keeps,
+    R = (m-1)/(beta-1).  In key units (times lead^k) its ends are
+    (beta lead)^k a - R lead^k and (beta lead)^k b, the rows lo and hi of
+    an object matrix over one denominator, as `Lattice.window` returns
+    them at level 0."""
+    lead = lattice.lead
+    power = (lattice.sys.beta * lead) ** k
+    ends = (a * power - lattice.sys.right_end * lead ** k, b * power)
+    den = math.lcm(*(end.den for end in ends))
+    rows = [[c * (den // end.den) for c in end.num] for end in ends]
+    return np.array(rows, dtype=object), den
+
+
 def derived_ball_brackets(sys: BetaSystem, x, levels, margin: int) -> dict:
     """`bconv.ball_mass_brackets` with every window derived from its
-    interval in field elements: `Lattice.window` of the ball of radius
+    interval in field elements: `derived_window` of the ball of radius
     r_n = R beta^-n where the sweep restarts, at the level k the last ball
     was read at, and again for the lower bracket at L = n + margin, of the
     ball shrunk by R beta^-L on both sides."""
@@ -372,11 +389,12 @@ def derived_ball_brackets(sys: BetaSystem, x, levels, margin: int) -> dict:
     brackets = {}
     for n in sorted(set(levels)):
         r = sys.right_end * sys.rho ** n
-        for states, _window in lattice.sweep(n + margin, lattice.window(k, x - r, x + r), states, k):
+        window = derived_window(lattice, k, x - r, x + r)
+        for states, _window in lattice.sweep(n + margin, window, states, k):
             pass
         k = n + margin
         tail = sys.right_end * sys.rho ** k
-        inside = lattice.inside(states[0], lattice.window(k, x - r + tail, x + r - tail))
+        inside = lattice.inside(states[0], derived_window(lattice, k, x - r + tail, x + r - tail))
         brackets[n] = tuple(Fraction(int(counts.sum()), sys.m ** k)
                             for counts in (states[1][inside], states[1]))
     return brackets
@@ -551,9 +569,10 @@ def row_major_float_rows(field: NumberField, rows: np.ndarray) -> tuple[np.ndarr
 
 
 def screen_sign_rows(field: NumberField, rows: np.ndarray, *shifts: FieldElement) -> np.ndarray:
-    """`NumberField.sign_rows` as its screen was first written, the oracle of
-    `compare_rows`: a row is settled when fl(|fl(val - s_val)| - s_err) > err
-    and takes the sign of val - s_val; the rest go to `sign_int_coeffs`,
+    """The signs of rows against shifts under the float screen as it was
+    first written, the oracle of `NumberField.compare_rows`: a row is
+    settled when fl(|fl(val - s_val)| - s_err) > err and takes the sign of
+    val - s_val; the rest go to `sign_int_coeffs`,
     shift by shift and rows in order, as in the screen it oracles."""
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan stay unsettled
         val, err = field.float_rows(rows)

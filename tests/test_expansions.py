@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from betagrowth import expansions
-from betagrowth.errors import CapExceededError, HypothesisError, InvalidInputError
+from betagrowth.errors import CapExceededError, HypothesisError, InvalidInputError, InvariantError
 from betagrowth.expansions import (
     count_X_m,
     count_prefixes,
@@ -18,7 +18,7 @@ from betagrowth.expansions import (
     sparse_profile,
     verify_growth_bound,
 )
-from betagrowth.numberfield import parse_beta
+from betagrowth.numberfield import NumberField, parse_beta
 
 from conftest import (
     PROPERTY_SETTINGS,
@@ -310,6 +310,26 @@ def test_garsia_min_gap_is_exact_minimum(spec):
         assert len(sums) == r.count
         exact = min(b - a for a, b in zip(sums, sums[1:])) * sys_.beta ** r.n
         assert r.min_gap_scaled == float(exact)
+
+
+def test_garsia_report_misordered_presort(golden, monkeypatch):
+    # the float values of the 20 level-5 sums with the largest moved to the
+    # front, every error bound infinite so that every gap is a candidate:
+    # the exact screen finds the one difference that is not positive, and
+    # the report names its level
+    assert [r.count for r in garsia_report(golden, 6)][4] == 20
+    float_rows = NumberField.float_rows
+
+    def misordered(field, rows):
+        val, err = float_rows(field, rows)
+        if len(rows) == 20:
+            val[val.argmax()] = -1.0
+            err = np.full_like(err, np.inf)
+        return val, err
+
+    monkeypatch.setattr(NumberField, "float_rows", misordered)
+    with pytest.raises(InvariantError, match="float presort put a larger level-5 sum first$"):
+        garsia_report(golden, 6)
 
 
 GOLDEN_GAP, TRIB_GAP = 0.6180339887498949, 0.5436890126920764

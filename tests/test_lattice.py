@@ -30,12 +30,13 @@ from hypothesis import strategies as st
 from betagrowth import expansions
 from betagrowth.bconv import ball_mass_brackets, interval_mass, level_atoms
 from betagrowth.errors import CapExceededError, InvalidInputError, InvariantError
-from betagrowth.expansions import INT64_MAX, Lattice, _at_least, _distinct_rows, prefix_count_series
+from betagrowth.expansions import (INT64_MAX, Lattice, _at_least, _distinct_rows, garsia_report,
+                                   prefix_count_series)
 from betagrowth.numberfield import FieldElement, parse_beta
 
-from conftest import (PROPERTY_SETTINGS, atoms_items_exact, brute_distinct_sums, brute_prefix_count,
-                      dict_lattice_levels, dict_merge_rows, distinct_sums_count, key_ints,
-                      pisot_family, row_major_step)
+from conftest import (PROPERTY_SETTINGS, atoms_items_exact, brute_distinct_sum_values,
+                      brute_distinct_sums, brute_prefix_count, derived_window, dict_lattice_levels,
+                      dict_merge_rows, distinct_sums_count, key_ints, pisot_family, row_major_step)
 
 SPECS = ("golden", "multinacci:3", "1.5", "poly:-3,0,2")
 KERNEL_SPECS = SPECS + ("13/10",)
@@ -54,15 +55,15 @@ def _fraction_of_interval(sys_, num: int, den: int) -> Fraction:
 
 @pytest.mark.parametrize("spec", ["golden", "multinacci:3", "13/10", "poly:-1,-1,0,-1,2"])
 def test_power_tables_match_pow(spec):
-    # the window powers of beta * lead and the powers of rho, read out of
-    # order, are the canonical elements that repeated squaring gives
+    # the powers of rho, read out of order, are the canonical elements that
+    # repeated squaring gives
     sys_ = parse_beta(spec, 2)
-    for table in (Lattice(sys_).grow_powers, sys_.rho_powers):
-        for n in (80, 3, 0, *range(81)):
-            got, want = table[n], table.base ** n
-            assert (got.num, got.den) == (want.num, want.den), (spec, n)
-        with pytest.raises(InvalidInputError):
-            table[-1]
+    table = sys_.rho_powers
+    for n in (80, 3, 0, *range(81)):
+        got, want = table[n], table.base ** n
+        assert (got.num, got.den) == (want.num, want.den), (spec, n)
+    with pytest.raises(InvalidInputError):
+        table[-1]
 
 
 points = st.integers(1, 997).flatmap(lambda den: st.tuples(st.integers(0, den), st.just(den)))
@@ -100,7 +101,7 @@ def _swept(lattice, n, a=None, b=None) -> list:
     """Levels 1..n of a sweep from the empty word, windowed to [a, b] when
     a is given."""
     sys_ = lattice.sys
-    window = None if a is None else lattice.window(0, sys_.element(a), sys_.element(b))
+    window = None if a is None else lattice.window(sys_.element(a), sys_.element(b))
     return [level for level, _window in lattice.sweep(n, window)]
 
 
@@ -156,6 +157,28 @@ def test_kernel_switches_keys_to_python_ints():
     key_dtypes = [k for k, _c in dtypes]
     assert key_dtypes[0] == np.int64 and key_dtypes[-1] == object
     assert key_dtypes == sorted(key_dtypes, key=lambda t: t == object)
+
+
+@pytest.mark.parametrize("p, limbs", [(2 ** 30, False), (2 ** 30 - 1, True)])
+def test_limb_bound_edge_matches_brute_force(p, limbs):
+    # p = LIMB_P_BOUND is the least p kept off limbs: the keys of
+    # 2^30/(2^30 - 1) turn into Python ints at level 3, windowed or not,
+    # and those of (2^30 - 1)/(2^30 - 2) stay int64 and widen to more limbs.
+    # Either way the counts of `tree` and the report of `sums` are those of
+    # the brute-force oracles
+    sys_ = parse_beta(f"{p}/{p - 1}", 2)
+    lattice, n, x = Lattice(sys_), 6, sys_.element(1)
+    assert lattice.limbs is limbs
+    assert prefix_count_series(x, n, sys_) == [brute_prefix_count(x, k, sys_) for k in range(n + 1)]
+    for row in garsia_report(sys_, n):
+        sums = sorted(brute_distinct_sum_values(row.n, sys_))
+        gap = min(b - a for a, b in zip(sums, sums[1:])) * sys_.beta ** row.n
+        assert (row.count, row.min_gap_scaled) == (len(sums), float(gap))
+    for a in (None, x):  # unwindowed, as `sums` sweeps, and windowed to x, as `tree`
+        levels = _swept(lattice, n, a, a)
+        assert [keys.dtype == object for keys, _c in levels] == [not limbs and k >= 3
+                                                                 for k in range(1, n + 1)]
+        assert (levels[-1][0].shape[1] > 1) is limbs
 
 
 def test_step_bound_counts_the_digit_term():
@@ -265,6 +288,10 @@ def key_matrices(draw):
                         [3, 0, 2 ** 40]], dtype=np.int64))
 # three ranks times a span of 2^62 + 1 pass int64: Python ints
 @example(keys=np.array([[2 ** 62, 0], [0, 1], [2 ** 62, 2], [1, 0], [0, 1]], dtype=np.int64))
+# a last column whose span, 2^63 + 3, passes int64 beside a second column:
+# its offsets would wrap, so Python ints
+@example(keys=np.array([[0, -2 ** 62 - 1], [1, 2 ** 62 + 1], [0, 0], [1, 2 ** 62 + 1]],
+                       dtype=np.int64))
 def test_distinct_rows_order_is_lexsort(keys):
     # one packing for every width, in stages where the spans pass int64: the
     # order is the stable sort of the rows read from the last column, and
@@ -438,12 +465,13 @@ def test_degree_one_sign_rows_match_sign_int_coeffs(base, data, wide):
                for n, d in ((2 ** 63, 1), (2 ** 64 - 1, 2), (-2 ** 64 - 1, 2),
                             (-2 ** 63 - 1, 1), (2 ** 200 + 1, 3), (-3 ** 100, 1))]
     matrix = np.array([[c] for c in rows], dtype=object if wide else np.int64)
-    signs = field.sign_rows(matrix, *shifts)
-    assert signs.dtype == np.int8 and signs.shape == (len(shifts), len(rows))
+    pairs = field.compare_rows(matrix, *((s.num, s.den) for s in shifts))
     values = [Fraction(s.num[0], s.den) for s in shifts]
-    for s, value, got in zip(shifts, values, signs.tolist()):
+    for s, value, (above, below) in zip(shifts, values, pairs, strict=True):
         exact = [field.sign_int_coeffs([s.den * c - s.num[0]]) for c in rows]
-        assert got == exact == [(c > value) - (c < value) for c in rows]
+        assert exact == [(c > value) - (c < value) for c in rows]
+        assert above.tolist() == [c > value for c in rows]
+        assert below.tolist() == [c < value for c in rows]
     for value in values:
         # c >= value exactly when c >= ceil(value), c <= value when c < floor(value) + 1
         assert _at_least(matrix, math.ceil(value)).tolist() == [c >= value for c in rows]
@@ -511,7 +539,7 @@ def test_limb_step_matches_python_ints(base, data):
     lattice = Lattice(sys_)
     assert lattice.limbs
     counts = np.arange(1, len(values) + 1, dtype=np.int64)
-    window = lattice.window(k + 1, *_window_points(sys_, k + 1, ends))
+    window = derived_window(lattice, k + 1, *_window_points(sys_, k + 1, ends))
     want: dict = {}
     for c, count in zip(values, counts.tolist()):
         for e in range(m):
@@ -528,8 +556,8 @@ def test_limb_step_matches_python_ints(base, data):
         # every limb below the last is in [0, 2^32)
         assert ((new_keys[:, :-1] >= 0) & (new_keys[:, :-1] < 2 ** 32)).all()
         # the window test on the limb rows themselves
-        within = lattice.inside(keys, lattice.window(k, *_window_points(sys_, k, ends))).tolist()
-        assert within == [ends[0] <= c <= ends[1] for c in values]
+        within = lattice.inside(keys, derived_window(lattice, k, *_window_points(sys_, k, ends)))
+        assert within.tolist() == [ends[0] <= c <= ends[1] for c in values]
 
 
 @PROPERTY_SETTINGS
@@ -675,7 +703,7 @@ def test_inside_matches_field_comparisons(systems, spec, data):
     for key in keys:
         t = FieldElement(sys_.field, tuple(key), lattice.lead ** k)
         want.append(power * a - tail <= t <= power * b)
-    assert lattice.inside(rows, lattice.window(k, a, b)).tolist() == want
+    assert lattice.inside(rows, derived_window(lattice, k, a, b)).tolist() == want
 
 
 WINDOW_SPECS = ("golden", "poly:-3,0,2", "13/10", "3/2")
@@ -691,6 +719,7 @@ def _window_values(lattice, window) -> list:
 @given(sys_=st.one_of(st.sampled_from(WINDOW_SPECS).map(lambda spec: parse_beta(spec, 2)),
                       pisot_family),
        a=points, b=points, s=points, k=st.integers(0, 5), steps=st.integers(1, 6))
+@example(sys_=parse_beta("poly:-3,0,2", 2), a=(1, 3), b=(2, 3), s=(1, 10), k=2, steps=2)
 def test_carried_window_matches_derived(sys_, a, b, s, k, steps):
     # the window a sweep carries, stepped in integers like the digit-0 and
     # digit-(m-1) children, against the one derived at each level from its
@@ -703,12 +732,13 @@ def test_carried_window_matches_derived(sys_, a, b, s, k, steps):
     lo, hi, s = sys_.element(lo), sys_.element(hi), sys_.element(_fraction_of_interval(sys_, *s))
     lattice = Lattice(sys_)
     level = lattice.start
-    window = wide = lattice.window(0, lo - s, hi + s)
+    window = wide = lattice.window(lo - s, hi + s)
     for j, (level, window) in enumerate(lattice.sweep(k, wide), start=1):
         assert _window_values(lattice, window) == _window_values(
-            lattice, lattice.window(j, lo - s, hi + s))
+            lattice, derived_window(lattice, j, lo - s, hi + s))
     window = lattice.narrowed(window, k, s * sys_.beta ** k)
-    assert _window_values(lattice, window) == _window_values(lattice, lattice.window(k, lo, hi))
+    assert _window_values(lattice, window) == _window_values(
+        lattice, derived_window(lattice, k, lo, hi))
     carried, step = [], Lattice.step
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Lattice, "step", lambda self, states, j, window=None:
@@ -718,7 +748,8 @@ def test_carried_window_matches_derived(sys_, a, b, s, k, steps):
     assert [j for j, _window in carried] == list(range(k + 1, k + steps + 1))
     assert all(window is got for (_j, window), got in zip(carried, yielded, strict=True))
     for j, window in carried:
-        assert _window_values(lattice, window) == _window_values(lattice, lattice.window(j, lo, hi))
+        assert _window_values(lattice, window) == _window_values(
+            lattice, derived_window(lattice, j, lo, hi))
 
 
 def test_point_sweep_products_do_not_grow_with_depth():

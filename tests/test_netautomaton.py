@@ -285,7 +285,7 @@ def test_layer_pass_capped_mixed_rows(monkeypatch):
 @pytest.mark.parametrize("spec,m", [("golden", 4), ("poly:-1,0,-1,1", 2), ("int:2", 3)])
 def test_layer_pass_misordered_presort(spec, m, monkeypatch, comparison_sorts):
     # float values negated, with infinite error bounds: every state's
-    # presort is reversed and the sign_rows screen settles nothing, so the
+    # presort is reversed and the compare_rows screen settles nothing, so the
     # exact signs find every geometry misordered (0 < length) and the
     # comparison sort of rank_rows ranks each, to the same closure
     sys_ = parse_beta(spec, m)

@@ -447,6 +447,22 @@ def test_sign_matches_exact_bisection(fields, roots, spec, data):
     assert (-a).sign() == -expected
 
 
+@settings(max_examples=40, deadline=None)
+@given(sys_=pisot_family, coeffs=st.lists(fractions_, min_size=4, max_size=4), r=fractions_,
+       step=st.builds(Fraction, st.integers(1, 60), st.integers(1, 12)))
+@example(sys_=parse_beta("golden", 2), coeffs=[Fraction(1, 3), -1, 0, 0], r=Fraction(-2, 7),
+         step=Fraction(1, 5))
+def test_comparisons_of_equal_elements(sys_, coeffs, r, step):
+    # < and > are false and <= and >= true on equal elements: one element
+    # with itself and with an equal one built apart, and a rational element
+    # with its Fraction; a positive rational step orders them strictly
+    field = sys_.field
+    a = field_element(field, coeffs[:field.degree])
+    for x, y in ((a, a), (a, FieldElement(field, a.num, a.den)), (sys_.element(r), r)):
+        assert not x < y and not x > y and x <= y and x >= y
+        assert x < y + step and y + step > x and not x >= y + step and not y + step <= x
+
+
 @pytest.mark.parametrize("n", range(1, 41))
 def test_sign_near_zero_falls_back_to_bisection(golden, monkeypatch, n):
     # F_{n+1} - F_n beta = (-1/beta)^n: tiny against its coefficients
@@ -469,6 +485,17 @@ def _row_sign(field, row, shift) -> int:
     return field.sign_int_coeffs([shift.den * c - b for c, b in zip(row, shift.num)])
 
 
+def _compared(field, rows, shifts) -> list:
+    """`compare_rows` against field-element shifts, as lists of (above, below) flags."""
+    pairs = field.compare_rows(rows, *((s.num, s.den) for s in shifts))
+    return [(above.tolist(), below.tolist()) for above, below in pairs]
+
+
+def _sign_pairs(signs) -> list:
+    """Rows of exact signs, one row per shift, as (above, below) flags."""
+    return [([v > 0 for v in row], [v < 0 for v in row]) for row in signs]
+
+
 @settings(max_examples=60, deadline=None)
 @given(spec=st.sampled_from(PROPERTY_SPECS), data=st.data(),
        bound=st.sampled_from((50, 2 ** 62, 10 ** 30)), n_random=st.integers(0, 2))
@@ -483,9 +510,9 @@ def test_sign_rows_match_sign_int_coeffs(fields, spec, data, bound, n_random):
               FieldElement(field, tuple(7 * c + (i == 0) for i, c in enumerate(rows[0])), 7)]
     shifts += [_element(field, data) for _ in range(n_random)]
     matrix = np.array(rows, dtype=object if bound > 2 ** 63 else np.int64)
-    signs = field.sign_rows(matrix, *shifts)
-    assert signs.tolist() == [[_row_sign(field, row, s) for row in rows] for s in shifts]
-    assert (signs[1, 0], signs[2, 0]) == (0, -1)
+    signs = [[_row_sign(field, row, s) for row in rows] for s in shifts]
+    assert _compared(field, matrix, shifts) == _sign_pairs(signs)
+    assert (signs[1][0], signs[2][0]) == (0, -1)
 
 
 def test_sign_rows_near_zero_rows_fall_back(golden, monkeypatch):
@@ -499,9 +526,9 @@ def test_sign_rows_near_zero_rows_fall_back(golden, monkeypatch):
     scalar = field.sign_int_coeffs
     monkeypatch.setattr(field, "sign_int_coeffs",
                         lambda coeffs: exact.append(list(coeffs)) or scalar(coeffs))
-    signs = field.sign_rows(rows, field.zero)
-    assert signs.tolist() == [[(-1) ** n for n in range(1, 41)]]
-    assert signs.tolist() == [[scalar(row) for row in rows.tolist()]]
+    pairs = _compared(field, rows, [field.zero])
+    assert pairs == _sign_pairs([[(-1) ** n for n in range(1, 41)]])
+    assert pairs == _sign_pairs([[scalar(row) for row in rows.tolist()]])
     # only the rows the float screen cannot settle, n >= 35, go to the exact path
     assert exact == rows[34:].tolist()
     # as shifts, out to n = 80: against a zero row, exact in floats, the
@@ -510,7 +537,7 @@ def test_sign_rows_near_zero_rows_fall_back(golden, monkeypatch):
         fib.append(fib[-1] + fib[-2])
     shifts = [FieldElement(field, (fib[n + 1], -fib[n])) for n in range(1, 81)]
     zero_row = np.zeros((1, 2), dtype=np.int64)
-    assert field.sign_rows(zero_row, *shifts).tolist() == [[-(-1) ** n] for n in range(1, 81)]
+    assert _compared(field, zero_row, shifts) == _sign_pairs([[-(-1) ** n] for n in range(1, 81)])
 
 
 def test_sign_rows_exact_path_does_not_wrap(golden):
@@ -519,7 +546,7 @@ def test_sign_rows_exact_path_does_not_wrap(golden):
     field = golden.field
     rows = np.array([[2 ** 62, 3], [-(2 ** 62), 5]], dtype=np.int64)
     shifts = [FieldElement(field, (7 * a + 1, 7 * b), 7) for a, b in rows.tolist()]
-    assert field.sign_rows(rows, *shifts).tolist() == [[-1, -1], [1, -1]]
+    assert _compared(field, rows, shifts) == _sign_pairs([[-1, -1], [1, -1]])
 
 
 @pytest.mark.parametrize("spec", ["golden", "multinacci:3", "poly:-3,0,2", "poly:-1,-1,0,1"])
@@ -559,8 +586,8 @@ def test_sign_rows_beyond_float_range(golden):
     for rows in ([[1, big], [big, -big], [3, 5]], [[-1, 10 ** 400], [3, 5]]):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            signs = field.sign_rows(np.array(rows, dtype=object), *shifts)
-        assert signs.tolist() == [[_row_sign(field, r, s) for r in rows] for s in shifts]
+            pairs = _compared(field, np.array(rows, dtype=object), shifts)
+        assert pairs == _sign_pairs([[_row_sign(field, r, s) for r in rows] for s in shifts])
 
 
 def _recorded(field, fn, *args):
@@ -612,14 +639,11 @@ def test_screen_settles_the_rows_of_its_first_form(fields, spec, data, bound):
     matrix = np.array(rows, dtype=object if bound > 2 ** 62 else np.int64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got, got_calls = _recorded(field, field.sign_rows, matrix, *shifts)
-        pairs = field.compare_rows(matrix, *((s.num, s.den) for s in shifts))
+        got, got_calls = _recorded(field, _compared, field, matrix, shifts)
     want, want_calls = _recorded(field, screen_sign_rows, field, matrix, *shifts)
-    assert got.tolist() == want.tolist() and got_calls == want_calls
+    assert got == _sign_pairs(want.tolist()) and got_calls == want_calls
     if data is None:  # the rows past n = 34 reach the exact path against either shift
         assert got_calls[:6] == rows[34:]
-    assert [(above.tolist(), below.tolist()) for above, below in pairs] == \
-        [((sign > 0).tolist(), (sign < 0).tolist()) for sign in want]
 
 
 # ---------------------------------------------------------------------------

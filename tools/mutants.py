@@ -81,10 +81,10 @@ MUTANTS = (
            "return ends * (lcm // den) + np.array([shift, [-c for c in shift]], dtype=object), lcm",
            "return ends + np.array([shift, [-c for c in shift]], dtype=object), lcm",
            ("tests/test_lattice.py::test_carried_window_matches_derived",)),
-    Mutant("a window tail not scaled by lead^k", "expansions.py",
-           "ends = (a * power - self.sys.right_end * self.lead ** k, b * power)",
-           "ends = (a * power - self.sys.right_end, b * power)",
-           ("tests/test_lattice.py::test_inside_matches_field_comparisons",)),
+    Mutant("a carried window's digit term not scaled by lead^(k+1)", "expansions.py",
+           "ends[0, 0] += (self.sys.m - 1) * self.lead ** (k + 1) * den",
+           "ends[0, 0] += (self.sys.m - 1) * den",
+           ("tests/test_lattice.py::test_carried_window_matches_derived",)),
     Mutant("> for >= in _at_least", "expansions.py",
            "at_least = rows[:, -1] >= top",
            "at_least = rows[:, -1] > top",
@@ -135,6 +135,22 @@ MUTANTS = (
            "level = top[width:2 * width] if k < k_max else top",
            "level = top[width - 1:2 * width - 1] if k < k_max else top",
            ("tests/test_lyapunov.py::test_inner_sums_equal_int64_enumeration",)),
+    Mutant("_staged_key packing a column whose span passes int64", "expansions.py",
+           "    if max(spans) > INT64_MAX:\n        return None\n",
+           "",
+           ("tests/test_lattice.py::test_distinct_rows_order_is_lexsort",)),
+    Mutant("garsia_report reading below as above", "expansions.py",
+           "[(above, _below)] = field.compare_rows(diffs, (field.zero.num, 1))",
+           "[(_below, above)] = field.compare_rows(diffs, (field.zero.num, 1))",
+           ("tests/test_expansions.py::test_garsia_report_misordered_presort",)),
+    Mutant("limbs from p = 2^30 on, past the documented rule", "expansions.py",
+           "self.limbs = d == 1 and row[0] < LIMB_P_BOUND",
+           "self.limbs = d == 1 and row[0] <= LIMB_P_BOUND",
+           ("tests/test_lattice.py::test_limb_bound_edge_matches_brute_force",)),
+    Mutant("< true on equal elements", "numberfield.py",
+           "return (self - self._coerce(other)).sign() < 0",
+           "return (self - self._coerce(other)).sign() <= 0",
+           ("tests/test_numberfield.py::test_comparisons_of_equal_elements",)),
 )
 
 
